@@ -19,7 +19,7 @@ from .measures import (
     tv_distance,
     tv_norm,
 )
-from .prokhorov import FlowProblem, max_deficiency, prokhorov_brute, prokhorov_distance
+from .prokhorov import max_deficiency, prokhorov_brute, prokhorov_distance
 from .estimators import (
     EntropyEstimate,
     LadderRow,

@@ -303,9 +303,7 @@ def eps_sum(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Normalized cost sum (1/n) log sum_path exp(-(n/eps) rho((1/n) mu_path, nu))."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    acc = _Scaled(-(n / eps))
+    acc = _Scaled(-_cost_scale(n, eps))
     _fold_distances(env, nu, n, [acc], endpoint=q.floor_scale(n), budget=budget)
     return acc.lse.result() / n
 
@@ -320,13 +318,25 @@ def eps_sum_level(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Direction-free cost sum over all length-floor(n t) paths from the origin."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    acc = _Scaled(-_cost_scale(n, eps))
     t = Fraction(t)
     length = (n * t.numerator) // t.denominator
-    acc = _Scaled(-(n / eps))
     _fold_distances(env, nu, n, [acc], level_length=length, budget=budget)
     return acc.lse.result() / n
+
+
+def _cost_scale(n: int, eps: float) -> float:
+    """The exponent scale n / eps of a cost sum, checked to be finite.
+
+    An eps so small that n / eps overflows would turn a zero distance
+    into -inf * 0 = nan and make the sum silently wrong.
+    """
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    scale = n / eps
+    if not math.isfinite(scale):
+        raise ValueError(f"eps={eps} is too small for n={n}: the cost scale n/eps overflows")
+    return scale
 
 
 class _Scaled:
@@ -356,8 +366,7 @@ def cost_sum(
     superadditive under path concatenation; the structure checks run on
     it.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _cost_scale(1, eps)
     lse = _LogSumExp()
 
     def visit(path, labels):

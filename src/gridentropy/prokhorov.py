@@ -6,11 +6,19 @@ The metric is
                                 nu(A) <= mu(A^eps) + eps for all A}
 
 with A^eps the *open* eps-neighborhood.  For atomic measures the
-feasibility predicate at radius eps reduces to a bipartite max-flow:
-the worst-case deficiency max_A [mu(A) - nu(A^eps)] equals
-mu_total - maxflow over the graph whose edges join atoms closer than
-eps.  Both mass constraints share one flow value because the admissible
-graph is symmetric.
+feasibility predicate at radius eps is a transport question (Strassen
+1965): the worst-case deficiency max_A [mu(A) - nu(A^eps)] equals
+mu_total minus the max flow through the bipartite graph whose edges
+join atoms closer than eps.  Both mass constraints share one flow value
+because the admissible graph is symmetric.
+
+On the line that graph is convex: with both supports sorted, atom x_i
+sees a contiguous run of the y_j, and both ends of the run are
+nondecreasing in i.  Max flow on a convex bipartite graph is a greedy
+sweep (Glover 1967, "Maximum matching in a convex bipartite graph"):
+take the y_j in order and serve each from the leftmost x that is still
+in reach and still has mass, since that x is the first to fall out of
+reach.  One probe is a single O(n + m) pass with no graph.
 
 Open-neighborhood semantics matter: radius eps admits exactly the edges
 at distance < eps, so on the half-open interval (d_k, d_{k+1}] between
@@ -21,138 +29,62 @@ infimum with no search tolerance.
 
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
-for the flow path.
+for the sweep.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .measures import Measure
 
-__all__ = ["FlowProblem", "max_deficiency", "prokhorov_distance", "prokhorov_brute"]
+__all__ = ["max_deficiency", "prokhorov_distance", "prokhorov_brute"]
 
 # Below this many breakpoints the crossing search is a plain scan;
 # beyond it, monotonicity of the deficiency lets us bisect.  Each probe
-# costs a max-flow, so the scan pays off only when the list is tiny.
+# costs a sweep, so the scan pays off only when the list is tiny.
 _LINEAR_SCAN_MAX = 8
 
 _BRUTE_SUPPORT_MAX = 16
 
 
-@dataclass(frozen=True)
-class FlowProblem:
-    """Bipartite transport instance at a fixed admissibility radius.
-
-    left_masses/right_masses are the atom masses of the two measures;
-    adjacency lists the admissible (i, j) pairs at the radius that
-    built the instance.
-    """
-
-    left_masses: tuple[float, ...]
-    right_masses: tuple[float, ...]
-    adjacency: tuple[tuple[int, int], ...]
-
-    def max_flow(self) -> float:
-        return _dinic_max_flow(self.left_masses, self.right_masses, self.adjacency)
-
-
-def _dinic_max_flow(
-    left: tuple[float, ...],
-    right: tuple[float, ...],
-    adjacency: tuple[tuple[int, int], ...],
+def _sweep_flow(
+    xs: Sequence[float],
+    x_masses: Sequence[float],
+    ys: Sequence[float],
+    y_masses: Sequence[float],
+    radius: float,
 ) -> float:
-    """Max flow source -> left atoms -> right atoms -> sink.
+    """Max flow from the x atoms to the y atoms over edges |x - y| <= radius.
 
-    Level-graph augmentation (BFS phases, DFS blocking flow).  Each
-    augmentation zeroes at least one residual exactly (x - x == 0.0 in
-    floats), so termination is combinatorial and the flow value is a
-    plain sum of input masses.
+    Both position lists are sorted.  Each y_j is served in order from
+    the leftmost x that still has mass, after dropping the x's left of
+    y_j - radius, which no later y can reach either.  Every x before the
+    pointer is spent or expired and every x after it is untouched, so
+    one pointer suffices.  The signed differences equal |x - y| exactly
+    on their side of y, so admissibility agrees bit for bit with the
+    breakpoints.  Each transfer empties an atom or a demand exactly,
+    and the flow value is a plain sum of masses.
     """
-    n_left = len(left)
-    n_right = len(right)
-    source = 0
-    sink = n_left + n_right + 1
-    n_nodes = sink + 1
-
-    # Edge arrays: to, residual capacity, index of the reverse edge.
-    graph: list[list[list]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(u: int, v: int, cap: float) -> None:
-        graph[u].append([v, cap, len(graph[v])])
-        graph[v].append([u, 0.0, len(graph[u]) - 1])
-
-    inf_cap = sum(left) + sum(right) + 1.0
-    for i, a in enumerate(left):
-        add_edge(source, 1 + i, a)
-    for j, b in enumerate(right):
-        add_edge(1 + n_left + j, sink, b)
-    for i, j in adjacency:
-        add_edge(1 + i, 1 + n_left + j, inf_cap)
-
+    remaining = list(x_masses)
+    count = len(remaining)
+    i = 0
     flow = 0.0
-    while True:
-        # BFS: level graph.
-        level = [-1] * n_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for edge in graph[u]:
-                v, cap, _ = edge
-                if cap > 0.0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return flow
-
-        # Blocking flow: iterative DFS with per-node edge pointers.
-        # Within a phase a dead end stays dead (reverse edges point down
-        # a level and are never traversed), so pointers survive across
-        # augmentations.
-        pointer = [0] * n_nodes
-        path: list[tuple[int, list]] = []
-        u = source
-        while True:
-            if u == sink:
-                bottleneck = min(edge[1] for _, edge in path)
-                for tail, edge in path:
-                    edge[1] -= bottleneck
-                    graph[edge[0]][edge[2]][1] += bottleneck
-                flow += bottleneck
-                # Restart from the source; saturated edges are skipped
-                # by the capacity check.
-                path.clear()
-                u = source
-                continue
-            moved = False
-            while pointer[u] < len(graph[u]):
-                edge = graph[u][pointer[u]]
-                if edge[1] > 0.0 and level[edge[0]] == level[u] + 1:
-                    path.append((u, edge))
-                    u = edge[0]
-                    moved = True
-                    break
-                pointer[u] += 1
-            if moved:
-                continue
-            if u == source:
+    for y, need in zip(ys, y_masses):
+        while i < count and y - xs[i] > radius:
+            i += 1
+        while i < count and xs[i] - y <= radius:
+            have = remaining[i]
+            if have <= need:
+                flow += have
+                need -= have
+                i += 1
+            else:
+                flow += need
+                remaining[i] = have - need
                 break
-            tail, _ = path.pop()
-            pointer[tail] += 1
-            u = tail
-
-
-def _flow_problem(mu: Measure, nu: Measure, radius: float, strict: bool) -> FlowProblem:
-    xs = mu.positions
-    ys = nu.positions
-    pairs = []
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            d = abs(x - y)
-            if (d < radius) if strict else (d <= radius):
-                pairs.append((i, j))
-    return FlowProblem(mu.masses, nu.masses, tuple(pairs))
+    return flow
 
 
 def max_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> float:
@@ -160,12 +92,17 @@ def max_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> flo
 
     ``strict`` selects open-neighborhood edges (distance < radius); the
     closure variant (<= radius) is what the breakpoint scan evaluates.
-    Equals mu_total minus the max flow through the admissible graph.
+    Equals mu_total minus the max flow through the admissible graph,
+    which the line sweep computes exactly (Glover 1967; Strassen 1965).
+    A strict radius is the closed one just below it: for floats,
+    d < r holds exactly when d <= nextafter(r, -inf).
     """
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    problem = _flow_problem(mu, nu, radius, strict)
-    return max(0.0, mu.total_mass - problem.max_flow())
+    if strict:
+        radius = math.nextafter(radius, -math.inf)
+    flow = _sweep_flow(mu.positions, mu.masses, nu.positions, nu.masses, radius)
+    return max(0.0, mu.total_mass - flow)
 
 
 def _singleton_distance(mu: Measure, x: float, c: float) -> float:
@@ -219,8 +156,8 @@ def prokhorov_distance(mu: Measure, nu: Measure) -> float:
     if len(mu.atoms) == 1:
         return _singleton_distance(nu, mu.atoms[0][0], mu.atoms[0][1])
 
-    xs = mu.positions
-    ys = nu.positions
+    xs, x_masses = mu.positions, mu.masses
+    ys, y_masses = nu.positions, nu.masses
     breakpoints = sorted({0.0} | {abs(x - y) for x in xs for y in ys})
     max_total = max(mu.total_mass, nu.total_mass)
 
@@ -229,8 +166,8 @@ def prokhorov_distance(mu: Measure, nu: Measure) -> float:
     def deficiency(k: int) -> float:
         # Deficiency on the interval (b_k, b_{k+1}]: closed edges at b_k.
         if k not in deficiency_cache:
-            problem = _flow_problem(mu, nu, breakpoints[k], strict=False)
-            deficiency_cache[k] = max(0.0, max_total - problem.max_flow())
+            flow = _sweep_flow(xs, x_masses, ys, y_masses, breakpoints[k])
+            deficiency_cache[k] = max(0.0, max_total - flow)
         return deficiency_cache[k]
 
     # deficiency(k) is nonincreasing and breakpoints increase, so the

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .estimators import (
     EntropyEstimate,
@@ -343,6 +342,9 @@ class VerificationSuite:
         return [CheckRow(8, "sandwich violations", bad, 0, bad == 0)]
 
     def criterion_9(self) -> list[CheckRow]:
+        # scipy.stats costs about a second to import; only this check needs it.
+        from scipy import stats
+
         env = Environment(self.base_seed + 1, 2)
         rows = []
         for check, endpoint, beta, draws in (

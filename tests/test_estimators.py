@@ -159,6 +159,26 @@ def test_eps_sum_level_empty_path():
     assert eps_sum_level(env, Fraction(1, 2), Measure.zero(), 1, 2.0) == 0.0
 
 
+def test_tiny_eps_is_rejected_not_silently_wrong():
+    """n/eps overflowing to inf would make a zero distance feed -inf * 0 = nan."""
+    env = Environment(1, 2)
+    q = Direction((1, 1), 2)
+    n = 4
+    paths = []
+    enumerate_paths(env, q.floor_scale(n), lambda path, labels: paths.append(list(labels)))
+    nu = Measure((u, 1.0 / n) for u in paths[0])
+    # The first path sits at distance 0, so the true value is 0.0.
+    assert eps_sum(env, q, nu, n, 1e-3) == 0.0
+    for call in (
+        lambda: eps_sum(env, q, nu, n, 1e-310),
+        lambda: eps_sum_level(env, Fraction(1), nu, n, 1e-310),
+    ):
+        with pytest.raises(ValueError, match=r"eps=1e-310 .* n=4"):
+            call()
+    with pytest.raises(ValueError, match=r"eps=1e-310"):
+        cost_sum(env, (0, 0), q.floor_scale(n), scale(nu, n), 1e-310)
+
+
 def test_level_decomposition_identity():
     """exp(n * level sum) equals the sum of exp(n * per-endpoint sums)."""
     env = Environment(3, 2)
