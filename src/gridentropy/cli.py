@@ -10,13 +10,9 @@ CSV rows follow one fixed schema,
 
     method,D,seed,q_or_t,nu_id,n,epsilon_or_alpha,raw_value,extrapolated,band
 
-sorted by (n, epsilon_or_alpha, seed).  GRID_ENTROPY_THREADS (or
---threads) sizes a work queue that precomputes ladder points in
-parallel; workers only fill caches consumed by the serial aggregation
-pass, so the emitted bytes never depend on the worker count, and the
-thread count itself is deliberately kept out of the embedded config.
-SVG plots are rendered from the CSV after it is written back through
-the parser, not from in-memory state.
+sorted by (n, epsilon_or_alpha, seed).  SVG plots are rendered from
+the CSV after it is written back through the parser, not from
+in-memory state.
 
 Exit codes: 0 success, 2 configuration error, 3 budget refusal, 4
 verification failure.
@@ -28,12 +24,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +37,6 @@ from .estimators import (
     estimate_entropy_eps,
     estimate_entropy_level,
     estimate_entropy_orderstats,
-    warm_cache,
 )
 from .lattice import (
     BudgetError,
@@ -55,7 +47,7 @@ from .lattice import (
     path_count,
 )
 from .measures import Histogram, Measure, discretize_lebesgue
-from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_path, scaled_free_energy
+from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_path
 from .prokhorov import prokhorov_distance
 from .variational import (
     bernoulli_exponent_check,
@@ -406,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="flat key=value file supplying defaults")
-        sub.add_argument("--threads", default=None, metavar="N",
-                         help="worker count (default: GRID_ENTROPY_THREADS or 1)")
         for key in keys:
             flags = _FLAG_NAMES[key]
             sub.add_argument(*flags, dest=key, default=None, metavar=key.upper())
@@ -436,28 +426,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"missing required field {key!r} (flag --{flag})")
     values["command"] = command
     return ExperimentConfig(command, values)
-
-
-def resolve_threads(args: argparse.Namespace) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get("GRID_ENTROPY_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"thread count {raw!r}: {exc}") from exc
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
-def _run_tasks(tasks: Sequence[Callable[[], object]], threads: int) -> None:
-    """Drain the warm-up queue; results land in caches, order irrelevant."""
-    if threads <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda task: task(), tasks):
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +616,7 @@ def _print_estimate(est: EntropyEstimate) -> None:
 # subcommands
 
 
-def _run_metric(config: ExperimentConfig, threads: int) -> int:
+def _run_metric(config: ExperimentConfig) -> int:
     mu, _ = config.measure("mu")
     nu, _ = config.measure("nu")
     distance = prokhorov_distance(mu, nu)
@@ -658,7 +626,7 @@ def _run_metric(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_count(config: ExperimentConfig, threads: int) -> int:
+def _run_count(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
     has_length = config.has("length")
     if has_endpoint == has_length:
@@ -670,17 +638,7 @@ def _run_count(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _warm_point_ladder(seeds, q: Direction, nu: Measure, n_ladder, budget: int, threads: int) -> None:
-    tasks = [
-        partial(warm_cache, Environment(seed, q.dimension), nu, n,
-                endpoint=q.floor_scale(n), budget=budget)
-        for seed in seeds
-        for n in n_ladder
-    ]
-    _run_tasks(tasks, threads)
-
-
-def _run_orderstats(config: ExperimentConfig, threads: int) -> int:
+def _run_orderstats(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
     n_ladder = config.scales("n_ladder")
@@ -688,7 +646,6 @@ def _run_orderstats(config: ExperimentConfig, threads: int) -> int:
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     threshold = config.float_("threshold") if config.has("threshold") else None
-    _warm_point_ladder(seeds, q, nu, n_ladder, budget, threads)
     est = estimate_entropy_orderstats(
         seeds, q, nu, n_ladder, grid, threshold=threshold, budget=budget
     )
@@ -697,21 +654,20 @@ def _run_orderstats(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_entropy_eps(config: ExperimentConfig, threads: int) -> int:
+def _run_entropy_eps(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
     n_ladder = config.scales("n_ladder")
     eps_ladder = config.floats("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
-    _warm_point_ladder(seeds, q, nu, n_ladder, budget, threads)
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
     _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(config, est))
     _print_estimate(est)
     return EXIT_OK
 
 
-def _run_entropy_level(config: ExperimentConfig, threads: int) -> int:
+def _run_entropy_level(config: ExperimentConfig) -> int:
     dimension = config.int_("D")
     t = config.fraction("t")
     nu, nu_id = config.measure("nu")
@@ -719,24 +675,13 @@ def _run_entropy_level(config: ExperimentConfig, threads: int) -> int:
     eps_ladder = config.floats("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
-    balanced = Direction.from_fractions([t / dimension] * dimension)
-    tasks = []
-    for seed in seeds:
-        env = Environment(seed, dimension)
-        for n in n_ladder:
-            length = (n * t.numerator) // t.denominator
-            tasks.append(partial(warm_cache, env, nu, n, level_length=length, budget=budget))
-            if (n * t.numerator) % (t.denominator * dimension) == 0:
-                tasks.append(partial(warm_cache, env, nu, n,
-                                     endpoint=balanced.floor_scale(n), budget=budget))
-    _run_tasks(tasks, threads)
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
     _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(config, est))
     _print_estimate(est)
     return EXIT_OK
 
 
-def _run_gibbs(config: ExperimentConfig, threads: int) -> int:
+def _run_gibbs(config: ExperimentConfig) -> int:
     dimension = config.int_("D")
     q_spec = config.raw("q")
     q = None if q_spec == "level" else config.direction("q")
@@ -746,12 +691,6 @@ def _run_gibbs(config: ExperimentConfig, threads: int) -> int:
     tau, _ = config.tau("tau")
     n_ladder = config.scales("n_ladder")
     seeds = config.seeds("seeds")
-    tasks = [
-        partial(scaled_free_energy, Environment(seed, dimension), beta, tau, n, q)
-        for seed in seeds
-        for n in n_ladder
-    ]
-    _run_tasks(tasks, threads)
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
     nu_id = config.values.get("tau", "zero")
@@ -761,7 +700,7 @@ def _run_gibbs(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_lpp(config: ExperimentConfig, threads: int) -> int:
+def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.int_("D"))
     endpoint = config.endpoint("endpoint")
     tau, _ = config.tau("tau")
@@ -777,7 +716,7 @@ def _run_lpp(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_sample(config: ExperimentConfig, threads: int) -> int:
+def _run_sample(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
     has_length = config.has("length")
     if has_endpoint == has_length:
@@ -803,7 +742,7 @@ def _run_sample(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_conjugate(config: ExperimentConfig, threads: int) -> int:
+def _run_conjugate(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
     beta = config.float_("beta")
@@ -813,15 +752,7 @@ def _run_conjugate(config: ExperimentConfig, threads: int) -> int:
     random_count = config.int_("random_count")
     family_seed = config.int_("family_seed")
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
-    # Family members evaluate independently; the cache is assembled in
-    # family order afterwards, so worker scheduling cannot leak out.
     cache: dict[TauFn, EntropyEstimate] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda tau: gibbs_estimate(seeds, beta, tau, n_ladder, q=q), family
-            ))
-        cache.update(zip(family, results))
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
@@ -855,7 +786,7 @@ def _run_conjugate(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_klbudget(config: ExperimentConfig, threads: int) -> int:
+def _run_klbudget(config: ExperimentConfig) -> int:
     q = config.direction("q")
     target, nu_id = config.target("nu")
     method = config.raw("method")
@@ -863,7 +794,6 @@ def _run_klbudget(config: ExperimentConfig, threads: int) -> int:
     n_ladder = config.scales("n_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
-    _warm_point_ladder(seeds, q, nu, n_ladder, budget, threads)
     if method == "orderstats":
         est = estimate_entropy_orderstats(
             seeds, q, nu, n_ladder, config.alpha_grid("alpha_grid"), budget=budget
@@ -884,7 +814,7 @@ def _run_klbudget(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_bernoulli(config: ExperimentConfig, threads: int) -> int:
+def _run_bernoulli(config: ExperimentConfig) -> int:
     p = config.float_("p")
     s = config.float_("s")
     n_ladder = config.scales("n_ladder")
@@ -910,7 +840,7 @@ def _run_bernoulli(config: ExperimentConfig, threads: int) -> int:
     return EXIT_OK
 
 
-def _run_verify(config: ExperimentConfig, threads: int) -> int:
+def _run_verify(config: ExperimentConfig) -> int:
     suite = VerificationSuite(config.int_("seed"))
     criteria = sorted(config.seeds("criteria")) if config.has("criteria") else None
     reports = suite.run(criteria)
@@ -943,7 +873,7 @@ def _run_verify(config: ExperimentConfig, threads: int) -> int:
     return EXIT_VERIFY
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, int], int]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig], int]] = {
     "metric": _run_metric,
     "count": _run_count,
     "orderstats": _run_orderstats,
@@ -964,8 +894,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        threads = resolve_threads(args)
-        return _RUNNERS[config.command](config, threads)
+        return _RUNNERS[config.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

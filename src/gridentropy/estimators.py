@@ -21,19 +21,22 @@ cost sums log sum exp(-(1/eps) rho(mu_path, target)); ``cost_sum``
 exposes those for the structure checks, while the normalized form above
 is the public estimator.
 
-Everything is deterministic given (seed list, config).  One enumeration
-pass per (environment, n) computes all path distances; the profile is
-cached and shared across the eps ladder, the rank grid, and any other
-consumer.
+Everything is deterministic given (seed list, config).  Both forms
+are functions of one object per ladder point: the profile, the sorted
+array of all path distances.  One enumeration pass per (environment,
+target, n, ensemble) builds it; one LRU store capped in bytes keeps it,
+so the eps ladder, the rank grid and the level cross-check all read the
+same array.  Order statistics index into it and each cost sum is one
+max-shifted log-sum-exp over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from heapq import heappush, heappushpop
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +67,11 @@ __all__ = [
     "estimate_entropy_level",
     "vanish_threshold",
     "extrapolate_ladder",
-    "warm_cache",
 ]
 
-# Largest ensemble worth materializing; beyond this the folds stream.
-_PROFILE_CACHE_PATHS = 1 << 20
+# Byte cap of the profile store; a bigger profile is used once, not kept.
+_PROFILE_STORE_BYTES = 256 << 20
+_profiles: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 # Tolerated per-step rise when deciding whether an order-statistic
 # sequence is "decreasing" (finite-n noise allowance).
@@ -129,115 +132,7 @@ def _normalized_empirical(labels: Sequence[float], n_scale: int) -> Measure:
     return Measure((u, 1.0 / n_scale) for u in labels)
 
 
-@lru_cache(maxsize=256)
-def _point_profile(env: Environment, nu: Measure, n_scale: int, endpoint: tuple[int, ...]) -> np.ndarray:
-    """Sorted rho((1/n) mu_path, nu) over all paths origin -> endpoint."""
-    dists: list[float] = []
-    enumerate_paths(
-        env,
-        endpoint,
-        lambda path, labels: dists.append(
-            prokhorov_distance(_normalized_empirical(labels, n_scale), nu)
-        ),
-        budget=_PROFILE_CACHE_PATHS,
-    )
-    arr = np.sort(np.asarray(dists))
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=64)
-def _level_profile(env: Environment, nu: Measure, n_scale: int, length: int) -> np.ndarray:
-    """Sorted rho((1/n) mu_path, nu) over all D^length paths from the origin."""
-    dists: list[float] = []
-    enumerate_level_paths(
-        env,
-        length,
-        lambda path, labels: dists.append(
-            prokhorov_distance(_normalized_empirical(labels, n_scale), nu)
-        ),
-        budget=_PROFILE_CACHE_PATHS,
-    )
-    arr = np.sort(np.asarray(dists))
-    arr.setflags(write=False)
-    return arr
-
-
-class _LogSumExp:
-    """Streaming max-shifted log-sum-exp accumulator."""
-
-    def __init__(self):
-        self.shift = -math.inf
-        self.total = 0.0
-
-    def update(self, x: float) -> None:
-        if x <= self.shift:
-            self.total += math.exp(x - self.shift)
-        else:
-            self.total = self.total * math.exp(self.shift - x) + 1.0
-            self.shift = x
-
-    def result(self) -> float:
-        if self.shift == -math.inf:
-            return -math.inf
-        return self.shift + math.log(self.total)
-
-
-class _SmallestK:
-    """Bounded max-heap keeping the k smallest values seen."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self._heap: list[float] = []
-        self.count = 0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        if len(self._heap) < self.k:
-            heappush(self._heap, -x)
-        elif -self._heap[0] > x:
-            heappushpop(self._heap, -x)
-
-    def sorted_values(self) -> list[float]:
-        return sorted(-v for v in self._heap)
-
-
-def _fold_distances(env, nu, n_scale, consumers, *, endpoint=None, level_length=None,
-                    budget=DEFAULT_PATH_BUDGET) -> None:
-    """One enumeration pass feeding every consumer's update(rho).
-
-    Small ensembles go through the cached profile; big ones stream.
-    """
-    if (endpoint is None) == (level_length is None):
-        raise ValueError("exactly one of endpoint/level_length must be given")
-    if endpoint is not None:
-        count = path_count(endpoint)
-    else:
-        count = level_path_count(env.dimension, level_length)
-    if count > budget:
-        raise BudgetError(count, budget)
-    if count <= _PROFILE_CACHE_PATHS:
-        if endpoint is not None:
-            profile = _point_profile(env, nu, n_scale, tuple(endpoint))
-        else:
-            profile = _level_profile(env, nu, n_scale, level_length)
-        for rho in profile:
-            for consumer in consumers:
-                consumer.update(float(rho))
-        return
-
-    def visit(path, labels):
-        rho = prokhorov_distance(_normalized_empirical(labels, n_scale), nu)
-        for consumer in consumers:
-            consumer.update(rho)
-
-    if endpoint is not None:
-        enumerate_paths(env, endpoint, visit, budget=budget)
-    else:
-        enumerate_level_paths(env, level_length, visit, budget=budget)
-
-
-def warm_cache(
+def _profile(
     env: Environment,
     nu: Measure,
     n_scale: int,
@@ -245,27 +140,64 @@ def warm_cache(
     endpoint: Sequence[int] | None = None,
     level_length: int | None = None,
     budget: int = DEFAULT_PATH_BUDGET,
-) -> bool:
-    """Precompute the distance profile for one ladder point.
+) -> np.ndarray:
+    """Sorted, read-only rho((1/n) mu_path, nu) over one ladder point's paths.
 
-    Returns False without computing anything when the ensemble is too
-    large for the profile cache or the budget.  Exists so parallel
-    runners can warm points in any order; the later estimator call hits
-    the same cached arrays, so scheduling never reaches the results.
+    The ensemble is either every path origin -> endpoint or every one
+    of the D^level_length paths from the origin.  Profiles live in one
+    LRU store of at most _PROFILE_STORE_BYTES; a profile bigger than
+    that is returned without being stored.
     """
     if (endpoint is None) == (level_length is None):
         raise ValueError("exactly one of endpoint/level_length must be given")
     if endpoint is not None:
+        endpoint = tuple(int(c) for c in endpoint)
         count = path_count(endpoint)
+        key = (env, nu, n_scale, "point", endpoint)
     else:
         count = level_path_count(env.dimension, level_length)
-    if count > min(budget, _PROFILE_CACHE_PATHS):
-        return False
+        key = (env, nu, n_scale, "level", level_length)
+    if count > budget:
+        raise BudgetError(count, budget)
+    profile = _profiles.get(key)
+    if profile is not None:
+        _profiles.move_to_end(key)
+        return profile
+
+    profile = np.empty(count)
+    slots = itertools.count()
+
+    def visit(path, labels):
+        profile[next(slots)] = prokhorov_distance(_normalized_empirical(labels, n_scale), nu)
+
     if endpoint is not None:
-        _point_profile(env, nu, n_scale, tuple(endpoint))
+        enumerate_paths(env, endpoint, visit, budget=budget)
     else:
-        _level_profile(env, nu, n_scale, level_length)
-    return True
+        enumerate_level_paths(env, level_length, visit, budget=budget)
+    profile.sort()
+    profile.setflags(write=False)
+    if profile.nbytes <= _PROFILE_STORE_BYTES:
+        _profiles[key] = profile
+        stored = sum(p.nbytes for p in _profiles.values())
+        while stored > _PROFILE_STORE_BYTES:
+            stored -= _profiles.popitem(last=False)[1].nbytes
+    return profile
+
+
+def _log_sum_exp(xs: Sequence[float]) -> float:
+    """log sum exp(x), shifted by max(xs) so that no term overflows.
+
+    The exponentials are added one at a time in the given order, so a
+    fixed input order gives fixed bits.  Empty or all -inf input gives
+    -inf.
+    """
+    shift = max(xs, default=-math.inf)
+    if shift == -math.inf:
+        return -math.inf
+    total = 0.0
+    for x in xs:
+        total += math.exp(x - shift)
+    return shift + math.log(total)
 
 
 def order_stat_series(
@@ -279,17 +211,14 @@ def order_stat_series(
 ) -> OrderStatSeries:
     """Exact order statistics of rho((1/n) mu_path, nu) over paths to floor(n q).
 
-    Ranks past the ensemble size get the +inf sentinel.  A bounded
-    max-heap holds only the max(ranks) smallest distances.
+    Ranks past the ensemble size get the +inf sentinel.
     """
     ranks = tuple(int(j) for j in ranks)
     if not ranks or any(j < 1 for j in ranks):
         raise ValueError("ranks are 1-based and must be >= 1")
-    heap = _SmallestK(max(ranks))
     endpoint = q.floor_scale(n)
-    _fold_distances(env, nu, n, [heap], endpoint=endpoint, budget=budget)
-    smallest = heap.sorted_values()
-    values = tuple(smallest[j - 1] if j <= heap.count else math.inf for j in ranks)
+    profile = _profile(env, nu, n, endpoint=endpoint, budget=budget)
+    values = tuple(float(profile[j - 1]) if j <= len(profile) else math.inf for j in ranks)
     return OrderStatSeries(n, nu, ranks, values, ensemble=f"point:{endpoint}")
 
 
@@ -303,9 +232,9 @@ def eps_sum(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Normalized cost sum (1/n) log sum_path exp(-(n/eps) rho((1/n) mu_path, nu))."""
-    acc = _Scaled(-_cost_scale(n, eps))
-    _fold_distances(env, nu, n, [acc], endpoint=q.floor_scale(n), budget=budget)
-    return acc.lse.result() / n
+    scale = _cost_scale(n, eps)
+    profile = _profile(env, nu, n, endpoint=q.floor_scale(n), budget=budget)
+    return _log_sum_exp((-scale * profile).tolist()) / n
 
 
 def eps_sum_level(
@@ -318,11 +247,11 @@ def eps_sum_level(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Direction-free cost sum over all length-floor(n t) paths from the origin."""
-    acc = _Scaled(-_cost_scale(n, eps))
+    scale = _cost_scale(n, eps)
     t = Fraction(t)
     length = (n * t.numerator) // t.denominator
-    _fold_distances(env, nu, n, [acc], level_length=length, budget=budget)
-    return acc.lse.result() / n
+    profile = _profile(env, nu, n, level_length=length, budget=budget)
+    return _log_sum_exp((-scale * profile).tolist()) / n
 
 
 def _cost_scale(n: int, eps: float) -> float:
@@ -337,17 +266,6 @@ def _cost_scale(n: int, eps: float) -> float:
     if not math.isfinite(scale):
         raise ValueError(f"eps={eps} is too small for n={n}: the cost scale n/eps overflows")
     return scale
-
-
-class _Scaled:
-    """Feeds c * rho into a log-sum-exp accumulator."""
-
-    def __init__(self, factor: float):
-        self.factor = factor
-        self.lse = _LogSumExp()
-
-    def update(self, rho: float) -> None:
-        self.lse.update(self.factor * rho)
 
 
 def cost_sum(
@@ -367,14 +285,14 @@ def cost_sum(
     it.
     """
     _cost_scale(1, eps)
-    lse = _LogSumExp()
+    terms: list[float] = []
 
     def visit(path, labels):
         mu = Measure((u, 1.0) for u in labels)
-        lse.update(-prokhorov_distance(mu, target) / eps)
+        terms.append(-prokhorov_distance(mu, target) / eps)
 
     enumerate_paths(env, endpoint, visit, start=start, budget=budget)
-    return lse.result()
+    return _log_sum_exp(terms)
 
 
 def vanish_threshold(nu: Measure, n_max: int) -> float:

@@ -16,9 +16,7 @@ paths for a fixed environment, so the two sources must not mix.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -71,11 +69,6 @@ def _ladd(x: float, y: float) -> float:
     return x + math.log1p(math.exp(y - x))
 
 
-def _tau_hash(tau: TauFn) -> int:
-    payload = repr((tau.breakpoints, tau.values)).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 @dataclass
 class DpTable:
     """Level-indexed log-partition (or max-plus) table.
@@ -124,65 +117,6 @@ class DpTable:
         for v in vals:
             acc = _ladd(acc, v)
         return acc
-
-    def dump(self, path: str) -> None:
-        """Binary row dump with a version-tagged header."""
-        d = self.env.dimension
-        endpoint = self.endpoint if self.endpoint is not None else (0,) * d
-        beta = self.beta if self.beta is not None else math.nan
-        with open(path, "wb") as fh:
-            fh.write(b"GEDP")
-            fh.write(struct.pack(
-                "<IBBIIdQQ",
-                1,
-                0 if self.mode == "softmax" else 1,
-                0 if self.kind == "point" else 1,
-                d,
-                len(self.levels) - 1,
-                beta,
-                _tau_hash(self.tau),
-                self.env.seed,
-            ))
-            fh.write(struct.pack(f"<{d}I", *endpoint))
-            for level in self.levels:
-                fh.write(struct.pack("<I", len(level)))
-                for pt in sorted(level):
-                    fh.write(struct.pack(f"<{d}Id", *pt, level[pt]))
-
-    @classmethod
-    def load(cls, path: str, tau: TauFn) -> "DpTable":
-        """Reload a dump; tau must hash-match the one the table was built with."""
-        with open(path, "rb") as fh:
-            if fh.read(4) != b"GEDP":
-                raise ValueError("not a DpTable dump")
-            version, mode_b, kind_b, d, depth, beta, tau_hash, seed = struct.unpack(
-                "<IBBIIdQQ", fh.read(struct.calcsize("<IBBIIdQQ"))
-            )
-            if version != 1:
-                raise ValueError(f"unsupported dump version {version}")
-            if tau_hash != _tau_hash(tau):
-                raise ValueError("tau does not match the dumped table")
-            endpoint = struct.unpack(f"<{d}I", fh.read(4 * d))
-            levels = []
-            row = struct.Struct(f"<{d}Id")
-            for _ in range(depth + 1):
-                (count,) = struct.unpack("<I", fh.read(4))
-                level = {}
-                for _ in range(count):
-                    *pt, val = row.unpack(fh.read(row.size))
-                    level[tuple(pt)] = val
-                levels.append(level)
-        mode = "softmax" if mode_b == 0 else "maxplus"
-        kind = "point" if kind_b == 0 else "level"
-        return cls(
-            Environment(seed, d),
-            tau,
-            None if math.isnan(beta) else beta,
-            kind,
-            mode,
-            levels,
-            endpoint if kind == "point" else None,
-        )
 
 
 def _sweep(env: Environment, beta: float | None, tau: TauFn, depth: int, *,
@@ -293,8 +227,8 @@ def scaled_free_energy(
     """(1/n) log Z at one ladder point, cached per environment.
 
     With q given, the endpoint is floor(n q); without, the sum runs
-    over all length-n paths.  Cached so that repeated ladder sweeps
-    (and parallel pre-warming) pay for each point once.
+    over all length-n paths.  Cached so that repeated ladder sweeps pay
+    for each point once.
     """
     if q is not None:
         return log_partition_point(env, q.floor_scale(n), beta, tau) / n

@@ -1,8 +1,10 @@
 """Estimator tests: hand-enumeration oracles, exact per-environment
 structure (bounds, superadditivity, perturbation, level decomposition),
-heap-vs-sort equivalence, and classification behavior."""
+profile sharing and the profile store's byte cap, and classification
+behavior."""
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import permutations
 
@@ -29,7 +31,7 @@ from gridentropy import (
     tv_norm,
     vanish_threshold,
 )
-from gridentropy.estimators import _SmallestK
+from gridentropy import estimators
 
 
 def _walk_labels(env, axis_seq):
@@ -120,7 +122,7 @@ def test_order_stat_rank_past_count_is_inf():
 
 
 def test_order_stat_matches_sort_oracle():
-    """Bounded heap agrees with a full sort of all 20 distances."""
+    """Profile lookup agrees with a full sort of all 20 distances."""
     env = Environment(42, 2)
     nu = discretize_lebesgue(16)
     n = 3
@@ -135,19 +137,6 @@ def test_order_stat_matches_sort_oracle():
     oracle = sorted(dists)
     stat = order_stat_series(env, Direction.parse("1,1"), nu, n, [1, 6, 20])
     assert stat.values == (oracle[0], oracle[5], oracle[19])
-
-
-def test_smallest_k_heap_matches_sort():
-    """Streaming k-smallest equals sorted()[:k] on random inputs."""
-    rng = np.random.default_rng(5)
-    for trial in range(50):
-        xs = rng.random(int(rng.integers(1, 40))).tolist()
-        k = int(rng.integers(1, 12))
-        heap = _SmallestK(k)
-        for x in xs:
-            heap.update(x)
-        assert heap.sorted_values() == sorted(xs)[:k]
-        assert heap.count == len(xs)
 
 
 def test_eps_sum_level_empty_path():
@@ -177,6 +166,89 @@ def test_tiny_eps_is_rejected_not_silently_wrong():
             call()
     with pytest.raises(ValueError, match=r"eps=1e-310"):
         cost_sum(env, (0, 0), q.floor_scale(n), scale(nu, n), 1e-310)
+
+
+def test_cost_sum_overflowing_term_is_not_nan():
+    """A term -rho/eps that overflows to -inf drops out instead of making nan.
+
+    Against a mass-4 target every path distance exceeds 2, so at this eps
+    the first path's term is -inf while the smallest distance stays finite.
+    """
+    env = Environment(2, 2)
+    target = Measure([(3.0, 4.0)])
+    eps = 1.261031569160536e-308
+    dists = []
+    enumerate_paths(
+        env,
+        (2, 2),
+        lambda path, labels: dists.append(
+            prokhorov_distance(Measure((u, 1.0) for u in labels), target)
+        ),
+    )
+    assert -dists[0] / eps == -math.inf
+    assert dists.count(min(dists)) == 1
+    got = cost_sum(env, (0, 0), (2, 2), target, eps)
+    assert got == -min(dists) / eps == -1.6361214536515307e308
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    original = estimators.enumerate_paths
+
+    def counting(env, endpoint, visitor, **kwargs):
+        calls.append((env.seed, tuple(endpoint)))
+        return original(env, endpoint, visitor, **kwargs)
+
+    monkeypatch.setattr(estimators, "enumerate_paths", counting)
+    return calls
+
+
+def test_eps_ladder_enumerates_once_per_seed_and_n(monkeypatch):
+    """2 seeds x 3 scales x 3 eps values build exactly 6 profiles."""
+    calls = _count_enumerations(monkeypatch)
+    nu = discretize_lebesgue(11)
+    estimate_entropy_eps([5, 6], Direction.parse("1/2,1/2"), nu, [2, 4, 6], [4.0, 2.0, 1.0])
+    assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
+
+
+def test_alpha_grid_enumerates_once_per_seed_and_n(monkeypatch):
+    """Every alpha of the grid reads the same (seed, n) profiles."""
+    calls = _count_enumerations(monkeypatch)
+    nu = discretize_lebesgue(13)
+    grid = [0.0, 0.1, 0.2, 0.3, 0.4]
+    est = estimate_entropy_orderstats([5, 6], Direction.parse("1/2,1/2"), nu, [2, 4, 6], grid)
+    assert len(est.ladder) == 2 * 3 * len(grid)
+    assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
+
+
+def test_profile_store_stays_under_byte_cap(monkeypatch):
+    """The store evicts down to its cap; an oversized profile is returned, not kept."""
+    store = OrderedDict()
+    monkeypatch.setattr(estimators, "_profiles", store)
+    monkeypatch.setattr(estimators, "_PROFILE_STORE_BYTES", 8 * 26)
+    env = Environment(9, 2)
+    nu = discretize_lebesgue(16)
+    q = Direction.parse("1,1")
+    for n in (1, 2, 1):  # 2 and 6 paths: both fit, and n=1 is the most recent
+        order_stat_series(env, q, nu, n, [1])
+        assert sum(p.nbytes for p in store.values()) <= 8 * 26
+    assert sorted(len(p) for p in store.values()) == [2, 6]
+    # n=3 has 20 paths: storing it evicts the least recently used profile.
+    order_stat_series(env, q, nu, 3, [1])
+    assert sorted(len(p) for p in store.values()) == [2, 20]
+    assert sum(p.nbytes for p in store.values()) <= 8 * 26
+    # n=4 has 70 paths, more than the cap: answered but never stored.
+    dists = []
+    enumerate_paths(
+        env,
+        (4, 4),
+        lambda path, labels: dists.append(
+            prokhorov_distance(Measure((u, 1.0 / 4) for u in labels), nu)
+        ),
+    )
+    stat = order_stat_series(env, q, nu, 4, [1, 35, 70, 71])
+    assert stat.values == (*(sorted(dists)[j - 1] for j in (1, 35, 70)), math.inf)
+    assert sorted(len(p) for p in store.values()) == [2, 20]
 
 
 def test_level_decomposition_identity():

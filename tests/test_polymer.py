@@ -5,7 +5,6 @@ import math
 from collections import Counter
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from gridentropy import (
@@ -234,26 +233,6 @@ def test_sample_stream_behavior():
     assert abs(draws.mean() - 0.5) < 0.005
     counts, _ = np.histogram(draws, bins=64, range=(0.0, 1.0))
     assert stats.chisquare(counts).pvalue > 0.001
-
-
-def test_dp_table_dump_roundtrip(tmp_path):
-    """Dump and load reproduce the table; tau mismatch is rejected."""
-    env = Environment(3, 2)
-    for table in (DpTable.point(env, (3, 2), 1.5, TAU16), DpTable.level(env, 4, 0.5, TAU16)):
-        f = tmp_path / "table.bin"
-        table.dump(str(f))
-        back = DpTable.load(str(f), TAU16)
-        assert back.levels == table.levels
-        assert back.kind == table.kind
-        assert back.endpoint == table.endpoint
-        assert back.beta == table.beta
-        assert back.env == env
-        with pytest.raises(ValueError):
-            DpTable.load(str(f), TauFn.constant(0.0))
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"nope")
-    with pytest.raises(ValueError):
-        DpTable.load(str(bad), TAU16)
 
 
 def test_diagnostic_report_fields():
