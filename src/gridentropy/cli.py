@@ -46,7 +46,7 @@ from .lattice import (
     level_path_count,
     path_count,
 )
-from .measures import Histogram, Measure, discretize_lebesgue
+from .measures import Histogram, Measure
 from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_path
 from .prokhorov import prokhorov_distance
 from .variational import (
@@ -700,9 +700,18 @@ def _run_gibbs(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _endpoint_in(config: ExperimentConfig, env: Environment) -> tuple[int, ...]:
+    """The endpoint field, which must have one coordinate per dimension."""
+    endpoint = config.endpoint("endpoint")
+    if len(endpoint) != env.dimension:
+        raise ConfigError(f"field endpoint={config.raw('endpoint')!r}: "
+                          f"{len(endpoint)} coordinates, need D={env.dimension}")
+    return endpoint
+
+
 def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.int_("D"))
-    endpoint = config.endpoint("endpoint")
+    endpoint = _endpoint_in(config, env)
     tau, _ = config.tau("tau")
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
@@ -729,7 +738,7 @@ def _run_sample(config: ExperimentConfig) -> int:
         raise ConfigError(f"draws must be >= 1, got {draws}")
     rng_seed = config.int_("rng_seed")
     if has_endpoint:
-        table = DpTable.point(env, config.endpoint("endpoint"), beta, tau)
+        table = DpTable.point(env, _endpoint_in(config, env), beta, tau)
     else:
         table = DpTable.level(env, config.int_("length"), beta, tau)
     samples = []

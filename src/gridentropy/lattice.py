@@ -163,8 +163,9 @@ class Environment:
         if anchors.ndim != 2 or anchors.shape[1] != self.dimension:
             raise ValueError(f"anchors must be (k, {self.dimension}), got {anchors.shape}")
         golden = np.uint64(_GOLDEN)
-        state = _mix_array(np.full(len(anchors), (self.seed + _GOLDEN) & _MASK, dtype=np.uint64))
-        state = _mix_array(state ^ np.uint64(((axis + 1) * _GOLDEN) & _MASK))
+        # The seed and axis links of the chain are the same for every anchor.
+        head = _mix(_mix((self.seed + _GOLDEN) & _MASK) ^ (((axis + 1) * _GOLDEN) & _MASK))
+        state = np.full(len(anchors), head, dtype=np.uint64)
         for col in range(self.dimension):
             state = _mix_array(state ^ (anchors[:, col] + golden))
         return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -417,6 +418,49 @@ def enumerate_level_paths(
         raise BudgetError(count, budget)
     _dfs_paths(env, (0,) * env.dimension, visitor, None, length)
     return count
+
+
+def _level_edges(env: Environment, box: Sequence[int], depth: int):
+    """Edges of the transfer DP from each level to the next, inside a box.
+
+    Level k holds the points v with 0 <= v <= box and sum(v) == k, in
+    lexicographic order; level 0 is the origin.  For k = 1..depth this
+    yields (points, edges): points is level k as a (rows, D) integer
+    array, and edges lists, per axis in ascending order (axes without
+    an edge into level k are left out), (dst, src, labels): the rows in
+    level k, the rows in level k-1 and the labels of the edges src ->
+    dst.  A point's predecessors therefore arrive in ascending axis
+    order, the order in which a lexicographic sweep reaches them.
+    """
+    d = env.dimension
+    # A point's row key is its mixed-radix index over the first D-1
+    # coordinates (the level fixes the last), so keys sort like points.
+    if math.prod(c + 1 for c in box[:-1]) > 2**63:
+        raise ValueError(f"box {tuple(box)} is too large to index level points")
+    strides = [math.prod(c + 1 for c in box[axis + 1 : d - 1]) for axis in range(d - 1)] + [0]
+    points = np.zeros((1, d), dtype=np.uint64)
+    keys = np.zeros(1, dtype=np.int64)
+    for _ in range(depth):
+        moves = []
+        for axis in range(d):
+            src = (points[:, axis] < box[axis]).nonzero()[0]
+            if len(src):
+                moves.append((axis, src))
+        keys, first, inverse = np.unique(
+            np.concatenate([keys[src] + strides[axis] for axis, src in moves]),
+            return_index=True, return_inverse=True,
+        )
+        stepped = []
+        edges = []
+        offset = 0
+        for axis, src in moves:
+            anchors = points[src]
+            edges.append((inverse[offset:offset + len(src)], src, env.label_array(anchors, axis)))
+            offset += len(src)
+            anchors[:, axis] += 1
+            stepped.append(anchors)
+        points = np.concatenate(stepped)[first]
+        yield points, edges
 
 
 def path_weight(env: Environment, tau: TauFn, path: Path) -> float:

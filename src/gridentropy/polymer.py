@@ -5,7 +5,12 @@ A potential tau turns each edge label into a weight; a path's weight is
 the sum over its edges.  The beta-partition function sums exp(beta *
 weight) over an ensemble (paths to a fixed endpoint, or all paths of a
 fixed length), computed by a level-by-level transfer recursion in log
-space.  Max-plus mode replaces log-sum-exp with max and drops beta,
+space.  One recursion serves every dimension: level k is a float64
+array over the level-k points of a box (the endpoint's, or the cube of
+side n for length-n paths) in lexicographic order, and each axis's
+edges into it are folded in with numpy, axes in ascending order.  The
+partition functions keep one level at a time; ``DpTable`` keeps them
+all.  Max-plus mode replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
@@ -17,6 +22,7 @@ paths for a fixed environment, so the two sources must not mix.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -24,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EntropyEstimate, LadderRow, extrapolate_ladder
-from .lattice import _GOLDEN, _MASK, _mix, Direction, Environment, Path, TauFn
+from .lattice import _GOLDEN, _MASK, _level_edges, _mix, Direction, Environment, Path, TauFn
 from .measures import Measure
 from .prokhorov import prokhorov_distance
 
@@ -60,23 +66,50 @@ class SampleStream:
         return (state >> 11) * 2.0**-53
 
 
-def _ladd(x: float, y: float) -> float:
-    """Stable log(e^x + e^y) for scalars."""
-    if x < y:
-        x, y = y, x
-    if y == -math.inf:
-        return x
-    return x + math.log1p(math.exp(y - x))
+def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
+    endpoint = tuple(int(c) for c in endpoint)
+    if len(endpoint) != env.dimension:
+        raise ValueError(f"endpoint {endpoint} has {len(endpoint)} coordinates, "
+                         f"need D={env.dimension}")
+    if any(c < 0 for c in endpoint):
+        raise ValueError(f"endpoint coordinates must be >= 0, got {endpoint}")
+    return endpoint
+
+
+def _transfer(env: Environment, box: tuple[int, ...], depth: int, beta: float | None,
+              tau: TauFn, mode: str):
+    """Yield (points, values) for levels 0..depth of the transfer recursion.
+
+    values[i] is the log partition (softmax) or maximal weight (maxplus)
+    of the paths from the origin to points[i].  Each point folds in its
+    predecessors in ascending axis order, starting from -inf.
+    """
+    if mode not in ("softmax", "maxplus"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "softmax" and beta is None:
+        raise ValueError("softmax mode needs beta")
+    values = np.zeros(1)
+    yield np.zeros((1, env.dimension), dtype=np.uint64), values
+    for points, edges in _level_edges(env, box, depth):
+        prev, values = values, np.full(len(points), -np.inf)
+        for dst, src, labels in edges:
+            w = tau.apply(labels)
+            if mode == "softmax":
+                values[dst] = np.logaddexp(values[dst], prev[src] + beta * w)
+            else:
+                values[dst] = np.maximum(values[dst], prev[src] + w)
+        yield points, values
 
 
 @dataclass
 class DpTable:
     """Level-indexed log-partition (or max-plus) table.
 
-    levels[k] maps each reachable lattice point at level k to the log
-    partition value (softmax mode) or maximal weight (maxplus mode) of
-    the length-k paths from the origin ending there.  The origin entry
-    is 0.  Built level by level; reproducible bit-for-bit given
+    levels[k] is a float64 array over the reachable lattice points at
+    level k, listed lexicographically in points[k]: the log partition
+    value (softmax mode) or maximal weight (maxplus mode) of the
+    length-k paths from the origin ending there.  The origin entry is
+    0.  Built level by level; reproducible bit-for-bit given
     (environment, tau, beta, mode).
     """
 
@@ -85,135 +118,67 @@ class DpTable:
     beta: float | None
     kind: str
     mode: str
-    levels: list[dict[tuple[int, ...], float]]
+    levels: list[np.ndarray]
+    points: list[list[tuple[int, ...]]]
     endpoint: tuple[int, ...] | None
 
     @classmethod
     def point(cls, env: Environment, endpoint: Sequence[int], beta: float | None,
               tau: TauFn, *, mode: str = "softmax") -> "DpTable":
-        endpoint = tuple(int(c) for c in endpoint)
-        if any(c < 0 for c in endpoint):
-            raise ValueError(f"endpoint coordinates must be >= 0, got {endpoint}")
-        levels = _sweep(env, beta, tau, sum(endpoint), box=endpoint, mode=mode)
-        return cls(env, tau, beta, "point", mode, levels, endpoint)
+        endpoint = _endpoint(env, endpoint)
+        return cls._build(env, tau, beta, "point", mode, endpoint, sum(endpoint), endpoint)
 
     @classmethod
     def level(cls, env: Environment, length: int, beta: float | None, tau: TauFn,
               *, mode: str = "softmax") -> "DpTable":
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        levels = _sweep(env, beta, tau, length, box=None, mode=mode)
-        return cls(env, tau, beta, "level", mode, levels, None)
+        return cls._build(env, tau, beta, "level", mode, (length,) * env.dimension, length, None)
+
+    @classmethod
+    def _build(cls, env, tau, beta, kind, mode, box, depth, endpoint) -> "DpTable":
+        levels = []
+        points = []
+        for pts, values in _transfer(env, box, depth, beta, tau, mode):
+            levels.append(values)
+            points.append(list(map(tuple, pts.tolist())))
+        return cls(env, tau, beta, kind, mode, levels, points, endpoint)
 
     def log_value(self) -> float:
         """Log partition (softmax) or maximal weight (maxplus) of the ensemble."""
-        last = self.levels[-1]
-        if self.kind == "point":
-            return last[self.endpoint]
-        vals = [last[p] for p in sorted(last)]
-        if self.mode == "maxplus":
-            return max(vals)
-        acc = -math.inf
-        for v in vals:
-            acc = _ladd(acc, v)
-        return acc
+        return _total(self.levels[-1], self.mode)
 
 
-def _sweep(env: Environment, beta: float | None, tau: TauFn, depth: int, *,
-           box: tuple[int, ...] | None, mode: str) -> list[dict[tuple[int, ...], float]]:
-    """Level-by-level recursion retaining every level (for sampling/backtracking)."""
-    if mode not in ("softmax", "maxplus"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "softmax" and beta is None:
-        raise ValueError("softmax mode needs beta")
-    d = env.dimension
-    origin = (0,) * d
-    levels = [{origin: 0.0}]
-    for _ in range(depth):
-        cur: dict[tuple[int, ...], float] = {}
-        for u in sorted(levels[-1]):
-            val = levels[-1][u]
-            for axis in range(d):
-                if box is not None and u[axis] + 1 > box[axis]:
-                    continue
-                w = tau(env.edge_label(u, axis))
-                term = val + (beta * w if mode == "softmax" else w)
-                v = u[:axis] + (u[axis] + 1,) + u[axis + 1:]
-                if v not in cur:
-                    cur[v] = term
-                elif mode == "softmax":
-                    cur[v] = _ladd(cur[v], term)
-                elif term > cur[v]:
-                    cur[v] = term
-        levels.append(cur)
-    return levels
-
-
-def _rolling_point_2d(env: Environment, endpoint: tuple[int, int], beta: float,
-                      tau: TauFn) -> float:
-    """Vectorized anti-diagonal sweep holding one diagonal; D=2 only."""
-    a, b = endpoint
-    prev = np.full(a + 1, -np.inf)
-    prev[0] = 0.0
-    i = np.arange(a + 1)
-    for k in range(1, a + b + 1):
-        j = k - i
-        valid = (j >= 0) & (j <= b)
-        c0 = np.full(a + 1, -np.inf)
-        m0 = valid & (i >= 1)
-        if m0.any():
-            anchors = np.stack([i[m0] - 1, j[m0]], axis=1)
-            c0[m0] = prev[i[m0] - 1] + beta * tau.apply(env.label_array(anchors, 0))
-        c1 = np.full(a + 1, -np.inf)
-        m1 = valid & (j >= 1)
-        if m1.any():
-            anchors = np.stack([i[m1], j[m1] - 1], axis=1)
-            c1[m1] = prev[i[m1]] + beta * tau.apply(env.label_array(anchors, 1))
-        prev = np.logaddexp(c0, c1)
-        prev[~valid] = -np.inf
-    return float(prev[a])
-
-
-def _rolling_level_2d(env: Environment, length: int, beta: float, tau: TauFn) -> float:
-    """Vectorized level sweep over all length-n paths; D=2 only."""
-    prev = np.array([0.0])
-    for k in range(1, length + 1):
-        i = np.arange(k + 1)
-        c0 = np.full(k + 1, -np.inf)
-        anchors = np.stack([i[1:] - 1, k - i[1:]], axis=1)
-        c0[1:] = prev + beta * tau.apply(env.label_array(anchors, 0))
-        c1 = np.full(k + 1, -np.inf)
-        anchors = np.stack([i[:-1], k - 1 - i[:-1]], axis=1)
-        c1[:-1] = prev + beta * tau.apply(env.label_array(anchors, 1))
-        prev = np.logaddexp(c0, c1)
-    acc = -math.inf
-    for v in prev:
-        acc = _ladd(acc, float(v))
-    return acc
+def _total(last: np.ndarray, mode: str) -> float:
+    """Fold the last level in row order: logaddexp from -inf, or max."""
+    if mode == "maxplus":
+        return float(last.max())
+    return float(np.logaddexp.reduce(last))
 
 
 def log_partition_point(env: Environment, endpoint: Sequence[int], beta: float,
                         tau: TauFn) -> float:
     """log of the sum over paths origin -> endpoint of exp(beta * weight).
 
-    O(one diagonal) memory; the D=2 sweep is vectorized, other
-    dimensions run the generic recursion.
+    Same recursion as ``DpTable.point``, holding one level at a time.
     """
-    endpoint = tuple(int(c) for c in endpoint)
-    if any(c < 0 for c in endpoint):
-        raise ValueError(f"endpoint coordinates must be >= 0, got {endpoint}")
-    if env.dimension == 2:
-        return _rolling_point_2d(env, endpoint, beta, tau)
-    return DpTable.point(env, endpoint, beta, tau).log_value()
+    endpoint = _endpoint(env, endpoint)
+    for _, values in _transfer(env, endpoint, sum(endpoint), beta, tau, "softmax"):
+        pass
+    return float(values[0])
 
 
 def log_partition_level(env: Environment, length: int, beta: float, tau: TauFn) -> float:
-    """log of the sum over all length-n paths of exp(beta * weight)."""
+    """log of the sum over all length-n paths of exp(beta * weight).
+
+    Same recursion as ``DpTable.level``, holding one level at a time.
+    """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    if env.dimension == 2:
-        return _rolling_level_2d(env, length, beta, tau)
-    return DpTable.level(env, length, beta, tau).log_value()
+    box = (length,) * env.dimension
+    for _, values in _transfer(env, box, length, beta, tau, "softmax"):
+        pass
+    return _total(values, "softmax")
 
 
 @lru_cache(maxsize=65536)
@@ -291,23 +256,24 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
     tolerance enters.  Ties break toward the lower axis.
     """
     table = DpTable.point(env, endpoint, None, tau, mode="maxplus")
-    endpoint = table.endpoint
+    levels, points = table.levels, table.points
     steps_rev = []
-    v = endpoint
-    for k in range(len(table.levels) - 1, 0, -1):
-        target = table.levels[k][v]
+    v = table.endpoint
+    for k in range(len(levels) - 1, 0, -1):
+        target = levels[k].item(bisect_left(points[k], v))
         for axis in range(env.dimension):
             if v[axis] == 0:
                 continue
             u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
-            if table.levels[k - 1][u] + tau(env.edge_label(u, axis)) == target:
+            value = levels[k - 1].item(bisect_left(points[k - 1], u))
+            if value + tau(env.edge_label(u, axis)) == target:
                 steps_rev.append(axis)
                 v = u
                 break
         else:
             raise AssertionError("max-plus backtrack found no predecessor")
     path = Path((0,) * env.dimension, tuple(reversed(steps_rev)))
-    return table.levels[-1][endpoint], path
+    return table.log_value(), path
 
 
 def sample_polymer_path(
@@ -337,26 +303,26 @@ def sample_polymer_path(
     if table.mode != "softmax":
         raise ValueError("sampling needs a softmax table")
     beta = table.beta
+    levels, points = table.levels, table.points
     stream = SampleStream(rng_seed)
 
-    last = table.levels[-1]
     if table.kind == "point":
         v = table.endpoint
     else:
         total = table.log_value()
         u01 = stream.uniform()
         acc = 0.0
-        points = sorted(last)
-        v = points[-1]
-        for p in points:
-            acc += math.exp(last[p] - total)
+        v = points[-1][-1]
+        for p, value in zip(points[-1], levels[-1].tolist()):
+            acc += math.exp(value - total)
             if u01 < acc:
                 v = p
                 break
 
+    # A point's row in its level is found by bisection: points[k] is sorted.
     steps_rev = []
-    for k in range(len(table.levels) - 1, 0, -1):
-        target = table.levels[k][v]
+    for k in range(len(levels) - 1, 0, -1):
+        target = levels[k].item(bisect_left(points[k], v))
         u01 = stream.uniform()
         acc = 0.0
         chosen = None
@@ -365,11 +331,10 @@ def sample_polymer_path(
             if v[axis] == 0:
                 continue
             u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
-            if u not in table.levels[k - 1]:
-                continue
             fallback = (axis, u)
             acc += math.exp(
-                table.levels[k - 1][u] + beta * tau(env.edge_label(u, axis)) - target
+                levels[k - 1].item(bisect_left(points[k - 1], u))
+                + beta * tau(env.edge_label(u, axis)) - target
             )
             if u01 < acc:
                 chosen = (axis, u)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EntropyEstimate
-from .lattice import Direction, Environment, TauFn, shannon_entropy
+from .lattice import _level_edges, Direction, Environment, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
 from .polymer import gibbs_estimate
 
@@ -287,64 +287,6 @@ class BernoulliReport:
     within_budget: bool = True
 
 
-def _count_rows_2d(env: Environment, n_max: int, lo: float) -> list[list[list[int]]]:
-    """Exact path counts by (first coordinate, unit labels) per level.
-
-    ``rows[k][i][c]`` counts the length-k paths from the origin to
-    (i, k - i) whose labels land in [lo, 1] exactly c times.  Counts
-    are exact integers; levels are built by sliding each predecessor
-    row by its edge's 0/1 contribution.
-    """
-    rows = [[[1]]]
-    current = [[1]]
-    for k in range(1, n_max + 1):
-        new = [[0] * (k + 1) for _ in range(k + 1)]
-        anchors = np.empty((k, 2), dtype=np.int64)
-        anchors[:, 0] = np.arange(k)
-        anchors[:, 1] = k - 1 - anchors[:, 0]
-        bits0 = env.label_array(anchors, 0) >= lo
-        bits1 = env.label_array(anchors, 1) >= lo
-        for i in range(k):
-            row = current[i]
-            width = len(row)
-            b0 = int(bits0[i])
-            target = new[i + 1]
-            target[b0 : b0 + width] = [
-                a + b for a, b in zip(target[b0 : b0 + width], row)
-            ]
-            b1 = int(bits1[i])
-            target = new[i]
-            target[b1 : b1 + width] = [
-                a + b for a, b in zip(target[b1 : b1 + width], row)
-            ]
-        rows.append(new)
-        current = new
-    return rows
-
-
-def _count_rows_generic(
-    env: Environment, dimension: int, n_max: int, lo: float
-) -> list[dict]:
-    """Dict-keyed variant of the unit-label count DP for any dimension."""
-    levels: list[dict] = [{(0,) * dimension: [1]}]
-    for _ in range(n_max):
-        new: dict = {}
-        for point in sorted(levels[-1]):
-            row = levels[-1][point]
-            for axis in range(dimension):
-                bit = 1 if env.edge_label(point, axis) >= lo else 0
-                step = list(point)
-                step[axis] += 1
-                target = new.setdefault(tuple(step), [])
-                need = bit + len(row)
-                if len(target) < need:
-                    target.extend([0] * (need - len(target)))
-                for c, v in enumerate(row):
-                    target[c + bit] += v
-        levels.append(new)
-    return levels
-
-
 def bernoulli_exponent_check(
     p: float,
     s: float,
@@ -356,8 +298,10 @@ def bernoulli_exponent_check(
     """Exponent of #(length-n paths with at least n*s unit labels).
 
     Labels are unit with probability p (a label is "unit" when it falls
-    in [1 - p, 1]).  The count is exact, via a DP over (vertex, unit
-    count) states, so no enumeration happens.  For s > p the exponent
+    in [1 - p, 1]).  The count is exact, via a Python-integer DP over
+    (vertex, unit count) states on the same level recursion as the
+    partition functions, holding one level at a time, so no enumeration
+    happens.  For s > p the exponent
     must fall below log(D) - KL(Bernoulli(s) || Bernoulli(p)) plus a
     finite-size margin; for s <= p typical paths qualify and the budget
     is just log(D).
@@ -378,24 +322,21 @@ def bernoulli_exponent_check(
     n_max = n_ladder[-1]
     for seed in seeds:
         env = Environment(seed, dimension)
-        if dimension == 2:
-            rows = _count_rows_2d(env, n_max, lo)
-            per_level = [
-                [c_row for c_row in level] for level in rows
-            ]
-        else:
-            levels = _count_rows_generic(env, dimension, n_max, lo)
-            per_level = [
-                [levels[k][point] for point in sorted(levels[k])]
-                for k in range(n_max + 1)
-            ]
+        # rows[i][c] counts the length-k paths to level point i with
+        # exactly c unit labels; each edge shifts its source row by its
+        # 0/1 unit bit.  Only the current level is kept.
+        rows = [[1]]
         per_n = {}
-        for n in n_ladder:
-            threshold = math.ceil(n * s_exact)
-            total = sum(
-                sum(row[threshold:]) for row in per_level[n]
-            )
-            per_n[n] = math.log(total) / n if total > 0 else -math.inf
+        for k, (points, edges) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
+            new = [[0] * (k + 1) for _ in range(len(points))]
+            for dst, src, labels in edges:
+                for i, j, bit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
+                    target = new[i]
+                    target[bit : bit + k] = [a + b for a, b in zip(target[bit : bit + k], rows[j])]
+            rows = new
+            if k in n_ladder:
+                total = sum(sum(row[math.ceil(k * s_exact):]) for row in rows)
+                per_n[k] = math.log(total) / k if total > 0 else -math.inf
         exponents[seed] = per_n
         final[seed] = per_n[n_max]
 

@@ -152,6 +152,15 @@ def test_sample_paths_have_endpoint_shape(capsys):
         assert steps.count(0) == 3 and steps.count(1) == 2
 
 
+def test_endpoint_of_the_wrong_dimension_is_a_config_error(capsys):
+    """lpp and sample refuse an endpoint without D coordinates with exit 2."""
+    for args in (("lpp", "--D", "2", "--endpoint", "3,3,3"),
+                 ("sample", "--D", "3", "--endpoint", "3,3", "--beta", "1", "--draws", "1")):
+        code, _, err = _run(capsys, *args, "--seed", "1", "--tau", "zero")
+        assert code == EXIT_CONFIG
+        assert "endpoint=" in err and "D=" in err
+
+
 def test_sample_is_deterministic_in_rng_seed(capsys):
     """The same rng seed reproduces the same draws."""
     args = ("sample", "--seed", "2", "--length", "5", "--beta", "0.5",

@@ -1,10 +1,13 @@
 """Polymer tests: DP vs enumeration oracles, exact decomposition and
-zero-temperature bounds, sampler law checks, table persistence."""
+zero-temperature bounds, sampler law checks, table layout."""
 
+import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from gridentropy import (
@@ -48,7 +51,7 @@ def test_point_partition_matches_enumeration():
 
 
 def test_point_partition_generic_dimension():
-    """The D=3 dict sweep agrees with enumeration too."""
+    """The D=3 level recursion agrees with enumeration too."""
     env = Environment(4, 3)
     oracle = _enum_log_partition(env, (2, 1, 1), 0.7, TAU16)
     got = log_partition_point(env, (2, 1, 1), 0.7, TAU16)
@@ -77,15 +80,16 @@ def test_level_partition_trivial_taus():
 
 
 def test_level_partition_matches_enumeration():
-    """64-path enumeration at n=6 agrees with the level sweep."""
-    env = Environment(3, 2)
-    terms = []
-    enumerate_level_paths(
-        env, 6, lambda p, labels: terms.append(math.exp(path_weight(env, TAU16, p)))
-    )
-    oracle = math.log(math.fsum(terms))
-    got = log_partition_level(env, 6, 1.0, TAU16)
-    assert abs(got - oracle) <= 1e-10 * abs(oracle)
+    """Enumerating 64 paths (D=2, n=6) and 81 paths (D=3, n=4) agrees with the level sweep."""
+    for dimension, length in ((2, 6), (3, 4)):
+        env = Environment(3, dimension)
+        terms = []
+        enumerate_level_paths(
+            env, length, lambda p, labels: terms.append(math.exp(path_weight(env, TAU16, p)))
+        )
+        oracle = math.log(math.fsum(terms))
+        got = log_partition_level(env, length, 1.0, TAU16)
+        assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_level_decomposition_identity():
@@ -100,15 +104,45 @@ def test_level_decomposition_identity():
 
 
 def test_rolling_sweep_matches_stored_table():
-    """The vectorized D=2 path and the generic dict sweep agree."""
-    env = Environment(13, 2)
-    for endpoint in ((4, 4), (6, 2), (0, 3)):
-        a = log_partition_point(env, endpoint, 1.3, TAU16)
-        b = DpTable.point(env, endpoint, 1.3, TAU16).log_value()
-        assert abs(a - b) < 1e-11
-    a = log_partition_level(env, 7, 0.8, TAU16)
-    b = DpTable.level(env, 7, 0.8, TAU16).log_value()
-    assert abs(a - b) < 1e-11
+    """Holding one level or every level gives the same bits, for D = 1, 2, 3."""
+    for dimension, endpoints, length in (
+        (1, ((0,), (5,)), 6),
+        (2, ((4, 4), (6, 2), (0, 3)), 7),
+        (3, ((2, 1, 3), (0, 2, 2)), 5),
+    ):
+        env = Environment(13, dimension)
+        for endpoint in endpoints:
+            a = log_partition_point(env, endpoint, 1.3, TAU16)
+            b = DpTable.point(env, endpoint, 1.3, TAU16).log_value()
+            assert a == b
+        a = log_partition_level(env, length, 0.8, TAU16)
+        b = DpTable.level(env, length, 0.8, TAU16).log_value()
+        assert a == b
+
+
+def test_table_levels_hold_the_box_points():
+    """levels[k] has one entry per level-k point of the box, listed lexicographically."""
+    for endpoint in ((3, 2), (2, 0, 3), (4,)):
+        table = DpTable.point(Environment(5, len(endpoint)), endpoint, 1.0, TAU16)
+        box = sorted(itertools.product(*(range(c + 1) for c in endpoint)))
+        want = [[p for p in box if sum(p) == k] for k in range(sum(endpoint) + 1)]
+        assert [len(level) for level in table.levels] == [len(pts) for pts in want]
+        assert table.points == want
+    table = DpTable.level(Environment(5, 3), 4, 1.0, TAU16)
+    assert [len(level) for level in table.levels] == [math.comb(k + 2, 2) for k in range(5)]
+
+
+def test_endpoint_of_the_wrong_dimension_is_rejected():
+    """An endpoint needs one coordinate per dimension; the error names it and D."""
+    for dimension, endpoint in ((2, (3, 3, 3)), (3, (3, 3))):
+        env = Environment(1, dimension)
+        for build in (
+            lambda: DpTable.point(env, endpoint, 1.0, TAU16),
+            lambda: log_partition_point(env, endpoint, 1.0, TAU16),
+            lambda: last_passage(env, endpoint, TAU16),
+        ):
+            with pytest.raises(ValueError, match=re.escape(str(endpoint)) + f".*D={dimension}"):
+                build()
 
 
 def test_gibbs_zero_tau_free_energy():
@@ -145,15 +179,17 @@ def test_last_passage_constant_tau():
 
 def test_last_passage_matches_enumeration():
     """Max-plus DP equals the enumerated maximum and returns an attaining path."""
-    env = Environment(9, 2)
-    best = [-math.inf]
-    enumerate_paths(
-        env, (5, 5), lambda p, labels: best.__setitem__(0, max(best[0], path_weight(env, TAU16, p)))
-    )
-    val, path = last_passage(env, (5, 5), TAU16)
-    assert val == best[0]
-    assert path_weight(env, TAU16, path) == val
-    assert path.end == (5, 5)
+    for endpoint in ((5, 5), (3, 2, 2)):
+        env = Environment(9, len(endpoint))
+        best = [-math.inf]
+        enumerate_paths(
+            env, endpoint,
+            lambda p, labels: best.__setitem__(0, max(best[0], path_weight(env, TAU16, p))),
+        )
+        val, path = last_passage(env, endpoint, TAU16)
+        assert val == best[0]
+        assert path_weight(env, TAU16, path) == val
+        assert path.end == endpoint
 
 
 def test_zero_temperature_sandwich():
