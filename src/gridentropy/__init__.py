@@ -58,6 +58,7 @@ from .polymer import (
     log_partition_level,
     log_partition_point,
     sample_polymer_path,
+    sample_polymer_paths,
 )
 from .variational import (
     BernoulliReport,

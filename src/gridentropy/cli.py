@@ -47,7 +47,7 @@ from .lattice import (
     path_count,
 )
 from .measures import Histogram, Measure
-from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_path
+from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_paths
 from .prokhorov import prokhorov_distance
 from .variational import (
     bernoulli_exponent_check,
@@ -328,7 +328,7 @@ _BUDGET_DEFAULT = str(DEFAULT_PATH_BUDGET)
 # optional unless listed in _REQUIRED.
 _COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
     "metric": (("mu", "nu", "json"), {}),
-    "count": (("D", "endpoint", "length"), {"D": "2"}),
+    "count": (("D", "endpoint", "length"), {}),
     "orderstats": (
         ("q", "nu", "n_ladder", "alpha_grid", "seeds", "threshold", "budget",
          "csv", "json", "svg"),
@@ -632,9 +632,13 @@ def _run_count(config: ExperimentConfig) -> int:
     if has_endpoint == has_length:
         raise ConfigError("give exactly one of --endpoint or --length")
     if has_endpoint:
-        print(path_count(config.endpoint("endpoint")))
+        # Without --D the endpoint sets the dimension; a given D must agree.
+        endpoint = (_endpoint_in(config, config.int_("D")) if config.has("D")
+                    else config.endpoint("endpoint"))
+        print(path_count(endpoint))
     else:
-        print(level_path_count(config.int_("D"), config.int_("length")))
+        dimension = config.int_("D") if config.has("D") else 2
+        print(level_path_count(dimension, config.int_("length")))
     return EXIT_OK
 
 
@@ -700,18 +704,18 @@ def _run_gibbs(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _endpoint_in(config: ExperimentConfig, env: Environment) -> tuple[int, ...]:
+def _endpoint_in(config: ExperimentConfig, dimension: int) -> tuple[int, ...]:
     """The endpoint field, which must have one coordinate per dimension."""
     endpoint = config.endpoint("endpoint")
-    if len(endpoint) != env.dimension:
+    if len(endpoint) != dimension:
         raise ConfigError(f"field endpoint={config.raw('endpoint')!r}: "
-                          f"{len(endpoint)} coordinates, need D={env.dimension}")
+                          f"{len(endpoint)} coordinates, need D={dimension}")
     return endpoint
 
 
 def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.int_("D"))
-    endpoint = _endpoint_in(config, env)
+    endpoint = _endpoint_in(config, env.dimension)
     tau, _ = config.tau("tau")
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
@@ -738,14 +742,13 @@ def _run_sample(config: ExperimentConfig) -> int:
         raise ConfigError(f"draws must be >= 1, got {draws}")
     rng_seed = config.int_("rng_seed")
     if has_endpoint:
-        table = DpTable.point(env, _endpoint_in(config, env), beta, tau)
+        table = DpTable.point(env, _endpoint_in(config, env.dimension), beta, tau)
     else:
         table = DpTable.level(env, config.int_("length"), beta, tau)
-    samples = []
-    for i in range(draws):
-        path = sample_polymer_path(env, beta, tau, rng_seed + i, table=table)
-        samples.append(list(path.steps))
-        print(",".join(str(axis) for axis in path.steps))
+    seeds = range(rng_seed, rng_seed + draws)
+    samples = [path.steps for path in sample_polymer_paths(table, seeds)]
+    for steps in samples:
+        print(",".join(map(str, steps)))
     if config.values.get("json"):
         write_json(config.values["json"], {"config": dict(config.values), "samples": samples})
     return EXIT_OK

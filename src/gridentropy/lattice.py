@@ -427,10 +427,11 @@ def _level_edges(env: Environment, box: Sequence[int], depth: int):
     lexicographic order; level 0 is the origin.  For k = 1..depth this
     yields (points, edges): points is level k as a (rows, D) integer
     array, and edges lists, per axis in ascending order (axes without
-    an edge into level k are left out), (dst, src, labels): the rows in
-    level k, the rows in level k-1 and the labels of the edges src ->
-    dst.  A point's predecessors therefore arrive in ascending axis
-    order, the order in which a lexicographic sweep reaches them.
+    an edge into level k are left out), (axis, dst, src, labels): the
+    axis, the rows in level k, the rows in level k-1 and the labels of
+    the edges src -> dst.  A point's predecessors therefore arrive in
+    ascending axis order, the order in which a lexicographic sweep
+    reaches them.
     """
     d = env.dimension
     # A point's row key is its mixed-radix index over the first D-1
@@ -455,7 +456,8 @@ def _level_edges(env: Environment, box: Sequence[int], depth: int):
         offset = 0
         for axis, src in moves:
             anchors = points[src]
-            edges.append((inverse[offset:offset + len(src)], src, env.label_array(anchors, axis)))
+            edges.append((axis, inverse[offset:offset + len(src)], src,
+                          env.label_array(anchors, axis)))
             offset += len(src)
             anchors[:, axis] += 1
             stepped.append(anchors)

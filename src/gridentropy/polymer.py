@@ -14,9 +14,16 @@ all.  Max-plus mode replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
-Sampling randomness is a dedicated counter-based stream, independent
-of the environment hash: the polymer measure is a distribution over
-paths for a fixed environment, so the two sources must not mix.
+The sampler reads a table once: per level it keeps each point's
+predecessor rows and the cumulative thresholds of its backward step,
+computed with the table's own labels.  All draws then step back one
+level at a time in lockstep, each a threshold comparison and a row
+gather in numpy, so many draws cost little more than one.
+
+Sampling randomness is a dedicated counter-based stream per draw,
+independent of the environment hash: the polymer measure is a
+distribution over paths for a fixed environment, so the two sources
+must not mix.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import EntropyEstimate, LadderRow, extrapolate_ladder
-from .lattice import _GOLDEN, _MASK, _level_edges, _mix, Direction, Environment, Path, TauFn
+from .lattice import (
+    _GOLDEN, _MASK, _level_edges, _mix, _mix_array, Direction, Environment, Path, TauFn,
+)
 from .measures import Measure
 from .prokhorov import prokhorov_distance
 
@@ -42,6 +51,7 @@ __all__ = [
     "gibbs_estimate",
     "last_passage",
     "sample_polymer_path",
+    "sample_polymer_paths",
     "empirical_convergence_diagnostic",
 ]
 
@@ -92,7 +102,7 @@ def _transfer(env: Environment, box: tuple[int, ...], depth: int, beta: float | 
     yield np.zeros((1, env.dimension), dtype=np.uint64), values
     for points, edges in _level_edges(env, box, depth):
         prev, values = values, np.full(len(points), -np.inf)
-        for dst, src, labels in edges:
+        for _, dst, src, labels in edges:
             w = tau.apply(labels)
             if mode == "softmax":
                 values[dst] = np.logaddexp(values[dst], prev[src] + beta * w)
@@ -276,6 +286,99 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
     return table.log_value(), path
 
 
+def _stream_bases(rng_seeds: Sequence[int]) -> np.ndarray:
+    """``SampleStream`` bases of the given seeds as a uint64 array."""
+    seeds = np.array([int(seed) & _MASK for seed in rng_seeds], dtype=np.uint64)
+    return _mix_array((seeds ^ np.uint64(_STREAM_TAG)) + np.uint64(_GOLDEN))
+
+
+def _stream_uniforms(bases: np.ndarray, counter: int) -> np.ndarray:
+    """The counter-th ``SampleStream.uniform()`` of every stream, bit for bit."""
+    state = _mix_array(bases ^ np.uint64((counter * _GOLDEN) & _MASK))
+    return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _exp(exponents: np.ndarray) -> np.ndarray:
+    """math.exp elementwise: np.exp may differ from it in the last ulp."""
+    return np.fromiter(map(math.exp, exponents.tolist()), np.float64, len(exponents))
+
+
+def _step_thresholds(table: DpTable) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level k = 1..depth: predecessor rows and cumulative step thresholds.
+
+    pred[r, axis] is the row in level k-1 of point r minus the unit
+    vector along axis (-1 when that leaves the box).  cum[r, axis] is
+    the running sum, over the predecessors u along axes <= axis in
+    ascending order, of exp(logZ(u) + beta * tau(label) - logZ(v)):
+    math.exp of the table build's own float64 operands, added one axis
+    at a time.  It is +inf at the last predecessor's axis, which takes
+    every draw that passes the earlier ones.
+    """
+    d = table.env.dimension
+    depth = len(table.levels) - 1
+    box = table.endpoint if table.kind == "point" else (depth,) * d
+    out = []
+    for k, (_, edges) in enumerate(_level_edges(table.env, box, depth), 1):
+        prev, values = table.levels[k - 1], table.levels[k]
+        rows = len(values)
+        pred = np.full((rows, d), -1, dtype=np.intp)
+        cum = np.zeros((rows, d))
+        acc = np.zeros(rows)
+        last = np.empty(rows, dtype=np.intp)
+        for axis, dst, src, labels in edges:
+            pred[dst, axis] = src
+            acc[dst] += _exp(prev[src] + table.beta * table.tau.apply(labels) - values[dst])
+            # Axes without a predecessor carry the running sum, so they are
+            # never the first threshold a draw falls below.
+            cum[:, axis:] = acc[:, None]
+            last[dst] = axis
+        cum[np.arange(rows), last] = np.inf
+        out.append((pred, cum))
+    return out
+
+
+def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]:
+    """Draw one path per rng seed with probability exp(beta * weight) / Z.
+
+    Backward sampling on a softmax table, with the table's environment,
+    potential and beta: from the endpoint (drawn from the level
+    marginal in level mode), each predecessor u of v is chosen with
+    probability exp(logZ(u) + beta * tau(label) - logZ(v)), axes in
+    ascending order.  The transition thresholds are computed once per
+    call; then all draws step back one level at a time together, each
+    reading its uniforms from its own ``SampleStream``.  The paths are
+    bit-identical to drawing each seed on its own.
+    """
+    if table.mode != "softmax":
+        raise ValueError("sampling needs a softmax table")
+    bases = _stream_bases(rng_seeds)
+    depth = len(table.levels) - 1
+    counter = 0
+    if table.kind == "point":
+        rows = np.zeros(len(bases), dtype=np.intp)
+    else:
+        # cumsum adds left to right (no pairwise summation), one row at a time.
+        ends = np.cumsum(_exp(table.levels[-1] - table.log_value()))
+        ends[-1] = np.inf
+        counter += 1
+        # side="right" finds the first end threshold above u.
+        rows = np.searchsorted(ends, _stream_uniforms(bases, counter), side="right")
+    thresholds = _step_thresholds(table)
+    steps = np.empty((len(bases), depth), dtype=np.intp)
+    for k in range(depth, 0, -1):
+        pred, cum = thresholds[k - 1]
+        counter += 1
+        u01 = _stream_uniforms(bases, counter)
+        axes = (u01[:, None] < cum[rows]).argmax(axis=1)
+        steps[:, k - 1] = axes
+        rows = pred[rows, axes]
+    origin = (0,) * table.env.dimension
+    # Zipping the columns builds the step tuples without a list per row,
+    # which keeps the peak memory of a large batch down.
+    step_tuples = zip(*steps.T.tolist()) if depth else [()] * len(bases)
+    return [Path(origin, row) for row in step_tuples]
+
+
 def sample_polymer_path(
     env: Environment,
     beta: float,
@@ -288,10 +391,11 @@ def sample_polymer_path(
 ) -> Path:
     """Draw one path with probability exp(beta * weight) / Z.
 
-    Backward sampling: from the endpoint (drawn from the level marginal
-    in level mode), each predecessor u of v is chosen with probability
-    exp(logZ(u) + beta * tau(label) - logZ(v)).  Pass a prebuilt table
-    when drawing many samples.
+    ``sample_polymer_paths`` with one seed: its thresholds are computed
+    from the table once per call, so pass all the seeds of a table to
+    that function when drawing many samples.  Without a table, one is
+    built for the endpoint or the level; a given table must have been
+    built with this env, beta and tau.
     """
     if table is None:
         if (endpoint is None) == (level is None):
@@ -300,50 +404,11 @@ def sample_polymer_path(
             table = DpTable.point(env, endpoint, beta, tau)
         else:
             table = DpTable.level(env, level, beta, tau)
-    if table.mode != "softmax":
-        raise ValueError("sampling needs a softmax table")
-    beta = table.beta
-    levels, points = table.levels, table.points
-    stream = SampleStream(rng_seed)
-
-    if table.kind == "point":
-        v = table.endpoint
-    else:
-        total = table.log_value()
-        u01 = stream.uniform()
-        acc = 0.0
-        v = points[-1][-1]
-        for p, value in zip(points[-1], levels[-1].tolist()):
-            acc += math.exp(value - total)
-            if u01 < acc:
-                v = p
-                break
-
-    # A point's row in its level is found by bisection: points[k] is sorted.
-    steps_rev = []
-    for k in range(len(levels) - 1, 0, -1):
-        target = levels[k].item(bisect_left(points[k], v))
-        u01 = stream.uniform()
-        acc = 0.0
-        chosen = None
-        fallback = None
-        for axis in range(env.dimension):
-            if v[axis] == 0:
-                continue
-            u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
-            fallback = (axis, u)
-            acc += math.exp(
-                levels[k - 1].item(bisect_left(points[k - 1], u))
-                + beta * tau(env.edge_label(u, axis)) - target
-            )
-            if u01 < acc:
-                chosen = (axis, u)
-                break
-        if chosen is None:
-            chosen = fallback
-        steps_rev.append(chosen[0])
-        v = chosen[1]
-    return Path((0,) * env.dimension, tuple(reversed(steps_rev)))
+    for name, given, built in (("env", env, table.env), ("beta", beta, table.beta),
+                               ("tau", tau, table.tau)):
+        if given != built:
+            raise ValueError(f"{name} {given!r} differs from the table's {name} {built!r}")
+    return sample_polymer_paths(table, (rng_seed,))[0]
 
 
 def empirical_convergence_diagnostic(
@@ -375,8 +440,7 @@ def empirical_convergence_diagnostic(
         endpoint = q.floor_scale(n)
         table = DpTable.point(env, endpoint, beta, tau)
         bins = np.zeros(bucket_bins)
-        for s in range(samples_per_n):
-            path = sample_polymer_path(env, beta, tau, rng_base + s, table=table)
+        for path in sample_polymer_paths(table, range(rng_base, rng_base + samples_per_n)):
             for u in path.labels(env):
                 bins[min(int(u * bucket_bins), bucket_bins - 1)] += 1.0
         bins /= n * samples_per_n

@@ -329,7 +329,7 @@ def bernoulli_exponent_check(
         per_n = {}
         for k, (points, edges) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
             new = [[0] * (k + 1) for _ in range(len(points))]
-            for dst, src, labels in edges:
+            for _, dst, src, labels in edges:
                 for i, j, bit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
                     target = new[i]
                     target[bit : bit + k] = [a + b for a, b in zip(target[bit : bit + k], rows[j])]

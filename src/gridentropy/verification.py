@@ -48,7 +48,7 @@ from .polymer import (
     gibbs_estimate,
     last_passage,
     log_partition_point,
-    sample_polymer_path,
+    sample_polymer_paths,
 )
 from .prokhorov import prokhorov_brute, prokhorov_distance
 from .variational import bernoulli_exponent_check, conjugate_entropy, kl_budget_check
@@ -365,10 +365,8 @@ class VerificationSuite:
             total = top + math.log(math.fsum(math.exp(w - top) for w in weights))
             expected = [draws * math.exp(w - total) for w in weights]
             counts = dict.fromkeys(paths, 0)
-            for i in range(draws):
-                sampled = sample_polymer_path(
-                    env, beta, _TAU16, self.base_seed * 1_000_000 + i,
-                    endpoint=endpoint, table=table)
+            first = self.base_seed * 1_000_000
+            for sampled in sample_polymer_paths(table, range(first, first + draws)):
                 counts[sampled.steps] += 1
             statistic = math.fsum(
                 (counts[p] - e) ** 2 / e for p, e in zip(paths, expected))

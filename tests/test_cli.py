@@ -103,6 +103,19 @@ def test_count_level_mode(capsys):
     assert out.strip() == "81"
 
 
+def test_count_endpoint_must_match_a_given_D(capsys):
+    """Without --D the endpoint sets D; a given D that disagrees is exit 2."""
+    code, out, _ = _run(capsys, "count", "--endpoint", "3,3,3")
+    assert code == EXIT_OK
+    assert out.strip() == "1680"
+    code, _, err = _run(capsys, "count", "--D", "3", "--endpoint", "3,3")
+    assert code == EXIT_CONFIG
+    assert "endpoint=" in err and "D=3" in err
+    code, out, _ = _run(capsys, "count", "--length", "4")
+    assert code == EXIT_OK
+    assert out.strip() == "16"
+
+
 def test_count_requires_exactly_one_target(capsys):
     """Giving both endpoint and length is a config error."""
     code, _, err = _run(capsys, "count", "--endpoint", "2,2", "--length", "4")

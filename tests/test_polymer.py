@@ -1,6 +1,7 @@
 """Polymer tests: DP vs enumeration oracles, exact decomposition and
 zero-temperature bounds, sampler law checks, table layout."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -26,7 +27,10 @@ from gridentropy import (
     path_count,
     path_weight,
     sample_polymer_path,
+    sample_polymer_paths,
 )
+from gridentropy.polymer import _stream_bases, _stream_uniforms
+from sampler_oracle import sample_path
 
 TAU16 = TauFn.identity_ladder(16)
 ZERO = TauFn.constant(0.0)
@@ -208,9 +212,7 @@ def test_sampler_beta_zero_uniform():
     """beta = 0 draws uniformly over the 6 paths of (2,2)."""
     env = Environment(11, 2)
     table = DpTable.point(env, (2, 2), 0.0, ZERO)
-    freq = Counter(
-        sample_polymer_path(env, 0.0, ZERO, s, table=table).steps for s in range(30000)
-    )
+    freq = Counter(path.steps for path in sample_polymer_paths(table, range(30000)))
     assert len(freq) == 6
     p = stats.chisquare(list(freq.values())).pvalue
     assert p > 0.01
@@ -224,9 +226,7 @@ def test_sampler_matches_exact_law():
     z = math.fsum(weights.values())
     table = DpTable.point(env, (3, 3), 1.0, TAU16)
     draws = 20000
-    freq = Counter(
-        sample_polymer_path(env, 1.0, TAU16, s, table=table).steps for s in range(draws)
-    )
+    freq = Counter(path.steps for path in sample_polymer_paths(table, range(draws)))
     observed = [freq.get(k, 0) for k in weights]
     expected = [draws * w / z for w in weights.values()]
     p = stats.chisquare(observed, expected).pvalue
@@ -238,10 +238,7 @@ def test_sampler_concentrates_at_large_beta():
     env = Environment(8, 2)
     _, argmax = last_passage(env, (3, 3), TAU16)
     table = DpTable.point(env, (3, 3), 100.0, TAU16)
-    hits = sum(
-        sample_polymer_path(env, 100.0, TAU16, s, table=table).steps == argmax.steps
-        for s in range(200)
-    )
+    hits = sum(path.steps == argmax.steps for path in sample_polymer_paths(table, range(200)))
     assert hits / 200 >= 0.99
 
 
@@ -249,11 +246,66 @@ def test_sampler_level_mode():
     """Level ensembles sample endpoint and steps; beta = 0 is uniform over D^n."""
     env = Environment(1, 2)
     table = DpTable.level(env, 3, 0.0, ZERO)
-    freq = Counter(
-        sample_polymer_path(env, 0.0, ZERO, s, table=table).steps for s in range(8000)
-    )
+    freq = Counter(path.steps for path in sample_polymer_paths(table, range(8000)))
     assert len(freq) == 8
     assert stats.chisquare(list(freq.values())).pvalue > 0.01
+
+
+# Seeds at the edges of the 64-bit mask: zero, negatives, and values
+# from 2**63 up, which do not fit an int64.
+_EDGE_SEEDS = [0, 1, -1, -(2**63), 2**63, 2**63 + 7, 2**64 - 1, 2**64 + 3, 3**45]
+
+
+@pytest.mark.parametrize("dimension, kind, target", [
+    (1, "point", (6,)), (1, "level", 5),
+    (2, "point", (3, 3)), (2, "point", (0, 4)), (2, "level", 5), (2, "level", 0),
+    (3, "point", (2, 1, 2)), (3, "level", 4),
+])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 100.0])
+def test_lockstep_sampler_matches_scalar_oracle(dimension, kind, target, beta):
+    """The batch sampler draws the scalar oracle's path for every seed."""
+    env = Environment(3, dimension)
+    if kind == "point":
+        table = DpTable.point(env, target, beta, TAU16)
+    else:
+        table = DpTable.level(env, target, beta, TAU16)
+    seeds = _EDGE_SEEDS + list(range(100, 400))
+    assert sample_polymer_paths(table, seeds) == [sample_path(table, s) for s in seeds]
+    assert sample_polymer_path(env, beta, TAU16, seeds[3], table=table) == sample_path(table, seeds[3])
+
+
+def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
+    """Probabilities that sum below 1 leave the rest to the last axis or point."""
+    for table in (DpTable.point(Environment(4, 3), (2, 2, 2), 1.0, TAU16),
+                  DpTable.level(Environment(4, 2), 5, 1.0, TAU16)):
+        # Adding k to level k scales every step's probabilities by 1/e; a
+        # larger total does the same to the endpoint marginal.
+        deflated = dataclasses.replace(table, levels=[v + k for k, v in enumerate(table.levels)])
+        deflated.log_value = lambda table=deflated: DpTable.log_value(table) + 1.0
+        seeds = range(500)
+        assert sample_polymer_paths(deflated, seeds) == [sample_path(deflated, s) for s in seeds]
+
+
+def test_vectorized_uniforms_equal_sample_stream():
+    """Each stream's counter-th uniform is SampleStream's, bit for bit."""
+    bases = _stream_bases(_EDGE_SEEDS)
+    streams = [SampleStream(seed) for seed in _EDGE_SEEDS]
+    for counter in range(1, 20):
+        assert _stream_uniforms(bases, counter).tolist() == [s.uniform() for s in streams]
+
+
+def test_sampler_refuses_arguments_foreign_to_the_table():
+    """A table is sampled only with the env, beta and tau it was built from."""
+    table = DpTable.point(Environment(1, 2), (3, 3), 1.0, TAU16)
+    for env, beta, tau, name in ((Environment(2, 2), 1.0, TAU16, "env"),
+                                 (Environment(1, 2), 2.0, TAU16, "beta"),
+                                 (Environment(1, 2), 1.0, ZERO, "tau")):
+        with pytest.raises(ValueError, match=name) as info:
+            sample_polymer_path(env, beta, tau, 0, table=table)
+        assert "table" in str(info.value)
+    with pytest.raises(ValueError, match="softmax"):
+        sample_polymer_paths(DpTable.point(Environment(1, 2), (3, 3), None, TAU16,
+                                           mode="maxplus"), [0])
 
 
 def test_sample_stream_behavior():
