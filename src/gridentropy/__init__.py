@@ -54,6 +54,7 @@ from .polymer import (
     SampleStream,
     empirical_convergence_diagnostic,
     gibbs_estimate,
+    ladder_levels,
     last_passage,
     log_partition_level,
     log_partition_point,

@@ -268,14 +268,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def vertices(self) -> list[tuple[int, ...]]:
-        out = [self.start]
-        coords = list(self.start)
-        for axis in self.steps:
-            coords[axis] += 1
-            out.append(tuple(coords))
-        return out
-
     def labels(self, env: Environment) -> list[float]:
         coords = list(self.start)
         out = []

@@ -49,12 +49,12 @@ class Measure:
     Parameters
     ----------
     atoms : iterable of (position, mass) pairs
-        Masses must be non-negative, positions finite.
+        Masses must be finite and non-negative, positions finite.
 
     Raises
     ------
     ValueError
-        On a non-finite position or a negative mass.
+        On a non-finite position or a negative or non-finite mass.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -67,8 +67,8 @@ class Measure:
             mass = float(mass)
             if not math.isfinite(position):
                 raise ValueError(f"atom position must be finite, got {position}")
-            if not (mass >= 0.0):
-                raise ValueError(f"atom mass must be non-negative, got {mass}")
+            if not (0.0 <= mass < math.inf):
+                raise ValueError(f"atom mass must be finite and non-negative, got {mass}")
             if mass > 0.0:
                 merged[position] = merged.get(position, 0.0) + mass
         cleaned = tuple(sorted((p, m) for p, m in merged.items() if m > 0.0))
@@ -90,9 +90,6 @@ class Measure:
     @property
     def masses(self) -> tuple[float, ...]:
         return tuple(m for _, m in self.atoms)
-
-    def is_zero(self) -> bool:
-        return not self.atoms
 
     def to_json(self) -> str:
         """Serialize as a JSON array of [position, mass] pairs."""

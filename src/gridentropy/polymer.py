@@ -14,6 +14,14 @@ all.  Max-plus mode replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
+The free-energy ladder runs one recursion per seed, to the box of its
+largest scale, and reads every scale as the recursion passes it: a
+point's value depends only on its predecessors, so the reads equal one
+recursion per scale bit for bit.  The labels of those levels depend on
+the seed and the box alone; ``ladder_levels`` materializes them once so
+that a search over many potentials (the conjugate entropy) pays only
+for each potential's folds.
+
 The sampler reads a table once: per level it keeps each point's
 predecessor rows and the cumulative thresholds of its backward step,
 computed with the table's own labels.  All draws then step back one
@@ -31,7 +39,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +56,7 @@ __all__ = [
     "log_partition_point",
     "log_partition_level",
     "gibbs_estimate",
+    "ladder_levels",
     "last_passage",
     "sample_polymer_path",
     "sample_polymer_paths",
@@ -86,13 +94,14 @@ def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
     return endpoint
 
 
-def _transfer(env: Environment, box: tuple[int, ...], depth: int, beta: float | None,
-              tau: TauFn, mode: str):
-    """Yield (points, values) for levels 0..depth of the transfer recursion.
+def _transfer(env: Environment, levels, beta: float | None, tau: TauFn, mode: str):
+    """Yield (points, values) for level 0 and each level of ``levels``.
 
-    values[i] is the log partition (softmax) or maximal weight (maxplus)
-    of the paths from the origin to points[i].  Each point folds in its
-    predecessors in ascending axis order, starting from -inf.
+    ``levels`` is ``_level_edges(env, box, depth)`` or a list of its
+    items.  values[i] is the log partition (softmax) or maximal weight
+    (maxplus) of the paths from the origin to points[i].  Each point
+    folds in its predecessors in ascending axis order, starting from
+    -inf.
     """
     if mode not in ("softmax", "maxplus"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -100,7 +109,7 @@ def _transfer(env: Environment, box: tuple[int, ...], depth: int, beta: float | 
         raise ValueError("softmax mode needs beta")
     values = np.zeros(1)
     yield np.zeros((1, env.dimension), dtype=np.uint64), values
-    for points, edges in _level_edges(env, box, depth):
+    for points, edges in levels:
         prev, values = values, np.full(len(points), -np.inf)
         for _, dst, src, labels in edges:
             w = tau.apply(labels)
@@ -149,7 +158,7 @@ class DpTable:
     def _build(cls, env, tau, beta, kind, mode, box, depth, endpoint) -> "DpTable":
         levels = []
         points = []
-        for pts, values in _transfer(env, box, depth, beta, tau, mode):
+        for pts, values in _transfer(env, _level_edges(env, box, depth), beta, tau, mode):
             levels.append(values)
             points.append(list(map(tuple, pts.tolist())))
         return cls(env, tau, beta, kind, mode, levels, points, endpoint)
@@ -173,7 +182,8 @@ def log_partition_point(env: Environment, endpoint: Sequence[int], beta: float,
     Same recursion as ``DpTable.point``, holding one level at a time.
     """
     endpoint = _endpoint(env, endpoint)
-    for _, values in _transfer(env, endpoint, sum(endpoint), beta, tau, "softmax"):
+    levels = _level_edges(env, endpoint, sum(endpoint))
+    for _, values in _transfer(env, levels, beta, tau, "softmax"):
         pass
     return float(values[0])
 
@@ -185,29 +195,74 @@ def log_partition_level(env: Environment, length: int, beta: float, tau: TauFn) 
     """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    box = (length,) * env.dimension
-    for _, values in _transfer(env, box, length, beta, tau, "softmax"):
+    levels = _level_edges(env, (length,) * env.dimension, length)
+    for _, values in _transfer(env, levels, beta, tau, "softmax"):
         pass
     return _total(values, "softmax")
 
 
-@lru_cache(maxsize=65536)
-def scaled_free_energy(
-    env: Environment,
-    beta: float,
-    tau: TauFn,
-    n: int,
-    q: Direction | None,
-) -> float:
-    """(1/n) log Z at one ladder point, cached per environment.
+def _ladder(n_ladder: Sequence[int]) -> list[int]:
+    """The ladder scales, sorted; at least two, all positive."""
+    n_ladder = sorted(int(n) for n in n_ladder)
+    if len(n_ladder) < 2:
+        raise ValueError("need at least two ladder scales")
+    if n_ladder[0] < 1:
+        raise ValueError(f"ladder scales must be positive, got {n_ladder[0]}")
+    return n_ladder
 
-    With q given, the endpoint is floor(n q); without, the sum runs
-    over all length-n paths.  Cached so that repeated ladder sweeps pay
-    for each point once.
+
+def _ladder_box(n_ladder: Sequence[int], q: Direction | None,
+                dimension: int) -> tuple[tuple[int, ...], int]:
+    """Box and depth of the one DP that passes every ladder point.
+
+    floor(n q) is coordinatewise nondecreasing in n, so the largest
+    scale's endpoint (or cube, for length-n paths) contains them all.
+    """
+    n_max = max(n_ladder)
+    if q is not None:
+        box = q.floor_scale(n_max)
+        return box, sum(box)
+    return (n_max,) * dimension, n_max
+
+
+def ladder_levels(seeds: Sequence[int], n_ladder: Sequence[int], *,
+                  q: Direction | None = None, dimension: int = 2) -> list[list]:
+    """Each seed's DP levels for a ladder, materialized once.
+
+    One list of ``_level_edges`` items per seed, to the box of the
+    largest scale: the label hashing of ``gibbs_estimate``, which
+    depends on (seed, box) and not on the potential.  Pass it as
+    ``gibbs_estimate(..., levels=...)`` with the same seeds, ladder and
+    q to evaluate many potentials for the price of their folds.
     """
     if q is not None:
-        return log_partition_point(env, q.floor_scale(n), beta, tau) / n
-    return log_partition_level(env, n, beta, tau) / n
+        dimension = q.dimension
+    box, depth = _ladder_box(_ladder(n_ladder), q, dimension)
+    return [list(_level_edges(Environment(seed, dimension), box, depth)) for seed in seeds]
+
+
+def _ladder_raws(env: Environment, levels, beta: float, tau: TauFn,
+                 n_ladder: list[int], q: Direction | None) -> list[float]:
+    """(1/n) log Z at every ladder scale, read from one DP as it passes.
+
+    With q, the value at floor(n q); without, the fold of level n.  A
+    point's value depends only on its predecessors, which every box
+    containing the point holds alike, so each read equals
+    ``log_partition_point`` / ``log_partition_level`` bit for bit.
+    """
+    reads: dict[int, list[int]] = {}
+    for n in n_ladder:
+        reads.setdefault(sum(q.floor_scale(n)) if q is not None else n, []).append(n)
+    raws = {}
+    for k, (points, values) in enumerate(_transfer(env, levels, beta, tau, "softmax")):
+        for n in reads.get(k, ()):
+            if q is None:
+                raws[n] = _total(values, "softmax") / n
+            else:
+                end = np.array(q.floor_scale(n), dtype=np.uint64)
+                row = np.flatnonzero((points == end).all(axis=1))[0]
+                raws[n] = float(values[row]) / n
+    return [raws[n] for n in n_ladder]
 
 
 def gibbs_estimate(
@@ -218,30 +273,35 @@ def gibbs_estimate(
     *,
     q: Direction | None = None,
     dimension: int = 2,
+    levels: Sequence[list] | None = None,
 ) -> EntropyEstimate:
     """Free-energy estimate: per-seed 1/n extrapolation of (1/n) log Z.
 
     With q given, endpoints are floor(n q) (point-to-point free
-    energy); without, all length-n paths (point-to-level).  Value is
-    the mean of per-seed extrapolations; the band is their half-spread
-    plus the mean fit residual.
+    energy); without, all length-n paths (point-to-level).  Each seed
+    runs one DP, to the box of the largest scale, and reads every
+    ladder point as it passes, bit-identical to a DP per scale.  The
+    levels are streamed, unless ``levels`` gives each seed's, as built
+    by ``ladder_levels`` for these seeds, ladder and q.  Value is the
+    mean of per-seed extrapolations; the band is their half-spread plus
+    the mean fit residual.
     """
-    n_ladder = sorted(int(n) for n in n_ladder)
-    if len(n_ladder) < 2:
-        raise ValueError("need at least two ladder scales")
+    n_ladder = _ladder(n_ladder)
     if q is not None:
         dimension = q.dimension
+    box, depth = _ladder_box(n_ladder, q, dimension)
+    if levels is not None and (len(levels) != len(seeds)
+                               or any(len(plan) != depth for plan in levels)):
+        raise ValueError(f"levels must hold {depth} levels for each of {len(seeds)} seeds")
 
     rows = []
     fits = []
     resids = []
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         env = Environment(seed, dimension)
-        raws = []
-        for n in n_ladder:
-            raw = scaled_free_energy(env, beta, tau, n, q)
-            raws.append(raw)
-            rows.append(LadderRow(seed, n, beta, raw))
+        plan = _level_edges(env, box, depth) if levels is None else levels[i]
+        raws = _ladder_raws(env, plan, beta, tau, n_ladder, q)
+        rows.extend(LadderRow(seed, n, beta, raw) for n, raw in zip(n_ladder, raws))
         a, resid = extrapolate_ladder(n_ladder, raws)
         fits.append(a)
         resids.append(resid)
@@ -411,6 +471,20 @@ def sample_polymer_path(
     return sample_polymer_paths(table, (rng_seed,))[0]
 
 
+def _path_labels(env: Environment, paths: Sequence[Path], length: int) -> np.ndarray:
+    """The edge labels of paths from the origin, all of one length, hashed in batches.
+
+    One ``label_array`` call per axis; the labels come out grouped by
+    axis, not in path order.
+    """
+    steps = np.array([path.steps for path in paths], dtype=np.intp).reshape(len(paths), length)
+    unit = np.eye(env.dimension, dtype=np.uint64)[steps]
+    # Each step's anchor is the sum of the unit steps before it.
+    anchors = np.cumsum(unit, axis=1) - unit
+    return np.concatenate([env.label_array(anchors[steps == axis], axis)
+                           for axis in range(env.dimension)])
+
+
 def empirical_convergence_diagnostic(
     env: Environment,
     q: Direction,
@@ -439,10 +513,11 @@ def empirical_convergence_diagnostic(
     for n in n_ladder:
         endpoint = q.floor_scale(n)
         table = DpTable.point(env, endpoint, beta, tau)
-        bins = np.zeros(bucket_bins)
-        for path in sample_polymer_paths(table, range(rng_base, rng_base + samples_per_n)):
-            for u in path.labels(env):
-                bins[min(int(u * bucket_bins), bucket_bins - 1)] += 1.0
+        paths = sample_polymer_paths(table, range(rng_base, rng_base + samples_per_n))
+        labels = _path_labels(env, paths, sum(endpoint))
+        cells = np.minimum((labels * bucket_bins).astype(np.intp), bucket_bins - 1)
+        # Integer counts, exact in float64, as adding 1.0 per label is.
+        bins = np.bincount(cells, minlength=bucket_bins).astype(np.float64)
         bins /= n * samples_per_n
         mean = Measure(
             ((idx + 0.5) / bucket_bins, m) for idx, m in enumerate(bins) if m > 0

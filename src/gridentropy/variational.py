@@ -29,7 +29,7 @@ import numpy as np
 from .estimators import EntropyEstimate
 from .lattice import _level_edges, Direction, Environment, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
-from .polymer import gibbs_estimate
+from .polymer import gibbs_estimate, ladder_levels
 
 __all__ = [
     "BernoulliReport",
@@ -147,7 +147,11 @@ def conjugate_entropy(
     the entropy up to the free-energy bands.
 
     ``gibbs_cache`` maps potentials to their free-energy estimates; it
-    is consulted and filled, so repeated calls share work.
+    is consulted and filled, so repeated calls share work.  Each
+    evaluated potential is one ``gibbs_estimate`` call on levels built
+    once per call by ``ladder_levels``, at the first potential the cache
+    misses: the label hashing depends on the seeds and the ladder, not
+    on tau, so a potential costs only its folds.
     """
     if tau_family is None:
         tau_family = default_tau_family()
@@ -156,11 +160,15 @@ def conjugate_entropy(
     cache = gibbs_cache if gibbs_cache is not None else {}
     seeds = tuple(seeds)
     n_ladder = tuple(n_ladder)
+    levels = None
 
     def free_energy(tau: TauFn) -> EntropyEstimate:
+        nonlocal levels
         found = cache.get(tau)
         if found is None:
-            found = gibbs_estimate(seeds, beta, tau, n_ladder, q=q)
+            if levels is None:
+                levels = ladder_levels(seeds, n_ladder, q=q)
+            found = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, levels=levels)
             cache[tau] = found
         return found
 

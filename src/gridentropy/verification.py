@@ -238,27 +238,25 @@ class VerificationSuite:
         for seed in seeds:
             env = Environment(seed, 2)
             point = Measure([(0.5, 1.0)])
+            # whole[m] for m <= 4 doubles as the head of the split at m.
             whole = {s: cost_sum(env, (0, 0), (s, s), scale(point, 2.0 * s), 1.0)
-                     for s in range(2, 9)}
-            heads = {m: cost_sum(env, (0, 0), (m, m), scale(point, 2.0 * m), 1.0)
-                     for m in range(1, 5)}
+                     for s in range(1, 9)}
             for m in range(1, 5):
                 for n in range(1, 5):
                     tail = cost_sum(
                         env, (m, m), (m + n, m + n), scale(point, 2.0 * n), 1.0)
-                    if whole[m + n] < heads[m] + tail - slop:
+                    if whole[m + n] < whole[m] + tail - slop:
                         superadd_bad += 1
             lam4 = discretize_lebesgue(4)
             rich_whole = {s: cost_sum(env, (0, 0), (s, s), scale(lam4, 2.0 * s), 1.0)
-                          for s in range(2, 6)}
+                          for s in range(1, 6)}
             for m in range(1, 5):
                 for n in range(1, 5):
                     if m + n > 5:
                         continue
-                    head = cost_sum(env, (0, 0), (m, m), scale(lam4, 2.0 * m), 1.0)
                     tail = cost_sum(
                         env, (m, m), (m + n, m + n), scale(lam4, 2.0 * n), 1.0)
-                    if rich_whole[m + n] < head + tail - slop:
+                    if rich_whole[m + n] < rich_whole[m] + tail - slop:
                         superadd_bad += 1
 
         perturb_bad = 0

@@ -343,6 +343,15 @@ def test_missing_required_field(capsys):
     assert "mu" in err
 
 
+def test_infinite_atom_mass_is_a_config_error(capsys):
+    """An atom of infinite mass exits 2 naming the field, not a distance of inf."""
+    code, out, err = _run(capsys, "metric", "--mu", "atoms:[[0.5,Infinity]]",
+                          "--nu", "lebesgue:4")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "mu=" in err and "inf" in err
+
+
 def test_budget_refusal_exit_code(capsys):
     """An enumeration past the budget refuses with its own exit code."""
     code, _, err = _run(capsys, "entropy-eps", "--n", "40,44", "--seeds", "1",

@@ -34,6 +34,13 @@ def test_construction_rejects_bad_atoms():
         Measure([(0.5, -0.1)])
 
 
+@pytest.mark.parametrize("mass", [math.inf, math.nan])
+def test_construction_rejects_non_finite_mass(mass):
+    """An infinite or NaN mass is refused, and the error names it."""
+    with pytest.raises(ValueError, match=f"got {mass}"):
+        Measure([(0.5, mass)])
+
+
 def test_total_mass_matches_sum_of_masses():
     rng = np.random.default_rng(7)
     for _ in range(50):

@@ -21,6 +21,7 @@ from gridentropy import (
     enumerate_level_paths,
     enumerate_paths,
     gibbs_estimate,
+    ladder_levels,
     last_passage,
     log_partition_level,
     log_partition_point,
@@ -171,6 +172,66 @@ def test_level_free_energy_dominates_point():
     for q in ("1/2,1/2", "2/3,1/3"):
         pt = gibbs_estimate([1, 2], 1.0, TAU16, [6, 12, 18], q=Direction.parse(q)).value
         assert lvl >= pt - 1e-9
+
+
+def _per_scale_raws(seeds, beta, tau, n_ladder, q, dimension):
+    """(1/n) log Z from one rolling DP per scale: the ladder's oracle."""
+    raws = []
+    for seed in seeds:
+        env = Environment(seed, dimension)
+        for n in sorted(n_ladder):
+            if q is None:
+                raws.append(log_partition_level(env, n, beta, tau) / n)
+            else:
+                raws.append(log_partition_point(env, q.floor_scale(n), beta, tau) / n)
+    return raws
+
+
+GIBBS_LADDERS = [
+    # (q or None for length-n paths, dimension, ladder)
+    (Direction.parse("1/2,1/2"), 2, (4, 8, 16)),
+    (Direction.parse("2/3,1/3"), 2, (3, 5, 9)),
+    (None, 2, (3, 6, 10)),
+    (Direction.parse("1"), 1, (2, 5, 7)),
+    (None, 1, (2, 5, 7)),
+    (Direction.parse("1/3,1/3,1/3"), 3, (3, 6, 9)),
+    (Direction.parse("1/2,1/4,1/4"), 3, (4, 5, 8)),
+    (None, 3, (2, 4, 5)),
+    # Two scales that share an endpoint, and endpoints at the origin.
+    (Direction.parse("1/3,1/3,1/3"), 3, (1, 2, 4)),
+    (Direction.parse("1/2,1/2"), 2, (2, 3, 5)),
+    (Direction.parse("1/4,3/4"), 2, (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("q, dimension, n_ladder", GIBBS_LADDERS)
+@pytest.mark.parametrize("tau", [TauFn.identity_ladder(16), TauFn.indicator(0.3)],
+                         ids=["identity16", "indicator"])
+def test_gibbs_ladder_reads_equal_per_scale_partitions(q, dimension, n_ladder, tau):
+    """One DP to the largest box reads every scale bit for bit, streamed or shared."""
+    seeds = (3, 4)
+    oracle = _per_scale_raws(seeds, 1.3, tau, n_ladder, q, dimension)
+    streamed = gibbs_estimate(seeds, 1.3, tau, n_ladder, q=q, dimension=dimension)
+    levels = ladder_levels(seeds, n_ladder, q=q, dimension=dimension)
+    shared = gibbs_estimate(seeds, 1.3, tau, n_ladder, q=q, dimension=dimension, levels=levels)
+    assert [row.raw for row in streamed.ladder] == oracle
+    assert shared == streamed
+
+
+def test_gibbs_levels_must_match_the_ladder():
+    """Levels built for another ladder or seed count are refused."""
+    q = Direction.parse("1/2,1/2")
+    levels = ladder_levels((1, 2), (4, 8), q=q)
+    with pytest.raises(ValueError, match="levels"):
+        gibbs_estimate((1, 2), 1.0, TAU16, (4, 16), q=q, levels=levels)
+    with pytest.raises(ValueError, match="levels"):
+        gibbs_estimate((1, 2, 3), 1.0, TAU16, (4, 8), q=q, levels=levels)
+
+
+def test_gibbs_ladder_scales_must_be_positive():
+    """A zero scale would divide by zero; it is refused up front."""
+    with pytest.raises(ValueError, match="positive"):
+        gibbs_estimate((1,), 1.0, TAU16, (0, 4), q=Direction.parse("1/2,1/2"))
 
 
 def test_last_passage_constant_tau():

@@ -181,6 +181,30 @@ def test_conjugate_cache_reuse():
     assert second.band == first.band
 
 
+def test_conjugate_shared_levels_change_nothing(monkeypatch):
+    """Shared levels give the same search as streaming each evaluation."""
+    from gridentropy import variational
+
+    kwargs = dict(
+        tau_family=default_tau_family(2, random_count=1), n_ladder=(8, 16, 32),
+        restarts=2, ascent_passes=1,
+    )
+    shared = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
+    calls = []
+
+    def streamed(*args, levels, **rest):
+        calls.append(levels)
+        return gibbs_estimate(*args, **rest)
+
+    monkeypatch.setattr(variational, "gibbs_estimate", streamed)
+    alone = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
+    assert len(calls) == alone.diagnostics["evaluations"]
+    assert len({id(levels) for levels in calls}) == 1
+    assert alone.value == shared.value
+    assert alone.diagnostics == shared.diagnostics
+    assert alone.ladder == shared.ladder
+
+
 def test_default_tau_family_shape():
     """The default family holds every sign ladder plus the random ones."""
     fam = default_tau_family(3, random_count=4)
