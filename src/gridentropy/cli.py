@@ -100,7 +100,7 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_scale_ladder(text: str) -> tuple[int, ...]:
-    """Ladder scales: 'a..b' doubles from a up to b, else comma ints."""
+    """Ladder scales: 'a..b' doubles from a up to b, else comma ints; all positive."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -112,11 +112,21 @@ def _parse_scale_ladder(text: str) -> tuple[int, ...]:
             out.append(n)
             n *= 2
         return tuple(out)
-    return _parse_ints(text)
+    scales = _parse_ints(text)
+    if min(scales) < 1:
+        raise ValueError(f"scales must be positive, got {min(scales)}")
+    return scales
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
+
+
+def _parse_positive_floats(text: str) -> tuple[float, ...]:
+    values = _parse_floats(text)
+    if not all(v > 0.0 for v in values):
+        raise ValueError(f"values must be positive, got {values}")
+    return values
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -273,11 +283,16 @@ class ExperimentConfig:
     def seeds(self, key: str) -> tuple[int, ...]:
         return self._parse(key, _parse_seed_list)
 
-    def scales(self, key: str) -> tuple[int, ...]:
-        return self._parse(key, _parse_scale_ladder)
+    def scales(self, key: str, *, at_least: int = 1) -> tuple[int, ...]:
+        """Positive ladder scales, ``at_least`` of them distinct (two for an a + b/n fit)."""
+        scales = self._parse(key, _parse_scale_ladder)
+        if len(set(scales)) < at_least:
+            raise ConfigError(f"field {key}={self.raw(key)!r}: need at least {at_least} "
+                              f"distinct scales, got {len(set(scales))}")
+        return scales
 
-    def floats(self, key: str) -> tuple[float, ...]:
-        return self._parse(key, _parse_floats)
+    def positive_floats(self, key: str) -> tuple[float, ...]:
+        return self._parse(key, _parse_positive_floats)
 
     def alpha_grid(self, key: str) -> tuple[float, ...]:
         return self._parse(key, _parse_alpha_grid)
@@ -645,7 +660,7 @@ def _run_count(config: ExperimentConfig) -> int:
 def _run_orderstats(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
-    n_ladder = config.scales("n_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
     grid = config.alpha_grid("alpha_grid")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
@@ -661,8 +676,8 @@ def _run_orderstats(config: ExperimentConfig) -> int:
 def _run_entropy_eps(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
-    n_ladder = config.scales("n_ladder")
-    eps_ladder = config.floats("eps_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
+    eps_ladder = config.positive_floats("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
@@ -675,8 +690,8 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     dimension = config.int_("D")
     t = config.fraction("t")
     nu, nu_id = config.measure("nu")
-    n_ladder = config.scales("n_ladder")
-    eps_ladder = config.floats("eps_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
+    eps_ladder = config.positive_floats("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
@@ -693,7 +708,7 @@ def _run_gibbs(config: ExperimentConfig) -> int:
         dimension = q.dimension
     beta = config.float_("beta")
     tau, _ = config.tau("tau")
-    n_ladder = config.scales("n_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
@@ -758,7 +773,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu")
     beta = config.float_("beta")
-    n_ladder = config.scales("n_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
     k = config.int_("k")
     random_count = config.int_("random_count")
@@ -803,7 +818,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
     target, nu_id = config.target("nu")
     method = config.raw("method")
     nu = target.to_measure() if isinstance(target, Histogram) else target
-    n_ladder = config.scales("n_ladder")
+    n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     if method == "orderstats":
@@ -812,7 +827,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
         )
     elif method == "eps":
         est = estimate_entropy_eps(
-            seeds, q, nu, n_ladder, config.floats("eps_ladder"), budget=budget
+            seeds, q, nu, n_ladder, config.positive_floats("eps_ladder"), budget=budget
         )
     else:
         raise ConfigError(f"field method={method!r}: expected 'orderstats' or 'eps'")

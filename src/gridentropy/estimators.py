@@ -490,6 +490,8 @@ def estimate_entropy_level(
     t = Fraction(t)
     n_ladder = sorted(int(n) for n in n_ladder)
     eps_ladder = list(eps_ladder)
+    if len(n_ladder) < 2:
+        raise ValueError("need at least two ladder scales")
 
     rows = []
     fits = []

@@ -185,6 +185,9 @@ class TauFn:
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     bound: float = field(init=False, compare=False)
+    # float64 copies for ``apply``, built once.
+    _edges: np.ndarray = field(init=False, compare=False, repr=False)
+    _cells: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         breakpoints = tuple(float(b) for b in self.breakpoints)
@@ -204,6 +207,10 @@ class TauFn:
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", max(abs(v) for v in values))
+        for name, cells in (("_edges", breakpoints), ("_cells", values)):
+            array = np.array(cells, dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def constant(cls, value: float) -> "TauFn":
@@ -235,8 +242,7 @@ class TauFn:
 
     def apply(self, labels: np.ndarray) -> np.ndarray:
         """Vectorized evaluation."""
-        idx = np.searchsorted(self.breakpoints, labels, side="right") - 1
-        return np.asarray(self.values, dtype=np.float64)[idx]
+        return self._cells[np.searchsorted(self._edges, labels, side="right") - 1]
 
     def to_json(self) -> str:
         import json

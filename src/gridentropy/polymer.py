@@ -22,11 +22,13 @@ the seed and the box alone; ``ladder_levels`` materializes them once so
 that a search over many potentials (the conjugate entropy) pays only
 for each potential's folds.
 
-The sampler reads a table once: per level it keeps each point's
-predecessor rows and the cumulative thresholds of its backward step,
-computed with the table's own labels.  All draws then step back one
-level at a time in lockstep, each a threshold comparison and a row
-gather in numpy, so many draws cost little more than one.
+A table keeps, beside each level's values, the one walk of the lattice
+that computed them: per level, each point's predecessor rows and the
+labels of the edges from them.  Last passage backtracks by row through
+those arrays.  The sampler reads them once per call into the
+cumulative thresholds of each point's backward step; all draws then
+step back one level at a time in lockstep, each a threshold comparison
+and a row gather in numpy, so many draws cost little more than one.
 
 Sampling randomness is a dedicated counter-based stream per draw,
 independent of the environment hash: the polymer measure is a
@@ -37,7 +39,6 @@ must not mix.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -124,12 +125,16 @@ def _transfer(env: Environment, levels, beta: float | None, tau: TauFn, mode: st
 class DpTable:
     """Level-indexed log-partition (or max-plus) table.
 
-    levels[k] is a float64 array over the reachable lattice points at
-    level k, listed lexicographically in points[k]: the log partition
+    levels[k] is a float64 array over the level-k points of the box, in
+    the lexicographic order of ``_level_edges``: the log partition
     value (softmax mode) or maximal weight (maxplus mode) of the
     length-k paths from the origin ending there.  The origin entry is
-    0.  Built level by level; reproducible bit-for-bit given
-    (environment, tau, beta, mode).
+    0.  steps[k - 1] = (pred, label), for k = 1..depth, holds two
+    (rows, D) arrays from the same walk: pred[r, axis] is the row in
+    level k-1 of point r minus the unit vector along axis (-1 when
+    that leaves the box) and label[r, axis] the label of the edge from
+    it (NaN there).  Built in one level walk; reproducible bit-for-bit
+    given (environment, tau, beta, mode).
     """
 
     env: Environment
@@ -138,7 +143,7 @@ class DpTable:
     kind: str
     mode: str
     levels: list[np.ndarray]
-    points: list[list[tuple[int, ...]]]
+    steps: list[tuple[np.ndarray, np.ndarray]]
     endpoint: tuple[int, ...] | None
 
     @classmethod
@@ -156,12 +161,20 @@ class DpTable:
 
     @classmethod
     def _build(cls, env, tau, beta, kind, mode, box, depth, endpoint) -> "DpTable":
-        levels = []
-        points = []
-        for pts, values in _transfer(env, _level_edges(env, box, depth), beta, tau, mode):
-            levels.append(values)
-            points.append(list(map(tuple, pts.tolist())))
-        return cls(env, tau, beta, kind, mode, levels, points, endpoint)
+        steps = []
+
+        def walk():
+            for points, edges in _level_edges(env, box, depth):
+                pred = np.full((len(points), env.dimension), -1, dtype=np.intp)
+                label = np.full((len(points), env.dimension), np.nan)
+                for axis, dst, src, labels in edges:
+                    pred[dst, axis] = src
+                    label[dst, axis] = labels
+                steps.append((pred, label))
+                yield points, edges
+
+        levels = [values for _, values in _transfer(env, walk(), beta, tau, mode)]
+        return cls(env, tau, beta, kind, mode, levels, steps, endpoint)
 
     def log_value(self) -> float:
         """Log partition (softmax) or maximal weight (maxplus) of the ensemble."""
@@ -326,19 +339,17 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
     tolerance enters.  Ties break toward the lower axis.
     """
     table = DpTable.point(env, endpoint, None, tau, mode="maxplus")
-    levels, points = table.levels, table.points
+    levels = table.levels
     steps_rev = []
-    v = table.endpoint
+    row = 0  # the endpoint is the one point of the last level
     for k in range(len(levels) - 1, 0, -1):
-        target = levels[k].item(bisect_left(points[k], v))
+        pred, label = table.steps[k - 1]
+        target = levels[k].item(row)
         for axis in range(env.dimension):
-            if v[axis] == 0:
-                continue
-            u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
-            value = levels[k - 1].item(bisect_left(points[k - 1], u))
-            if value + tau(env.edge_label(u, axis)) == target:
+            src = pred.item(row, axis)
+            if src >= 0 and levels[k - 1].item(src) + tau(label.item(row, axis)) == target:
                 steps_rev.append(axis)
-                v = u
+                row = src
                 break
         else:
             raise AssertionError("max-plus backtrack found no predecessor")
@@ -363,37 +374,33 @@ def _exp(exponents: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, exponents.tolist()), np.float64, len(exponents))
 
 
-def _step_thresholds(table: DpTable) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level k = 1..depth: predecessor rows and cumulative step thresholds.
+def _step_thresholds(table: DpTable) -> list[np.ndarray]:
+    """Per level k = 1..depth: the cumulative step thresholds of each point.
 
-    pred[r, axis] is the row in level k-1 of point r minus the unit
-    vector along axis (-1 when that leaves the box).  cum[r, axis] is
-    the running sum, over the predecessors u along axes <= axis in
-    ascending order, of exp(logZ(u) + beta * tau(label) - logZ(v)):
-    math.exp of the table build's own float64 operands, added one axis
-    at a time.  It is +inf at the last predecessor's axis, which takes
-    every draw that passes the earlier ones.
+    Read from the table's ``steps``: cum[r, axis] is the running sum,
+    over the predecessors u along axes <= axis in ascending order, of
+    exp(logZ(u) + beta * tau(label) - logZ(v)): math.exp of the table
+    build's own float64 operands, added one axis at a time.  It is
+    +inf at the last predecessor's axis, which takes every draw that
+    passes the earlier ones.
     """
-    d = table.env.dimension
-    depth = len(table.levels) - 1
-    box = table.endpoint if table.kind == "point" else (depth,) * d
     out = []
-    for k, (_, edges) in enumerate(_level_edges(table.env, box, depth), 1):
+    for k, (pred, label) in enumerate(table.steps, 1):
         prev, values = table.levels[k - 1], table.levels[k]
-        rows = len(values)
-        pred = np.full((rows, d), -1, dtype=np.intp)
-        cum = np.zeros((rows, d))
+        rows, d = pred.shape
+        cum = np.empty((rows, d))
         acc = np.zeros(rows)
-        last = np.empty(rows, dtype=np.intp)
-        for axis, dst, src, labels in edges:
-            pred[dst, axis] = src
-            acc[dst] += _exp(prev[src] + table.beta * table.tau.apply(labels) - values[dst])
+        for axis in range(d):
+            dst = (pred[:, axis] >= 0).nonzero()[0]
+            src = pred[dst, axis]
+            w = table.tau.apply(label[dst, axis])
+            acc[dst] += _exp(prev[src] + table.beta * w - values[dst])
             # Axes without a predecessor carry the running sum, so they are
             # never the first threshold a draw falls below.
-            cum[:, axis:] = acc[:, None]
-            last[dst] = axis
+            cum[:, axis] = acc
+        last = d - 1 - (pred[:, ::-1] >= 0).argmax(axis=1)
         cum[np.arange(rows), last] = np.inf
-        out.append((pred, cum))
+        out.append(cum)
     return out
 
 
@@ -426,7 +433,7 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     thresholds = _step_thresholds(table)
     steps = np.empty((len(bases), depth), dtype=np.intp)
     for k in range(depth, 0, -1):
-        pred, cum = thresholds[k - 1]
+        pred, cum = table.steps[k - 1][0], thresholds[k - 1]
         counter += 1
         u01 = _stream_uniforms(bases, counter)
         axes = (u01[:, None] < cum[rows]).argmax(axis=1)
@@ -508,6 +515,11 @@ def empirical_convergence_diagnostic(
     only: no pass/fail.
     """
     n_ladder = sorted(int(n) for n in n_ladder)
+    # Each bin is divided by n * samples_per_n.
+    if samples_per_n < 1:
+        raise ValueError(f"samples_per_n must be >= 1, got {samples_per_n}")
+    if n_ladder and n_ladder[0] < 1:
+        raise ValueError(f"n_ladder scales must be positive, got {n_ladder[0]}")
     means: list[Measure] = []
     cdf_excess = []
     for n in n_ladder:

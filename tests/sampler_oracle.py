@@ -1,24 +1,37 @@
 """Scalar oracle for the lockstep polymer sampler.
 
 One draw at a time: a fresh ``SampleStream`` per seed, each label hashed
-with ``Environment.edge_label``, each point's row found by bisection,
-and the predecessors of a point tried in ascending axis order with a
-running ``acc += math.exp(...)``.  It knows nothing of threshold arrays,
-so it checks that the batch sampler draws the same paths bit for bit.
+with ``Environment.edge_label``, each point's row found by bisection in
+a lexicographic point list built here from the box, and the
+predecessors of a point tried in ascending axis order with a running
+``acc += math.exp(...)``.  It knows nothing of the table's predecessor
+or threshold arrays, so it checks that the batch sampler draws the same
+paths bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 
 from gridentropy import DpTable, Path, SampleStream
 
 
+def box_points(box: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Per level k = 0..sum(box): the points 0 <= v <= box with sum(v) == k, sorted."""
+    box_pts = sorted(itertools.product(*(range(c + 1) for c in box)))
+    return [[p for p in box_pts if sum(p) == k] for k in range(sum(box) + 1)]
+
+
 def sample_path(table: DpTable, rng_seed: int) -> Path:
     """One backward draw from a softmax table, with the table's env, tau and beta."""
     env, tau, beta = table.env, table.tau, table.beta
-    levels, points = table.levels, table.points
+    levels = table.levels
+    depth = len(levels) - 1
+    box = table.endpoint if table.kind == "point" else (depth,) * env.dimension
+    # The cube of a level table holds more points than its levels reach.
+    points = box_points(box)[:depth + 1]
     stream = SampleStream(rng_seed)
 
     if table.kind == "point":

@@ -352,6 +352,40 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     assert "mu=" in err and "inf" in err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("entropy-eps", "--n", "0,4"), "n_ladder="),
+    (("bernoulli", "--n", "0"), "n_ladder="),
+    (("gibbs", "--n", "8"), "n_ladder="),
+    (("gibbs", "--n", "8,8"), "n_ladder="),
+    (("entropy-eps", "--n", "8"), "n_ladder="),
+    (("entropy-level", "--n", "4"), "n_ladder="),
+    (("orderstats", "--n", "6"), "n_ladder="),
+    (("conjugate", "--n", "64"), "n_ladder="),
+    (("klbudget", "--n", "6"), "n_ladder="),
+    (("entropy-eps", "--eps", "0"), "eps_ladder="),
+    (("entropy-level", "--eps", "4,-2"), "eps_ladder="),
+    (("klbudget", "--method", "eps", "--eps", "0"), "eps_ladder="),
+])
+def test_bad_ladder_is_a_config_error(capsys, argv, field):
+    """Non-positive scales or eps, and a single scale where an a + b/n fit
+    needs two, exit 2 naming the field before any estimator runs."""
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert field in err
+
+
+def test_library_value_errors_are_not_config_errors(monkeypatch):
+    """Only the config layer maps bad input to exit 2; a ValueError raised
+    inside a run propagates."""
+    def broken(*args, **kwargs):
+        raise ValueError("not a config problem")
+
+    monkeypatch.setattr("gridentropy.cli.gibbs_estimate", broken)
+    with pytest.raises(ValueError, match="not a config problem"):
+        main(["gibbs", "--n", "8,16", "--seeds", "1"])
+
+
 def test_budget_refusal_exit_code(capsys):
     """An enumeration past the budget refuses with its own exit code."""
     code, _, err = _run(capsys, "entropy-eps", "--n", "40,44", "--seeds", "1",

@@ -357,6 +357,19 @@ def test_estimate_level_homogeneity():
     assert est1.diagnostics["balanced_direction_estimate"] is not None
 
 
+def test_estimators_need_two_ladder_scales():
+    """Every estimator that fits a + b/n refuses a single-scale ladder."""
+    nu = discretize_lebesgue(8)
+    q = Direction.parse("1/2,1/2")
+    for estimate in (
+        lambda: estimate_entropy_level([1], 2, nu, [4], [4.0, 2.0]),
+        lambda: estimate_entropy_eps([1], q, nu, [4], [4.0, 2.0]),
+        lambda: estimate_entropy_orderstats([1], q, nu, [4], [0.0, 0.5]),
+    ):
+        with pytest.raises(ValueError, match="two ladder scales"):
+            estimate()
+
+
 def test_vanish_threshold_values():
     """Adjacent-atom spacing sets the radius; boundary gaps do not count."""
     assert abs(vanish_threshold(discretize_lebesgue(64), 12) - 2 * (1 / 128 + 1 / 12)) < 1e-15

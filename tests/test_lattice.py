@@ -141,6 +141,19 @@ def test_tau_step_function():
     assert TauFn.from_json(tau.to_json()) == tau
 
 
+def test_tau_apply_matches_scalar_and_keys_by_cells():
+    """apply equals the scalar call label by label; equality, hashing and
+    repr see only the cells, so equal potentials share a cache key."""
+    labels = Environment(3, 2).label_array(np.arange(200, dtype=np.uint64).reshape(100, 2), 0)
+    for make in (lambda: TauFn.identity_ladder(16), lambda: TauFn.indicator(0.5),
+                 lambda: TauFn.from_values([0.3, -0.2, 0.9])):
+        tau, twin = make(), make()
+        assert tau.apply(labels).tolist() == [tau(x) for x in labels.tolist()]
+        assert tau == twin and hash(tau) == hash(twin) and {tau: 1}[twin] == 1
+        assert repr(tau) == (f"TauFn(breakpoints={tau.breakpoints!r}, "
+                             f"values={tau.values!r}, bound={tau.bound!r})")
+
+
 def test_tau_validation():
     with pytest.raises(ValueError):
         TauFn((0.1,), (1.0,))  # must start at 0

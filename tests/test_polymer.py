@@ -2,7 +2,6 @@
 zero-temperature bounds, sampler law checks, table layout."""
 
 import dataclasses
-import itertools
 import math
 import re
 from collections import Counter
@@ -30,8 +29,10 @@ from gridentropy import (
     sample_polymer_path,
     sample_polymer_paths,
 )
+from gridentropy import polymer
+from gridentropy.lattice import _level_edges
 from gridentropy.polymer import _stream_bases, _stream_uniforms
-from sampler_oracle import sample_path
+from sampler_oracle import box_points, sample_path
 
 TAU16 = TauFn.identity_ladder(16)
 ZERO = TauFn.constant(0.0)
@@ -126,15 +127,49 @@ def test_rolling_sweep_matches_stored_table():
 
 
 def test_table_levels_hold_the_box_points():
-    """levels[k] has one entry per level-k point of the box, listed lexicographically."""
+    """levels[k] has one entry per level-k point of the box, listed lexicographically,
+    and steps[k - 1] points each row at its predecessors v - e_axis and their labels."""
     for endpoint in ((3, 2), (2, 0, 3), (4,)):
-        table = DpTable.point(Environment(5, len(endpoint)), endpoint, 1.0, TAU16)
-        box = sorted(itertools.product(*(range(c + 1) for c in endpoint)))
-        want = [[p for p in box if sum(p) == k] for k in range(sum(endpoint) + 1)]
+        env = Environment(5, len(endpoint))
+        table = DpTable.point(env, endpoint, 1.0, TAU16)
+        want = box_points(endpoint)
+        walked = [[(0,) * env.dimension]] + [
+            list(map(tuple, points.tolist()))
+            for points, _ in _level_edges(env, endpoint, sum(endpoint))]
+        assert walked == want
         assert [len(level) for level in table.levels] == [len(pts) for pts in want]
-        assert table.points == want
+        assert len(table.steps) == sum(endpoint)
+        for k, (pred, label) in enumerate(table.steps, 1):
+            assert pred.shape == label.shape == (len(want[k]), env.dimension)
+            for row, v in enumerate(want[k]):
+                for axis in range(env.dimension):
+                    if v[axis] == 0:
+                        assert pred[row, axis] == -1 and math.isnan(label[row, axis])
+                        continue
+                    u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
+                    assert want[k - 1][pred[row, axis]] == u
+                    assert label[row, axis] == env.edge_label(u, axis)
     table = DpTable.level(Environment(5, 3), 4, 1.0, TAU16)
     assert [len(level) for level in table.levels] == [math.comb(k + 2, 2) for k in range(5)]
+    assert [len(pred) for pred, _ in table.steps] == [math.comb(k + 2, 2) for k in range(1, 5)]
+
+
+def test_table_build_walks_the_lattice_once(monkeypatch):
+    """One level walk serves a table, its sampler thresholds and its backtrack."""
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _level_edges(*args)
+
+    monkeypatch.setattr(polymer, "_level_edges", counted)
+    table = DpTable.point(Environment(2, 3), (2, 1, 2), 1.0, TAU16)
+    sample_polymer_paths(table, range(20))
+    assert len(walks) == 1
+    last_passage(Environment(2, 2), (4, 3), TAU16)
+    assert len(walks) == 2
+    sample_polymer_paths(DpTable.level(Environment(2, 2), 5, 1.0, TAU16), range(20))
+    assert len(walks) == 3
 
 
 def test_endpoint_of_the_wrong_dimension_is_rejected():
@@ -255,6 +290,26 @@ def test_last_passage_matches_enumeration():
         assert val == best[0]
         assert path_weight(env, TAU16, path) == val
         assert path.end == endpoint
+
+
+@pytest.mark.parametrize("tau", [TauFn.indicator(0.5), TauFn.constant(0.25)])
+@pytest.mark.parametrize("endpoint", [(4, 3), (3, 3), (2, 2, 1), (2, 1, 2)])
+def test_last_passage_tie_break_is_lower_axis_first(tau, endpoint):
+    """Among all maximizing paths, the backtrack returns the one whose
+    reversed step sequence is lexicographically smallest: at each step
+    back, the lowest axis that attains the maximum."""
+    for seed in (1, 4, 9):
+        env = Environment(seed, len(endpoint))
+        weights = {}
+        enumerate_paths(env, endpoint,
+                        lambda p, labels: weights.__setitem__(p.steps, path_weight(env, tau, p)))
+        best = max(weights.values())
+        maximizers = [steps for steps, w in weights.items() if w == best]
+        val, path = last_passage(env, endpoint, tau)
+        assert val == best
+        assert path.steps == min(maximizers, key=lambda steps: steps[::-1])
+        if tau.values == (0.25,):
+            assert len(maximizers) == path_count(endpoint)
 
 
 def test_zero_temperature_sandwich():
@@ -402,6 +457,16 @@ def test_diagnostic_report_fields():
     assert all(math.isfinite(x) for x in report["rho_consecutive"])
     assert len(report["rho_to_candidate"]["lambda"]) == 2
     assert len(report["cdf_max_excess"]) == 2
+
+
+def test_diagnostic_refuses_empty_samples_and_zero_scales():
+    """No samples, or a scale of 0, would divide the bins by zero; the
+    error names the argument instead of reporting NaN."""
+    env, q = Environment(1, 2), Direction.parse("1/2,1/2")
+    with pytest.raises(ValueError, match="samples_per_n"):
+        empirical_convergence_diagnostic(env, q, 1.0, TAU16, [8, 16], 0)
+    with pytest.raises(ValueError, match="n_ladder"):
+        empirical_convergence_diagnostic(env, q, 1.0, TAU16, [0, 8], 4)
 
 
 def test_diagnostic_high_beta_favors_high_labels():
