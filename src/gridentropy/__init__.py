@@ -56,9 +56,6 @@ from .polymer import (
     gibbs_estimate,
     ladder_levels,
     last_passage,
-    log_partition_level,
-    log_partition_point,
-    sample_polymer_path,
     sample_polymer_paths,
 )
 from .variational import (

@@ -779,19 +779,17 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     random_count = config.int_("random_count")
     family_seed = config.int_("family_seed")
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
-    cache: dict[TauFn, EntropyEstimate] = {}
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
         n_ladder=n_ladder,
-        gibbs_cache=cache,
         restarts=config.int_("restarts"),
         ascent_passes=config.int_("passes"),
         rng_seed=config.int_("ascent_seed"),
     )
     best_spec = est.diagnostics["best_tau"]
     best_tau = TauFn(tuple(best_spec["breakpoints"]), tuple(best_spec["values"]))
-    winner = cache[best_tau]
+    winner = gibbs_estimate(seeds, beta, best_tau, n_ladder, q=q)
     sup_value = -est.value
     report = {
         "q": str(q),

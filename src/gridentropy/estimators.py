@@ -37,7 +37,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -342,9 +342,7 @@ def estimate_entropy_orderstats(
     ambiguous cases.  Returns -inf when not even alpha = 0 (the single
     smallest distance) vanishes.
     """
-    n_ladder = sorted(int(n) for n in n_ladder)
-    if len(n_ladder) < 2:
-        raise ValueError("need at least two ladder scales")
+    n_ladder = _ladder_scales(n_ladder)
     if threshold is None:
         threshold = vanish_threshold(nu, n_ladder[-1])
 
@@ -409,6 +407,51 @@ def extrapolate_ladder(ns: Sequence[int], raws: Sequence[float]) -> tuple[float,
     return float(coef[0]), float(np.max(np.abs(fitted - raws)))
 
 
+def _ladder_scales(n_ladder: Sequence[int]) -> list[int]:
+    """The ladder scales, sorted; all positive, at least two of them distinct.
+
+    A fit of a + b/n to fewer than two distinct scales is singular, and
+    least squares would return a meaningless minimum-norm solution.
+    """
+    n_ladder = sorted(int(n) for n in n_ladder)
+    if len(set(n_ladder)) < 2:
+        raise ValueError(f"need at least two ladder scales that differ, got {n_ladder}")
+    if n_ladder[0] < 1:
+        raise ValueError(f"ladder scales must be positive, got {n_ladder[0]}")
+    return n_ladder
+
+
+def _fit_eps_ladder(
+    seeds: Sequence[int],
+    n_ladder: list[int],
+    eps_ladder: list[float],
+    raw: Callable[[int, int, float], float],
+) -> tuple[list[LadderRow], list[float], int, float]:
+    """Extrapolate n -> infinity per eps; return (rows, fits, argmin, band).
+
+    ``raw(seed, n, eps)`` is one raw cost sum; each eps fits a + b/n to
+    the seed means over the ladder.  The band is the largest fit
+    residual plus the gap between the last two fits.
+    """
+    rows = []
+    fits = []
+    residuals = []
+    for eps in eps_ladder:
+        means = []
+        for n in n_ladder:
+            raws = []
+            for seed in seeds:
+                value = raw(seed, n, eps)
+                raws.append(value)
+                rows.append(LadderRow(seed, n, eps, value))
+            means.append(float(np.mean(raws)))
+        a, resid = extrapolate_ladder(n_ladder, means)
+        fits.append(a)
+        residuals.append(resid)
+    gap = abs(fits[-1] - fits[-2]) if len(fits) > 1 else 0.0
+    return rows, fits, int(np.argmin(fits)), max(residuals) + gap
+
+
 def estimate_entropy_eps(
     seeds: Sequence[int],
     q: Direction,
@@ -424,34 +467,16 @@ def estimate_entropy_eps(
     decreases (termwise domination); the fitted limits should inherit
     that within the band, and the diagnostic flags violations.
     """
-    n_ladder = sorted(int(n) for n in n_ladder)
+    n_ladder = _ladder_scales(n_ladder)
     eps_ladder = list(eps_ladder)
     if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    if len(n_ladder) < 2:
-        raise ValueError("need at least two ladder scales")
 
-    rows = []
-    fits = []
-    residuals = []
-    for eps in eps_ladder:
-        means = []
-        for n in n_ladder:
-            raws = []
-            for seed in seeds:
-                env = Environment(seed, q.dimension)
-                raw = eps_sum(env, q, nu, n, eps, budget=budget)
-                raws.append(raw)
-                rows.append(LadderRow(seed, n, eps, raw))
-            means.append(float(np.mean(raws)))
-        a, resid = extrapolate_ladder(n_ladder, means)
-        fits.append(a)
-        residuals.append(resid)
+    def raw(seed: int, n: int, eps: float) -> float:
+        return eps_sum(Environment(seed, q.dimension), q, nu, n, eps, budget=budget)
 
-    best = int(np.argmin(fits))
+    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raw)
     value = fits[best]
-    gap = abs(fits[-1] - fits[-2]) if len(fits) > 1 else 0.0
-    band = max(residuals) + gap
     monotone = all(b <= a + band for a, b in zip(fits, fits[1:]))
     return EntropyEstimate(
         method="eps_sum",
@@ -488,39 +513,21 @@ def estimate_entropy_level(
     if t is None:
         t = Fraction(nu.total_mass).limit_denominator(10**9)
     t = Fraction(t)
-    n_ladder = sorted(int(n) for n in n_ladder)
+    n_ladder = _ladder_scales(n_ladder)
     eps_ladder = list(eps_ladder)
-    if len(n_ladder) < 2:
-        raise ValueError("need at least two ladder scales")
-
-    rows = []
-    fits = []
-    residuals = []
-    domination_slack = math.inf
     balanced = Direction.from_fractions([t / dimension] * dimension)
     exact_ns = [n for n in n_ladder if (n * t.numerator) % (t.denominator * dimension) == 0]
+    slacks = []
 
-    for eps in eps_ladder:
-        means = []
-        for n in n_ladder:
-            raws = []
-            for seed in seeds:
-                env = Environment(seed, dimension)
-                raw = eps_sum_level(env, t, nu, n, eps, budget=budget)
-                raws.append(raw)
-                rows.append(LadderRow(seed, n, eps, raw))
-                if n in exact_ns:
-                    point = eps_sum(env, balanced, nu, n, eps, budget=budget)
-                    domination_slack = min(domination_slack, raw - point)
-            means.append(float(np.mean(raws)))
-        a, resid = extrapolate_ladder(n_ladder, means)
-        fits.append(a)
-        residuals.append(resid)
+    def raw(seed: int, n: int, eps: float) -> float:
+        env = Environment(seed, dimension)
+        value = eps_sum_level(env, t, nu, n, eps, budget=budget)
+        if n in exact_ns:
+            slacks.append(value - eps_sum(env, balanced, nu, n, eps, budget=budget))
+        return value
 
-    best = int(np.argmin(fits))
+    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raw)
     value = fits[best]
-    gap = abs(fits[-1] - fits[-2]) if len(fits) > 1 else 0.0
-    band = max(residuals) + gap
 
     direction_estimate = None
     difference = None
@@ -540,6 +547,6 @@ def estimate_entropy_level(
             "fits_by_eps": dict(zip(eps_ladder, fits)),
             "balanced_direction_estimate": direction_estimate,
             "difference_to_direction": difference,
-            "min_level_minus_direction_raw": domination_slack,
+            "min_level_minus_direction_raw": min(slacks, default=math.inf),
         },
     )

@@ -8,9 +8,9 @@ fixed length), computed by a level-by-level transfer recursion in log
 space.  One recursion serves every dimension: level k is a float64
 array over the level-k points of a box (the endpoint's, or the cube of
 side n for length-n paths) in lexicographic order, and each axis's
-edges into it are folded in with numpy, axes in ascending order.  The
-partition functions keep one level at a time; ``DpTable`` keeps them
-all.  Max-plus mode replaces log-sum-exp with max and drops beta,
+edges into it are folded in with numpy, axes in ascending order.
+``DpTable`` keeps every level; its ``log_value()`` is the partition
+function.  Max-plus mode replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EntropyEstimate, LadderRow, extrapolate_ladder
+from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
     _GOLDEN, _MASK, _level_edges, _mix, _mix_array, Direction, Environment, Path, TauFn,
 )
@@ -54,12 +54,9 @@ from .prokhorov import prokhorov_distance
 __all__ = [
     "DpTable",
     "SampleStream",
-    "log_partition_point",
-    "log_partition_level",
     "gibbs_estimate",
     "ladder_levels",
     "last_passage",
-    "sample_polymer_path",
     "sample_polymer_paths",
     "empirical_convergence_diagnostic",
 ]
@@ -188,42 +185,6 @@ def _total(last: np.ndarray, mode: str) -> float:
     return float(np.logaddexp.reduce(last))
 
 
-def log_partition_point(env: Environment, endpoint: Sequence[int], beta: float,
-                        tau: TauFn) -> float:
-    """log of the sum over paths origin -> endpoint of exp(beta * weight).
-
-    Same recursion as ``DpTable.point``, holding one level at a time.
-    """
-    endpoint = _endpoint(env, endpoint)
-    levels = _level_edges(env, endpoint, sum(endpoint))
-    for _, values in _transfer(env, levels, beta, tau, "softmax"):
-        pass
-    return float(values[0])
-
-
-def log_partition_level(env: Environment, length: int, beta: float, tau: TauFn) -> float:
-    """log of the sum over all length-n paths of exp(beta * weight).
-
-    Same recursion as ``DpTable.level``, holding one level at a time.
-    """
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    levels = _level_edges(env, (length,) * env.dimension, length)
-    for _, values in _transfer(env, levels, beta, tau, "softmax"):
-        pass
-    return _total(values, "softmax")
-
-
-def _ladder(n_ladder: Sequence[int]) -> list[int]:
-    """The ladder scales, sorted; at least two, all positive."""
-    n_ladder = sorted(int(n) for n in n_ladder)
-    if len(n_ladder) < 2:
-        raise ValueError("need at least two ladder scales")
-    if n_ladder[0] < 1:
-        raise ValueError(f"ladder scales must be positive, got {n_ladder[0]}")
-    return n_ladder
-
-
 def _ladder_box(n_ladder: Sequence[int], q: Direction | None,
                 dimension: int) -> tuple[tuple[int, ...], int]:
     """Box and depth of the one DP that passes every ladder point.
@@ -250,7 +211,7 @@ def ladder_levels(seeds: Sequence[int], n_ladder: Sequence[int], *,
     """
     if q is not None:
         dimension = q.dimension
-    box, depth = _ladder_box(_ladder(n_ladder), q, dimension)
+    box, depth = _ladder_box(_ladder_scales(n_ladder), q, dimension)
     return [list(_level_edges(Environment(seed, dimension), box, depth)) for seed in seeds]
 
 
@@ -260,8 +221,9 @@ def _ladder_raws(env: Environment, levels, beta: float, tau: TauFn,
 
     With q, the value at floor(n q); without, the fold of level n.  A
     point's value depends only on its predecessors, which every box
-    containing the point holds alike, so each read equals
-    ``log_partition_point`` / ``log_partition_level`` bit for bit.
+    containing the point holds alike, so each read equals the
+    ``log_value()`` of that scale's ``DpTable.point`` / ``DpTable.level``
+    bit for bit.
     """
     reads: dict[int, list[int]] = {}
     for n in n_ladder:
@@ -299,7 +261,7 @@ def gibbs_estimate(
     mean of per-seed extrapolations; the band is their half-spread plus
     the mean fit residual.
     """
-    n_ladder = _ladder(n_ladder)
+    n_ladder = _ladder_scales(n_ladder)
     if q is not None:
         dimension = q.dimension
     box, depth = _ladder_box(n_ladder, q, dimension)
@@ -444,38 +406,6 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     # which keeps the peak memory of a large batch down.
     step_tuples = zip(*steps.T.tolist()) if depth else [()] * len(bases)
     return [Path(origin, row) for row in step_tuples]
-
-
-def sample_polymer_path(
-    env: Environment,
-    beta: float,
-    tau: TauFn,
-    rng_seed: int,
-    *,
-    endpoint: Sequence[int] | None = None,
-    level: int | None = None,
-    table: DpTable | None = None,
-) -> Path:
-    """Draw one path with probability exp(beta * weight) / Z.
-
-    ``sample_polymer_paths`` with one seed: its thresholds are computed
-    from the table once per call, so pass all the seeds of a table to
-    that function when drawing many samples.  Without a table, one is
-    built for the endpoint or the level; a given table must have been
-    built with this env, beta and tau.
-    """
-    if table is None:
-        if (endpoint is None) == (level is None):
-            raise ValueError("exactly one of endpoint/level must be given")
-        if endpoint is not None:
-            table = DpTable.point(env, endpoint, beta, tau)
-        else:
-            table = DpTable.level(env, level, beta, tau)
-    for name, given, built in (("env", env, table.env), ("beta", beta, table.beta),
-                               ("tau", tau, table.tau)):
-        if given != built:
-            raise ValueError(f"{name} {given!r} differs from the table's {name} {built!r}")
-    return sample_polymer_paths(table, (rng_seed,))[0]
 
 
 def _path_labels(env: Environment, paths: Sequence[Path], length: int) -> np.ndarray:

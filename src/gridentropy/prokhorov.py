@@ -24,8 +24,9 @@ Open-neighborhood semantics matter: radius eps admits exactly the edges
 at distance < eps, so on the half-open interval (d_k, d_{k+1}] between
 consecutive pairwise distances the edge set is frozen at the *closed*
 set {distance <= d_k} and the infimum over that interval is
-max(d_k, deficiency).  Scanning breakpoints therefore gives the exact
-infimum with no search tolerance.
+max(d_k, deficiency).  Bisecting the breakpoints for the crossing of
+the nonincreasing deficiency therefore gives the exact infimum with no
+search tolerance.
 
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
@@ -40,11 +41,6 @@ from typing import Sequence
 from .measures import Measure
 
 __all__ = ["max_deficiency", "prokhorov_distance", "prokhorov_brute"]
-
-# Below this many breakpoints the crossing search is a plain scan;
-# beyond it, monotonicity of the deficiency lets us bisect.  Each probe
-# costs a sweep, so the scan pays off only when the list is tiny.
-_LINEAR_SCAN_MAX = 8
 
 _BRUTE_SUPPORT_MAX = 16
 
@@ -174,21 +170,13 @@ def prokhorov_distance(mu: Measure, nu: Measure) -> float:
     # predicate b_k >= deficiency(k) is monotone; the minimum of
     # max(b_k, deficiency(k)) sits at the crossing.
     count = len(breakpoints)
-    if count <= _LINEAR_SCAN_MAX:
-        crossing = count
-        for k in range(count):
-            if breakpoints[k] >= deficiency(k):
-                crossing = k
-                break
-    else:
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if breakpoints[mid] >= deficiency(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        crossing = lo
+    crossing, hi = 0, count
+    while crossing < hi:
+        mid = (crossing + hi) // 2
+        if breakpoints[mid] >= deficiency(mid):
+            hi = mid
+        else:
+            crossing = mid + 1
 
     if crossing == count:
         return deficiency(count - 1)

@@ -132,7 +132,6 @@ def conjugate_entropy(
     *,
     tau_family: Sequence[TauFn] | None = None,
     n_ladder: Sequence[int] = (64, 128, 256, 512),
-    gibbs_cache: dict[TauFn, EntropyEstimate] | None = None,
     restarts: int = 3,
     ascent_passes: int = 2,
     rng_seed: int = 9,
@@ -146,31 +145,24 @@ def conjugate_entropy(
     finite family under-reaches the true sup, the value upper-bounds
     the entropy up to the free-energy bands.
 
-    ``gibbs_cache`` maps potentials to their free-energy estimates; it
-    is consulted and filled, so repeated calls share work.  Each
-    evaluated potential is one ``gibbs_estimate`` call on levels built
-    once per call by ``ladder_levels``, at the first potential the cache
-    misses: the label hashing depends on the seeds and the ladder, not
-    on tau, so a potential costs only its folds.
+    Each distinct potential is one ``gibbs_estimate`` call, memoized for
+    the call, on levels built once up front by ``ladder_levels``: the
+    label hashing depends on the seeds and the ladder, not on tau, so a
+    potential costs only its folds.
     """
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
         raise ValueError("tau family must be nonempty")
-    cache = gibbs_cache if gibbs_cache is not None else {}
     seeds = tuple(seeds)
     n_ladder = tuple(n_ladder)
-    levels = None
+    levels = ladder_levels(seeds, n_ladder, q=q)
+    memo: dict[TauFn, EntropyEstimate] = {}
 
     def free_energy(tau: TauFn) -> EntropyEstimate:
-        nonlocal levels
-        found = cache.get(tau)
-        if found is None:
-            if levels is None:
-                levels = ladder_levels(seeds, n_ladder, q=q)
-            found = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, levels=levels)
-            cache[tau] = found
-        return found
+        if tau not in memo:
+            memo[tau] = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, levels=levels)
+        return memo[tau]
 
     def objective(tau: TauFn) -> float:
         return beta * integral(tau, nu) - free_energy(tau).value
@@ -215,7 +207,7 @@ def conjugate_entropy(
         diagnostics={
             "beta": beta,
             "family_size": len(tau_family),
-            "evaluations": len(cache),
+            "evaluations": len(memo),
             "family_best_objective": family_best_obj,
             "refined_gain": best_obj - family_best_obj,
             "best_tau": {

@@ -47,7 +47,6 @@ from .polymer import (
     DpTable,
     gibbs_estimate,
     last_passage,
-    log_partition_point,
     sample_polymer_paths,
 )
 from .prokhorov import prokhorov_brute, prokhorov_distance
@@ -210,7 +209,7 @@ class VerificationSuite:
             env = Environment(seed, 2)
             for endpoint in ((6, 6), (5, 3), (2, 6)):
                 for beta in (0.5, 1.0, 2.0):
-                    dp = log_partition_point(env, endpoint, beta, _TAU16)
+                    dp = DpTable.point(env, endpoint, beta, _TAU16).log_value()
                     brute = _enum_log_partition(env, endpoint, beta, _TAU16)
                     worst = max(worst, abs(dp - brute) / abs(brute))
         return [CheckRow(3, "max relative DP error", worst, 1e-10, worst <= 1e-10)]
@@ -333,7 +332,8 @@ class VerificationSuite:
             env = Environment(seed, 2)
             for endpoint in ((8, 8), (5, 8), (8, 3)):
                 passage, _ = last_passage(env, endpoint, _TAU16)
-                gap = log_partition_point(env, endpoint, beta, _TAU16) / beta - passage
+                log_z = DpTable.point(env, endpoint, beta, _TAU16).log_value()
+                gap = log_z / beta - passage
                 ceiling = math.log(path_count(endpoint)) / beta
                 if not (-1e-9 <= gap <= ceiling + 1e-12):
                     bad += 1

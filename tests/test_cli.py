@@ -14,6 +14,7 @@ from gridentropy import (
     TauFn,
     discretize_lebesgue,
     estimate_entropy_eps,
+    gibbs_estimate,
     last_passage,
     prokhorov_brute,
 )
@@ -398,7 +399,8 @@ def test_budget_refusal_exit_code(capsys):
 
 
 def test_conjugate_report_schema(tmp_path, capsys):
-    """The conjugate JSON carries the full duality report block."""
+    """The conjugate JSON carries the full duality report block, and its free
+    energy is the winning potential's ``gibbs_estimate``."""
     json_path = tmp_path / "conj.json"
     code, _, _ = _run(capsys, "conjugate", "--q", "1/2,1/2", "--nu", "lebesgue:16",
                       "--beta", "1", "--n", "16,32", "--seeds", "1,2", "--k", "2",
@@ -410,7 +412,10 @@ def test_conjugate_report_schema(tmp_path, capsys):
                 "argmax_nu_id", "gibbs_value", "gap", "bands"):
         assert key in report
     assert report["sup_value"] == -read_json(str(json_path))["value"]
-    TauFn(tuple(report["tau_id"]["breakpoints"]), tuple(report["tau_id"]["values"]))
+    tau = TauFn(tuple(report["tau_id"]["breakpoints"]), tuple(report["tau_id"]["values"]))
+    winner = gibbs_estimate((1, 2), 1.0, tau, (16, 32), q=Direction.parse("1/2,1/2"))
+    assert report["gibbs_value"] == winner.value
+    assert report["bands"]["gibbs"] == winner.band
 
 
 def test_klbudget_lebesgue_target_has_zero_kl(tmp_path, capsys):

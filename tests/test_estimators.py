@@ -15,6 +15,7 @@ from gridentropy import (
     Direction,
     Environment,
     Measure,
+    TauFn,
     cost_sum,
     discretize_lebesgue,
     enumerate_paths,
@@ -24,6 +25,8 @@ from gridentropy import (
     estimate_entropy_level,
     estimate_entropy_orderstats,
     extrapolate_ladder,
+    gibbs_estimate,
+    ladder_levels,
     order_stat_series,
     prokhorov_brute,
     prokhorov_distance,
@@ -358,16 +361,20 @@ def test_estimate_level_homogeneity():
 
 
 def test_estimators_need_two_ladder_scales():
-    """Every estimator that fits a + b/n refuses a single-scale ladder."""
+    """Every estimator on a ladder refuses fewer than two distinct scales:
+    a + b/n fitted to one scale, however often repeated, is singular."""
     nu = discretize_lebesgue(8)
     q = Direction.parse("1/2,1/2")
-    for estimate in (
-        lambda: estimate_entropy_level([1], 2, nu, [4], [4.0, 2.0]),
-        lambda: estimate_entropy_eps([1], q, nu, [4], [4.0, 2.0]),
-        lambda: estimate_entropy_orderstats([1], q, nu, [4], [0.0, 0.5]),
-    ):
-        with pytest.raises(ValueError, match="two ladder scales"):
-            estimate()
+    for n_ladder in ([4], [4, 4], [6, 6, 6]):
+        for estimate in (
+            lambda: estimate_entropy_level([1], 2, nu, n_ladder, [4.0, 2.0]),
+            lambda: estimate_entropy_eps([1], q, nu, n_ladder, [4.0, 2.0]),
+            lambda: estimate_entropy_orderstats([1], q, nu, n_ladder, [0.0, 0.5]),
+            lambda: gibbs_estimate([1], 1.0, TauFn.constant(0.0), n_ladder, q=q),
+            lambda: ladder_levels([1], n_ladder, q=q),
+        ):
+            with pytest.raises(ValueError, match="two ladder scales"):
+                estimate()
 
 
 def test_vanish_threshold_values():

@@ -22,11 +22,8 @@ from gridentropy import (
     gibbs_estimate,
     ladder_levels,
     last_passage,
-    log_partition_level,
-    log_partition_point,
     path_count,
     path_weight,
-    sample_polymer_path,
     sample_polymer_paths,
 )
 from gridentropy import polymer
@@ -52,7 +49,7 @@ def test_point_partition_matches_enumeration():
         env = Environment(seed, 2)
         for beta in (0.5, 1.0, 2.0):
             oracle = _enum_log_partition(env, endpoint, beta, TAU16)
-            got = log_partition_point(env, endpoint, beta, TAU16)
+            got = DpTable.point(env, endpoint, beta, TAU16).log_value()
             assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
@@ -60,29 +57,31 @@ def test_point_partition_generic_dimension():
     """The D=3 level recursion agrees with enumeration too."""
     env = Environment(4, 3)
     oracle = _enum_log_partition(env, (2, 1, 1), 0.7, TAU16)
-    got = log_partition_point(env, (2, 1, 1), 0.7, TAU16)
+    got = DpTable.point(env, (2, 1, 1), 0.7, TAU16).log_value()
     assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
 def test_point_partition_zero_tau_is_log_count():
     """All weights 1: the partition function counts paths."""
-    assert abs(log_partition_point(Environment(11, 2), (5, 3), 2.0, ZERO) - math.log(path_count((5, 3)))) < 1e-12
-    assert abs(log_partition_point(Environment(2, 3), (2, 2, 1), 1.0, ZERO) - math.log(path_count((2, 2, 1)))) < 1e-12
+    for env, endpoint, beta in ((Environment(11, 2), (5, 3), 2.0),
+                                (Environment(2, 3), (2, 2, 1), 1.0)):
+        got = DpTable.point(env, endpoint, beta, ZERO).log_value()
+        assert abs(got - math.log(path_count(endpoint))) < 1e-12
 
 
 def test_single_edge_endpoint():
     """Endpoint (1,0) has one edge: value is beta times its weight."""
     env = Environment(6, 2)
     expected = 1.7 * TAU16(env.edge_label((0, 0), 0))
-    assert abs(log_partition_point(env, (1, 0), 1.7, TAU16) - expected) < 1e-14
+    assert abs(DpTable.point(env, (1, 0), 1.7, TAU16).log_value() - expected) < 1e-14
 
 
 def test_level_partition_trivial_taus():
     """tau = 0 gives n log D; tau = c shifts by n beta c."""
     env = Environment(1, 2)
-    assert abs(log_partition_level(env, 9, 1.0, ZERO) - 9 * math.log(2)) < 1e-11
+    assert abs(DpTable.level(env, 9, 1.0, ZERO).log_value() - 9 * math.log(2)) < 1e-11
     c = TauFn.constant(0.3)
-    assert abs(log_partition_level(env, 7, 2.0, c) - 7 * (2.0 * 0.3 + math.log(2))) < 1e-11
+    assert abs(DpTable.level(env, 7, 2.0, c).log_value() - 7 * (2.0 * 0.3 + math.log(2))) < 1e-11
 
 
 def test_level_partition_matches_enumeration():
@@ -94,7 +93,7 @@ def test_level_partition_matches_enumeration():
             env, length, lambda p, labels: terms.append(math.exp(path_weight(env, TAU16, p)))
         )
         oracle = math.log(math.fsum(terms))
-        got = log_partition_level(env, length, 1.0, TAU16)
+        got = DpTable.level(env, length, 1.0, TAU16).log_value()
         assert abs(got - oracle) <= 1e-10 * abs(oracle)
 
 
@@ -102,28 +101,11 @@ def test_level_decomposition_identity():
     """exp(level log Z) is the sum of exp(point log Z) over the level."""
     for seed in (3, 8):
         env = Environment(seed, 2)
-        lvl = math.exp(log_partition_level(env, 5, 1.0, TAU16))
+        lvl = math.exp(DpTable.level(env, 5, 1.0, TAU16).log_value())
         total = math.fsum(
-            math.exp(log_partition_point(env, (i, 5 - i), 1.0, TAU16)) for i in range(6)
+            math.exp(DpTable.point(env, (i, 5 - i), 1.0, TAU16).log_value()) for i in range(6)
         )
         assert abs(lvl - total) <= 1e-10 * total
-
-
-def test_rolling_sweep_matches_stored_table():
-    """Holding one level or every level gives the same bits, for D = 1, 2, 3."""
-    for dimension, endpoints, length in (
-        (1, ((0,), (5,)), 6),
-        (2, ((4, 4), (6, 2), (0, 3)), 7),
-        (3, ((2, 1, 3), (0, 2, 2)), 5),
-    ):
-        env = Environment(13, dimension)
-        for endpoint in endpoints:
-            a = log_partition_point(env, endpoint, 1.3, TAU16)
-            b = DpTable.point(env, endpoint, 1.3, TAU16).log_value()
-            assert a == b
-        a = log_partition_level(env, length, 0.8, TAU16)
-        b = DpTable.level(env, length, 0.8, TAU16).log_value()
-        assert a == b
 
 
 def test_table_levels_hold_the_box_points():
@@ -178,7 +160,6 @@ def test_endpoint_of_the_wrong_dimension_is_rejected():
         env = Environment(1, dimension)
         for build in (
             lambda: DpTable.point(env, endpoint, 1.0, TAU16),
-            lambda: log_partition_point(env, endpoint, 1.0, TAU16),
             lambda: last_passage(env, endpoint, TAU16),
         ):
             with pytest.raises(ValueError, match=re.escape(str(endpoint)) + f".*D={dimension}"):
@@ -210,15 +191,15 @@ def test_level_free_energy_dominates_point():
 
 
 def _per_scale_raws(seeds, beta, tau, n_ladder, q, dimension):
-    """(1/n) log Z from one rolling DP per scale: the ladder's oracle."""
+    """(1/n) log Z from one ``DpTable`` per scale: the ladder's oracle."""
     raws = []
     for seed in seeds:
         env = Environment(seed, dimension)
         for n in sorted(n_ladder):
             if q is None:
-                raws.append(log_partition_level(env, n, beta, tau) / n)
+                raws.append(DpTable.level(env, n, beta, tau).log_value() / n)
             else:
-                raws.append(log_partition_point(env, q.floor_scale(n), beta, tau) / n)
+                raws.append(DpTable.point(env, q.floor_scale(n), beta, tau).log_value() / n)
     return raws
 
 
@@ -320,7 +301,7 @@ def test_zero_temperature_sandwich():
             val, _ = last_passage(env, endpoint, TAU16)
             bound = math.log(path_count(endpoint))
             for beta in (10.0, 100.0):
-                gap = log_partition_point(env, endpoint, beta, TAU16) / beta - val
+                gap = DpTable.point(env, endpoint, beta, TAU16).log_value() / beta - val
                 assert -1e-9 <= gap <= bound / beta + 1e-12
 
 
@@ -387,7 +368,7 @@ def test_lockstep_sampler_matches_scalar_oracle(dimension, kind, target, beta):
         table = DpTable.level(env, target, beta, TAU16)
     seeds = _EDGE_SEEDS + list(range(100, 400))
     assert sample_polymer_paths(table, seeds) == [sample_path(table, s) for s in seeds]
-    assert sample_polymer_path(env, beta, TAU16, seeds[3], table=table) == sample_path(table, seeds[3])
+    assert sample_polymer_paths(table, [seeds[3]]) == [sample_path(table, seeds[3])]
 
 
 def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
@@ -410,15 +391,8 @@ def test_vectorized_uniforms_equal_sample_stream():
         assert _stream_uniforms(bases, counter).tolist() == [s.uniform() for s in streams]
 
 
-def test_sampler_refuses_arguments_foreign_to_the_table():
-    """A table is sampled only with the env, beta and tau it was built from."""
-    table = DpTable.point(Environment(1, 2), (3, 3), 1.0, TAU16)
-    for env, beta, tau, name in ((Environment(2, 2), 1.0, TAU16, "env"),
-                                 (Environment(1, 2), 2.0, TAU16, "beta"),
-                                 (Environment(1, 2), 1.0, ZERO, "tau")):
-        with pytest.raises(ValueError, match=name) as info:
-            sample_polymer_path(env, beta, tau, 0, table=table)
-        assert "table" in str(info.value)
+def test_sampler_refuses_a_maxplus_table():
+    """Only a softmax table defines a polymer measure to sample."""
     with pytest.raises(ValueError, match="softmax"):
         sample_polymer_paths(DpTable.point(Environment(1, 2), (3, 3), None, TAU16,
                                            mode="maxplus"), [0])

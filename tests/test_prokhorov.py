@@ -99,7 +99,7 @@ def test_brute_rejects_large_support():
 
 
 def test_bisection_regime_matches_brute_oracle():
-    """8x8-atom pairs have 65 breakpoints, enough to trigger the bisect path."""
+    """8x8-atom pairs have 65 breakpoints, so the crossing search bisects over many probes."""
     rng = np.random.default_rng(43)
     for _ in range(25):
         mu = Measure([(rng.uniform(), rng.uniform(0.1, 2.0)) for _ in range(8)])

@@ -8,6 +8,7 @@ import pytest
 from gridentropy import (
     CandidateFamily,
     Direction,
+    DpTable,
     Environment,
     EntropyEstimate,
     Histogram,
@@ -24,7 +25,6 @@ from gridentropy import (
     integral,
     kl_budget_check,
     last_passage,
-    log_partition_point,
     shannon_entropy,
     variational_sup,
 )
@@ -164,21 +164,6 @@ def test_conjugate_upper_bounds_entropy_on_half_intervals():
         )
         eps = estimate_entropy_eps((1, 2), Q2, nu, (6, 8), (8.0, 4.0, 2.0))
         assert conj.value <= eps.value + conj.band + eps.band
-
-
-def test_conjugate_cache_reuse():
-    """A shared free-energy cache makes the second call free and identical."""
-    cache = {}
-    kwargs = dict(
-        tau_family=default_tau_family(2, random_count=1), n_ladder=(16, 32),
-        restarts=1, ascent_passes=1, gibbs_cache=cache,
-    )
-    first = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
-    filled = len(cache)
-    second = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
-    assert len(cache) == filled
-    assert second.value == first.value
-    assert second.band == first.band
 
 
 def test_conjugate_shared_levels_change_nothing(monkeypatch):
@@ -325,7 +310,7 @@ def test_scaled_free_energy_decreases_toward_passage_time():
     env = Environment(4, 2)
     endpoint = (6, 6)
     passage, _ = last_passage(env, endpoint, ID16)
-    scaled = [log_partition_point(env, endpoint, beta, ID16) / beta
+    scaled = [DpTable.point(env, endpoint, beta, ID16).log_value() / beta
               for beta in (0.5, 1.0, 2.0, 4.0, 8.0)]
     for left, right in zip(scaled, scaled[1:]):
         assert right <= left + 1e-12
