@@ -47,7 +47,7 @@ from .lattice import (
     path_count,
 )
 from .measures import Histogram, Measure
-from .polymer import DpTable, gibbs_estimate, last_passage, sample_polymer_paths
+from .polymer import DpTable, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths
 from .prokhorov import prokhorov_distance
 from .variational import (
     bernoulli_exponent_check,
@@ -140,6 +140,13 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         grid = tuple(round(start + k * step, 12) for k in range(count + 1))
         return grid
     return _parse_floats(text)
+
+
+def _parse_dimension(text: str) -> int:
+    dimension = int(text)
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    return dimension
 
 
 def _parse_rational(text: str) -> float:
@@ -264,6 +271,9 @@ class ExperimentConfig:
 
     def float_(self, key: str) -> float:
         return self._parse(key, _parse_rational)
+
+    def dimension(self, key: str) -> int:
+        return self._parse(key, _parse_dimension)
 
     def fraction(self, key: str) -> Fraction:
         return self._parse(key, Fraction)
@@ -648,11 +658,11 @@ def _run_count(config: ExperimentConfig) -> int:
         raise ConfigError("give exactly one of --endpoint or --length")
     if has_endpoint:
         # Without --D the endpoint sets the dimension; a given D must agree.
-        endpoint = (_endpoint_in(config, config.int_("D")) if config.has("D")
+        endpoint = (_endpoint_in(config, config.dimension("D")) if config.has("D")
                     else config.endpoint("endpoint"))
         print(path_count(endpoint))
     else:
-        dimension = config.int_("D") if config.has("D") else 2
+        dimension = config.dimension("D") if config.has("D") else 2
         print(level_path_count(dimension, config.int_("length")))
     return EXIT_OK
 
@@ -687,7 +697,7 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
 
 
 def _run_entropy_level(config: ExperimentConfig) -> int:
-    dimension = config.int_("D")
+    dimension = config.dimension("D")
     t = config.fraction("t")
     nu, nu_id = config.measure("nu")
     n_ladder = config.scales("n_ladder", at_least=2)
@@ -701,7 +711,7 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
 
 
 def _run_gibbs(config: ExperimentConfig) -> int:
-    dimension = config.int_("D")
+    dimension = config.dimension("D")
     q_spec = config.raw("q")
     q = None if q_spec == "level" else config.direction("q")
     if q is not None:
@@ -729,7 +739,7 @@ def _endpoint_in(config: ExperimentConfig, dimension: int) -> tuple[int, ...]:
 
 
 def _run_lpp(config: ExperimentConfig) -> int:
-    env = Environment(config.int_("seed"), config.int_("D"))
+    env = Environment(config.int_("seed"), config.dimension("D"))
     endpoint = _endpoint_in(config, env.dimension)
     tau, _ = config.tau("tau")
     value, path = last_passage(env, endpoint, tau)
@@ -749,7 +759,7 @@ def _run_sample(config: ExperimentConfig) -> int:
     has_length = config.has("length")
     if has_endpoint == has_length:
         raise ConfigError("give exactly one of --endpoint or --length")
-    env = Environment(config.int_("seed"), config.int_("D"))
+    env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
     tau, _ = config.tau("tau")
     draws = config.int_("draws")
@@ -789,7 +799,8 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     )
     best_spec = est.diagnostics["best_tau"]
     best_tau = TauFn(tuple(best_spec["breakpoints"]), tuple(best_spec["values"]))
-    winner = gibbs_estimate(seeds, beta, best_tau, n_ladder, q=q)
+    # The estimate's ladder is the winning potential's free-energy ladder.
+    _, gibbs_value, gibbs_band = _ladder_fit(est.ladder)
     sup_value = -est.value
     report = {
         "q": str(q),
@@ -798,11 +809,11 @@ def _run_conjugate(config: ExperimentConfig) -> int:
         "family_id": f"signs:k={k}+random:{random_count}:seed:{family_seed}",
         "sup_value": sup_value,
         "argmax_nu_id": nu_id,
-        "gibbs_value": winner.value,
+        "gibbs_value": gibbs_value,
         # Observable stand-in for the distance to the true supremum:
         # how much local refinement improved on the raw family maximum.
         "gap": est.diagnostics["refined_gain"],
-        "bands": {"gibbs": winner.band, "entropy": est.band},
+        "bands": {"gibbs": gibbs_band, "entropy": est.band},
     }
     payload = _summary_payload(config, est)
     payload["report"] = report
@@ -841,10 +852,14 @@ def _run_klbudget(config: ExperimentConfig) -> int:
 
 def _run_bernoulli(config: ExperimentConfig) -> int:
     p = config.float_("p")
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"field p={config.raw('p')!r}: need 0 < p < 1")
     s = config.float_("s")
+    if not 0.0 < s <= 1.0:
+        raise ConfigError(f"field s={config.raw('s')!r}: need 0 < s <= 1")
     n_ladder = config.scales("n_ladder")
     seeds = config.seeds("seeds")
-    dimension = config.int_("D")
+    dimension = config.dimension("D")
     report = bernoulli_exponent_check(p, s, n_ladder, seeds, dimension=dimension)
     nu_id = f"bernoulli:p={config.raw('p')},s={config.raw('s')}"
     rows = [

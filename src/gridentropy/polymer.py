@@ -270,19 +270,13 @@ def gibbs_estimate(
         raise ValueError(f"levels must hold {depth} levels for each of {len(seeds)} seeds")
 
     rows = []
-    fits = []
-    resids = []
     for i, seed in enumerate(seeds):
         env = Environment(seed, dimension)
         plan = _level_edges(env, box, depth) if levels is None else levels[i]
         raws = _ladder_raws(env, plan, beta, tau, n_ladder, q)
         rows.extend(LadderRow(seed, n, beta, raw) for n, raw in zip(n_ladder, raws))
-        a, resid = extrapolate_ladder(n_ladder, raws)
-        fits.append(a)
-        resids.append(resid)
 
-    value = float(np.mean(fits))
-    band = (max(fits) - min(fits)) / 2.0 + float(np.mean(resids))
+    fits, value, band = _ladder_fit(rows)
     return EntropyEstimate(
         method="gibbs",
         value=value,
@@ -291,6 +285,26 @@ def gibbs_estimate(
         band=band,
         diagnostics={"per_seed_fits": dict(zip(seeds, fits))},
     )
+
+
+def _ladder_fit(rows: Sequence[LadderRow]) -> tuple[tuple[float, ...], float, float]:
+    """Per-seed a + b/n fits of a free-energy ladder, their mean and band.
+
+    ``rows`` list each seed's ladder in ascending n, seed after seed, as
+    ``gibbs_estimate`` builds them, so a seed's rows end where n falls.
+    The value is the mean of the fits; the band is their half-spread
+    plus the mean fit residual.
+    """
+    blocks: list[list[LadderRow]] = []
+    for row in rows:
+        if not blocks or row.n < blocks[-1][-1].n:
+            blocks.append([])
+        blocks[-1].append(row)
+    fits, resids = zip(*(extrapolate_ladder([row.n for row in block], [row.raw for row in block])
+                         for block in blocks))
+    value = float(np.mean(fits))
+    band = (max(fits) - min(fits)) / 2.0 + float(np.mean(resids))
+    return fits, value, band
 
 
 def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple[float, Path]:

@@ -298,10 +298,14 @@ def bernoulli_exponent_check(
     """Exponent of #(length-n paths with at least n*s unit labels).
 
     Labels are unit with probability p (a label is "unit" when it falls
-    in [1 - p, 1]).  The count is exact, via a Python-integer DP over
-    (vertex, unit count) states on the same level recursion as the
-    partition functions, holding one level at a time, so no enumeration
-    happens.  For s > p the exponent
+    in [1 - p, 1]).  The count is exact and enumerates no path: a DP on
+    the level recursion of the partition functions, holding one level
+    at a time, keeps per level point one Python integer of fixed-width
+    fields, field c counting the paths to the point with exactly c unit
+    labels.  An edge adds its source integer, shifted one field up when
+    its label is a unit.  The width, one bit more than D^n_max needs,
+    bounds every field and every field of a level's sum, so no carry
+    crosses fields.  For s > p the exponent
     must fall below log(D) - KL(Bernoulli(s) || Bernoulli(p)) plus a
     finite-size margin; for s <= p typical paths qualify and the budget
     is just log(D).
@@ -320,22 +324,29 @@ def bernoulli_exponent_check(
     exponents: dict = {}
     final: dict = {}
     n_max = n_ladder[-1]
+    # Kronecker substitution: a level point's counts are one integer of
+    # width-bit fields, field c counting the length-k paths to the point
+    # with exactly c unit labels.  A field counts at most the D^k <=
+    # D^n_max paths of length k, and so does each field of a level's
+    # sum; D^n_max < 2^(width - 1), so no field carries into the next.
+    width = (dimension**n_max).bit_length() + 1
+    mask = (1 << width) - 1
     for seed in seeds:
         env = Environment(seed, dimension)
-        # rows[i][c] counts the length-k paths to level point i with
-        # exactly c unit labels; each edge shifts its source row by its
-        # 0/1 unit bit.  Only the current level is kept.
-        rows = [[1]]
+        rows = [1]
         per_n = {}
         for k, (points, edges) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
-            new = [[0] * (k + 1) for _ in range(len(points))]
+            new = [0] * len(points)
             for _, dst, src, labels in edges:
-                for i, j, bit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
-                    target = new[i]
-                    target[bit : bit + k] = [a + b for a, b in zip(target[bit : bit + k], rows[j])]
+                for i, j, unit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
+                    new[i] += (rows[j] << width) if unit else rows[j]
             rows = new
             if k in n_ladder:
-                total = sum(sum(row[math.ceil(k * s_exact):]) for row in rows)
+                packed = sum(rows) >> (width * math.ceil(k * s_exact))
+                total = 0
+                while packed:
+                    total += packed & mask
+                    packed >>= width
                 per_n[k] = math.log(total) / k if total > 0 else -math.inf
         exponents[seed] = per_n
         final[seed] = per_n[n_max]

@@ -366,10 +366,18 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("entropy-eps", "--eps", "0"), "eps_ladder="),
     (("entropy-level", "--eps", "4,-2"), "eps_ladder="),
     (("klbudget", "--method", "eps", "--eps", "0"), "eps_ladder="),
+    (("bernoulli", "--p", "1"), "p="),
+    (("bernoulli", "--s", "0"), "s="),
+    (("bernoulli", "--D", "0"), "D="),
+    (("bernoulli", "--D", "-1"), "D="),
+    (("gibbs", "--D", "0", "--q", "level"), "D="),
+    (("sample", "--D", "0", "--length", "3"), "D="),
+    (("count", "--D", "0", "--length", "3"), "D="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
-    """Non-positive scales or eps, and a single scale where an a + b/n fit
-    needs two, exit 2 naming the field before any estimator runs."""
+    """Non-positive scales or eps, a single scale where an a + b/n fit
+    needs two, a dimension below 1, and a Bernoulli p outside (0, 1) or
+    s outside (0, 1] exit 2 naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""

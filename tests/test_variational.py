@@ -1,6 +1,7 @@
 """Duality layer: sup/conjugate searches, KL budget, Bernoulli counts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gridentropy import (
     shannon_entropy,
     variational_sup,
 )
+from bernoulli_oracle import bernoulli_exponents
 
 Q2 = Direction.parse("1/2,1/2")
 LAM64 = discretize_lebesgue(64)
@@ -251,7 +253,7 @@ def _brute_qualifying(seed: int, dimension: int, n: int, lo: float, threshold: i
 
 
 def test_bernoulli_dp_matches_enumeration():
-    """The (vertex, count) DP reproduces brute-force qualifying counts."""
+    """The packed count DP reproduces brute-force qualifying counts."""
     for seed in (1, 5):
         for n in (4, 6):
             for p, s in ((0.5, 0.75), (0.3, 0.5), (0.5, 1.0)):
@@ -269,6 +271,29 @@ def test_bernoulli_dp_matches_enumeration_3d():
     want = _brute_qualifying(3, 3, 5, 0.6, 3)
     assert report.exponents[3][5] == pytest.approx(math.log(want) / 5, abs=1e-14)
     assert report.budget == pytest.approx(math.log(3) - bernoulli_kl(0.6, 0.4), abs=1e-15)
+
+
+@pytest.mark.parametrize("p, s, n_ladder, seeds, dimension", [
+    (0.5, 0.75, (10, 20), (1,), 1),
+    (0.5, 0.75, (20, 40), (1, 2), 2),
+    (0.4, 0.6, (5, 10), (3,), 3),
+    (0.5, 0.75, (6, 12), (2,), 4),
+    (0.3, 0.3, (6, 12), (1,), 4),
+    (0.5, 1.0, (10, 30), (1, 2), 2),
+    (0.5, 1.0, (4, 8), (1,), 3),
+    (0.5, Fraction(2, 3), (9, 30), (4,), 2),
+    (0.99, 1.0, (1, 2), (1,), 2),
+    (0.99, 0.5, (20, 70), (1,), 2),
+    (0.99, 0.5, (5, 10), (1,), 3),
+    (0.5, 0.3, (40, 80), (5,), 2),
+])
+def test_bernoulli_packed_counts_match_list_oracle(p, s, n_ladder, seeds, dimension):
+    """Packed integer fields count exactly what per-count lists count:
+    D = 1..4, s below p, s = 1, a Fraction s, a skewed p whose all-unit
+    field holds most of the D^n paths, and D=2 ladders past n = 64,
+    where counts exceed 2^64."""
+    report = bernoulli_exponent_check(p, s, n_ladder, seeds, dimension=dimension)
+    assert report.exponents == bernoulli_exponents(p, s, n_ladder, seeds, dimension)
 
 
 def test_bernoulli_exponent_within_budget():
