@@ -50,6 +50,7 @@ from .measures import Histogram, Measure
 from .polymer import DpTable, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths
 from .prokhorov import prokhorov_distance
 from .variational import (
+    MAX_CELLS,
     bernoulli_exponent_check,
     conjugate_entropy,
     default_tau_family,
@@ -140,13 +141,6 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
         grid = tuple(round(start + k * step, 12) for k in range(count + 1))
         return grid
     return _parse_floats(text)
-
-
-def _parse_dimension(text: str) -> int:
-    dimension = int(text)
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    return dimension
 
 
 def _parse_rational(text: str) -> float:
@@ -266,14 +260,19 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"field {key}={raw!r}: {exc}") from exc
 
-    def int_(self, key: str) -> int:
-        return self._parse(key, int)
+    def int_(self, key: str, *, at_least: int | None = None, at_most: int | None = None) -> int:
+        value = self._parse(key, int)
+        if at_least is not None and value < at_least:
+            raise ConfigError(f"field {key}={self.raw(key)!r}: must be >= {at_least}")
+        if at_most is not None and value > at_most:
+            raise ConfigError(f"field {key}={self.raw(key)!r}: must be <= {at_most}")
+        return value
 
     def float_(self, key: str) -> float:
         return self._parse(key, _parse_rational)
 
     def dimension(self, key: str) -> int:
-        return self._parse(key, _parse_dimension)
+        return self.int_(key, at_least=1)
 
     def fraction(self, key: str) -> Fraction:
         return self._parse(key, Fraction)
@@ -348,6 +347,12 @@ _FLAG_NAMES: dict[str, tuple[str, ...]] = {
 }
 
 _BUDGET_DEFAULT = str(DEFAULT_PATH_BUDGET)
+
+_FLAG_HELP: dict[str, str] = {
+    "budget": (f"most paths one profile may enumerate (default {_BUDGET_DEFAULT}); a profile "
+               f"holds 8 bytes per path, so a budget-sized one peaks near "
+               f"{8 * DEFAULT_PATH_BUDGET // 10**6} MB"),
+}
 
 # (accepted keys, defaults) per subcommand; keys without defaults are
 # optional unless listed in _REQUIRED.
@@ -425,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flat key=value file supplying defaults")
         for key in keys:
             flags = _FLAG_NAMES[key]
-            sub.add_argument(*flags, dest=key, default=None, metavar=key.upper())
+            sub.add_argument(*flags, dest=key, default=None, metavar=key.upper(),
+                             help=_FLAG_HELP.get(key))
     return parser
 
 
@@ -461,22 +467,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(key): _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
 
 
 def write_csv(path: str, config: ExperimentConfig, rows: Sequence[tuple]) -> None:
@@ -520,10 +510,75 @@ def read_csv(path: str) -> tuple[dict[str, str], list[dict]]:
     return header, rows
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode_json(obj, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` is "\\n" plus its indent.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True)`` after these
+    coercions: keys through ``str``, tuples as lists, ``np.floating`` as
+    float, ``np.integer`` as int, and ``Fraction`` or any other unknown
+    object as its ``str``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, value in sorted({str(key): value for key, value in obj.items()}.items()):
+            out.append(sep)
+            out.append(_encode_str(key) + ": ")
+            _encode_json(value, inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            # A path's steps: one join instead of one call per item.
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
+            return
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(sep)
+            _encode_json(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_json(float(obj)))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    else:
+        out.append(_encode_str(str(obj)))
+
+
 def write_json(path: str, payload: dict) -> None:
+    """One pass over ``payload``, byte-identical to ``json.dump(..., indent=2, sort_keys=True)``."""
+    out: list[str] = []
+    _encode_json(payload, "\n", out)
+    out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(out)
 
 
 def read_json(path: str) -> dict:
@@ -663,7 +718,7 @@ def _run_count(config: ExperimentConfig) -> int:
         print(path_count(endpoint))
     else:
         dimension = config.dimension("D") if config.has("D") else 2
-        print(level_path_count(dimension, config.int_("length")))
+        print(level_path_count(dimension, config.int_("length", at_least=0)))
     return EXIT_OK
 
 
@@ -762,18 +817,16 @@ def _run_sample(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
     tau, _ = config.tau("tau")
-    draws = config.int_("draws")
-    if draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {draws}")
+    draws = config.int_("draws", at_least=1)
     rng_seed = config.int_("rng_seed")
     if has_endpoint:
         table = DpTable.point(env, _endpoint_in(config, env.dimension), beta, tau)
     else:
-        table = DpTable.level(env, config.int_("length"), beta, tau)
+        table = DpTable.level(env, config.int_("length", at_least=0), beta, tau)
     seeds = range(rng_seed, rng_seed + draws)
     samples = [path.steps for path in sample_polymer_paths(table, seeds)]
-    for steps in samples:
-        print(",".join(map(str, steps)))
+    # One write for the batch, to whatever sys.stdout is at call time.
+    sys.stdout.write("".join([",".join(map(str, steps)) + "\n" for steps in samples]))
     if config.values.get("json"):
         write_json(config.values["json"], {"config": dict(config.values), "samples": samples})
     return EXIT_OK
@@ -785,7 +838,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     beta = config.float_("beta")
     n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
-    k = config.int_("k")
+    k = config.int_("k", at_least=1, at_most=MAX_CELLS)
     random_count = config.int_("random_count")
     family_seed = config.int_("family_seed")
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)

@@ -101,6 +101,10 @@ def variational_sup(beta: float, tau: TauFn, family: CandidateFamily) -> SupResu
     return SupResult(best_value, best_nu, band)
 
 
+# Most cells of a default family: it holds 3^k sign ladders.
+MAX_CELLS = 8
+
+
 def default_tau_family(
     k: int = 4, *, random_count: int = 8, rng_seed: int = 2026
 ) -> tuple[TauFn, ...]:
@@ -109,8 +113,8 @@ def default_tau_family(
     The sign ladders (3^k of them, zero included) probe which cells the
     target loads; the random ladders break the +-1 quantization.
     """
-    if not 1 <= k <= 8:
-        raise ValueError(f"cell count must be in 1..8, got {k}")
+    if not 1 <= k <= MAX_CELLS:
+        raise ValueError(f"cell count must be in 1..{MAX_CELLS}, got {k}")
     ladders = [
         TauFn.from_values(values)
         for values in itertools.product((-1.0, 0.0, 1.0), repeat=k)

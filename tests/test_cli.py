@@ -3,9 +3,13 @@ byte-stable emission across runs, and exit codes."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from json_oracle import json_text
 
 from gridentropy import (
     Direction,
@@ -31,6 +35,7 @@ from gridentropy.cli import (
     main,
     read_csv,
     read_json,
+    write_json,
 )
 
 
@@ -230,6 +235,57 @@ def test_csv_bytes_stable_across_runs(tmp_path, monkeypatch, capsys):
     assert csv_path.read_bytes() == first
 
 
+_JSON_KEYS = st.one_of(st.integers(), st.text(), st.fractions())
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.fractions(),
+    st.text(),  # non-ASCII and control characters included
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=6),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(_JSON_KEYS, _JSON_TREES, max_size=4))
+@example({"steps": [0, 1, True, 2], "ints": (3, -4, 2**70), "empty": [[], (), {}]})
+@example({1: "int key", "1": "str key", Fraction(1, 2): [np.int64(5), np.bool_(False)]})
+@example({"x": [math.nan, math.inf, -math.inf, -0.0, np.float64(1e300), "\u00e9\x00\n\ud800"]})
+def test_write_json_matches_stdlib_oracle(tmp_path, payload):
+    """write_json writes exactly the bytes of the json.dumps oracle."""
+    path = tmp_path / "payload.json"
+    write_json(str(path), payload)
+    text = path.read_bytes()
+    path.unlink()  # a fresh file per example: truncating one can be slow
+    assert text == json_text(payload).encode("utf-8")
+
+
+def test_sample_json_matches_stdlib_oracle(tmp_path, capsys):
+    """A 500-draw sample artifact is the stdlib's dump of its own contents."""
+    path = tmp_path / "s.json"
+    code, out, _ = _run(capsys, "sample", "--D", "2", "--seed", "1", "--endpoint", "3,3",
+                        "--draws", "500", "--tau", "identity:16", "--json", str(path))
+    assert code == EXIT_OK
+    payload = read_json(str(path))
+    assert len(payload["samples"]) == 500
+    assert path.read_bytes() == json_text(payload).encode("utf-8")
+    assert out == "".join(",".join(map(str, steps)) + "\n" for steps in payload["samples"])
+
+
 def test_orderstats_rows_cover_the_grid(tmp_path, capsys):
     """orderstats emits one row per (alpha, seed, n) grid point."""
     csv_path = tmp_path / "os.csv"
@@ -373,11 +429,16 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("gibbs", "--D", "0", "--q", "level"), "D="),
     (("sample", "--D", "0", "--length", "3"), "D="),
     (("count", "--D", "0", "--length", "3"), "D="),
+    (("count", "--length", "-1"), "length="),
+    (("sample", "--D", "2", "--length", "-1"), "length="),
+    (("conjugate", "--k", "0"), "k="),
+    (("conjugate", "--k", "9"), "k="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
-    needs two, a dimension below 1, and a Bernoulli p outside (0, 1) or
-    s outside (0, 1] exit 2 naming the field before any estimator runs."""
+    needs two, a dimension below 1, a negative length, a cell count k
+    outside 1..8, and a Bernoulli p outside (0, 1) or s outside (0, 1]
+    exit 2 naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
