@@ -19,7 +19,7 @@ from .measures import (
     tv_distance,
     tv_norm,
 )
-from .prokhorov import max_deficiency, prokhorov_brute, prokhorov_distance
+from .prokhorov import max_deficiency, prokhorov_brute, prokhorov_distance, prokhorov_rows
 from .estimators import (
     EntropyEstimate,
     LadderRow,
@@ -44,6 +44,7 @@ from .lattice import (
     canonical_path,
     enumerate_level_paths,
     enumerate_paths,
+    label_rows,
     level_path_count,
     path_count,
     path_weight,

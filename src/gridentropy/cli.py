@@ -56,7 +56,6 @@ from .variational import (
     default_tau_family,
     kl_budget_check,
 )
-from .verification import VerificationSuite, format_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,10 +122,13 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-def _parse_positive_floats(text: str) -> tuple[float, ...]:
+def _parse_eps_ladder(text: str) -> tuple[float, ...]:
+    """Eps ladder: comma floats, all positive, strictly decreasing."""
     values = _parse_floats(text)
     if not all(v > 0.0 for v in values):
         raise ValueError(f"values must be positive, got {values}")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"values must be strictly decreasing, got {values}")
     return values
 
 
@@ -280,11 +282,18 @@ class ExperimentConfig:
     def direction(self, key: str) -> Direction:
         return self._parse(key, Direction.parse)
 
-    def measure(self, key: str) -> tuple[Measure, str]:
-        return self._parse(key, _parse_measure), self.raw(key)
+    def measure(self, key: str, *, ensemble: bool = False) -> tuple[Measure, str]:
+        return self._target(key, _parse_measure, ensemble), self.raw(key)
 
-    def target(self, key: str):
-        return self._parse(key, _parse_target), self.raw(key)
+    def target(self, key: str, *, ensemble: bool = False):
+        return self._target(key, _parse_target, ensemble), self.raw(key)
+
+    def _target(self, key: str, parser: Callable[[str], object], ensemble: bool):
+        """A measure spec; a path-ensemble target must have positive total mass."""
+        target = self._parse(key, parser)
+        if ensemble and not target.total_mass > 0.0:
+            raise ConfigError(f"field {key}={self.raw(key)!r}: total mass must be positive")
+        return target
 
     def tau(self, key: str) -> tuple[TauFn, str]:
         return self._parse(key, _parse_tau), self.raw(key)
@@ -300,8 +309,8 @@ class ExperimentConfig:
                               f"distinct scales, got {len(set(scales))}")
         return scales
 
-    def positive_floats(self, key: str) -> tuple[float, ...]:
-        return self._parse(key, _parse_positive_floats)
+    def eps_ladder(self, key: str) -> tuple[float, ...]:
+        return self._parse(key, _parse_eps_ladder)
 
     def alpha_grid(self, key: str) -> tuple[float, ...]:
         return self._parse(key, _parse_alpha_grid)
@@ -724,7 +733,7 @@ def _run_count(config: ExperimentConfig) -> int:
 
 def _run_orderstats(config: ExperimentConfig) -> int:
     q = config.direction("q")
-    nu, nu_id = config.measure("nu")
+    nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
     grid = config.alpha_grid("alpha_grid")
     seeds = config.seeds("seeds")
@@ -740,9 +749,9 @@ def _run_orderstats(config: ExperimentConfig) -> int:
 
 def _run_entropy_eps(config: ExperimentConfig) -> int:
     q = config.direction("q")
-    nu, nu_id = config.measure("nu")
+    nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
-    eps_ladder = config.positive_floats("eps_ladder")
+    eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
@@ -754,9 +763,11 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
 def _run_entropy_level(config: ExperimentConfig) -> int:
     dimension = config.dimension("D")
     t = config.fraction("t")
-    nu, nu_id = config.measure("nu")
+    if t < 0:
+        raise ConfigError(f"field t={config.raw('t')!r}: must be >= 0")
+    nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
-    eps_ladder = config.positive_floats("eps_ladder")
+    eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
     budget = config.int_("budget")
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
@@ -877,7 +888,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
 
 def _run_klbudget(config: ExperimentConfig) -> int:
     q = config.direction("q")
-    target, nu_id = config.target("nu")
+    target, nu_id = config.target("nu", ensemble=True)
     method = config.raw("method")
     nu = target.to_measure() if isinstance(target, Histogram) else target
     n_ladder = config.scales("n_ladder", at_least=2)
@@ -889,7 +900,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
         )
     elif method == "eps":
         est = estimate_entropy_eps(
-            seeds, q, nu, n_ladder, config.positive_floats("eps_ladder"), budget=budget
+            seeds, q, nu, n_ladder, config.eps_ladder("eps_ladder"), budget=budget
         )
     else:
         raise ConfigError(f"field method={method!r}: expected 'orderstats' or 'eps'")
@@ -934,8 +945,16 @@ def _run_bernoulli(config: ExperimentConfig) -> int:
 
 
 def _run_verify(config: ExperimentConfig) -> int:
+    # Imported here so that no other command pays for loading the suite.
+    from .verification import TITLES, VerificationSuite, format_table
+
     suite = VerificationSuite(config.int_("seed"))
-    criteria = sorted(config.seeds("criteria")) if config.has("criteria") else None
+    criteria = None
+    if config.has("criteria"):
+        criteria = sorted(config.seeds("criteria"))
+        if not set(criteria) <= set(TITLES):
+            raise ConfigError(f"field criteria={config.raw('criteria')!r}: "
+                              f"criteria are {min(TITLES)}..{max(TITLES)}")
     reports = suite.run(criteria)
     print(format_table(reports))
     if config.values.get("json"):

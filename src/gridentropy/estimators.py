@@ -23,16 +23,18 @@ is the public estimator.
 
 Everything is deterministic given (seed list, config).  Both forms
 are functions of one object per ladder point: the profile, the sorted
-array of all path distances.  One enumeration pass per (environment,
-target, n, ensemble) builds it; one LRU store capped in bytes keeps it,
-so the eps ladder, the rank grid and the level cross-check all read the
-same array.  Order statistics index into it and each cost sum is one
-max-shifted log-sum-exp over it.
+array of all path distances.  It is built once per (environment,
+target, n, ensemble) from the paths' sorted label rows, which the
+lattice expands level by level in blocks capped in bytes; the
+prokhorov row kernel turns each block into distances.  One LRU store
+capped in bytes keeps the profile, so the eps ladder, the rank grid
+and the level cross-check all read the same array.  Order statistics
+index into it and each cost sum is one max-shifted log-sum-exp over
+it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -46,13 +48,13 @@ from .lattice import (
     BudgetError,
     Direction,
     Environment,
-    enumerate_level_paths,
     enumerate_paths,
+    label_rows,
     level_path_count,
     path_count,
 )
 from .measures import Measure
-from .prokhorov import prokhorov_distance
+from .prokhorov import prokhorov_distance, prokhorov_rows
 
 __all__ = [
     "OrderStatSeries",
@@ -71,6 +73,9 @@ __all__ = [
 
 # Byte cap of the profile store; a bigger profile is used once, not kept.
 _PROFILE_STORE_BYTES = 256 << 20
+# Byte cap of one block of breakpoints (n*m + 1 floats per path) while
+# a profile is built, so the build's memory does not grow with --budget.
+_PROFILE_BLOCK_BYTES = 1 << 20
 _profiles: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 # Tolerated per-step rise when deciding whether an order-statistic
@@ -128,10 +133,6 @@ class EntropyEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _normalized_empirical(labels: Sequence[float], n_scale: int) -> Measure:
-    return Measure((u, 1.0 / n_scale) for u in labels)
-
-
 def _profile(
     env: Environment,
     nu: Measure,
@@ -144,18 +145,23 @@ def _profile(
     """Sorted, read-only rho((1/n) mu_path, nu) over one ladder point's paths.
 
     The ensemble is either every path origin -> endpoint or every one
-    of the D^level_length paths from the origin.  Profiles live in one
-    LRU store of at most _PROFILE_STORE_BYTES; a profile bigger than
-    that is returned without being stored.
+    of the D^level_length paths from the origin.  The paths' sorted
+    label rows arrive in blocks of at most _PROFILE_BLOCK_BYTES of
+    breakpoints, each row an empirical measure with mass 1/n per label,
+    and one row kernel gives each block's distances.  Profiles live in
+    one LRU store of at most _PROFILE_STORE_BYTES; a profile bigger
+    than that is returned without being stored.
     """
     if (endpoint is None) == (level_length is None):
         raise ValueError("exactly one of endpoint/level_length must be given")
     if endpoint is not None:
         endpoint = tuple(int(c) for c in endpoint)
         count = path_count(endpoint)
+        length = sum(endpoint)
         key = (env, nu, n_scale, "point", endpoint)
     else:
         count = level_path_count(env.dimension, level_length)
+        length = level_length
         key = (env, nu, n_scale, "level", level_length)
     if count > budget:
         raise BudgetError(count, budget)
@@ -165,15 +171,12 @@ def _profile(
         return profile
 
     profile = np.empty(count)
-    slots = itertools.count()
-
-    def visit(path, labels):
-        profile[next(slots)] = prokhorov_distance(_normalized_empirical(labels, n_scale), nu)
-
-    if endpoint is not None:
-        enumerate_paths(env, endpoint, visit, budget=budget)
-    else:
-        enumerate_level_paths(env, level_length, visit, budget=budget)
+    filled = 0
+    row_bytes = 8 * (length * len(nu.atoms) + 1)
+    for rows in label_rows(env, _PROFILE_BLOCK_BYTES // row_bytes,
+                           endpoint=endpoint, length=level_length):
+        profile[filled:filled + len(rows)] = prokhorov_rows(rows, 1.0 / n_scale, nu)
+        filled += len(rows)
     profile.sort()
     profile.setflags(write=False)
     if profile.nbytes <= _PROFILE_STORE_BYTES:

@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "shannon_entropy",
     "enumerate_paths",
     "enumerate_level_paths",
+    "label_rows",
     "path_weight",
     "canonical_path",
 ]
@@ -416,6 +417,94 @@ def enumerate_level_paths(
         raise BudgetError(count, budget)
     _dfs_paths(env, (0,) * env.dimension, visitor, None, length)
     return count
+
+
+def label_rows(
+    env: Environment,
+    block_rows: int,
+    *,
+    endpoint: Sequence[int] | None = None,
+    length: int | None = None,
+) -> Iterator[np.ndarray]:
+    """The sorted label lists of an ensemble's paths, in blocks of rows.
+
+    The ensemble is every NE path origin -> endpoint or every one of the
+    D^length paths from the origin; exactly one of the two is given.
+    Each block is a (paths, path length) float array of at most
+    max(1, block_rows) rows, and row i is one path's labels in
+    ascending order, the list ``enumerate_paths`` passes its visitor.
+    Every path appears in exactly one row; the order of the rows is
+    not part of the contract.
+
+    A block is the subtree of one path prefix, built by level
+    expansion: each level takes one ``label_array`` call per axis for
+    the prefixes that step along it.  A prefix with more paths than a
+    block holds is stepped one level, and each child is tried in turn.
+    """
+    if (endpoint is None) == (length is None):
+        raise ValueError("exactly one of endpoint/length must be given")
+    d = env.dimension
+    if endpoint is not None:
+        box = tuple(int(c) for c in endpoint)
+        if len(box) != d or any(c < 0 for c in box):
+            raise ValueError(f"endpoint {box} is not a point of N^{d}")
+        depth = sum(box)
+
+        def paths_from(point) -> int:
+            return path_count([b - int(c) for b, c in zip(box, point)])
+    else:
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
+        box = None
+        depth = length
+
+        def paths_from(point) -> int:
+            return d ** (depth - int(sum(point)))
+    block_rows = max(1, block_rows)
+
+    def step(points):
+        """One level: (parent row, label, point) of each child, as arrays."""
+        parents, labels, stepped = [], [], []
+        for axis in range(d):
+            if box is None:
+                src = np.arange(len(points))
+            else:
+                src = (points[:, axis] < box[axis]).nonzero()[0]
+                if not len(src):
+                    continue
+            anchors = points[src]
+            labels.append(env.label_array(anchors, axis))
+            anchors[:, axis] += 1
+            parents.append(src)
+            stepped.append(anchors)
+        return np.concatenate(parents), np.concatenate(labels), np.concatenate(stepped)
+
+    # Pending prefixes, one row each: (labels so far, end point).
+    pending = [(np.empty((1, 0)), np.zeros((1, d), dtype=np.uint64))]
+    while pending:
+        prefix, points = pending.pop()
+        done = prefix.shape[1]
+        if paths_from(points[0]) > block_rows:
+            # Too many paths for one block: step the prefix one level.
+            parents, labels, points = step(points)
+            prefix = np.concatenate([prefix[parents], labels[:, None]], axis=1)
+            pending.extend((prefix[i:i + 1], points[i:i + 1]) for i in range(len(points)))
+            continue
+        # The block fits: expand it to full length, keeping only parent
+        # links, then read the labels back along them.
+        levels = []
+        for _ in range(done, depth):
+            parents, labels, points = step(points)
+            levels.append((parents, labels))
+        block = np.empty((len(points), depth))
+        index = np.arange(len(points))
+        for col in range(depth - 1, done - 1, -1):
+            parents, labels = levels[col - done]
+            block[:, col] = labels[index]
+            index = parents[index]
+        block[:, :done] = prefix
+        block.sort(axis=1)
+        yield block
 
 
 def _level_edges(env: Environment, box: Sequence[int], depth: int):

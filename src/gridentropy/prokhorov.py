@@ -28,6 +28,10 @@ max(d_k, deficiency).  Bisecting the breakpoints for the crossing of
 the nonincreasing deficiency therefore gives the exact infimum with no
 search tolerance.
 
+``prokhorov_rows`` gives the same distances for a block of path
+empirical measures at once: one numpy pass builds every row's
+breakpoints, then each row runs the same bisection and sweep.
+
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
 for the sweep.
@@ -38,9 +42,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .measures import Measure
 
-__all__ = ["max_deficiency", "prokhorov_distance", "prokhorov_brute"]
+__all__ = ["max_deficiency", "prokhorov_distance", "prokhorov_rows", "prokhorov_brute"]
 
 _BRUTE_SUPPORT_MAX = 16
 
@@ -156,13 +162,29 @@ def prokhorov_distance(mu: Measure, nu: Measure) -> float:
     ys, y_masses = nu.positions, nu.masses
     breakpoints = sorted({0.0} | {abs(x - y) for x in xs for y in ys})
     max_total = max(mu.total_mass, nu.total_mass)
+    return _infimum(breakpoints, xs, x_masses, ys, y_masses, max_total)
 
+
+def _infimum(
+    breakpoints: Sequence[float],
+    xs: Sequence[float],
+    x_masses: Sequence[float],
+    ys: Sequence[float],
+    y_masses: Sequence[float],
+    max_total: float,
+) -> float:
+    """The distance, bisected over its increasing breakpoints.
+
+    ``breakpoints`` are 0.0 and every other |x - y|, each once, in
+    increasing order (a list or a numpy row); both supports are sorted
+    and hold at least two atoms each.
+    """
     deficiency_cache: dict[int, float] = {}
 
     def deficiency(k: int) -> float:
         # Deficiency on the interval (b_k, b_{k+1}]: closed edges at b_k.
         if k not in deficiency_cache:
-            flow = _sweep_flow(xs, x_masses, ys, y_masses, breakpoints[k])
+            flow = _sweep_flow(xs, x_masses, ys, y_masses, float(breakpoints[k]))
             deficiency_cache[k] = max(0.0, max_total - flow)
         return deficiency_cache[k]
 
@@ -181,8 +203,48 @@ def prokhorov_distance(mu: Measure, nu: Measure) -> float:
     if crossing == count:
         return deficiency(count - 1)
     if crossing == 0:
-        return breakpoints[0]
-    return min(breakpoints[crossing], deficiency(crossing - 1))
+        return float(breakpoints[0])
+    return min(float(breakpoints[crossing]), deficiency(crossing - 1))
+
+
+def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
+    """prokhorov_distance(Measure((x, mass) for x in row), nu) for every row.
+
+    ``rows`` is a (paths, atoms) float array, each row sorted.  One
+    numpy pass builds the breakpoints of the whole block: IEEE
+    subtraction and abs give the bits of ``prokhorov_distance``'s set
+    comprehension, and a row's breakpoints are 0.0 followed by its
+    sorted n*m distances whenever those are all distinct and nonzero.
+    Each such row then runs the same bisection and sweep.  Every other
+    row goes through ``prokhorov_distance`` unchanged: a row with equal
+    labels (which Measure would merge) or equal or zero distances
+    (which the set would merge), a row equal to the target's positions
+    (it has zero distances), and every row when the row or the target
+    has fewer than two atoms.
+    """
+    count, length = rows.shape
+    ys, y_masses = nu.positions, nu.masses
+    distances = np.empty(count)
+    fast = np.zeros(count, dtype=bool)
+    if length >= 2 and len(ys) >= 2:
+        breakpoints = np.zeros((count, length * len(ys) + 1))
+        gaps = breakpoints[:, 1:]
+        # Splitting the contiguous last axis gives a view, so the
+        # pairwise distances land in place behind the leading 0.0.
+        pairs = gaps.reshape(count, length, len(ys))
+        np.subtract(rows[:, :, None], np.array(ys), out=pairs)
+        np.abs(pairs, out=pairs)
+        gaps.sort(axis=1)
+        fast = (breakpoints[:, 1:] > breakpoints[:, :-1]).all(axis=1)
+        x_masses = [mass] * length
+        max_total = max(math.fsum(x_masses), nu.total_mass)
+        for i in fast.nonzero()[0]:
+            distances[i] = _infimum(
+                breakpoints[i], rows[i].tolist(), x_masses, ys, y_masses, max_total
+            )
+    for i in (~fast).nonzero()[0]:
+        distances[i] = prokhorov_distance(Measure((x, mass) for x in rows[i].tolist()), nu)
+    return distances
 
 
 def prokhorov_brute(mu: Measure, nu: Measure) -> float:

@@ -433,12 +433,23 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("sample", "--D", "2", "--length", "-1"), "length="),
     (("conjugate", "--k", "0"), "k="),
     (("conjugate", "--k", "9"), "k="),
+    (("entropy-eps", "--eps", "1,2"), "eps_ladder="),
+    (("entropy-eps", "--eps", "2,2"), "eps_ladder="),
+    (("entropy-level", "--t", "-1"), "t="),
+    (("orderstats", "--nu", "hist:0,0,0"), "nu="),
+    (("entropy-eps", "--nu", "hist:0,0,0"), "nu="),
+    (("entropy-level", "--nu", "hist:0,0,0"), "nu="),
+    (("klbudget", "--nu", "hist:0,0"), "nu="),
+    (("verify", "--criteria", "13"), "criteria="),
+    (("verify", "--criteria", "0"), "criteria="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
     needs two, a dimension below 1, a negative length, a cell count k
-    outside 1..8, and a Bernoulli p outside (0, 1) or s outside (0, 1]
-    exit 2 naming the field before any estimator runs."""
+    outside 1..8, a Bernoulli p outside (0, 1) or s outside (0, 1], an
+    eps ladder that does not strictly decrease, a negative level scale
+    t, an ensemble target of zero total mass and an unknown verify
+    criterion exit 2 naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
@@ -522,7 +533,7 @@ def test_verify_single_criterion(capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     """Any failing criterion turns into the verification exit code."""
-    import gridentropy.cli as cli
+    import gridentropy.verification as verification
     from gridentropy.verification import CheckRow, CriterionReport
 
     failing = CriterionReport(
@@ -540,7 +551,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         def run(self, criteria=None):
             return [failing]
 
-    monkeypatch.setattr(cli, "VerificationSuite", StubSuite)
+    monkeypatch.setattr(verification, "VerificationSuite", StubSuite)
     code, out, _ = _run(capsys, "verify")
     assert code == EXIT_VERIFY
     assert "FAIL" in out

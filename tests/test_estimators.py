@@ -18,6 +18,7 @@ from gridentropy import (
     TauFn,
     cost_sum,
     discretize_lebesgue,
+    enumerate_level_paths,
     enumerate_paths,
     eps_sum,
     eps_sum_level,
@@ -196,13 +197,13 @@ def test_cost_sum_overflowing_term_is_not_nan():
 
 def _count_enumerations(monkeypatch):
     calls = []
-    original = estimators.enumerate_paths
+    original = estimators.label_rows
 
-    def counting(env, endpoint, visitor, **kwargs):
+    def counting(env, block_rows, *, endpoint=None, length=None):
         calls.append((env.seed, tuple(endpoint)))
-        return original(env, endpoint, visitor, **kwargs)
+        return original(env, block_rows, endpoint=endpoint, length=length)
 
-    monkeypatch.setattr(estimators, "enumerate_paths", counting)
+    monkeypatch.setattr(estimators, "label_rows", counting)
     return calls
 
 
@@ -252,6 +253,42 @@ def test_profile_store_stays_under_byte_cap(monkeypatch):
     stat = order_stat_series(env, q, nu, 4, [1, 35, 70, 71])
     assert stat.values == (*(sorted(dists)[j - 1] for j in (1, 35, 70)), math.inf)
     assert sorted(len(p) for p in store.values()) == [2, 20]
+
+
+def _dfs_profile(env, nu, n, endpoint=None, length=None):
+    """The profile the slow way: one DFS visit, Measure and distance per path."""
+    dists = []
+
+    def visit(path, labels):
+        dists.append(prokhorov_distance(Measure((u, 1.0 / n) for u in labels), nu))
+
+    if endpoint is not None:
+        enumerate_paths(env, endpoint, visit)
+    else:
+        enumerate_level_paths(env, length, visit)
+    return sorted(dists)
+
+
+@pytest.mark.parametrize("dimension, endpoint, length", [
+    (1, (5,), 5), (2, (3, 3), 6), (3, (2, 1, 1), 4),
+])
+def test_profile_blocks_match_dfs_oracle(monkeypatch, dimension, endpoint, length):
+    """Profiles built from label rows in blocks of a few rows are ``==``
+    the sorted per-path distances of the DFS, for point and level ensembles."""
+    env = Environment(17, dimension)
+    for nu in (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure.dirac(0.5)):
+        n = length + 1
+        want_point = _dfs_profile(env, nu, n, endpoint=endpoint)
+        want_level = _dfs_profile(env, nu, n, length=length)
+        for block_paths in (None, 1, 3):
+            monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+            if block_paths is not None:
+                row_bytes = 8 * (length * len(nu.atoms) + 1)
+                monkeypatch.setattr(estimators, "_PROFILE_BLOCK_BYTES", block_paths * row_bytes)
+            point = estimators._profile(env, nu, n, endpoint=endpoint)
+            level = estimators._profile(env, nu, n, level_length=length)
+            assert point.tolist() == want_point
+            assert level.tolist() == want_level
 
 
 def test_level_decomposition_identity():

@@ -19,6 +19,7 @@ from gridentropy import (
     empirical_measure,
     enumerate_level_paths,
     enumerate_paths,
+    label_rows,
     level_path_count,
     path_count,
     path_weight,
@@ -206,6 +207,39 @@ def test_enumerate_level_paths():
     assert endpoints == {(3, 0), (2, 1), (1, 2), (0, 3)}
     with pytest.raises(BudgetError):
         enumerate_level_paths(env, 40, lambda p, labels: None, budget=10**6)
+
+
+def _dfs_label_lists(env, endpoint=None, length=None):
+    lists = []
+    if endpoint is not None:
+        enumerate_paths(env, endpoint, lambda p, labels: lists.append(tuple(labels)))
+    else:
+        enumerate_level_paths(env, length, lambda p, labels: lists.append(tuple(labels)))
+    return sorted(lists)
+
+
+@pytest.mark.parametrize("dimension, endpoint, length", [
+    (1, (4,), 0), (1, (0,), 1), (2, (3, 2), 5), (2, (0, 0), 3), (3, (2, 1, 2), 4),
+])
+def test_label_rows_equal_sorted_dfs_lists(dimension, endpoint, length):
+    """Level expansion yields each path's sorted labels once, in blocks of
+    at most block_rows rows, for any block size."""
+    env = Environment(23, dimension)
+    for kwargs in ({"endpoint": endpoint}, {"length": length}):
+        want = _dfs_label_lists(env, **kwargs)
+        for block_rows in (0, 1, 2, 5, 10**6):
+            blocks = list(label_rows(env, block_rows, **kwargs))
+            assert all(len(block) <= max(1, block_rows) for block in blocks)
+            rows = [tuple(row) for block in blocks for row in block.tolist()]
+            assert sorted(rows) == want
+
+
+def test_label_rows_validation():
+    env = Environment(5, 2)
+    for kwargs in ({}, {"endpoint": (1, 1), "length": 2}, {"endpoint": (1, 1, 1)},
+                   {"endpoint": (1, -1)}, {"length": -1}):
+        with pytest.raises(ValueError):
+            list(label_rows(env, 10, **kwargs))
 
 
 def test_enumerate_paths_from_offset_start():

@@ -1,19 +1,24 @@
 """Levy-Prokhorov distance: the line sweep against the Dinic max-flow oracle
-and the definition-level oracle."""
+and the definition-level oracle, and the row kernel against the scalar
+distance."""
 
 import numpy as np
 import pytest
 
 from gridentropy import (
+    Environment,
     Measure,
     add,
     discretize_lebesgue,
+    label_rows,
     max_deficiency,
     prokhorov_brute,
     prokhorov_distance,
+    prokhorov_rows,
     tv_distance,
     tv_norm,
 )
+from gridentropy import prokhorov
 from flow_oracle import oracle_deficiency
 
 
@@ -158,3 +163,75 @@ def test_sweep_matches_dinic_oracle():
                 want = oracle_deficiency(mu, nu, radius, strict)
                 assert max_deficiency(mu, nu, radius, strict) == want
                 assert max_deficiency(nu, mu, radius, strict) == oracle_deficiency(nu, mu, radius, strict)
+
+
+def _count_scalar_calls(monkeypatch):
+    calls = []
+    original = prokhorov.prokhorov_distance
+
+    def counting(mu, nu):
+        calls.append(mu)
+        return original(mu, nu)
+
+    monkeypatch.setattr(prokhorov, "prokhorov_distance", counting)
+    return calls
+
+
+ROW_TARGETS = (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure.dirac(0.5))
+
+
+@pytest.mark.parametrize("dimension, endpoint, length", [
+    (1, (6,), 6), (2, (3, 3), 6), (3, (2, 2, 1), 5),
+])
+def test_prokhorov_rows_match_scalar_distance(monkeypatch, dimension, endpoint, length):
+    """The row kernel is ``==`` prokhorov_distance on every path of point and
+    level ensembles, and multi-atom targets never need the scalar path."""
+    env = Environment(31, dimension)
+    for kwargs in ({"endpoint": endpoint}, {"length": length}):
+        rows = np.concatenate(list(label_rows(env, 10**6, **kwargs)))
+        for nu in ROW_TARGETS:
+            for mass in (1.0 / length, 1.0 / (length + 3)):
+                want = [prokhorov_distance(Measure((u, mass) for u in row), nu)
+                        for row in rows.tolist()]
+                calls = _count_scalar_calls(monkeypatch)
+                assert prokhorov_rows(rows, mass, nu).tolist() == want
+                assert len(calls) == (len(rows) if len(nu.atoms) == 1 else 0)
+                monkeypatch.undo()
+
+
+def test_prokhorov_rows_fallback_rows(monkeypatch):
+    """Rows that Measure or the breakpoint set would merge, short rows and a
+    row equal to the target go through prokhorov_distance and agree with it."""
+    nu = Measure([(0.125, 0.5), (0.375, 0.5)])
+    fast = [0.2, 0.6]
+    forced = [
+        [0.3, 0.3],      # duplicate labels
+        [0.125, 0.6],    # a zero breakpoint
+        [0.0, 0.25],     # equal breakpoints: |0 - 0.125| == |0.25 - 0.125|
+        [0.125, 0.375],  # the target's own atoms: distance 0
+    ]
+    calls = _count_scalar_calls(monkeypatch)
+    got = prokhorov_rows(np.array([fast] + forced), 0.5, nu)
+    assert len(calls) == len(forced)
+    want = [prokhorov_distance(Measure((u, 0.5) for u in row), nu) for row in [fast] + forced]
+    assert got.tolist() == want
+    assert got[-1] == 0.0
+    for rows in (np.empty((1, 0)), np.array([[0.3], [0.7]])):
+        calls.clear()
+        got = prokhorov_rows(rows, 0.25, nu)
+        assert len(calls) == len(rows)
+        assert got.tolist() == [prokhorov_distance(Measure((u, 0.25) for u in row), nu)
+                                for row in rows.tolist()]
+    assert prokhorov_rows(np.empty((1, 0)), 0.25, nu).tolist() == [nu.total_mass]
+
+
+def test_prokhorov_rows_match_brute_oracle():
+    """On small supports the row kernel agrees with the definition."""
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        length = int(rng.integers(2, 6))
+        rows = np.sort(rng.uniform(size=(4, length)), axis=1)
+        mass = 1.0 / int(rng.integers(length, length + 3))
+        nu = Measure(zip(rng.uniform(size=3), rng.uniform(0.1, 0.5, 3)))
+        for row, got in zip(rows.tolist(), prokhorov_rows(rows, mass, nu).tolist()):
+            assert abs(got - prokhorov_brute(Measure((u, mass) for u in row), nu)) <= 1e-12
