@@ -12,12 +12,9 @@ from .measures import (
     Measure,
     add,
     discretize_lebesgue,
-    empirical_measure,
     kl_divergence,
-    pushforward,
     scale,
     tv_distance,
-    tv_norm,
 )
 from .prokhorov import max_deficiency, prokhorov_brute, prokhorov_distance, prokhorov_rows
 from .estimators import (
@@ -41,19 +38,15 @@ from .lattice import (
     Environment,
     Path,
     TauFn,
-    canonical_path,
     enumerate_level_paths,
     enumerate_paths,
     label_rows,
     level_path_count,
     path_count,
-    path_weight,
     shannon_entropy,
 )
 from .polymer import (
     DpTable,
-    SampleStream,
-    empirical_convergence_diagnostic,
     gibbs_estimate,
     ladder_levels,
     last_passage,

@@ -46,7 +46,7 @@ from .lattice import (
     level_path_count,
     path_count,
 )
-from .measures import Histogram, Measure
+from .measures import UNIT_MASS_TOL, Histogram, Measure
 from .polymer import DpTable, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths
 from .prokhorov import prokhorov_distance
 from .variational import (
@@ -668,7 +668,11 @@ def _ladder_rows(est: EntropyEstimate, dimension: int, q_or_t: str, nu_id: str) 
 
 
 def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> None:
-    """Write whichever of csv/json/svg the run asked for."""
+    """Write whichever of csv/json/svg the run asked for.
+
+    The JSON artifact is ``payload`` plus the resolved configuration
+    under "config".
+    """
     csv_path = config.values.get("csv")
     json_path = config.values.get("json")
     svg_path = config.values.get("svg")
@@ -677,7 +681,7 @@ def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> Non
     if csv_path:
         write_csv(csv_path, config, rows)
     if json_path:
-        write_json(json_path, payload)
+        write_json(json_path, {"config": dict(config.values), **payload})
     if svg_path:
         _, parsed = read_csv(csv_path)
         title = f"{config.command} {config.values.get('nu', '')}".strip()
@@ -685,9 +689,8 @@ def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> Non
             fh.write(render_svg(parsed, title))
 
 
-def _summary_payload(config: ExperimentConfig, est: EntropyEstimate) -> dict:
+def _summary_payload(est: EntropyEstimate) -> dict:
     return {
-        "config": dict(config.values),
         "method": est.method,
         "value": est.value,
         "extrapolated": est.extrapolated,
@@ -710,8 +713,7 @@ def _run_metric(config: ExperimentConfig) -> int:
     nu, _ = config.measure("nu")
     distance = prokhorov_distance(mu, nu)
     print(_fmt(distance))
-    if config.values.get("json"):
-        write_json(config.values["json"], {"config": dict(config.values), "distance": distance})
+    _emit(config, (), {"distance": distance})
     return EXIT_OK
 
 
@@ -737,12 +739,12 @@ def _run_orderstats(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     grid = config.alpha_grid("alpha_grid")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget")
+    budget = config.int_("budget", at_least=1)
     threshold = config.float_("threshold") if config.has("threshold") else None
     est = estimate_entropy_orderstats(
         seeds, q, nu, n_ladder, grid, threshold=threshold, budget=budget
     )
-    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(config, est))
+    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
     _print_estimate(est)
     return EXIT_OK
 
@@ -753,9 +755,9 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget")
+    budget = config.int_("budget", at_least=1)
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
-    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(config, est))
+    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
     _print_estimate(est)
     return EXIT_OK
 
@@ -769,9 +771,9 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget")
+    budget = config.int_("budget", at_least=1)
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
-    _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(config, est))
+    _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(est))
     _print_estimate(est)
     return EXIT_OK
 
@@ -790,7 +792,7 @@ def _run_gibbs(config: ExperimentConfig) -> int:
     q_or_t = str(q) if q is not None else "level"
     nu_id = config.values.get("tau", "zero")
     _emit(config, _ladder_rows(est, dimension, q_or_t, f"tau:{nu_id}"),
-          _summary_payload(config, est))
+          _summary_payload(est))
     _print_estimate(est)
     return EXIT_OK
 
@@ -810,13 +812,7 @@ def _run_lpp(config: ExperimentConfig) -> int:
     tau, _ = config.tau("tau")
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
-    if config.values.get("json"):
-        write_json(config.values["json"], {
-            "config": dict(config.values),
-            "value": value,
-            "start": list(path.start),
-            "steps": list(path.steps),
-        })
+    _emit(config, (), {"value": value, "start": list(path.start), "steps": list(path.steps)})
     return EXIT_OK
 
 
@@ -838,8 +834,7 @@ def _run_sample(config: ExperimentConfig) -> int:
     samples = [path.steps for path in sample_polymer_paths(table, seeds)]
     # One write for the batch, to whatever sys.stdout is at call time.
     sys.stdout.write("".join([",".join(map(str, steps)) + "\n" for steps in samples]))
-    if config.values.get("json"):
-        write_json(config.values["json"], {"config": dict(config.values), "samples": samples})
+    _emit(config, (), {"samples": samples})
     return EXIT_OK
 
 
@@ -850,15 +845,15 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
     k = config.int_("k", at_least=1, at_most=MAX_CELLS)
-    random_count = config.int_("random_count")
+    random_count = config.int_("random_count", at_least=0)
     family_seed = config.int_("family_seed")
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
         n_ladder=n_ladder,
-        restarts=config.int_("restarts"),
-        ascent_passes=config.int_("passes"),
+        restarts=config.int_("restarts", at_least=1),
+        ascent_passes=config.int_("passes", at_least=0),
         rng_seed=config.int_("ascent_seed"),
     )
     best_spec = est.diagnostics["best_tau"]
@@ -879,7 +874,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
         "gap": est.diagnostics["refined_gain"],
         "bands": {"gibbs": gibbs_band, "entropy": est.band},
     }
-    payload = _summary_payload(config, est)
+    payload = _summary_payload(est)
     payload["report"] = report
     _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), payload)
     _print_estimate(est)
@@ -889,11 +884,14 @@ def _run_conjugate(config: ExperimentConfig) -> int:
 def _run_klbudget(config: ExperimentConfig) -> int:
     q = config.direction("q")
     target, nu_id = config.target("nu", ensemble=True)
+    if abs(target.total_mass - 1.0) > UNIT_MASS_TOL:
+        raise ConfigError(f"field nu={nu_id!r}: the KL budget needs total mass 1, "
+                          f"got {target.total_mass}")
     method = config.raw("method")
     nu = target.to_measure() if isinstance(target, Histogram) else target
     n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
-    budget = config.int_("budget")
+    budget = config.int_("budget", at_least=1)
     if method == "orderstats":
         est = estimate_entropy_orderstats(
             seeds, q, nu, n_ladder, config.alpha_grid("alpha_grid"), budget=budget
@@ -905,11 +903,10 @@ def _run_klbudget(config: ExperimentConfig) -> int:
     else:
         raise ConfigError(f"field method={method!r}: expected 'orderstats' or 'eps'")
     report = kl_budget_check(q, target, est)
-    if config.values.get("json"):
-        payload = _summary_payload(config, est)
-        payload["report"] = asdict(report)
-        payload["nu_id"] = nu_id
-        write_json(config.values["json"], payload)
+    payload = _summary_payload(est)
+    payload["report"] = asdict(report)
+    payload["nu_id"] = nu_id
+    _emit(config, (), payload)
     print(f"method={report.method} slack={_fmt(report.slack)} violation={report.violation}")
     return EXIT_OK
 
@@ -932,11 +929,7 @@ def _run_bernoulli(config: ExperimentConfig) -> int:
         for n in sorted(n_ladder)
         for seed in sorted(seeds)
     ]
-    payload = {"config": dict(config.values), "report": asdict(report)}
-    if config.values.get("json"):
-        write_json(config.values["json"], payload)
-    if config.values.get("csv"):
-        write_csv(config.values["csv"], config, rows)
+    _emit(config, rows, {"report": asdict(report)})
     print(
         f"max_exponent={_fmt(report.max_exponent)} budget={_fmt(report.budget)} "
         f"within_budget={report.within_budget}"
@@ -957,29 +950,27 @@ def _run_verify(config: ExperimentConfig) -> int:
                               f"criteria are {min(TITLES)}..{max(TITLES)}")
     reports = suite.run(criteria)
     print(format_table(reports))
-    if config.values.get("json"):
-        write_json(config.values["json"], {
-            "config": dict(config.values),
-            "criteria": [
-                {
-                    "criterion": report.criterion,
-                    "title": report.title,
-                    "passed": report.passed,
-                    "seconds": report.seconds,
-                    "budget_seconds": report.budget_seconds,
-                    "checks": [
-                        {
-                            "check": row.check,
-                            "measured": row.measured,
-                            "bound": row.bound,
-                            "passed": row.passed,
-                        }
-                        for row in report.rows
-                    ],
-                }
-                for report in reports
-            ],
-        })
+    _emit(config, (), {
+        "criteria": [
+            {
+                "criterion": report.criterion,
+                "title": report.title,
+                "passed": report.passed,
+                "seconds": report.seconds,
+                "budget_seconds": report.budget_seconds,
+                "checks": [
+                    {
+                        "check": row.check,
+                        "measured": row.measured,
+                        "bound": row.bound,
+                        "passed": row.passed,
+                    }
+                    for row in report.rows
+                ],
+            }
+            for report in reports
+        ],
+    })
     if all(report.passed for report in reports):
         return EXIT_OK
     return EXIT_VERIFY

@@ -13,7 +13,7 @@ integer arithmetic for every scale n.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -33,8 +33,6 @@ __all__ = [
     "enumerate_paths",
     "enumerate_level_paths",
     "label_rows",
-    "path_weight",
-    "canonical_path",
 ]
 
 DEFAULT_PATH_BUDGET = 10**8
@@ -99,11 +97,6 @@ class Direction:
         return cls(tuple(int(c * den) for c in coords), den)
 
     @classmethod
-    def balanced(cls, dimension: int) -> "Direction":
-        """The direction (1/D, ..., 1/D) with the most NE paths per level."""
-        return cls((1,) * dimension, dimension)
-
-    @classmethod
     def parse(cls, text: str) -> "Direction":
         """Parse comma-separated rationals, e.g. '1/2,1/2' or '2,1'."""
         return cls.from_fractions(Fraction(part.strip()) for part in text.split(","))
@@ -111,12 +104,6 @@ class Direction:
     @property
     def dimension(self) -> int:
         return len(self.numerators)
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.denominator) for v in self.numerators)
-
-    def norm1(self) -> Fraction:
-        return Fraction(sum(self.numerators), self.denominator)
 
     def floor_scale(self, n: int) -> tuple[int, ...]:
         """floor(n * q), coordinatewise, exactly."""
@@ -275,14 +262,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def labels(self, env: Environment) -> list[float]:
-        coords = list(self.start)
-        out = []
-        for axis in self.steps:
-            out.append(env.edge_label(coords, axis))
-            coords[axis] += 1
-        return out
-
 
 def path_count(endpoint: Sequence[int]) -> int:
     """Number of NE paths from the origin: the exact multinomial coefficient."""
@@ -328,15 +307,13 @@ def _dfs_paths(
     """Shared DFS core; remaining=None means free (level) steps.
 
     Iterative with an explicit axis-counter stack, so path length is
-    not capped by the interpreter recursion limit.  The sorted label
-    list is maintained incrementally: push on descend, pop on
-    backtrack.  The list passed to the visitor is live; callers copy
-    what they keep.
+    not capped by the interpreter recursion limit.  The label list is
+    in step order: appended on descend, popped on backtrack.  The list
+    passed to the visitor is live; callers copy what they keep.
     """
     coords = list(start)
     steps: list[int] = []
     labels: list[float] = []
-    taken: list[float] = []
     dimension = env.dimension
     stack = [0]
 
@@ -345,8 +322,7 @@ def _dfs_paths(
         coords[axis] -= 1
         if remaining is not None:
             remaining[axis] += 1
-        label = taken.pop()
-        del labels[bisect_right(labels, label) - 1]
+        labels.pop()
 
     # Invariant at the top of each turn: len(steps) == len(stack) - 1.
     while stack:
@@ -367,11 +343,9 @@ def _dfs_paths(
             if remaining[axis] == 0:
                 continue
             remaining[axis] -= 1
-        label = env.edge_label(coords, axis)
+        labels.append(env.edge_label(coords, axis))
         coords[axis] += 1
         steps.append(axis)
-        insort(labels, label)
-        taken.append(label)
         stack.append(0)
 
 
@@ -385,10 +359,10 @@ def enumerate_paths(
 ) -> int:
     """Visit every NE path start -> endpoint once, depth first.
 
-    The visitor receives the Path and its sorted label list (live
-    storage, valid for the duration of the call).  Returns the number
-    of paths visited.  Refuses with BudgetError when the exact path
-    count exceeds the budget.
+    The visitor receives the Path and its edge labels in step order
+    (live storage, valid for the duration of the call).  Returns the
+    number of paths visited.  Refuses with BudgetError when the exact
+    path count exceeds the budget.
     """
     start = tuple(int(c) for c in start) if start else (0,) * env.dimension
     endpoint = tuple(int(c) for c in endpoint)
@@ -411,7 +385,11 @@ def enumerate_level_paths(
     *,
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> int:
-    """Visit all D^length NE paths of the given length from the origin."""
+    """Visit all D^length NE paths of the given length from the origin.
+
+    The visitor receives what ``enumerate_paths`` passes it: the Path
+    and its live list of edge labels in step order.
+    """
     count = level_path_count(env.dimension, length)
     if count > budget:
         raise BudgetError(count, budget)
@@ -432,9 +410,9 @@ def label_rows(
     D^length paths from the origin; exactly one of the two is given.
     Each block is a (paths, path length) float array of at most
     max(1, block_rows) rows, and row i is one path's labels in
-    ascending order, the list ``enumerate_paths`` passes its visitor.
-    Every path appears in exactly one row; the order of the rows is
-    not part of the contract.
+    ascending order: the list ``enumerate_paths`` passes its visitor,
+    sorted.  Every path appears in exactly one row; the order of the
+    rows is not part of the contract.
 
     A block is the subtree of one path prefix, built by level
     expansion: each level takes one ``label_array`` call per axis for
@@ -551,19 +529,3 @@ def _level_edges(env: Environment, box: Sequence[int], depth: int):
         points = np.concatenate(stepped)[first]
         yield points, edges
 
-
-def path_weight(env: Environment, tau: TauFn, path: Path) -> float:
-    """Sum of tau over the path's edge labels: the linear functional <tau, mu_path>."""
-    return math.fsum(tau(u) for u in path.labels(env))
-
-
-def canonical_path(start: Sequence[int], end: Sequence[int]) -> Path:
-    """The axis-by-axis staircase from start to end (a deterministic extension)."""
-    start = tuple(int(c) for c in start)
-    end = tuple(int(c) for c in end)
-    steps: list[int] = []
-    for axis, (s, e) in enumerate(zip(start, end)):
-        if e < s:
-            raise ValueError(f"end {end} not NE of start {start}")
-        steps.extend([axis] * (e - s))
-    return Path(start, tuple(steps))

@@ -19,20 +19,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 __all__ = [
     "Measure",
     "Histogram",
-    "tv_norm",
     "tv_distance",
     "add",
     "scale",
-    "empirical_measure",
     "kl_divergence",
     "discretize_lebesgue",
-    "pushforward",
 ]
+
+# How far from 1 the total mass of a probability measure may be.
+UNIT_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class Measure:
     Atoms are stored sorted by position.  Equal positions are merged on
     construction and zero-mass atoms are dropped, so two measures are
     equal (and hash equal) iff they are equal as measures.  Positions
-    normally live in [0, 1]; pushforwards under a step function may
-    place atoms anywhere on the real line, so only finiteness is
-    enforced here.
+    normally live in [0, 1], but only finiteness is enforced here.
 
     Parameters
     ----------
@@ -160,11 +158,6 @@ class Histogram:
         return cls(masses)
 
 
-def tv_norm(mu: Measure) -> float:
-    """Total variation norm; for a non-negative measure this is its total mass."""
-    return mu.total_mass
-
-
 def tv_distance(mu: Measure, nu: Measure) -> float:
     """Total variation distance: sup over atom sets of |mu(A) - nu(A)|.
 
@@ -199,20 +192,6 @@ def scale(mu: Measure, c: float) -> Measure:
     return Measure((p, c * m) for p, m in mu.atoms)
 
 
-def empirical_measure(labels: Iterable[float]) -> Measure:
-    """Sum of unit Dirac atoms at the given edge labels.
-
-    Unnormalized: total mass equals the number of labels.  Labels must
-    lie in [0, 1] (they are couplings of the environment to uniforms).
-    """
-    atoms = []
-    for u in labels:
-        if not (0.0 <= u <= 1.0):
-            raise ValueError(f"edge label outside [0, 1]: {u}")
-        atoms.append((u, 1.0))
-    return Measure(atoms)
-
-
 def kl_divergence(nu: Histogram | Measure) -> float:
     """Relative entropy of a probability measure against Lebesgue on [0, 1].
 
@@ -227,12 +206,12 @@ def kl_divergence(nu: Histogram | Measure) -> float:
         If the input is not normalized to total mass 1.
     """
     if isinstance(nu, Histogram):
-        if abs(nu.total_mass - 1.0) > 1e-9:
+        if abs(nu.total_mass - 1.0) > UNIT_MASS_TOL:
             raise ValueError(f"histogram must have total mass 1, got {nu.total_mass}")
         m = nu.bin_count
         return math.fsum(p * math.log(p * m) for p in nu.bin_masses if p > 0.0)
     if isinstance(nu, Measure):
-        if abs(nu.total_mass - 1.0) > 1e-9:
+        if abs(nu.total_mass - 1.0) > UNIT_MASS_TOL:
             raise ValueError(f"measure must have total mass 1, got {nu.total_mass}")
         return math.inf
     raise TypeError(f"expected Histogram or Measure, got {type(nu).__name__}")
@@ -248,11 +227,3 @@ def discretize_lebesgue(m: int) -> Measure:
         raise ValueError(f"bin count must be >= 1, got {m}")
     return Measure(((2 * i + 1) / (2 * m), 1.0 / m) for i in range(m))
 
-
-def pushforward(tau: Callable[[float], float], mu: Measure) -> Measure:
-    """Image measure of mu under a step function: atoms move to tau-values.
-
-    Atoms with equal images merge.  The result may have atoms outside
-    [0, 1] since tau is real-valued.
-    """
-    return Measure((float(tau(p)), m) for p, m in mu.atoms)

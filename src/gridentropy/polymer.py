@@ -46,40 +46,18 @@ import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
-    _GOLDEN, _MASK, _level_edges, _mix, _mix_array, Direction, Environment, Path, TauFn,
+    _GOLDEN, _MASK, _level_edges, _mix_array, Direction, Environment, Path, TauFn,
 )
-from .measures import Measure
-from .prokhorov import prokhorov_distance
 
 __all__ = [
     "DpTable",
-    "SampleStream",
     "gibbs_estimate",
     "ladder_levels",
     "last_passage",
     "sample_polymer_paths",
-    "empirical_convergence_diagnostic",
 ]
 
 _STREAM_TAG = 0x1D872B41A9C3F6E5
-
-
-class SampleStream:
-    """Counter-based uniform stream for path sampling.
-
-    Same mixer as the environment labels but under a distinct domain
-    tag, so no (seed, counter) pair can collide with an edge-label
-    chain.
-    """
-
-    def __init__(self, seed: int):
-        self._base = _mix(((seed & _MASK) ^ _STREAM_TAG) + _GOLDEN)
-        self._counter = 0
-
-    def uniform(self) -> float:
-        self._counter += 1
-        state = _mix(self._base ^ ((self._counter * _GOLDEN) & _MASK))
-        return (state >> 11) * 2.0**-53
 
 
 def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
@@ -334,13 +312,17 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
 
 
 def _stream_bases(rng_seeds: Sequence[int]) -> np.ndarray:
-    """``SampleStream`` bases of the given seeds as a uint64 array."""
+    """The stream base of each draw seed, as a uint64 array.
+
+    The environment's mixer under a distinct domain tag, so no (seed,
+    counter) pair can collide with an edge-label chain.
+    """
     seeds = np.array([int(seed) & _MASK for seed in rng_seeds], dtype=np.uint64)
     return _mix_array((seeds ^ np.uint64(_STREAM_TAG)) + np.uint64(_GOLDEN))
 
 
 def _stream_uniforms(bases: np.ndarray, counter: int) -> np.ndarray:
-    """The counter-th ``SampleStream.uniform()`` of every stream, bit for bit."""
+    """The counter-th uniform (counters start at 1) of every stream."""
     state = _mix_array(bases ^ np.uint64((counter * _GOLDEN) & _MASK))
     return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
@@ -389,7 +371,7 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     probability exp(logZ(u) + beta * tau(label) - logZ(v)), axes in
     ascending order.  The transition thresholds are computed once per
     call; then all draws step back one level at a time together, each
-    reading its uniforms from its own ``SampleStream``.  The paths are
+    reading its uniforms from its own counter-based stream.  The paths are
     bit-identical to drawing each seed on its own.
     """
     if table.mode != "softmax":
@@ -421,80 +403,3 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     step_tuples = zip(*steps.T.tolist()) if depth else [()] * len(bases)
     return [Path(origin, row) for row in step_tuples]
 
-
-def _path_labels(env: Environment, paths: Sequence[Path], length: int) -> np.ndarray:
-    """The edge labels of paths from the origin, all of one length, hashed in batches.
-
-    One ``label_array`` call per axis; the labels come out grouped by
-    axis, not in path order.
-    """
-    steps = np.array([path.steps for path in paths], dtype=np.intp).reshape(len(paths), length)
-    unit = np.eye(env.dimension, dtype=np.uint64)[steps]
-    # Each step's anchor is the sum of the unit steps before it.
-    anchors = np.cumsum(unit, axis=1) - unit
-    return np.concatenate([env.label_array(anchors[steps == axis], axis)
-                           for axis in range(env.dimension)])
-
-
-def empirical_convergence_diagnostic(
-    env: Environment,
-    q: Direction,
-    beta: float,
-    tau: TauFn,
-    n_ladder: Sequence[int],
-    samples_per_n: int,
-    *,
-    candidates: Sequence[tuple[str, Measure]] = (),
-    bucket_bins: int = 256,
-    rng_base: int = 0,
-) -> dict:
-    """Monte Carlo check that sampled empirical measures settle down.
-
-    For each n, draws paths to floor(n q), averages the normalized
-    empirical measures (bucketed to bucket_bins bins, distorting rho by
-    at most 1/(2 * bucket_bins)), and reports the Prokhorov distance
-    between consecutive ladder means, to each candidate measure, and
-    the maximal excess of the mean CDF over the uniform CDF (negative
-    everywhere means stochastic domination by high labels).  Diagnostic
-    only: no pass/fail.
-    """
-    n_ladder = sorted(int(n) for n in n_ladder)
-    # Each bin is divided by n * samples_per_n.
-    if samples_per_n < 1:
-        raise ValueError(f"samples_per_n must be >= 1, got {samples_per_n}")
-    if n_ladder and n_ladder[0] < 1:
-        raise ValueError(f"n_ladder scales must be positive, got {n_ladder[0]}")
-    means: list[Measure] = []
-    cdf_excess = []
-    for n in n_ladder:
-        endpoint = q.floor_scale(n)
-        table = DpTable.point(env, endpoint, beta, tau)
-        paths = sample_polymer_paths(table, range(rng_base, rng_base + samples_per_n))
-        labels = _path_labels(env, paths, sum(endpoint))
-        cells = np.minimum((labels * bucket_bins).astype(np.intp), bucket_bins - 1)
-        # Integer counts, exact in float64, as adding 1.0 per label is.
-        bins = np.bincount(cells, minlength=bucket_bins).astype(np.float64)
-        bins /= n * samples_per_n
-        mean = Measure(
-            ((idx + 0.5) / bucket_bins, m) for idx, m in enumerate(bins) if m > 0
-        )
-        means.append(mean)
-        # Both CDFs reach the total mass at the last bin, so domination
-        # is informative only strictly inside [0, 1).
-        edges = (np.arange(bucket_bins - 1) + 1.0) / bucket_bins
-        cdf_excess.append(float(np.max(np.cumsum(bins)[:-1] - edges)))
-
-    return {
-        "n_ladder": n_ladder,
-        "samples_per_n": samples_per_n,
-        "beta": beta,
-        "rho_consecutive": [
-            prokhorov_distance(a, b) for a, b in zip(means, means[1:])
-        ],
-        "rho_to_candidate": {
-            name: [prokhorov_distance(mean, target) for mean in means]
-            for name, target in candidates
-        },
-        "cdf_max_excess": cdf_excess,
-        "bucket_bins": bucket_bins,
-    }

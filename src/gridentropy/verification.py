@@ -41,7 +41,6 @@ from .measures import (
     discretize_lebesgue,
     scale,
     tv_distance,
-    tv_norm,
 )
 from .polymer import (
     DpTable,
@@ -130,14 +129,21 @@ def _random_measure(rng: np.random.Generator, max_atoms: int) -> Measure:
     )
 
 
-def _enum_log_partition(env: Environment, endpoint, beta: float, tau: TauFn) -> float:
+def _enum_weights(env: Environment, endpoint, beta: float,
+                  tau: TauFn) -> tuple[list[tuple[int, ...]], list[float], float]:
+    """Every path to the endpoint by enumeration: the paths' steps, their
+    beta-weights, and the log of the partition function they sum to."""
+    paths: list[tuple[int, ...]] = []
     weights: list[float] = []
     enumerate_paths(
         env, tuple(endpoint),
-        lambda path, labels: weights.append(beta * math.fsum(tau(u) for u in labels)),
+        lambda path, labels: (
+            paths.append(path.steps),
+            weights.append(beta * math.fsum(tau(u) for u in labels)),
+        ),
     )
     top = max(weights)
-    return top + math.log(math.fsum(math.exp(w - top) for w in weights))
+    return paths, weights, top + math.log(math.fsum(math.exp(w - top) for w in weights))
 
 
 class VerificationSuite:
@@ -210,7 +216,7 @@ class VerificationSuite:
             for endpoint in ((6, 6), (5, 3), (2, 6)):
                 for beta in (0.5, 1.0, 2.0):
                     dp = DpTable.point(env, endpoint, beta, _TAU16).log_value()
-                    brute = _enum_log_partition(env, endpoint, beta, _TAU16)
+                    _, _, brute = _enum_weights(env, endpoint, beta, _TAU16)
                     worst = max(worst, abs(dp - brute) / abs(brute))
         return [CheckRow(3, "max relative DP error", worst, 1e-10, worst <= 1e-10)]
 
@@ -228,7 +234,7 @@ class VerificationSuite:
                     for eps in (1.0, 0.5):
                         value = eps_sum(env, _Q2, nu, n, eps)
                         scaled = sum(_Q2.floor_scale(n)) / n
-                        lower = -(1.0 / eps) * (scaled + tv_norm(nu))
+                        lower = -(1.0 / eps) * (scaled + nu.total_mass)
                         upper = scaled * math.log(2)
                         if not (lower - slop <= value <= upper + slop):
                             interval_bad += 1
@@ -350,17 +356,7 @@ class VerificationSuite:
             ("chi-square p at zero temperature", (2, 2), 0.0, 30_000),
         ):
             table = DpTable.point(env, endpoint, beta, _TAU16)
-            weights: list[float] = []
-            paths: list[tuple[int, ...]] = []
-            enumerate_paths(
-                env, endpoint,
-                lambda path, labels: (
-                    paths.append(path.steps),
-                    weights.append(beta * math.fsum(_TAU16(u) for u in labels)),
-                ),
-            )
-            top = max(weights)
-            total = top + math.log(math.fsum(math.exp(w - top) for w in weights))
+            paths, weights, total = _enum_weights(env, endpoint, beta, _TAU16)
             expected = [draws * math.exp(w - total) for w in weights]
             counts = dict.fromkeys(paths, 0)
             first = self.base_seed * 1_000_000

@@ -15,7 +15,28 @@ import itertools
 import math
 from bisect import bisect_left
 
-from gridentropy import DpTable, Path, SampleStream
+from gridentropy import DpTable, Path
+from gridentropy.lattice import _GOLDEN, _MASK, _mix
+
+_STREAM_TAG = 0x1D872B41A9C3F6E5
+
+
+class SampleStream:
+    """Counter-based uniform stream for path sampling, one draw at a time.
+
+    Same mixer as the environment labels but under a distinct domain
+    tag, so no (seed, counter) pair can collide with an edge-label
+    chain.
+    """
+
+    def __init__(self, seed: int):
+        self._base = _mix(((seed & _MASK) ^ _STREAM_TAG) + _GOLDEN)
+        self._counter = 0
+
+    def uniform(self) -> float:
+        self._counter += 1
+        state = _mix(self._base ^ ((self._counter * _GOLDEN) & _MASK))
+        return (state >> 11) * 2.0**-53
 
 
 def box_points(box: tuple[int, ...]) -> list[list[tuple[int, ...]]]:

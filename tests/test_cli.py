@@ -442,14 +442,26 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("klbudget", "--nu", "hist:0,0"), "nu="),
     (("verify", "--criteria", "13"), "criteria="),
     (("verify", "--criteria", "0"), "criteria="),
+    (("klbudget", "--nu", "hist:0.3,0.3", "--n", "4,6", "--seeds", "1"), "nu="),
+    (("klbudget", "--nu", "atoms:[[0.5,0.6]]", "--n", "4,6", "--seeds", "1"), "nu="),
+    (("orderstats", "--budget", "0"), "budget="),
+    (("entropy-eps", "--budget", "-5"), "budget="),
+    (("entropy-level", "--budget", "0"), "budget="),
+    (("klbudget", "--budget", "-5"), "budget="),
+    (("conjugate", "--restarts", "0", "--n", "8,16", "--seeds", "1"), "restarts="),
+    (("conjugate", "--passes", "-1", "--n", "8,16", "--seeds", "1"), "passes="),
+    (("conjugate", "--random-count", "-1", "--n", "8,16", "--seeds", "1"), "random_count="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
     needs two, a dimension below 1, a negative length, a cell count k
     outside 1..8, a Bernoulli p outside (0, 1) or s outside (0, 1], an
     eps ladder that does not strictly decrease, a negative level scale
-    t, an ensemble target of zero total mass and an unknown verify
-    criterion exit 2 naming the field before any estimator runs."""
+    t, an ensemble target of zero total mass, a KL-budget target whose
+    mass is not 1, a path budget below 1, fewer than one conjugate
+    restart, a negative ascent pass or random-member count and an
+    unknown verify criterion exit 2 naming the field before any
+    estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""

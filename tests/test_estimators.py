@@ -32,7 +32,6 @@ from gridentropy import (
     prokhorov_brute,
     prokhorov_distance,
     scale,
-    tv_norm,
     vanish_threshold,
 )
 from gridentropy import estimators
@@ -90,7 +89,7 @@ def test_eps_sum_interval_bounds():
         eps = float(rng.choice([0.5, 1.0, 2.0]))
         val = eps_sum(Environment(int(rng.integers(1 << 30)), d), q, nu, n, eps)
         floor_mass = sum(q.floor_scale(n)) / n
-        lower = -(floor_mass + tv_norm(nu)) / eps
+        lower = -(floor_mass + nu.total_mass) / eps
         upper = floor_mass * math.log(d)
         assert lower - 1e-12 <= val <= upper + 1e-12
 
@@ -148,7 +147,7 @@ def test_eps_sum_level_empty_path():
     env = Environment(1, 2)
     nu = discretize_lebesgue(4)
     got = eps_sum_level(env, Fraction(1, 2), nu, 1, 2.0)
-    assert abs(got - (-tv_norm(nu) / 2.0)) < 1e-15
+    assert abs(got - (-nu.total_mass / 2.0)) < 1e-15
     assert eps_sum_level(env, Fraction(1, 2), Measure.zero(), 1, 2.0) == 0.0
 
 

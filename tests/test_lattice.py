@@ -1,7 +1,6 @@
 """Lattice combinatorics, hashed environments, step functions, enumeration."""
 
 import math
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -15,17 +14,15 @@ from gridentropy import (
     Measure,
     Path,
     TauFn,
-    canonical_path,
-    empirical_measure,
     enumerate_level_paths,
     enumerate_paths,
     label_rows,
     level_path_count,
     path_count,
-    path_weight,
     shannon_entropy,
 )
 from gridentropy.measures import add
+from path_oracle import path_labels, path_weight
 
 
 def test_path_count_examples():
@@ -83,8 +80,6 @@ def test_direction_reduction_and_floor():
     assert q.floor_scale(7) == (3, 3)
     assert Direction.parse("1/2,1/2") == q
     assert Direction.parse("2,1").floor_scale(5) == (10, 5)
-    assert Direction.balanced(3).fractions() == (Fraction(1, 3),) * 3
-    assert Direction((1, 1), 2).norm1() == 1
     with pytest.raises(ValueError):
         Direction((1, -1), 2)
 
@@ -183,13 +178,18 @@ def test_enumerate_paths_basics():
 
 
 def test_enumerate_paths_label_multiset_is_sorted_and_correct():
-    env = Environment(5, 2)
+    """The visitor's labels are the path's edge labels in step order, exactly."""
+    for env, endpoint in ((Environment(5, 2), (3, 2)), (Environment(5, 3), (2, 1, 2))):
+        checked = []
 
-    def check(path, labels):
-        assert list(labels) == sorted(labels)
-        assert sorted(path.labels(env)) == list(labels)
+        def check(path, labels):
+            assert list(labels) == path_labels(env, path)
+            checked.append(path)
 
-    enumerate_paths(env, (3, 2), check)
+        count = enumerate_paths(env, endpoint, check)
+        count += enumerate_paths(env, endpoint, check, start=(1,) * env.dimension)
+        count += enumerate_level_paths(env, 4, check)
+        assert len(checked) == count
 
 
 def test_enumerate_paths_budget_refusal():
@@ -212,9 +212,9 @@ def test_enumerate_level_paths():
 def _dfs_label_lists(env, endpoint=None, length=None):
     lists = []
     if endpoint is not None:
-        enumerate_paths(env, endpoint, lambda p, labels: lists.append(tuple(labels)))
+        enumerate_paths(env, endpoint, lambda p, labels: lists.append(tuple(sorted(labels))))
     else:
-        enumerate_level_paths(env, length, lambda p, labels: lists.append(tuple(labels)))
+        enumerate_level_paths(env, length, lambda p, labels: lists.append(tuple(sorted(labels))))
     return sorted(lists)
 
 
@@ -253,17 +253,19 @@ def test_enumerate_paths_from_offset_start():
 def test_concatenated_empirical_measure_adds():
     """Empirical measure of a concatenation is the sum of the pieces'."""
     env = Environment(17, 2)
-    first = canonical_path((0, 0), (2, 1))
-    second = canonical_path((2, 1), (3, 3))
+    first = Path((0, 0), (0, 0, 1))
+    second = Path((2, 1), (0, 1, 1))
     joined = Path((0, 0), first.steps + second.steps)
-    mu_first = empirical_measure(first.labels(env))
-    mu_second = empirical_measure(second.labels(env))
-    assert add(mu_first, mu_second) == empirical_measure(joined.labels(env))
+
+    def empirical(path):
+        return Measure((u, 1.0) for u in path_labels(env, path))
+
+    assert add(empirical(first), empirical(second)) == empirical(joined)
 
 
 def test_path_weight_examples():
     env = Environment(3, 2)
-    path = canonical_path((0, 0), (4, 3))
+    path = Path((0, 0), (0, 0, 0, 0, 1, 1, 1))
     assert path_weight(env, TauFn.constant(2.5), path) == pytest.approx(2.5 * 7)
     assert path_weight(env, TauFn.constant(0.0), path) == 0.0
 
@@ -271,8 +273,8 @@ def test_path_weight_examples():
 def test_path_weight_equals_integral_of_empirical_measure():
     env = Environment(9, 3)
     tau = TauFn((0.0, 0.5), (-1.0, 2.0))
-    path = canonical_path((0, 0, 0), (2, 2, 2))
-    mu = empirical_measure(path.labels(env))
+    path = Path((0, 0, 0), (0, 0, 1, 1, 2, 2))
+    mu = Measure((u, 1.0) for u in path_labels(env, path))
     integral = sum(m * tau(p) for p, m in mu.atoms)
     assert path_weight(env, tau, path) == pytest.approx(integral, abs=1e-12)
 

@@ -10,14 +10,10 @@ from gridentropy import (
     Measure,
     add,
     discretize_lebesgue,
-    empirical_measure,
     kl_divergence,
-    pushforward,
     scale,
     tv_distance,
-    tv_norm,
 )
-from gridentropy.lattice import TauFn
 
 
 def test_atoms_sorted_merged_and_zero_mass_dropped():
@@ -47,12 +43,6 @@ def test_total_mass_matches_sum_of_masses():
         atoms = [(rng.uniform(), rng.uniform(0.0, 2.0)) for _ in range(rng.integers(0, 20))]
         m = Measure(atoms)
         assert abs(m.total_mass - sum(m.masses)) <= 1e-12 * max(1.0, m.total_mass)
-
-
-def test_tv_norm_examples():
-    assert tv_norm(Measure.zero()) == 0.0
-    assert tv_norm(Measure.dirac(0.5)) == 1.0
-    assert tv_norm(Measure([(0.1, 3.0), (0.9, 2.0)])) == 5.0
 
 
 def test_tv_distance_examples():
@@ -98,23 +88,11 @@ def test_add_and_scale():
     assert scale(Measure.dirac(0.5), 0.0) == Measure.zero()
     with pytest.raises(ValueError):
         scale(Measure.dirac(0.5), -1.0)
-
-
-def test_tv_norm_additive_over_add():
     rng = np.random.default_rng(5)
     for _ in range(30):
         mu = Measure([(rng.uniform(), rng.uniform(0.1, 2.0)) for _ in range(5)])
         nu = Measure([(rng.uniform(), rng.uniform(0.1, 2.0)) for _ in range(5)])
-        assert tv_norm(add(mu, nu)) == pytest.approx(tv_norm(mu) + tv_norm(nu), rel=1e-12)
-
-
-def test_empirical_measure():
-    assert empirical_measure([]) == Measure.zero()
-    assert empirical_measure([0.5, 0.5]) == Measure([(0.5, 2.0)])
-    assert empirical_measure([0.1, 0.9, 0.1]) == Measure([(0.1, 2.0), (0.9, 1.0)])
-    assert empirical_measure(np.linspace(0, 1, 17)).total_mass == 17.0
-    with pytest.raises(ValueError):
-        empirical_measure([0.5, 1.5])
+        assert add(mu, nu).total_mass == pytest.approx(mu.total_mass + nu.total_mass, rel=1e-12)
 
 
 def test_kl_divergence_histogram():
@@ -149,18 +127,6 @@ def test_discretize_lebesgue():
     assert m.positions[0] == 1 / 128 and m.positions[-1] == 127 / 128
     with pytest.raises(ValueError):
         discretize_lebesgue(0)
-
-
-def test_pushforward():
-    lam = discretize_lebesgue(8)
-    zero_tau = TauFn.constant(0.0)
-    assert pushforward(zero_tau, lam) == Measure.dirac(0.0, 1.0)
-    # indicator of [p, 1] sends Lebesgue to masses (p, 1-p) at {0, 1}
-    ind = TauFn.indicator(0.25)
-    img = pushforward(ind, lam)
-    assert img == Measure([(0.0, 0.25), (1.0, 0.75)])
-    # identity ladder on the matching discretization is a fixed point
-    assert pushforward(TauFn.identity_ladder(8), lam) == lam
 
 
 def test_measure_json_round_trip():

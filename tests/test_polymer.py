@@ -14,22 +14,20 @@ from gridentropy import (
     Direction,
     DpTable,
     Environment,
-    SampleStream,
     TauFn,
-    empirical_convergence_diagnostic,
     enumerate_level_paths,
     enumerate_paths,
     gibbs_estimate,
     ladder_levels,
     last_passage,
     path_count,
-    path_weight,
     sample_polymer_paths,
 )
 from gridentropy import polymer
 from gridentropy.lattice import _level_edges
 from gridentropy.polymer import _stream_bases, _stream_uniforms
-from sampler_oracle import box_points, sample_path
+from path_oracle import path_weight
+from sampler_oracle import SampleStream, box_points, sample_path
 
 TAU16 = TauFn.identity_ladder(16)
 ZERO = TauFn.constant(0.0)
@@ -412,45 +410,3 @@ def test_sample_stream_behavior():
     counts, _ = np.histogram(draws, bins=64, range=(0.0, 1.0))
     assert stats.chisquare(counts).pvalue > 0.001
 
-
-def test_diagnostic_report_fields():
-    """Convergence diagnostic carries the advertised fields at toy scale."""
-    from gridentropy import discretize_lebesgue
-
-    report = empirical_convergence_diagnostic(
-        Environment(1, 2),
-        Direction.parse("1/2,1/2"),
-        0.0,
-        ZERO,
-        [8, 16],
-        32,
-        candidates=[("lambda", discretize_lebesgue(64))],
-    )
-    assert report["n_ladder"] == [8, 16]
-    assert len(report["rho_consecutive"]) == 1
-    assert all(math.isfinite(x) for x in report["rho_consecutive"])
-    assert len(report["rho_to_candidate"]["lambda"]) == 2
-    assert len(report["cdf_max_excess"]) == 2
-
-
-def test_diagnostic_refuses_empty_samples_and_zero_scales():
-    """No samples, or a scale of 0, would divide the bins by zero; the
-    error names the argument instead of reporting NaN."""
-    env, q = Environment(1, 2), Direction.parse("1/2,1/2")
-    with pytest.raises(ValueError, match="samples_per_n"):
-        empirical_convergence_diagnostic(env, q, 1.0, TAU16, [8, 16], 0)
-    with pytest.raises(ValueError, match="n_ladder"):
-        empirical_convergence_diagnostic(env, q, 1.0, TAU16, [0, 8], 4)
-
-
-def test_diagnostic_high_beta_favors_high_labels():
-    """Tilting toward the label value pushes the mean CDF below uniform."""
-    report = empirical_convergence_diagnostic(
-        Environment(2, 2),
-        Direction.parse("1/2,1/2"),
-        8.0,
-        TauFn.identity_ladder(64),
-        [64, 128],
-        128,
-    )
-    assert report["cdf_max_excess"][-1] < 0.0
