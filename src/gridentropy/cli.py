@@ -47,7 +47,9 @@ from .lattice import (
     path_count,
 )
 from .measures import UNIT_MASS_TOL, Histogram, Measure
-from .polymer import DpTable, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths
+from .polymer import (
+    DpTable, _ladder_box, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths,
+)
 from .prokhorov import prokhorov_distance
 from .variational import (
     MAX_CELLS,
@@ -257,7 +259,8 @@ class ExperimentConfig:
         raw = self.raw(key)
         try:
             return parser(raw)
-        except (ValueError, ZeroDivisionError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError, KeyError,
+                json.JSONDecodeError) as exc:
             raise ConfigError(f"field {key}={raw!r}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"field {key}={raw!r}: {exc}") from exc
@@ -464,6 +467,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if key not in values:
             flag = key.replace("_", "-")
             raise ConfigError(f"missing required field {key!r} (flag --{flag})")
+    if values.get("svg") and not values.get("csv"):
+        raise ConfigError("svg output needs --csv: plots are rendered from the CSV file")
     values["command"] = command
     return ExperimentConfig(command, values)
 
@@ -676,8 +681,6 @@ def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> Non
     csv_path = config.values.get("csv")
     json_path = config.values.get("json")
     svg_path = config.values.get("svg")
-    if svg_path and not csv_path:
-        raise ConfigError("svg output needs --csv: plots are rendered from the CSV file")
     if csv_path:
         write_csv(csv_path, config, rows)
     if json_path:
@@ -778,6 +781,25 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# float64 overflows near 1.8e308.  Every log value and edge term of a
+# transfer DP lies within depth * (|beta| * max|tau| + log D) of 0 (beta
+# None weighs tau by 1), and the sampler subtracts two of them; a reach
+# below 1e300 keeps all of these finite with room to spare.
+_DP_REACH_LIMIT = 1e300
+
+
+def _dp_tau(config: ExperimentConfig, beta: float | None, depth: int, dimension: int) -> TauFn:
+    """The tau field, refused with beta when the DP's log weights could overflow."""
+    tau, spec = config.tau("tau")
+    scale = 1.0 if beta is None else abs(beta)
+    reach = depth * (scale * tau.bound + math.log(dimension))
+    if not reach < _DP_REACH_LIMIT:
+        fields = f"tau={spec!r}" + ("" if beta is None else f" with beta={config.raw('beta')!r}")
+        raise ConfigError(f"field {fields}: DP log weights reach {reach:.3g} over {depth} "
+                          f"steps, past the float64 range (limit {_DP_REACH_LIMIT:g})")
+    return tau
+
+
 def _run_gibbs(config: ExperimentConfig) -> int:
     dimension = config.dimension("D")
     q_spec = config.raw("q")
@@ -785,8 +807,8 @@ def _run_gibbs(config: ExperimentConfig) -> int:
     if q is not None:
         dimension = q.dimension
     beta = config.float_("beta")
-    tau, _ = config.tau("tau")
     n_ladder = config.scales("n_ladder", at_least=2)
+    tau = _dp_tau(config, beta, _ladder_box(n_ladder, q, dimension)[1], dimension)
     seeds = config.seeds("seeds")
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
@@ -809,7 +831,7 @@ def _endpoint_in(config: ExperimentConfig, dimension: int) -> tuple[int, ...]:
 def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.dimension("D"))
     endpoint = _endpoint_in(config, env.dimension)
-    tau, _ = config.tau("tau")
+    tau = _dp_tau(config, None, sum(endpoint), env.dimension)
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
     _emit(config, (), {"value": value, "start": list(path.start), "steps": list(path.steps)})
@@ -823,13 +845,18 @@ def _run_sample(config: ExperimentConfig) -> int:
         raise ConfigError("give exactly one of --endpoint or --length")
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
-    tau, _ = config.tau("tau")
+    if has_endpoint:
+        endpoint = _endpoint_in(config, env.dimension)
+        depth = sum(endpoint)
+    else:
+        depth = config.int_("length", at_least=0)
+    tau = _dp_tau(config, beta, depth, env.dimension)
     draws = config.int_("draws", at_least=1)
     rng_seed = config.int_("rng_seed")
     if has_endpoint:
-        table = DpTable.point(env, _endpoint_in(config, env.dimension), beta, tau)
+        table = DpTable.point(env, endpoint, beta, tau)
     else:
-        table = DpTable.level(env, config.int_("length", at_least=0), beta, tau)
+        table = DpTable.level(env, depth, beta, tau)
     seeds = range(rng_seed, rng_seed + draws)
     samples = [path.steps for path in sample_polymer_paths(table, seeds)]
     # One write for the batch, to whatever sys.stdout is at call time.

@@ -490,13 +490,10 @@ def _level_edges(env: Environment, box: Sequence[int], depth: int):
 
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
     lexicographic order; level 0 is the origin.  For k = 1..depth this
-    yields (points, edges): points is level k as a (rows, D) integer
-    array, and edges lists, per axis in ascending order (axes without
-    an edge into level k are left out), (axis, dst, src, labels): the
-    axis, the rows in level k, the rows in level k-1 and the labels of
-    the edges src -> dst.  A point's predecessors therefore arrive in
-    ascending axis order, the order in which a lexicographic sweep
-    reaches them.
+    yields (points, pred, label): points is level k as a (rows, D)
+    integer array; pred[r, axis] is the row in level k-1 of points[r]
+    minus the unit vector along axis, and label[r, axis] the label of
+    the edge from it, or -1 and NaN where that step leaves the box.
     """
     d = env.dimension
     # A point's row key is its mixed-radix index over the first D-1
@@ -516,16 +513,17 @@ def _level_edges(env: Environment, box: Sequence[int], depth: int):
             np.concatenate([keys[src] + strides[axis] for axis, src in moves]),
             return_index=True, return_inverse=True,
         )
+        pred = np.full((len(keys), d), -1, dtype=np.intp)
+        label = np.full((len(keys), d), np.nan)
         stepped = []
-        edges = []
         offset = 0
         for axis, src in moves:
             anchors = points[src]
-            edges.append((axis, inverse[offset:offset + len(src)], src,
-                          env.label_array(anchors, axis)))
+            dst = inverse[offset:offset + len(src)]
+            pred[dst, axis] = src
+            label[dst, axis] = env.label_array(anchors, axis)
             offset += len(src)
             anchors[:, axis] += 1
             stepped.append(anchors)
         points = np.concatenate(stepped)[first]
-        yield points, edges
-
+        yield points, pred, label

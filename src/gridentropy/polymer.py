@@ -7,10 +7,10 @@ weight) over an ensemble (paths to a fixed endpoint, or all paths of a
 fixed length), computed by a level-by-level transfer recursion in log
 space.  One recursion serves every dimension: level k is a float64
 array over the level-k points of a box (the endpoint's, or the cube of
-side n for length-n paths) in lexicographic order, and each axis's
-edges into it are folded in with numpy, axes in ascending order.
+side n for length-n paths) in lexicographic order, and each point
+folds in its predecessors with numpy, axes in ascending order.
 ``DpTable`` keeps every level; its ``log_value()`` is the partition
-function.  Max-plus mode replaces log-sum-exp with max and drops beta,
+function.  ``beta=None`` replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
@@ -38,6 +38,7 @@ must not mix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,29 +71,32 @@ def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
     return endpoint
 
 
-def _transfer(env: Environment, levels, beta: float | None, tau: TauFn, mode: str):
+def _edge_terms(prev: np.ndarray, pred: np.ndarray, label: np.ndarray,
+                beta: float | None, tau: TauFn) -> np.ndarray:
+    """prev[pred] + beta * tau(label) per (row, axis); beta None reads as 1.
+
+    A missing edge (pred -1) gathers the -inf padded onto prev: its NaN
+    label maps to a finite cell value, so the label cannot mark it.
+    """
+    w = tau.apply(label)
+    return np.append(prev, -np.inf)[pred] + (w if beta is None else beta * w)
+
+
+def _transfer(env: Environment, levels, beta: float | None, tau: TauFn):
     """Yield (points, values) for level 0 and each level of ``levels``.
 
     ``levels`` is ``_level_edges(env, box, depth)`` or a list of its
-    items.  values[i] is the log partition (softmax) or maximal weight
-    (maxplus) of the paths from the origin to points[i].  Each point
-    folds in its predecessors in ascending axis order, starting from
-    -inf.
+    items.  values[i] is the log partition of the paths from the origin
+    to points[i], or their maximal weight when beta is None.  Each point
+    folds in its predecessors' ``_edge_terms`` in ascending axis order
+    with logaddexp (max when beta is None); a missing edge's -inf leaves
+    the fold unchanged.
     """
-    if mode not in ("softmax", "maxplus"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "softmax" and beta is None:
-        raise ValueError("softmax mode needs beta")
+    fold = np.maximum if beta is None else np.logaddexp
     values = np.zeros(1)
     yield np.zeros((1, env.dimension), dtype=np.uint64), values
-    for points, edges in levels:
-        prev, values = values, np.full(len(points), -np.inf)
-        for _, dst, src, labels in edges:
-            w = tau.apply(labels)
-            if mode == "softmax":
-                values[dst] = np.logaddexp(values[dst], prev[src] + beta * w)
-            else:
-                values[dst] = np.maximum(values[dst], prev[src] + w)
+    for points, pred, label in levels:
+        values = functools.reduce(fold, _edge_terms(values, pred, label, beta, tau).T)
         yield points, values
 
 
@@ -102,63 +106,56 @@ class DpTable:
 
     levels[k] is a float64 array over the level-k points of the box, in
     the lexicographic order of ``_level_edges``: the log partition
-    value (softmax mode) or maximal weight (maxplus mode) of the
-    length-k paths from the origin ending there.  The origin entry is
-    0.  steps[k - 1] = (pred, label), for k = 1..depth, holds two
-    (rows, D) arrays from the same walk: pred[r, axis] is the row in
-    level k-1 of point r minus the unit vector along axis (-1 when
-    that leaves the box) and label[r, axis] the label of the edge from
-    it (NaN there).  Built in one level walk; reproducible bit-for-bit
-    given (environment, tau, beta, mode).
+    value of the length-k paths from the origin ending there, or their
+    maximal weight when beta is None (max-plus).  The origin entry is
+    0.  steps[k - 1] = (pred, label), for k = 1..depth, holds the two
+    (rows, D) arrays of ``_level_edges`` that built level k: pred[r,
+    axis] is the row in level k-1 of point r minus the unit vector
+    along axis (-1 when that leaves the box) and label[r, axis] the
+    label of the edge from it (NaN there).  Built in one level walk;
+    reproducible bit-for-bit given (environment, tau, beta).
     """
 
     env: Environment
     tau: TauFn
     beta: float | None
     kind: str
-    mode: str
     levels: list[np.ndarray]
     steps: list[tuple[np.ndarray, np.ndarray]]
     endpoint: tuple[int, ...] | None
 
     @classmethod
     def point(cls, env: Environment, endpoint: Sequence[int], beta: float | None,
-              tau: TauFn, *, mode: str = "softmax") -> "DpTable":
+              tau: TauFn) -> "DpTable":
         endpoint = _endpoint(env, endpoint)
-        return cls._build(env, tau, beta, "point", mode, endpoint, sum(endpoint), endpoint)
+        return cls._build(env, tau, beta, "point", endpoint, sum(endpoint), endpoint)
 
     @classmethod
-    def level(cls, env: Environment, length: int, beta: float | None, tau: TauFn,
-              *, mode: str = "softmax") -> "DpTable":
+    def level(cls, env: Environment, length: int, beta: float | None, tau: TauFn) -> "DpTable":
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        return cls._build(env, tau, beta, "level", mode, (length,) * env.dimension, length, None)
+        return cls._build(env, tau, beta, "level", (length,) * env.dimension, length, None)
 
     @classmethod
-    def _build(cls, env, tau, beta, kind, mode, box, depth, endpoint) -> "DpTable":
+    def _build(cls, env, tau, beta, kind, box, depth, endpoint) -> "DpTable":
         steps = []
 
         def walk():
-            for points, edges in _level_edges(env, box, depth):
-                pred = np.full((len(points), env.dimension), -1, dtype=np.intp)
-                label = np.full((len(points), env.dimension), np.nan)
-                for axis, dst, src, labels in edges:
-                    pred[dst, axis] = src
-                    label[dst, axis] = labels
+            for points, pred, label in _level_edges(env, box, depth):
                 steps.append((pred, label))
-                yield points, edges
+                yield points, pred, label
 
-        levels = [values for _, values in _transfer(env, walk(), beta, tau, mode)]
-        return cls(env, tau, beta, kind, mode, levels, steps, endpoint)
+        levels = [values for _, values in _transfer(env, walk(), beta, tau)]
+        return cls(env, tau, beta, kind, levels, steps, endpoint)
 
     def log_value(self) -> float:
-        """Log partition (softmax) or maximal weight (maxplus) of the ensemble."""
-        return _total(self.levels[-1], self.mode)
+        """Log partition (or, with beta None, maximal weight) of the ensemble."""
+        return _total(self.levels[-1], self.beta)
 
 
-def _total(last: np.ndarray, mode: str) -> float:
-    """Fold the last level in row order: logaddexp from -inf, or max."""
-    if mode == "maxplus":
+def _total(last: np.ndarray, beta: float | None) -> float:
+    """Fold the last level in row order: logaddexp from -inf, or max when beta is None."""
+    if beta is None:
         return float(last.max())
     return float(np.logaddexp.reduce(last))
 
@@ -207,10 +204,10 @@ def _ladder_raws(env: Environment, levels, beta: float, tau: TauFn,
     for n in n_ladder:
         reads.setdefault(sum(q.floor_scale(n)) if q is not None else n, []).append(n)
     raws = {}
-    for k, (points, values) in enumerate(_transfer(env, levels, beta, tau, "softmax")):
+    for k, (points, values) in enumerate(_transfer(env, levels, beta, tau)):
         for n in reads.get(k, ()):
             if q is None:
-                raws[n] = _total(values, "softmax") / n
+                raws[n] = _total(values, beta) / n
             else:
                 end = np.array(q.floor_scale(n), dtype=np.uint64)
                 row = np.flatnonzero((points == end).all(axis=1))[0]
@@ -292,7 +289,7 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
     predecessor reproduces the stored value bit-for-bit, so no
     tolerance enters.  Ties break toward the lower axis.
     """
-    table = DpTable.point(env, endpoint, None, tau, mode="maxplus")
+    table = DpTable.point(env, endpoint, None, tau)
     levels = table.levels
     steps_rev = []
     row = 0  # the endpoint is the one point of the last level
@@ -329,7 +326,8 @@ def _stream_uniforms(bases: np.ndarray, counter: int) -> np.ndarray:
 
 def _exp(exponents: np.ndarray) -> np.ndarray:
     """math.exp elementwise: np.exp may differ from it in the last ulp."""
-    return np.fromiter(map(math.exp, exponents.tolist()), np.float64, len(exponents))
+    flat = np.fromiter(map(math.exp, exponents.ravel().tolist()), np.float64, exponents.size)
+    return flat.reshape(exponents.shape)
 
 
 def _step_thresholds(table: DpTable) -> list[np.ndarray]:
@@ -338,24 +336,19 @@ def _step_thresholds(table: DpTable) -> list[np.ndarray]:
     Read from the table's ``steps``: cum[r, axis] is the running sum,
     over the predecessors u along axes <= axis in ascending order, of
     exp(logZ(u) + beta * tau(label) - logZ(v)): math.exp of the table
-    build's own float64 operands, added one axis at a time.  It is
-    +inf at the last predecessor's axis, which takes every draw that
-    passes the earlier ones.
+    build's own ``_edge_terms``, added one axis at a time.  A missing
+    predecessor adds exp(-inf) = 0, so it carries the running sum and is
+    never the first threshold a draw falls below.  The last
+    predecessor's axis is +inf, which takes every draw that passes the
+    earlier ones.
     """
     out = []
     for k, (pred, label) in enumerate(table.steps, 1):
         prev, values = table.levels[k - 1], table.levels[k]
+        terms = _edge_terms(prev, pred, label, table.beta, table.tau)
+        # cumsum adds left to right, one axis after the other.
+        cum = np.cumsum(_exp(terms - values[:, None]), axis=1)
         rows, d = pred.shape
-        cum = np.empty((rows, d))
-        acc = np.zeros(rows)
-        for axis in range(d):
-            dst = (pred[:, axis] >= 0).nonzero()[0]
-            src = pred[dst, axis]
-            w = table.tau.apply(label[dst, axis])
-            acc[dst] += _exp(prev[src] + table.beta * w - values[dst])
-            # Axes without a predecessor carry the running sum, so they are
-            # never the first threshold a draw falls below.
-            cum[:, axis] = acc
         last = d - 1 - (pred[:, ::-1] >= 0).argmax(axis=1)
         cum[np.arange(rows), last] = np.inf
         out.append(cum)
@@ -374,8 +367,8 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     reading its uniforms from its own counter-based stream.  The paths are
     bit-identical to drawing each seed on its own.
     """
-    if table.mode != "softmax":
-        raise ValueError("sampling needs a softmax table")
+    if table.beta is None:
+        raise ValueError("sampling needs a softmax table, built with a beta")
     bases = _stream_bases(rng_seeds)
     depth = len(table.levels) - 1
     counter = 0

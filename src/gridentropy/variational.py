@@ -18,8 +18,10 @@ a threshold, and compares the growth exponent against the closed-form
 large-deviation budget.
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -339,12 +341,12 @@ def bernoulli_exponent_check(
         env = Environment(seed, dimension)
         rows = [1]
         per_n = {}
-        for k, (points, edges) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
-            new = [0] * len(points)
-            for _, dst, src, labels in edges:
-                for i, j, unit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
-                    new[i] += (rows[j] << width) if unit else rows[j]
-            rows = new
+        for k, (_, pred, label) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
+            # A point adds the integers of its edges (pred -1: no edge) with no
+            # 0 to start from, which would copy the first one.
+            rows = [functools.reduce(operator.add, [(rows[j] << width) if unit else rows[j]
+                                                    for j, unit in zip(preds, units) if j >= 0])
+                    for preds, units in zip(pred.tolist(), (label >= lo).tolist())]
             if k in n_ladder:
                 packed = sum(rows) >> (width * math.ceil(k * s_exact))
                 total = 0

@@ -37,12 +37,12 @@ def bernoulli_exponents(
         # 0/1 unit bit.  Only the current level is kept.
         rows = [[1]]
         per_n = {}
-        for k, (points, edges) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
+        for k, (points, pred, label) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
             new = [[0] * (k + 1) for _ in range(len(points))]
-            for _, dst, src, labels in edges:
-                for i, j, bit in zip(dst.tolist(), src.tolist(), (labels >= lo).tolist()):
-                    target = new[i]
-                    target[bit : bit + k] = [a + b for a, b in zip(target[bit : bit + k], rows[j])]
+            for target, preds, bits in zip(new, pred.tolist(), (label >= lo).tolist()):
+                for j, bit in zip(preds, bits):
+                    if j >= 0:
+                        target[bit : bit + k] = [a + b for a, b in zip(target[bit : bit + k], rows[j])]
             rows = new
             if k in n_ladder:
                 total = sum(sum(row[math.ceil(k * s_exact):]) for row in rows)

@@ -343,6 +343,19 @@ def test_svg_without_csv_is_a_config_error(tmp_path, capsys):
     assert "csv" in err.lower()
 
 
+def test_svg_without_csv_is_refused_before_the_estimator_runs(tmp_path, monkeypatch, capsys):
+    """The svg/csv pairing is checked with the configuration, so no estimate is spent."""
+    def broken(*args, **kwargs):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr("gridentropy.cli.gibbs_estimate", broken)
+    code, out, err = _run(capsys, "gibbs", "--n", "64..1024", "--seeds", "1..2",
+                          "--svg", str(tmp_path / "x.svg"))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "csv" in err.lower()
+
+
 def test_read_csv_rejects_foreign_columns(tmp_path):
     """The round-trip parser refuses files with a different schema."""
     path = tmp_path / "bad.csv"
@@ -451,6 +464,9 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("conjugate", "--restarts", "0", "--n", "8,16", "--seeds", "1"), "restarts="),
     (("conjugate", "--passes", "-1", "--n", "8,16", "--seeds", "1"), "passes="),
     (("conjugate", "--random-count", "-1", "--n", "8,16", "--seeds", "1"), "random_count="),
+    (("gibbs", "--beta", "1e400"), "beta="),
+    (("orderstats", "--threshold", "1e400", "--n", "4,6", "--seeds", "1"), "threshold="),
+    (("bernoulli", "--s", "1e400"), "s="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
@@ -459,13 +475,27 @@ def test_bad_ladder_is_a_config_error(capsys, argv, field):
     eps ladder that does not strictly decrease, a negative level scale
     t, an ensemble target of zero total mass, a KL-budget target whose
     mass is not 1, a path budget below 1, fewer than one conjugate
-    restart, a negative ascent pass or random-member count and an
-    unknown verify criterion exit 2 naming the field before any
-    estimator runs."""
+    restart, a negative ascent pass or random-member count, an
+    unknown verify criterion and a number past the float range exit 2
+    naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (("gibbs", "--tau", "constant:1e308", "--n", "4,8", "--seeds", "1"), ("tau=", "beta=")),
+    (("lpp", "--endpoint", "2,2", "--tau", "constant:1e308"), ("tau=",)),
+    (("sample", "--endpoint", "2,2", "--beta", "1e308", "--draws", "3"), ("tau=", "beta=")),
+])
+def test_dp_weights_past_the_float_range_are_a_config_error(capsys, argv, fields):
+    """A beta and tau whose DP log weights would overflow to inf or NaN exit 2
+    naming them, with no value printed."""
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert all(field in err for field in fields)
 
 
 def test_library_value_errors_are_not_config_errors(monkeypatch):

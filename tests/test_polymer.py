@@ -25,7 +25,8 @@ from gridentropy import (
 )
 from gridentropy import polymer
 from gridentropy.lattice import _level_edges
-from gridentropy.polymer import _stream_bases, _stream_uniforms
+from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
+import dp_oracle
 from path_oracle import path_weight
 from sampler_oracle import SampleStream, box_points, sample_path
 
@@ -115,7 +116,7 @@ def test_table_levels_hold_the_box_points():
         want = box_points(endpoint)
         walked = [[(0,) * env.dimension]] + [
             list(map(tuple, points.tolist()))
-            for points, _ in _level_edges(env, endpoint, sum(endpoint))]
+            for points, _, _ in _level_edges(env, endpoint, sum(endpoint))]
         assert walked == want
         assert [len(level) for level in table.levels] == [len(pts) for pts in want]
         assert len(table.steps) == sum(endpoint)
@@ -132,6 +133,22 @@ def test_table_levels_hold_the_box_points():
     table = DpTable.level(Environment(5, 3), 4, 1.0, TAU16)
     assert [len(level) for level in table.levels] == [math.comb(k + 2, 2) for k in range(5)]
     assert [len(pred) for pred, _ in table.steps] == [math.comb(k + 2, 2) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("beta", [0.7, None])
+def test_dense_fold_equals_the_per_axis_scatter_oracle(dimension, beta):
+    """Levels (and, with a beta, sampler thresholds) equal the per-axis
+    scatter fold bit for bit, in point and level tables, max-plus too."""
+    env = Environment(6, dimension)
+    for tau in (TAU16, TauFn.from_values((-1.5, 0.25, 2.0))):
+        for table in (DpTable.point(env, (5, 3, 2)[:dimension], beta, tau),
+                      DpTable.level(env, 4, beta, tau)):
+            assert ([level.tolist() for level in table.levels]
+                    == [level.tolist() for level in dp_oracle.levels(table)])
+            if beta is not None:
+                assert ([cum.tolist() for cum in _step_thresholds(table)]
+                        == [cum.tolist() for cum in dp_oracle.step_thresholds(table)])
 
 
 def test_table_build_walks_the_lattice_once(monkeypatch):
@@ -392,8 +409,7 @@ def test_vectorized_uniforms_equal_sample_stream():
 def test_sampler_refuses_a_maxplus_table():
     """Only a softmax table defines a polymer measure to sample."""
     with pytest.raises(ValueError, match="softmax"):
-        sample_polymer_paths(DpTable.point(Environment(1, 2), (3, 3), None, TAU16,
-                                           mode="maxplus"), [0])
+        sample_polymer_paths(DpTable.point(Environment(1, 2), (3, 3), None, TAU16), [0])
 
 
 def test_sample_stream_behavior():
