@@ -47,8 +47,8 @@ from .lattice import (
 )
 from .polymer import (
     DpTable,
+    LadderPlan,
     gibbs_estimate,
-    ladder_levels,
     last_passage,
     sample_polymer_paths,
 )

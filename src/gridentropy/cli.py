@@ -52,6 +52,7 @@ from .polymer import (
 )
 from .prokhorov import prokhorov_distance
 from .variational import (
+    _ASCENT_DELTAS,
     MAX_CELLS,
     bernoulli_exponent_check,
     conjugate_entropy,
@@ -788,15 +789,19 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
 _DP_REACH_LIMIT = 1e300
 
 
+def _dp_reach(fields: str, scale: float, bound: float, depth: int, dimension: int) -> None:
+    """Refuse the named fields when a DP's log weights could overflow float64."""
+    reach = depth * (scale * bound + math.log(dimension))
+    if not reach < _DP_REACH_LIMIT:
+        raise ConfigError(f"field {fields}: DP log weights reach {reach:.3g} over {depth} "
+                          f"steps, past the float64 range (limit {_DP_REACH_LIMIT:g})")
+
+
 def _dp_tau(config: ExperimentConfig, beta: float | None, depth: int, dimension: int) -> TauFn:
     """The tau field, refused with beta when the DP's log weights could overflow."""
     tau, spec = config.tau("tau")
-    scale = 1.0 if beta is None else abs(beta)
-    reach = depth * (scale * tau.bound + math.log(dimension))
-    if not reach < _DP_REACH_LIMIT:
-        fields = f"tau={spec!r}" + ("" if beta is None else f" with beta={config.raw('beta')!r}")
-        raise ConfigError(f"field {fields}: DP log weights reach {reach:.3g} over {depth} "
-                          f"steps, past the float64 range (limit {_DP_REACH_LIMIT:g})")
+    fields = f"tau={spec!r}" + ("" if beta is None else f" with beta={config.raw('beta')!r}")
+    _dp_reach(fields, 1.0 if beta is None else abs(beta), tau.bound, depth, dimension)
     return tau
 
 
@@ -875,12 +880,20 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     random_count = config.int_("random_count", at_least=0)
     family_seed = config.int_("family_seed")
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
+    restarts = config.int_("restarts", at_least=1)
+    passes = config.int_("passes", at_least=0)
+    # Random starts lie in (-1, 1), inside the sign ladders' bound.  The
+    # ascent deltas are symmetric, and the steps a pass accepts on one
+    # side sum to at most their positive half (0.8 + 0.4 + 0.2 + 0.1).
+    reach = max(tau.bound for tau in family) + passes * sum(d for d in _ASCENT_DELTAS if d > 0)
+    _dp_reach(f"beta={config.raw('beta')!r}", abs(beta), reach,
+              _ladder_box(n_ladder, q, q.dimension)[1], q.dimension)
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
         n_ladder=n_ladder,
-        restarts=config.int_("restarts", at_least=1),
-        ascent_passes=config.int_("passes", at_least=0),
+        restarts=restarts,
+        ascent_passes=passes,
         rng_seed=config.int_("ascent_seed"),
     )
     best_spec = est.diagnostics["best_tau"]

@@ -133,8 +133,7 @@ class Environment:
         """
         if not 0 <= axis < self.dimension:
             raise ValueError(f"axis {axis} out of range for D={self.dimension}")
-        state = _mix((self.seed + _GOLDEN) & _MASK)
-        state = _mix(state ^ (((axis + 1) * _GOLDEN) & _MASK))
+        state = _chain_head(self.seed, axis)
         for c in anchor:
             state = _mix(state ^ ((c + _GOLDEN) & _MASK))
         return (state >> 11) * 2.0**-53
@@ -150,13 +149,34 @@ class Environment:
         anchors = np.asarray(anchors, dtype=np.uint64)
         if anchors.ndim != 2 or anchors.shape[1] != self.dimension:
             raise ValueError(f"anchors must be (k, {self.dimension}), got {anchors.shape}")
-        golden = np.uint64(_GOLDEN)
-        # The seed and axis links of the chain are the same for every anchor.
-        head = _mix(_mix((self.seed + _GOLDEN) & _MASK) ^ (((axis + 1) * _GOLDEN) & _MASK))
-        state = np.full(len(anchors), head, dtype=np.uint64)
-        for col in range(self.dimension):
-            state = _mix_array(state ^ (anchors[:, col] + golden))
-        return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _chain_labels(np.uint64(_chain_head(self.seed, axis)), anchors)
+
+
+def _chain_head(seed: int, axis: int) -> int:
+    """The seed and axis links of ``edge_label``'s chain, the same for every anchor."""
+    return _mix(_mix((seed + _GOLDEN) & _MASK) ^ (((axis + 1) * _GOLDEN) & _MASK))
+
+
+def _chain_heads(seeds: Sequence[int], dimension: int) -> np.ndarray:
+    """``_chain_head`` of every seed along every axis: a (D, seeds) uint64 array."""
+    return np.array([[_chain_head(int(seed), axis) for seed in seeds]
+                     for axis in range(dimension)], dtype=np.uint64)
+
+
+def _chain_labels(heads: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Labels of the (k, D) anchors, read along the rest of the chain.
+
+    ``heads`` holds the head link of each label and broadcasts against
+    the k anchors: one head for one seed and axis gives (k,) labels, a
+    (seeds, k) array of each seed's head for each edge's axis gives
+    (seeds, k).  The anchor links are shared by every seed, so all
+    seeds mix through them together.
+    """
+    golden = np.uint64(_GOLDEN)
+    state = heads
+    for col in range(anchors.shape[1]):
+        state = _mix_array(state ^ (anchors[:, col] + golden))
+    return (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -228,9 +248,16 @@ class TauFn:
     def __call__(self, x: float) -> float:
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
+    def cell(self, labels: np.ndarray) -> np.ndarray:
+        """Vectorized cell index: the i with breakpoints[i] <= x < breakpoints[i + 1].
+
+        Labels past the last breakpoint, NaN included, fall in the last cell.
+        """
+        return np.searchsorted(self._edges, labels, side="right") - 1
+
     def apply(self, labels: np.ndarray) -> np.ndarray:
         """Vectorized evaluation."""
-        return self._cells[np.searchsorted(self._edges, labels, side="right") - 1]
+        return self._cells[self.cell(labels)]
 
     def to_json(self) -> str:
         import json
@@ -485,45 +512,60 @@ def label_rows(
         yield block
 
 
-def _level_edges(env: Environment, box: Sequence[int], depth: int):
-    """Edges of the transfer DP from each level to the next, inside a box.
+def _level_plan(box: Sequence[int], depth: int):
+    """The seed-free geometry of the transfer DP inside a box, level by level.
 
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
     lexicographic order; level 0 is the origin.  For k = 1..depth this
-    yields (points, pred, label): points is level k as a (rows, D)
+    yields (points, pred, edges): points is level k as a (rows, D)
     integer array; pred[r, axis] is the row in level k-1 of points[r]
-    minus the unit vector along axis, and label[r, axis] the label of
-    the edge from it, or -1 and NaN where that step leaves the box.
+    minus the unit vector along axis, or -1 where that step leaves the
+    box; edges = (dst, axis, anchors) lists every edge into the level,
+    in no particular order: the row it enters, its axis, and the level
+    k-1 point it leaves (an (edges, D) array).  ``_level_labels`` reads
+    the edge labels of any seeds off the anchors.
     """
-    d = env.dimension
+    d = len(box)
     # A point's row key is its mixed-radix index over the first D-1
     # coordinates (the level fixes the last), so keys sort like points.
     if math.prod(c + 1 for c in box[:-1]) > 2**63:
         raise ValueError(f"box {tuple(box)} is too large to index level points")
-    strides = [math.prod(c + 1 for c in box[axis + 1 : d - 1]) for axis in range(d - 1)] + [0]
+    strides = np.array([math.prod(c + 1 for c in box[axis + 1 : d - 1])
+                        for axis in range(d - 1)] + [0], dtype=np.int64)
+    limits = np.array(box, dtype=np.uint64)
+    units = np.eye(d, dtype=np.uint64)
     points = np.zeros((1, d), dtype=np.uint64)
     keys = np.zeros(1, dtype=np.int64)
     for _ in range(depth):
-        moves = []
-        for axis in range(d):
-            src = (points[:, axis] < box[axis]).nonzero()[0]
-            if len(src):
-                moves.append((axis, src))
-        keys, first, inverse = np.unique(
-            np.concatenate([keys[src] + strides[axis] for axis, src in moves]),
-            return_index=True, return_inverse=True,
-        )
+        src, axis = (points < limits).nonzero()
+        keys, first, dst = np.unique(keys[src] + strides[axis],
+                                     return_index=True, return_inverse=True)
         pred = np.full((len(keys), d), -1, dtype=np.intp)
-        label = np.full((len(keys), d), np.nan)
-        stepped = []
-        offset = 0
-        for axis, src in moves:
-            anchors = points[src]
-            dst = inverse[offset:offset + len(src)]
-            pred[dst, axis] = src
-            label[dst, axis] = env.label_array(anchors, axis)
-            offset += len(src)
-            anchors[:, axis] += 1
-            stepped.append(anchors)
-        points = np.concatenate(stepped)[first]
-        yield points, pred, label
+        pred[dst, axis] = src
+        anchors = points[src]
+        points = anchors[first] + units[axis[first]]
+        yield points, pred, (dst, axis, anchors)
+
+
+def _level_labels(heads: np.ndarray, pred: np.ndarray, edges) -> np.ndarray:
+    """The (seeds, rows, D) edge labels of one ``_level_plan`` level.
+
+    label[s, r, axis] is the label, in the environment of seed s, of the
+    edge into row r along axis, or NaN where pred is -1; ``heads`` is
+    ``_chain_heads`` of the seeds.
+    """
+    dst, axis, anchors = edges
+    label = np.full((heads.shape[1],) + pred.shape, np.nan)
+    label[:, dst, axis] = _chain_labels(heads.T[:, axis], anchors)
+    return label
+
+
+def _level_edges(env: Environment, box: Sequence[int], depth: int):
+    """``_level_plan``'s levels as (points, pred, label) in one environment.
+
+    label[r, axis] is the label of the edge into points[r] along axis,
+    or NaN where pred[r, axis] is -1.
+    """
+    heads = _chain_heads([env.seed], env.dimension)
+    for points, pred, anchors in _level_plan(box, depth):
+        yield points, pred, _level_labels(heads, pred, anchors)[0]

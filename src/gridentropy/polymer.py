@@ -14,13 +14,17 @@ function.  ``beta=None`` replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
-The free-energy ladder runs one recursion per seed, to the box of its
-largest scale, and reads every scale as the recursion passes it: a
-point's value depends only on its predecessors, so the reads equal one
-recursion per scale bit for bit.  The labels of those levels depend on
-the seed and the box alone; ``ladder_levels`` materializes them once so
-that a search over many potentials (the conjugate entropy) pays only
-for each potential's folds.
+The free-energy ladder runs one recursion to the box of its largest
+scale and reads every scale as the recursion passes it: a point's value
+depends only on its predecessors, so the reads equal one recursion per
+scale bit for bit.  A level's geometry (its points and predecessor
+rows) is the same for every seed and only its labels are not, so one
+recursion carries every seed and every potential at once, over
+(potentials, seeds, rows) arrays.  Potentials that share breakpoints
+share each edge's cell index, computed once per level.
+``gibbs_estimate`` streams the levels of one potential; a
+``LadderPlan`` holds them, so that a search over many potentials (the
+conjugate entropy) hashes the labels once and pays only for the folds.
 
 A table keeps, beside each level's values, the one walk of the lattice
 that computed them: per level, each point's predecessor rows and the
@@ -47,13 +51,14 @@ import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
-    _GOLDEN, _MASK, _level_edges, _mix_array, Direction, Environment, Path, TauFn,
+    _GOLDEN, _MASK, _chain_heads, _level_edges, _level_labels, _level_plan, _mix_array,
+    Direction, Environment, Path, TauFn,
 )
 
 __all__ = [
     "DpTable",
+    "LadderPlan",
     "gibbs_estimate",
-    "ladder_levels",
     "last_passage",
     "sample_polymer_paths",
 ]
@@ -71,32 +76,43 @@ def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
     return endpoint
 
 
-def _edge_terms(prev: np.ndarray, pred: np.ndarray, label: np.ndarray,
-                beta: float | None, tau: TauFn) -> np.ndarray:
-    """prev[pred] + beta * tau(label) per (row, axis); beta None reads as 1.
+def _weights(beta: float | None, cells: np.ndarray) -> np.ndarray:
+    """beta times each cell value of a potential (the values when beta is None)."""
+    return cells if beta is None else beta * cells
 
-    A missing edge (pred -1) gathers the -inf padded onto prev: its NaN
-    label maps to a finite cell value, so the label cannot mark it.
+
+def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """prev[..., pred] + weights per (row, axis), over any leading axes.
+
+    ``weights`` is each edge's beta * tau(label).  A missing edge (pred
+    -1) gathers the -inf padded onto prev: its NaN label falls in the
+    last cell, a finite weight, so the weight cannot mark it.
     """
-    w = tau.apply(label)
-    return np.append(prev, -np.inf)[pred] + (w if beta is None else beta * w)
+    pad = np.full(prev.shape[:-1] + (1,), -np.inf)
+    return np.concatenate([prev, pad], axis=-1)[..., pred] + weights
 
 
-def _transfer(env: Environment, levels, beta: float | None, tau: TauFn):
+def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
     """Yield (points, values) for level 0 and each level of ``levels``.
 
-    ``levels`` is ``_level_edges(env, box, depth)`` or a list of its
-    items.  values[i] is the log partition of the paths from the origin
-    to points[i], or their maximal weight when beta is None.  Each point
-    folds in its predecessors' ``_edge_terms`` in ascending axis order
-    with logaddexp (max when beta is None); a missing edge's -inf leaves
-    the fold unchanged.
+    ``levels`` yields (points, pred, cell) for the levels of a
+    ``_level_plan``: cell[..., r, axis] is the tau cell of the label of
+    the edge into row r along axis, with any leading seed axes.
+    weights[..., c] is ``_weights`` of cell c, with any leading member
+    axes.  values[..., i], of shape weights.shape[:-1] +
+    cell.shape[:-2] + (rows,), is the log partition of the paths from
+    the origin to points[i], or their maximal weight when beta is None.
+    Each point folds in its predecessors' ``_edge_terms`` in ascending
+    axis order with logaddexp (max when beta is None); a missing edge's
+    -inf leaves the fold unchanged.  Every operation is elementwise, so
+    a member and seed of a batch gets the bits of a DP run on its own.
     """
     fold = np.maximum if beta is None else np.logaddexp
     values = np.zeros(1)
-    yield np.zeros((1, env.dimension), dtype=np.uint64), values
-    for points, pred, label in levels:
-        values = functools.reduce(fold, _edge_terms(values, pred, label, beta, tau).T)
+    yield np.zeros((1, dimension), dtype=np.uint64), values
+    for points, pred, cell in levels:
+        terms = _edge_terms(values, pred, weights[..., cell])
+        values = functools.reduce(fold, (terms[..., axis] for axis in range(dimension)))
         yield points, values
 
 
@@ -143,9 +159,10 @@ class DpTable:
         def walk():
             for points, pred, label in _level_edges(env, box, depth):
                 steps.append((pred, label))
-                yield points, pred, label
+                yield points, pred, tau.cell(label)
 
-        levels = [values for _, values in _transfer(env, walk(), beta, tau)]
+        weights = _weights(beta, tau._cells)
+        levels = [values for _, values in _transfer(env.dimension, walk(), beta, weights)]
         return cls(env, tau, beta, kind, levels, steps, endpoint)
 
     def log_value(self) -> float:
@@ -174,45 +191,66 @@ def _ladder_box(n_ladder: Sequence[int], q: Direction | None,
     return (n_max,) * dimension, n_max
 
 
-def ladder_levels(seeds: Sequence[int], n_ladder: Sequence[int], *,
-                  q: Direction | None = None, dimension: int = 2) -> list[list]:
-    """Each seed's DP levels for a ladder, materialized once.
-
-    One list of ``_level_edges`` items per seed, to the box of the
-    largest scale: the label hashing of ``gibbs_estimate``, which
-    depends on (seed, box) and not on the potential.  Pass it as
-    ``gibbs_estimate(..., levels=...)`` with the same seeds, ladder and
-    q to evaluate many potentials for the price of their folds.
-    """
-    if q is not None:
-        dimension = q.dimension
-    box, depth = _ladder_box(_ladder_scales(n_ladder), q, dimension)
-    return [list(_level_edges(Environment(seed, dimension), box, depth)) for seed in seeds]
-
-
-def _ladder_raws(env: Environment, levels, beta: float, tau: TauFn,
-                 n_ladder: list[int], q: Direction | None) -> list[float]:
+def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
+                 n_ladder: list[int], q: Direction | None, seeds: int) -> np.ndarray:
     """(1/n) log Z at every ladder scale, read from one DP as it passes.
 
-    With q, the value at floor(n q); without, the fold of level n.  A
-    point's value depends only on its predecessors, which every box
-    containing the point holds alike, so each read equals the
+    Returns a (members, seeds, scales) array for the members of
+    ``weights`` and the seeds of ``levels``' cells.  With q, the value
+    at floor(n q); without, the fold of level n, one (member, seed) row
+    at a time.  A point's value depends only on its predecessors, which
+    every box containing the point holds alike, so each read equals the
     ``log_value()`` of that scale's ``DpTable.point`` / ``DpTable.level``
     bit for bit.
     """
     reads: dict[int, list[int]] = {}
-    for n in n_ladder:
-        reads.setdefault(sum(q.floor_scale(n)) if q is not None else n, []).append(n)
-    raws = {}
-    for k, (points, values) in enumerate(_transfer(env, levels, beta, tau)):
-        for n in reads.get(k, ()):
+    for j, n in enumerate(n_ladder):
+        reads.setdefault(sum(q.floor_scale(n)) if q is not None else n, []).append(j)
+    raws = np.empty((len(weights), seeds, len(n_ladder)))
+    for k, (points, values) in enumerate(_transfer(dimension, levels, beta, weights)):
+        for j in reads.get(k, ()):
+            n = n_ladder[j]
             if q is None:
-                raws[n] = _total(values, beta) / n
+                for index in np.ndindex(values.shape[:-1]):
+                    raws[index + (j,)] = _total(values[index], beta) / n
             else:
                 end = np.array(q.floor_scale(n), dtype=np.uint64)
                 row = np.flatnonzero((points == end).all(axis=1))[0]
-                raws[n] = float(values[row]) / n
-    return [raws[n] for n in n_ladder]
+                raws[..., j] = values[..., row] / n
+    return raws
+
+
+def _gibbs_batch(seeds: tuple, beta: float, taus: Sequence[TauFn], n_ladder: list[int],
+                 q: Direction | None, dimension: int, levels) -> list[EntropyEstimate]:
+    """``gibbs_estimate`` of every potential, the seeds and potentials in one DP.
+
+    ``levels(tau)`` yields the (points, pred, cell) levels of the
+    ladder's box with tau's cells, for all seeds.  Potentials that share
+    breakpoints share cells, so each breakpoint set runs one DP over
+    (members, seeds, rows) arrays.
+    """
+    groups: dict[tuple[float, ...], list[int]] = {}
+    for m, tau in enumerate(taus):
+        groups.setdefault(tau.breakpoints, []).append(m)
+    raws = np.empty((len(taus), len(seeds), len(n_ladder)))
+    for members in groups.values():
+        weights = _weights(beta, np.array([taus[m]._cells for m in members]))
+        raws[members] = _ladder_raws(dimension, levels(taus[members[0]]), beta, weights,
+                                     n_ladder, q, len(seeds))
+    estimates = []
+    for member in raws.tolist():
+        rows = [LadderRow(seed, n, beta, raw)
+                for seed, seed_raws in zip(seeds, member) for n, raw in zip(n_ladder, seed_raws)]
+        fits, value, band = _ladder_fit(rows)
+        estimates.append(EntropyEstimate(
+            method="gibbs",
+            value=value,
+            ladder=tuple(rows),
+            extrapolated=value,
+            band=band,
+            diagnostics={"per_seed_fits": dict(zip(seeds, fits))},
+        ))
+    return estimates
 
 
 def gibbs_estimate(
@@ -223,43 +261,63 @@ def gibbs_estimate(
     *,
     q: Direction | None = None,
     dimension: int = 2,
-    levels: Sequence[list] | None = None,
 ) -> EntropyEstimate:
     """Free-energy estimate: per-seed 1/n extrapolation of (1/n) log Z.
 
     With q given, endpoints are floor(n q) (point-to-point free
-    energy); without, all length-n paths (point-to-level).  Each seed
-    runs one DP, to the box of the largest scale, and reads every
-    ladder point as it passes, bit-identical to a DP per scale.  The
-    levels are streamed, unless ``levels`` gives each seed's, as built
-    by ``ladder_levels`` for these seeds, ladder and q.  Value is the
-    mean of per-seed extrapolations; the band is their half-spread plus
-    the mean fit residual.
+    energy); without, all length-n paths (point-to-level).  One DP runs
+    every seed at once, to the box of the largest scale, and reads
+    every ladder point as it passes, bit-identical to a DP per seed and
+    scale.  The levels are streamed: each is hashed for all seeds, used
+    and dropped.  Value is the mean of per-seed extrapolations; the
+    band is their half-spread plus the mean fit residual.
     """
+    seeds = tuple(seeds)
     n_ladder = _ladder_scales(n_ladder)
     if q is not None:
         dimension = q.dimension
     box, depth = _ladder_box(n_ladder, q, dimension)
-    if levels is not None and (len(levels) != len(seeds)
-                               or any(len(plan) != depth for plan in levels)):
-        raise ValueError(f"levels must hold {depth} levels for each of {len(seeds)} seeds")
+    heads = _chain_heads(seeds, dimension)
 
-    rows = []
-    for i, seed in enumerate(seeds):
-        env = Environment(seed, dimension)
-        plan = _level_edges(env, box, depth) if levels is None else levels[i]
-        raws = _ladder_raws(env, plan, beta, tau, n_ladder, q)
-        rows.extend(LadderRow(seed, n, beta, raw) for n, raw in zip(n_ladder, raws))
+    def levels(tau: TauFn):
+        for points, pred, anchors in _level_plan(box, depth):
+            yield points, pred, tau.cell(_level_labels(heads, pred, anchors))
 
-    fits, value, band = _ladder_fit(rows)
-    return EntropyEstimate(
-        method="gibbs",
-        value=value,
-        ladder=tuple(rows),
-        extrapolated=value,
-        band=band,
-        diagnostics={"per_seed_fits": dict(zip(seeds, fits))},
-    )
+    return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension, levels)[0]
+
+
+class LadderPlan:
+    """One free-energy ladder's levels for a set of seeds, held to evaluate many potentials.
+
+    The level geometry (``_level_plan``) and the labels of every seed
+    depend on the seeds, the ladder and q, not on the potential; the
+    plan builds them once, and the cells of each breakpoint set the
+    first time a potential with it is evaluated.  It lives as long as
+    its owner holds it: ``conjugate_entropy`` keeps one per call.
+    """
+
+    def __init__(self, seeds: Sequence[int], n_ladder: Sequence[int], *,
+                 q: Direction | None = None, dimension: int = 2):
+        self.seeds = tuple(seeds)
+        self.n_ladder = _ladder_scales(n_ladder)
+        self.q = q
+        self.dimension = q.dimension if q is not None else dimension
+        box, depth = _ladder_box(self.n_ladder, q, self.dimension)
+        heads = _chain_heads(self.seeds, self.dimension)
+        self._levels = [(points, pred, _level_labels(heads, pred, anchors))
+                        for points, pred, anchors in _level_plan(box, depth)]
+        self._cells: dict[tuple[float, ...], list[np.ndarray]] = {}
+
+    def _indexed(self, tau: TauFn):
+        cells = self._cells.get(tau.breakpoints)
+        if cells is None:
+            cells = self._cells[tau.breakpoints] = [tau.cell(label) for _, _, label in self._levels]
+        return ((points, pred, cell) for (points, pred, _), cell in zip(self._levels, cells))
+
+    def estimates(self, beta: float, taus: Sequence[TauFn]) -> list[EntropyEstimate]:
+        """``gibbs_estimate`` of each potential, bit for bit, in one batch."""
+        return _gibbs_batch(self.seeds, beta, taus, self.n_ladder, self.q, self.dimension,
+                            self._indexed)
 
 
 def _ladder_fit(rows: Sequence[LadderRow]) -> tuple[tuple[float, ...], float, float]:
@@ -343,9 +401,10 @@ def _step_thresholds(table: DpTable) -> list[np.ndarray]:
     earlier ones.
     """
     out = []
+    weights = _weights(table.beta, table.tau._cells)
     for k, (pred, label) in enumerate(table.steps, 1):
         prev, values = table.levels[k - 1], table.levels[k]
-        terms = _edge_terms(prev, pred, label, table.beta, table.tau)
+        terms = _edge_terms(prev, pred, weights[table.tau.cell(label)])
         # cumsum adds left to right, one axis after the other.
         cum = np.cumsum(_exp(terms - values[:, None]), axis=1)
         rows, d = pred.shape

@@ -31,7 +31,7 @@ import numpy as np
 from .estimators import EntropyEstimate
 from .lattice import _level_edges, Direction, Environment, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
-from .polymer import gibbs_estimate, ladder_levels
+from .polymer import LadderPlan
 
 __all__ = [
     "BernoulliReport",
@@ -151,28 +151,38 @@ def conjugate_entropy(
     finite family under-reaches the true sup, the value upper-bounds
     the entropy up to the free-energy bands.
 
-    Each distinct potential is one ``gibbs_estimate`` call, memoized for
-    the call, on levels built once up front by ``ladder_levels``: the
-    label hashing depends on the seeds and the ladder, not on tau, so a
-    potential costs only its folds.
+    One ``LadderPlan`` holds the seeds' levels for the call, and the
+    free energies come from it in batches: the whole family, then every
+    start, then, whenever the ascent asks for a potential not yet
+    evaluated, that one with the rest of its coordinate's deltas around
+    the current pivot.  The walk itself is sequential and reads the
+    batches, so an accepted step re-batches the deltas after it.  Each
+    free energy equals its ``gibbs_estimate`` bit for bit; the winner,
+    the value and ``evaluations``, which counts only the potentials the
+    walk asks for, are those of evaluating one potential at a time.
     """
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
         raise ValueError("tau family must be nonempty")
-    seeds = tuple(seeds)
-    n_ladder = tuple(n_ladder)
-    levels = ladder_levels(seeds, n_ladder, q=q)
-    memo: dict[TauFn, EntropyEstimate] = {}
+    plan = LadderPlan(seeds, n_ladder, q=q)
+    energies: dict[TauFn, EntropyEstimate] = {}
+    asked: set[TauFn] = set()
+
+    def evaluate(taus) -> None:
+        fresh = list(dict.fromkeys(tau for tau in taus if tau not in energies))
+        energies.update(zip(fresh, plan.estimates(beta, fresh)))
 
     def free_energy(tau: TauFn) -> EntropyEstimate:
-        if tau not in memo:
-            memo[tau] = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, levels=levels)
-        return memo[tau]
+        asked.add(tau)
+        if tau not in energies:
+            evaluate([tau])
+        return energies[tau]
 
     def objective(tau: TauFn) -> float:
         return beta * integral(tau, nu) - free_energy(tau).value
 
+    evaluate(tau_family)
     best_tau = max(tau_family, key=objective)
     best_obj = objective(best_tau)
     family_best_obj = best_obj
@@ -182,6 +192,7 @@ def conjugate_entropy(
     width = len(best_tau.values)
     for _ in range(max(0, restarts - 1)):
         starts.append(TauFn.from_values(tuple(rng.uniform(-1.0, 1.0, size=width))))
+    evaluate(TauFn.from_values(start.values) for start in starts)
     for start in starts:
         values = list(start.values)
         current = objective(TauFn.from_values(values))
@@ -189,9 +200,13 @@ def conjugate_entropy(
             improved = False
             for i in range(width):
                 pivot = values[i]
-                for delta in _ASCENT_DELTAS:
+                for j, delta in enumerate(_ASCENT_DELTAS):
                     values[i] = pivot + delta
-                    trial = objective(TauFn.from_values(values))
+                    trial_tau = TauFn.from_values(values)
+                    if trial_tau not in energies:
+                        evaluate(TauFn.from_values(values[:i] + [pivot + rest] + values[i + 1:])
+                                 for rest in _ASCENT_DELTAS[j:])
+                    trial = objective(trial_tau)
                     if trial > current:
                         current = trial
                         pivot = values[i]
@@ -213,7 +228,7 @@ def conjugate_entropy(
         diagnostics={
             "beta": beta,
             "family_size": len(tau_family),
-            "evaluations": len(memo),
+            "evaluations": len(asked),
             "family_best_objective": family_best_obj,
             "refined_gain": best_obj - family_best_obj,
             "best_tau": {

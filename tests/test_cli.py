@@ -467,6 +467,10 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("gibbs", "--beta", "1e400"), "beta="),
     (("orderstats", "--threshold", "1e400", "--n", "4,6", "--seeds", "1"), "threshold="),
     (("bernoulli", "--s", "1e400"), "s="),
+    (("conjugate", "--beta", "1e308", "--n", "8,16", "--seeds", "1", "--k", "2",
+      "--random-count", "0", "--restarts", "1", "--passes", "0"), "beta="),
+    (("conjugate", "--beta", "2e298", "--n", "8,16", "--seeds", "1", "--k", "2",
+      "--random-count", "0", "--restarts", "1", "--passes", "2"), "beta="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
@@ -475,7 +479,9 @@ def test_bad_ladder_is_a_config_error(capsys, argv, field):
     eps ladder that does not strictly decrease, a negative level scale
     t, an ensemble target of zero total mass, a KL-budget target whose
     mass is not 1, a path budget below 1, fewer than one conjugate
-    restart, a negative ascent pass or random-member count, an
+    restart, a negative ascent pass or random-member count, a
+    conjugate beta whose DP log weights could overflow over the
+    potentials the search can reach, an
     unknown verify criterion and a number past the float range exit 2
     naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
@@ -496,6 +502,17 @@ def test_dp_weights_past_the_float_range_are_a_config_error(capsys, argv, fields
     assert code == EXIT_CONFIG
     assert out == ""
     assert all(field in err for field in fields)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_conjugate_inside_its_reach_bound_runs_clean(capsys):
+    """A beta just inside the conjugate's reach bound runs the whole search,
+    its speculative evaluations included, with no overflow warning and a
+    finite value."""
+    code, out, _ = _run(capsys, "conjugate", "--beta", "1e297", "--n", "8,16", "--seeds", "1",
+                        "--k", "2", "--random-count", "0", "--restarts", "2", "--passes", "2")
+    assert code == EXIT_OK
+    assert math.isfinite(float(out.split("value=")[1].split()[0]))
 
 
 def test_library_value_errors_are_not_config_errors(monkeypatch):

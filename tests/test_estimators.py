@@ -26,8 +26,8 @@ from gridentropy import (
     estimate_entropy_level,
     estimate_entropy_orderstats,
     extrapolate_ladder,
+    LadderPlan,
     gibbs_estimate,
-    ladder_levels,
     order_stat_series,
     prokhorov_brute,
     prokhorov_distance,
@@ -407,7 +407,7 @@ def test_estimators_need_two_ladder_scales():
             lambda: estimate_entropy_eps([1], q, nu, n_ladder, [4.0, 2.0]),
             lambda: estimate_entropy_orderstats([1], q, nu, n_ladder, [0.0, 0.5]),
             lambda: gibbs_estimate([1], 1.0, TauFn.constant(0.0), n_ladder, q=q),
-            lambda: ladder_levels([1], n_ladder, q=q),
+            lambda: LadderPlan([1], n_ladder, q=q),
         ):
             with pytest.raises(ValueError, match="two ladder scales"):
                 estimate()

@@ -17,8 +17,8 @@ from gridentropy import (
     TauFn,
     enumerate_level_paths,
     enumerate_paths,
+    LadderPlan,
     gibbs_estimate,
-    ladder_levels,
     last_passage,
     path_count,
     sample_polymer_paths,
@@ -239,24 +239,46 @@ GIBBS_LADDERS = [
 @pytest.mark.parametrize("tau", [TauFn.identity_ladder(16), TauFn.indicator(0.3)],
                          ids=["identity16", "indicator"])
 def test_gibbs_ladder_reads_equal_per_scale_partitions(q, dimension, n_ladder, tau):
-    """One DP to the largest box reads every scale bit for bit, streamed or shared."""
+    """One DP to the largest box reads every scale bit for bit, streamed or from a plan."""
     seeds = (3, 4)
     oracle = _per_scale_raws(seeds, 1.3, tau, n_ladder, q, dimension)
     streamed = gibbs_estimate(seeds, 1.3, tau, n_ladder, q=q, dimension=dimension)
-    levels = ladder_levels(seeds, n_ladder, q=q, dimension=dimension)
-    shared = gibbs_estimate(seeds, 1.3, tau, n_ladder, q=q, dimension=dimension, levels=levels)
+    shared = LadderPlan(seeds, n_ladder, q=q, dimension=dimension).estimates(1.3, [tau])
     assert [row.raw for row in streamed.ladder] == oracle
-    assert shared == streamed
+    assert shared == [streamed]
 
 
-def test_gibbs_levels_must_match_the_ladder():
-    """Levels built for another ladder or seed count are refused."""
-    q = Direction.parse("1/2,1/2")
-    levels = ladder_levels((1, 2), (4, 8), q=q)
-    with pytest.raises(ValueError, match="levels"):
-        gibbs_estimate((1, 2), 1.0, TAU16, (4, 16), q=q, levels=levels)
-    with pytest.raises(ValueError, match="levels"):
-        gibbs_estimate((1, 2, 3), 1.0, TAU16, (4, 8), q=q, levels=levels)
+# Potentials of six breakpoint sets, with equal and unequal cells; two
+# pairs share breakpoints, and the constant has one cell.
+BATCH_TAUS = (
+    TauFn.identity_ladder(16),
+    TauFn.indicator(0.3),
+    TauFn.from_values((-1.5, 0.25, 2.0)),
+    TauFn((0.0, 0.1, 0.65), (1.0, -2.0, 0.5)),
+    TauFn.from_values((0.3, -0.7, 1.0)),
+    TauFn.constant(0.0),
+    TauFn((0.0, 0.1, 0.65), (-0.25, 0.0, 3.0)),
+    TauFn.indicator(0.55),
+)
+
+
+@pytest.mark.parametrize("q, dimension, n_ladder", GIBBS_LADDERS)
+def test_batched_dp_equals_one_dp_per_seed_and_potential(q, dimension, n_ladder):
+    """A plan's batch over (potentials x seeds x rows) gives every potential
+    the estimate of its own ``gibbs_estimate`` and every seed the raws of
+    a DP run for it alone, in point and level mode, for D = 1, 2, 3."""
+    seeds = (3, 4, 9)
+    plan = LadderPlan(seeds, n_ladder, q=q, dimension=dimension)
+    batched = plan.estimates(0.8, BATCH_TAUS)
+    for tau, est in zip(BATCH_TAUS, batched):
+        assert est == gibbs_estimate(seeds, 0.8, tau, n_ladder, q=q, dimension=dimension)
+        for i, seed in enumerate(seeds):
+            alone = gibbs_estimate((seed,), 0.8, tau, n_ladder, q=q, dimension=dimension)
+            assert est.ladder[i * len(n_ladder):(i + 1) * len(n_ladder)] == alone.ladder
+        assert [row.raw for row in est.ladder] == _per_scale_raws(
+            seeds, 0.8, tau, n_ladder, q, dimension)
+    # A second batch reads the cells the first one computed.
+    assert plan.estimates(0.8, BATCH_TAUS[::-1]) == batched[::-1]
 
 
 def test_gibbs_ladder_scales_must_be_positive():

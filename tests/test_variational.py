@@ -13,6 +13,7 @@ from gridentropy import (
     Environment,
     EntropyEstimate,
     Histogram,
+    LadderPlan,
     Measure,
     TauFn,
     bernoulli_exponent_check,
@@ -29,6 +30,7 @@ from gridentropy import (
     shannon_entropy,
     variational_sup,
 )
+import conjugate_oracle
 from bernoulli_oracle import bernoulli_exponents
 
 Q2 = Direction.parse("1/2,1/2")
@@ -169,27 +171,71 @@ def test_conjugate_upper_bounds_entropy_on_half_intervals():
 
 
 def test_conjugate_shared_levels_change_nothing(monkeypatch):
-    """Shared levels give the same search as streaming each evaluation."""
+    """One plan of shared levels gives the search of streaming each evaluation:
+    the sequential oracle, one ``gibbs_estimate`` per potential it asks for."""
     from gridentropy import variational
 
     kwargs = dict(
         tau_family=default_tau_family(2, random_count=1), n_ladder=(8, 16, 32),
         restarts=2, ascent_passes=1,
     )
+    plans = []
+
+    def counted(*args, **rest):
+        plans.append(args)
+        return LadderPlan(*args, **rest)
+
+    monkeypatch.setattr(variational, "LadderPlan", counted)
     shared = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
     calls = []
 
-    def streamed(*args, levels, **rest):
-        calls.append(levels)
+    def streamed(*args, **rest):
+        calls.append(args)
         return gibbs_estimate(*args, **rest)
 
-    monkeypatch.setattr(variational, "gibbs_estimate", streamed)
-    alone = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
+    monkeypatch.setattr(conjugate_oracle, "gibbs_estimate", streamed)
+    alone = conjugate_oracle.conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
     assert len(calls) == alone.diagnostics["evaluations"]
-    assert len({id(levels) for levels in calls}) == 1
+    assert len(plans) == 1
     assert alone.value == shared.value
     assert alone.diagnostics == shared.diagnostics
     assert alone.ladder == shared.ladder
+
+
+def _assert_search_matches_oracle(seeds, nu, beta, **kwargs):
+    got = conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
+    want = conjugate_oracle.conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
+    assert got.value == want.value
+    assert got.ladder == want.ladder
+    assert got.diagnostics == want.diagnostics
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("restarts, passes",
+                         [(r, p) for r in (1, 2, 3) for p in (0, 1, 2)])
+def test_batched_search_equals_the_sequential_oracle(k, restarts, passes):
+    """The batched search picks the oracle's winner, with its floats and its
+    evaluation count, for one seed and for several."""
+    seeds = (1,) if (k + restarts + passes) % 2 else (2, 5, 7)
+    _assert_search_matches_oracle(
+        seeds, _half_measure(), 1.0,
+        tau_family=default_tau_family(k, random_count=2, rng_seed=k),
+        n_ladder=(4, 8, 12), restarts=restarts, ascent_passes=passes, rng_seed=restarts)
+
+
+@pytest.mark.parametrize("seeds", [(3,), (1, 4)])
+def test_batched_search_over_mixed_breakpoints_equals_the_oracle(seeds):
+    """A family whose potentials have different breakpoints runs one batch per
+    breakpoint set; the ascent from the winner moves to equal cells."""
+    family = (TauFn.identity_ladder(16), TauFn.indicator(0.3),
+              TauFn.from_values((0.5, -0.5, 1.0)), TauFn.from_values((-1.0, 0.25)),
+              TauFn.indicator(0.7))
+    for nu in (LAM64, _half_measure()):
+        for beta in (0.5, 2.0):
+            _assert_search_matches_oracle(
+                seeds, nu, beta, tau_family=family, n_ladder=(4, 8, 16),
+                restarts=3, ascent_passes=2)
 
 
 def test_default_tau_family_shape():
