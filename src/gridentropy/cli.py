@@ -48,11 +48,12 @@ from .lattice import (
 )
 from .measures import UNIT_MASS_TOL, Histogram, Measure
 from .polymer import (
-    DpTable, _ladder_box, _ladder_fit, gibbs_estimate, last_passage, sample_polymer_paths,
+    DpTable, _dp_reach, _ladder_box, _ladder_fit, gibbs_estimate, last_passage,
+    sample_polymer_paths,
 )
 from .prokhorov import prokhorov_distance
 from .variational import (
-    _ASCENT_DELTAS,
+    _search_bound,
     MAX_CELLS,
     bernoulli_exponent_check,
     conjugate_entropy,
@@ -782,26 +783,19 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# float64 overflows near 1.8e308.  Every log value and edge term of a
-# transfer DP lies within depth * (|beta| * max|tau| + log D) of 0 (beta
-# None weighs tau by 1), and the sampler subtracts two of them; a reach
-# below 1e300 keeps all of these finite with room to spare.
-_DP_REACH_LIMIT = 1e300
-
-
-def _dp_reach(fields: str, scale: float, bound: float, depth: int, dimension: int) -> None:
+def _config_reach(fields: str, scale: float, bound: float, depth: int, dimension: int) -> None:
     """Refuse the named fields when a DP's log weights could overflow float64."""
-    reach = depth * (scale * bound + math.log(dimension))
-    if not reach < _DP_REACH_LIMIT:
-        raise ConfigError(f"field {fields}: DP log weights reach {reach:.3g} over {depth} "
-                          f"steps, past the float64 range (limit {_DP_REACH_LIMIT:g})")
+    try:
+        _dp_reach(scale, bound, depth, dimension)
+    except ValueError as err:
+        raise ConfigError(f"field {fields}: {err}") from None
 
 
 def _dp_tau(config: ExperimentConfig, beta: float | None, depth: int, dimension: int) -> TauFn:
     """The tau field, refused with beta when the DP's log weights could overflow."""
     tau, spec = config.tau("tau")
     fields = f"tau={spec!r}" + ("" if beta is None else f" with beta={config.raw('beta')!r}")
-    _dp_reach(fields, 1.0 if beta is None else abs(beta), tau.bound, depth, dimension)
+    _config_reach(fields, 1.0 if beta is None else abs(beta), tau.bound, depth, dimension)
     return tau
 
 
@@ -882,12 +876,8 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
     restarts = config.int_("restarts", at_least=1)
     passes = config.int_("passes", at_least=0)
-    # Random starts lie in (-1, 1), inside the sign ladders' bound.  The
-    # ascent deltas are symmetric, and the steps a pass accepts on one
-    # side sum to at most their positive half (0.8 + 0.4 + 0.2 + 0.1).
-    reach = max(tau.bound for tau in family) + passes * sum(d for d in _ASCENT_DELTAS if d > 0)
-    _dp_reach(f"beta={config.raw('beta')!r}", abs(beta), reach,
-              _ladder_box(n_ladder, q, q.dimension)[1], q.dimension)
+    _config_reach(f"beta={config.raw('beta')!r}", abs(beta), _search_bound(family, restarts, passes),
+                  _ladder_box(n_ladder, q, q.dimension)[1], q.dimension)
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,

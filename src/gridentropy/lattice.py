@@ -8,6 +8,12 @@ are never stored, queries are pure, and two runs agree bit for bit.
 
 Directions are rational vectors, which keeps floor(n*q) exact in
 integer arithmetic for every scale n.
+
+The transfer DP's levels inside a box come from ``_level_blocks``, a
+block of consecutive levels at a time under a byte cap: points are
+unranked from the level counts of the box's suffixes, predecessor rows
+ranked the same way, and each edge's label finishes, with one mix, a
+hash chain shared by every edge from the same anchor prefix.
 """
 
 from __future__ import annotations
@@ -512,60 +518,172 @@ def label_rows(
         yield block
 
 
-def _level_plan(box: Sequence[int], depth: int):
-    """The seed-free geometry of the transfer DP inside a box, level by level.
+# Byte cap of one block of DP levels while a plan builds it, counting
+# every array the block allocates; a level bigger than that is a block
+# of its own.  Blocks of this size spread numpy's per-call cost over
+# 4 to 70 levels of a 512-scale level ladder without raising peak memory.
+_PLAN_BLOCK_BYTES = 1 << 19
+
+
+def _box_counts(box: Sequence[int], size: int) -> list[np.ndarray]:
+    """Cumulative level counts of every suffix of a box.
+
+    tables[i][t], for t < size, is the number of points w with 0 <= w
+    <= box[i:] and sum(w) < t; tables[len(box)] is the empty box's,
+    whose one point has sum 0.
+    """
+    cum = (np.arange(size) > 0).astype(np.int64)
+    tables = [cum]
+    for side in reversed(box):
+        # (x, w) has sum m for the w of sum m - side .. m.
+        lagged = np.zeros(size - 1, dtype=np.int64)
+        lagged[side:] = cum[:max(0, size - 1 - side)]
+        cum = np.concatenate([[0], np.cumsum(cum[1:] - lagged)])
+        tables.append(cum)
+    return tables[::-1]
+
+
+def _box_levels(tables: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points of levels lo..hi-1 of the box of ``_box_counts`` tables.
+
+    Returns each point's level (coordinate sum) and the (rows, D)
+    points, level after level and each level in lexicographic order.
+    Each point is read off its rank in its level one coordinate at a
+    time: the points of the level with a lower value there come first,
+    and the tables count them.
+    """
+    first = tables[0]
+    level = np.repeat(np.arange(lo, hi), np.diff(first[lo:hi + 1]))
+    rank = np.arange(len(level)) - (first[level] - first[lo])
+    points = np.empty((len(level), len(tables) - 1), dtype=np.intp)
+    room = level + 1  # one more than the sum left for the coordinates not yet read
+    for axis, table in enumerate(tables[1:-1]):
+        target = table[room] - rank
+        rest = np.searchsorted(table, target)
+        points[:, axis] = room - rest
+        rank = table[rest] - target
+        room = rest
+    if points.shape[1]:
+        points[:, -1] = room - 1
+    return level, points
+
+
+def _rank(tables: list[np.ndarray], level, prefix):
+    """The row of each point in its level: ``_box_levels`` inverted.
+
+    ``prefix`` lists the points' first D-1 coordinates as columns; the
+    level fixes the last.
+    """
+    rank = 0
+    room = level + 1
+    for table, column in zip(tables[1:-1], prefix):
+        rest = room - column
+        rank = table[room] - table[rest] + rank
+        room = rest
+    return rank
+
+
+def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
+                first: int, stop: int):
+    """Levels first..stop-1 of ``_level_blocks``' plan, as one block."""
+    d = len(box)
+    level, points = _box_levels(tables, first, stop)
+    bounds = (tables[0][first:stop + 1] - tables[0][first]).tolist()
+    # An edge's anchor u = v - e_axis is a point of the level before v's;
+    # its hash chain runs through the seed and axis, u's first D-1
+    # coordinates (its prefix) and u's last coordinate.  The prefixes of
+    # the block's anchors are the points of the box of the first D-1
+    # sides whose sums lie in [lo, stop - 1).
+    lo = max(0, first - 1 - box[-1])
+    golden = np.uint64(_GOLDEN)
+    _, prefixes = _box_levels(prefix_tables, lo, stop - 1)
+    chains = heads.T[:, :, None]
+    for column in prefixes.T:
+        chains = _mix_array(chains ^ (column.astype(np.uint64) + golden))
+    # chains[s, axis * prefixes + i]: seed s's chain along axis through prefix i.
+    chains = chains.reshape(len(heads.T), -1)
+    pred = np.empty(points.shape, dtype=np.intp)
+    link = np.empty(points.shape, dtype=np.intp)
+    below = level - 1
+    prefix_sum = level - points[:, -1]
+    for axis in range(d):
+        prefix = list(points.T[:-1])
+        if axis < d - 1:
+            prefix[axis] = prefix[axis] - 1
+            anchor_sum = prefix_sum - 1
+        else:
+            anchor_sum = prefix_sum
+        pred[:, axis] = _rank(tables, below, prefix)
+        link[:, axis] = (prefix_tables[0][anchor_sum] + _rank(prefix_tables, anchor_sum, prefix)
+                         + (axis * len(prefixes) - prefix_tables[0][lo]))
+    missing = points == 0
+    pred[missing] = -1
+    link[missing] = 0
+    last = points[:, -1:] - (np.arange(d) == d - 1)
+    state = _mix_array(np.take(chains, link, axis=1) ^ (last.astype(np.uint64) + golden))
+    label = (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    label[:, missing] = np.nan
+    return bounds, points, pred, label
+
+
+def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
+    """The transfer DP's levels inside a box, built a block of levels at a time.
 
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
-    lexicographic order; level 0 is the origin.  For k = 1..depth this
-    yields (points, pred, edges): points is level k as a (rows, D)
-    integer array; pred[r, axis] is the row in level k-1 of points[r]
-    minus the unit vector along axis, or -1 where that step leaves the
-    box; edges = (dst, axis, anchors) lists every edge into the level,
-    in no particular order: the row it enters, its axis, and the level
-    k-1 point it leaves (an (edges, D) array).  ``_level_labels`` reads
-    the edge labels of any seeds off the anchors.
+    lexicographic order; level 0 is the origin.  For k = 1..depth, in
+    blocks of consecutive levels, this yields (bounds, points, pred,
+    label): the rows of level first + i are bounds[i]:bounds[i + 1] of
+    the (rows, D) arrays; pred[r, axis] is the row, within the level
+    before, of points[r] minus the unit vector along axis, or -1 where
+    that step leaves the box; label[s, r, axis] is the label of that
+    edge in the environment of seed s, or NaN where pred is -1.
+    ``heads`` is ``_chain_heads`` of the seeds.
+
+    Every array a block allocates is counted against
+    _PLAN_BLOCK_BYTES, and its geometry costs O(points), not O(levels
+    x prefixes): ranks come from the level counts of the box's
+    suffixes, and each prefix chain is hashed once per block.
     """
+    box = tuple(int(c) for c in box)
     d = len(box)
-    # A point's row key is its mixed-radix index over the first D-1
-    # coordinates (the level fixes the last), so keys sort like points.
-    if math.prod(c + 1 for c in box[:-1]) > 2**63:
-        raise ValueError(f"box {tuple(box)} is too large to index level points")
-    strides = np.array([math.prod(c + 1 for c in box[axis + 1 : d - 1])
-                        for axis in range(d - 1)] + [0], dtype=np.int64)
-    limits = np.array(box, dtype=np.uint64)
-    units = np.eye(d, dtype=np.uint64)
-    points = np.zeros((1, d), dtype=np.uint64)
-    keys = np.zeros(1, dtype=np.int64)
-    for _ in range(depth):
-        src, axis = (points < limits).nonzero()
-        keys, first, dst = np.unique(keys[src] + strides[axis],
-                                     return_index=True, return_inverse=True)
-        pred = np.full((len(keys), d), -1, dtype=np.intp)
-        pred[dst, axis] = src
-        anchors = points[src]
-        points = anchors[first] + units[axis[first]]
-        yield points, pred, (dst, axis, anchors)
+    if math.prod(min(c, depth) + 1 for c in box) > 2**63 - 1:
+        raise ValueError(f"box {box} is too large to index level points")
+    tables = _box_counts(box, depth + 2)
+    prefix_tables = _box_counts(box[:-1], depth + 2)
+    seeds = heads.shape[1]
+    # Per row: level, rank and unranking temporaries, points, pred and
+    # link (D each), and per seed and axis the gathered chains, two mix
+    # temporaries and the labels.  Per prefix: its coordinates and the
+    # chains of every seed and axis with a mix temporary.
+    row_bytes = 8 * (8 + 4 * d + 4 * seeds * d)
+    prefix_bytes = 8 * (2 + d + 2 * seeds * d)
+    # The bytes of levels first..stop-1 are reach[stop - 1] less those
+    # of the levels and prefixes before them; the tables and reach
+    # itself come off the cap.
+    reach = (row_bytes * tables[0][1:].astype(np.float64)
+             + prefix_bytes * prefix_tables[0][:-1].astype(np.float64))
+    cap = _PLAN_BLOCK_BYTES - sum(table.nbytes for table in tables + prefix_tables) - reach.nbytes
+    first = 1
+    while first <= depth:
+        lo = max(0, first - 1 - box[-1])
+        spent = row_bytes * float(tables[0][first]) + prefix_bytes * float(prefix_tables[0][lo])
+        stop = min(depth + 1, max(first + 1, int(np.searchsorted(reach, spent + cap, "right"))))
+        yield _plan_block(box, tables, prefix_tables, heads, first, stop)
+        first = stop
 
 
-def _level_labels(heads: np.ndarray, pred: np.ndarray, edges) -> np.ndarray:
-    """The (seeds, rows, D) edge labels of one ``_level_plan`` level.
-
-    label[s, r, axis] is the label, in the environment of seed s, of the
-    edge into row r along axis, or NaN where pred is -1; ``heads`` is
-    ``_chain_heads`` of the seeds.
-    """
-    dst, axis, anchors = edges
-    label = np.full((heads.shape[1],) + pred.shape, np.nan)
-    label[:, dst, axis] = _chain_labels(heads.T[:, axis], anchors)
-    return label
+def _split(bounds: list[int], *arrays: np.ndarray):
+    """Each level of a ``_level_blocks`` block: the arrays' rows (axis -2) of that level."""
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield tuple(array[..., lo:hi, :] for array in arrays)
 
 
 def _level_edges(env: Environment, box: Sequence[int], depth: int):
-    """``_level_plan``'s levels as (points, pred, label) in one environment.
+    """``_level_blocks``' levels as (points, pred, label) in one environment.
 
     label[r, axis] is the label of the edge into points[r] along axis,
     or NaN where pred[r, axis] is -1.
     """
     heads = _chain_heads([env.seed], env.dimension)
-    for points, pred, anchors in _level_plan(box, depth):
-        yield points, pred, _level_labels(heads, pred, anchors)[0]
+    for bounds, points, pred, label in _level_blocks(box, depth, heads):
+        yield from _split(bounds, points, pred, label[0])

@@ -14,6 +14,12 @@ function.  ``beta=None`` replaces log-sum-exp with max and drops beta,
 giving last-passage times; backward softmax sampling draws paths with
 probability exactly proportional to their weight factor.
 
+The levels come from ``lattice._level_blocks``, which builds a block
+of consecutive levels at a time: their points, predecessor rows and the
+labels of every seed in a few array passes, under a byte cap.  Every
+DP here reads it, and each block's labels get their tau cells in one
+call; the fold itself runs level by level.
+
 The free-energy ladder runs one recursion to the box of its largest
 scale and reads every scale as the recursion passes it: a point's value
 depends only on its predecessors, so the reads equal one recursion per
@@ -21,10 +27,13 @@ scale bit for bit.  A level's geometry (its points and predecessor
 rows) is the same for every seed and only its labels are not, so one
 recursion carries every seed and every potential at once, over
 (potentials, seeds, rows) arrays.  Potentials that share breakpoints
-share each edge's cell index, computed once per level.
-``gibbs_estimate`` streams the levels of one potential; a
+share each edge's cell index, computed once per block.
+``gibbs_estimate`` streams the blocks of one potential; a
 ``LadderPlan`` holds them, so that a search over many potentials (the
 conjugate entropy) hashes the labels once and pays only for the folds.
+
+Every DP refuses, with ValueError, a beta and potential whose log
+weights could overflow float64 (``_dp_reach``).
 
 A table keeps, beside each level's values, the one walk of the lattice
 that computed them: per level, each point's predecessor rows and the
@@ -51,7 +60,7 @@ import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
-    _GOLDEN, _MASK, _chain_heads, _level_edges, _level_labels, _level_plan, _mix_array,
+    _GOLDEN, _MASK, _chain_heads, _level_blocks, _mix_array, _split,
     Direction, Environment, Path, TauFn,
 )
 
@@ -95,9 +104,10 @@ def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.n
 def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
     """Yield (points, values) for level 0 and each level of ``levels``.
 
-    ``levels`` yields (points, pred, cell) for the levels of a
-    ``_level_plan``: cell[..., r, axis] is the tau cell of the label of
-    the edge into row r along axis, with any leading seed axes.
+    ``levels`` yields (points, pred, cell) for levels 1, 2, ... of a
+    ``_level_blocks`` plan, one level at a time: cell[..., r, axis] is
+    the tau cell of the label of the edge into row r along axis, with
+    any leading seed axes.
     weights[..., c] is ``_weights`` of cell c, with any leading member
     axes.  values[..., i], of shape weights.shape[:-1] +
     cell.shape[:-2] + (rows,), is the log partition of the paths from
@@ -109,7 +119,7 @@ def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
     """
     fold = np.maximum if beta is None else np.logaddexp
     values = np.zeros(1)
-    yield np.zeros((1, dimension), dtype=np.uint64), values
+    yield np.zeros((1, dimension), dtype=np.intp), values
     for points, pred, cell in levels:
         terms = _edge_terms(values, pred, weights[..., cell])
         values = functools.reduce(fold, (terms[..., axis] for axis in range(dimension)))
@@ -121,15 +131,17 @@ class DpTable:
     """Level-indexed log-partition (or max-plus) table.
 
     levels[k] is a float64 array over the level-k points of the box, in
-    the lexicographic order of ``_level_edges``: the log partition
+    the lexicographic order of ``_level_blocks``: the log partition
     value of the length-k paths from the origin ending there, or their
     maximal weight when beta is None (max-plus).  The origin entry is
     0.  steps[k - 1] = (pred, label), for k = 1..depth, holds the two
-    (rows, D) arrays of ``_level_edges`` that built level k: pred[r,
-    axis] is the row in level k-1 of point r minus the unit vector
-    along axis (-1 when that leaves the box) and label[r, axis] the
-    label of the edge from it (NaN there).  Built in one level walk;
-    reproducible bit-for-bit given (environment, tau, beta).
+    (rows, D) arrays that built level k, views into the plan's blocks:
+    pred[r, axis] is the row in level k-1 of point r minus the unit
+    vector along axis (-1 when that leaves the box) and label[r, axis]
+    the label of the edge from it (NaN there).  Built in one walk of
+    the plan; reproducible bit-for-bit given (environment, tau, beta).
+    A beta and tau whose log weights could overflow float64 raise
+    ValueError (``_dp_reach``).
     """
 
     env: Environment
@@ -154,12 +166,16 @@ class DpTable:
 
     @classmethod
     def _build(cls, env, tau, beta, kind, box, depth, endpoint) -> "DpTable":
+        _dp_reach(1.0 if beta is None else abs(beta), tau.bound, depth, env.dimension)
+        heads = _chain_heads([env.seed], env.dimension)
         steps = []
 
         def walk():
-            for points, pred, label in _level_edges(env, box, depth):
-                steps.append((pred, label))
-                yield points, pred, tau.cell(label)
+            for bounds, points, pred, label in _level_blocks(box, depth, heads):
+                levels = _split(bounds, points, pred, label[0], tau.cell(label[0]))
+                for level_points, level_pred, level_label, cell in levels:
+                    steps.append((level_pred, level_label))
+                    yield level_points, level_pred, cell
 
         weights = _weights(beta, tau._cells)
         levels = [values for _, values in _transfer(env.dimension, walk(), beta, weights)]
@@ -168,6 +184,25 @@ class DpTable:
     def log_value(self) -> float:
         """Log partition (or, with beta None, maximal weight) of the ensemble."""
         return _total(self.levels[-1], self.beta)
+
+
+# float64 overflows near 1.8e308.  Every log value and edge term of a
+# transfer DP lies within depth * (|beta| * max|tau| + log D) of 0 (beta
+# None weighs tau by 1), and the sampler subtracts two of them; a reach
+# below 1e300 keeps all of these finite with room to spare.
+_DP_REACH_LIMIT = 1e300
+
+
+def _dp_reach(scale: float, bound: float, depth: int, dimension: int) -> None:
+    """Raise ValueError when a DP's log weights could overflow float64.
+
+    ``scale`` is |beta| (1 for max-plus) and ``bound`` the largest
+    |tau| the DP weighs.
+    """
+    reach = depth * (scale * bound + math.log(dimension))
+    if not reach < _DP_REACH_LIMIT:
+        raise ValueError(f"DP log weights reach {reach:.3g} over {depth} steps, "
+                         f"past the float64 range (limit {_DP_REACH_LIMIT:g})")
 
 
 def _total(last: np.ndarray, beta: float | None) -> float:
@@ -214,7 +249,7 @@ def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
                 for index in np.ndindex(values.shape[:-1]):
                     raws[index + (j,)] = _total(values[index], beta) / n
             else:
-                end = np.array(q.floor_scale(n), dtype=np.uint64)
+                end = np.array(q.floor_scale(n), dtype=np.intp)
                 row = np.flatnonzero((points == end).all(axis=1))[0]
                 raws[..., j] = values[..., row] / n
     return raws
@@ -268,20 +303,24 @@ def gibbs_estimate(
     energy); without, all length-n paths (point-to-level).  One DP runs
     every seed at once, to the box of the largest scale, and reads
     every ladder point as it passes, bit-identical to a DP per seed and
-    scale.  The levels are streamed: each is hashed for all seeds, used
-    and dropped.  Value is the mean of per-seed extrapolations; the
-    band is their half-spread plus the mean fit residual.
+    scale.  The levels are streamed a block at a time: each block is
+    built and hashed for all seeds, given its cells in one call, folded
+    level by level and dropped.  Value is the mean of per-seed
+    extrapolations; the band is their half-spread plus the mean fit
+    residual.  A beta and tau whose log weights could overflow float64
+    raise ValueError (``_dp_reach``).
     """
     seeds = tuple(seeds)
     n_ladder = _ladder_scales(n_ladder)
     if q is not None:
         dimension = q.dimension
     box, depth = _ladder_box(n_ladder, q, dimension)
+    _dp_reach(abs(beta), tau.bound, depth, dimension)
     heads = _chain_heads(seeds, dimension)
 
     def levels(tau: TauFn):
-        for points, pred, anchors in _level_plan(box, depth):
-            yield points, pred, tau.cell(_level_labels(heads, pred, anchors))
+        for bounds, points, pred, label in _level_blocks(box, depth, heads):
+            yield from _split(bounds, points, pred, tau.cell(label))
 
     return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension, levels)[0]
 
@@ -289,11 +328,12 @@ def gibbs_estimate(
 class LadderPlan:
     """One free-energy ladder's levels for a set of seeds, held to evaluate many potentials.
 
-    The level geometry (``_level_plan``) and the labels of every seed
-    depend on the seeds, the ladder and q, not on the potential; the
-    plan builds them once, and the cells of each breakpoint set the
-    first time a potential with it is evaluated.  It lives as long as
-    its owner holds it: ``conjugate_entropy`` keeps one per call.
+    The level blocks of ``_level_blocks`` (geometry and the labels of
+    every seed) depend on the seeds, the ladder and q, not on the
+    potential; the plan builds them once, and the cells of each
+    breakpoint set, one call per block, the first time a potential with
+    it is evaluated.  It lives as long as its owner holds it:
+    ``conjugate_entropy`` keeps one per call.
     """
 
     def __init__(self, seeds: Sequence[int], n_ladder: Sequence[int], *,
@@ -302,20 +342,26 @@ class LadderPlan:
         self.n_ladder = _ladder_scales(n_ladder)
         self.q = q
         self.dimension = q.dimension if q is not None else dimension
-        box, depth = _ladder_box(self.n_ladder, q, self.dimension)
+        box, self._depth = _ladder_box(self.n_ladder, q, self.dimension)
         heads = _chain_heads(self.seeds, self.dimension)
-        self._levels = [(points, pred, _level_labels(heads, pred, anchors))
-                        for points, pred, anchors in _level_plan(box, depth)]
+        self._blocks = list(_level_blocks(box, self._depth, heads))
         self._cells: dict[tuple[float, ...], list[np.ndarray]] = {}
 
     def _indexed(self, tau: TauFn):
         cells = self._cells.get(tau.breakpoints)
         if cells is None:
-            cells = self._cells[tau.breakpoints] = [tau.cell(label) for _, _, label in self._levels]
-        return ((points, pred, cell) for (points, pred, _), cell in zip(self._levels, cells))
+            cells = self._cells[tau.breakpoints] = [tau.cell(label) for *_, label in self._blocks]
+        for (bounds, points, pred, _), cell in zip(self._blocks, cells):
+            yield from _split(bounds, points, pred, cell)
 
     def estimates(self, beta: float, taus: Sequence[TauFn]) -> list[EntropyEstimate]:
-        """``gibbs_estimate`` of each potential, bit for bit, in one batch."""
+        """``gibbs_estimate`` of each potential, bit for bit, in one batch.
+
+        Raises ValueError when the DP log weights of beta and the
+        potentials could overflow float64 (``_dp_reach``).
+        """
+        _dp_reach(abs(beta), max((tau.bound for tau in taus), default=0.0), self._depth,
+                  self.dimension)
         return _gibbs_batch(self.seeds, beta, taus, self.n_ladder, self.q, self.dimension,
                             self._indexed)
 

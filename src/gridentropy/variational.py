@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import EntropyEstimate
+from .estimators import _ladder_scales, EntropyEstimate
 from .lattice import _level_edges, Direction, Environment, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
-from .polymer import LadderPlan
+from .polymer import _dp_reach, _ladder_box, LadderPlan
 
 __all__ = [
     "BernoulliReport",
@@ -130,6 +130,19 @@ def default_tau_family(
 _ASCENT_DELTAS = (-0.8, -0.4, -0.2, -0.1, 0.1, 0.2, 0.4, 0.8)
 
 
+def _search_bound(tau_family: Sequence[TauFn], restarts: int, ascent_passes: int) -> float:
+    """The largest |tau| that ``conjugate_entropy`` can evaluate.
+
+    Random starts lie in (-1, 1).  The ascent deltas are symmetric, and
+    the steps a pass accepts on one side sum to at most their positive
+    half (0.8 + 0.4 + 0.2 + 0.1), speculative evaluations included.
+    """
+    start = max(tau.bound for tau in tau_family)
+    if restarts > 1:
+        start = max(start, 1.0)
+    return start + ascent_passes * sum(d for d in _ASCENT_DELTAS if d > 0)
+
+
 def conjugate_entropy(
     seeds: Sequence[int],
     q: Direction,
@@ -160,11 +173,17 @@ def conjugate_entropy(
     free energy equals its ``gibbs_estimate`` bit for bit; the winner,
     the value and ``evaluations``, which counts only the potentials the
     walk asks for, are those of evaluating one potential at a time.
+
+    Raises ValueError when the DP log weights of beta and the largest
+    |tau| the search can evaluate (``_search_bound``) could overflow
+    float64.
     """
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
         raise ValueError("tau family must be nonempty")
+    _dp_reach(abs(beta), _search_bound(tau_family, restarts, ascent_passes),
+              _ladder_box(_ladder_scales(n_ladder), q, q.dimension)[1], q.dimension)
     plan = LadderPlan(seeds, n_ladder, q=q)
     energies: dict[TauFn, EntropyEstimate] = {}
     asked: set[TauFn] = set()

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from gridentropy import Environment
-from gridentropy.lattice import _level_edges
+from plan_oracle import level_edges as _level_edges
 
 
 def bernoulli_exponents(

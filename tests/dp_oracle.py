@@ -1,13 +1,14 @@
 """Per-axis scatter oracle for the dense transfer fold and the sampler thresholds.
 
-A table stores each level's edges as dense (rows, D) predecessor and
-label arrays.  This oracle splits them back into one edge list per axis
-(the rows with an edge along it, their predecessor rows and labels),
-folds each axis into a level that starts at -inf by scattering into
-those rows only, and adds each axis's exp(...) into a running threshold
-sum the same way.  It never gathers a padded -inf or adds a missing
-edge's zero, so it checks that the dense fold's missing edges change no
-bit.
+The oracle walks a table's box with the level-by-level oracle plan
+(``plan_oracle``), not with the table's own steps, and splits each
+level's dense (rows, D) predecessor and label arrays into one edge list
+per axis (the rows with an edge along it, their predecessor rows and
+labels).  It folds each axis into a level that starts at -inf by
+scattering into those rows only, and adds each axis's exp(...) into a
+running threshold sum the same way.  It never gathers a padded -inf or
+adds a missing edge's zero, so it checks that the dense fold's missing
+edges change no bit, and it shares no geometry with the table.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from plan_oracle import level_edges
+
+
+def oracle_steps(table) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (pred, label) of each level of the table's box, from the oracle plan."""
+    depth = len(table.levels) - 1
+    box = table.endpoint if table.kind == "point" else (depth,) * table.env.dimension
+    return [(pred, label) for _, pred, label in level_edges(table.env, box, depth)]
 
 
 def axis_edges(pred: np.ndarray, label: np.ndarray) -> dict:
@@ -30,7 +40,7 @@ def axis_edges(pred: np.ndarray, label: np.ndarray) -> dict:
 def levels(table) -> list[np.ndarray]:
     """The table's levels, refolded from its steps one axis at a time."""
     out = [np.zeros(1)]
-    for pred, label in table.steps:
+    for pred, label in oracle_steps(table):
         prev, values = out[-1], np.full(len(pred), -np.inf)
         for dst, src, labels in axis_edges(pred, label).values():
             w = table.tau.apply(labels)
@@ -45,7 +55,7 @@ def levels(table) -> list[np.ndarray]:
 def step_thresholds(table) -> list[np.ndarray]:
     """Each level's cumulative step thresholds, accumulated one axis at a time."""
     out = []
-    for k, (pred, label) in enumerate(table.steps, 1):
+    for k, (pred, label) in enumerate(oracle_steps(table), 1):
         prev, values = table.levels[k - 1], table.levels[k]
         rows, d = pred.shape
         edges = axis_edges(pred, label)

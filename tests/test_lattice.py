@@ -1,6 +1,7 @@
 """Lattice combinatorics, hashed environments, step functions, enumeration."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -21,8 +22,11 @@ from gridentropy import (
     path_count,
     shannon_entropy,
 )
+from gridentropy import lattice
+from gridentropy.lattice import _chain_heads, _level_blocks, _split
 from gridentropy.measures import add
 from path_oracle import path_labels, path_weight
+import plan_oracle
 
 
 def test_path_count_examples():
@@ -289,3 +293,89 @@ def test_staircase_empirical_cdf_near_uniform():
     grid = (np.arange(1, n + 1)) / n
     kolmogorov = np.max(np.abs(labels - grid))
     assert kolmogorov <= 0.01
+
+
+# (box, depth): point boxes of D = 1..4, zero coordinates included, and level cubes.
+PLAN_BOXES = [
+    ((5,), 5), ((3, 2), 5), ((3, 0, 5), 8), ((4, 4, 0), 8), ((0, 0, 0), 0), ((0, 4), 4),
+    ((2, 3, 1, 2), 8), ((2, 0, 3, 1), 6),
+    ((6,), 6), ((6, 6), 6), ((4, 4, 4), 4), ((3, 3, 3, 3), 3),
+]
+
+
+def _plan_levels(box, depth, heads, tau):
+    """The block plan's levels as (points, pred, label, cell), and the levels of each block."""
+    blocks = list(_level_blocks(box, depth, heads))
+    levels = [level for bounds, points, pred, label in blocks
+              for level in _split(bounds, points, pred, label, tau.cell(label))]
+    return levels, [len(bounds) - 1 for bounds, *_ in blocks]
+
+
+@pytest.mark.parametrize("box, depth", PLAN_BOXES)
+@pytest.mark.parametrize("seeds", [(7,), (3, 2**64 - 1, -5)], ids=["one-seed", "three-seeds"])
+@pytest.mark.parametrize("blocks", ["cap", "one-level", "several"])
+def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, blocks):
+    """Every level of the block plan has the oracle's points, pred, labels
+    (NaN where there is no edge) and cells: under the module's cap, with
+    one level per block, and under caps that cut blocks of several levels."""
+    heads = _chain_heads(seeds, len(box))
+    tau = TauFn((0.0, 0.1, 0.65), (1.0, -2.0, 0.5))
+    oracle = []
+    for points, pred, edges in plan_oracle._level_plan(box, depth):
+        label = plan_oracle._level_labels(heads, pred, edges)
+        oracle.append((points, pred, label, tau.cell(label)))
+    caps = {"cap": [lattice._PLAN_BLOCK_BYTES], "one-level": [0],
+            "several": range(250, 16001, 250)}[blocks]
+    partitions = []
+    for cap in caps:
+        monkeypatch.setattr(lattice, "_PLAN_BLOCK_BYTES", cap)
+        levels, sizes = _plan_levels(box, depth, heads, tau)
+        partitions.append(sizes)
+        assert len(levels) == depth
+        for got, want in zip(levels, oracle):
+            points, pred, label, cell = got
+            want_points, want_pred, want_label, want_cell = want
+            assert points.tolist() == want_points.tolist()
+            assert pred.tolist() == want_pred.tolist()
+            assert (np.isnan(label) == np.isnan(want_label)).all()
+            assert (label == want_label).sum() == (~np.isnan(want_label)).sum()
+            assert cell.tolist() == want_cell.tolist()
+    if blocks == "one-level":
+        assert partitions == [[1] * depth]
+    if blocks == "several" and depth >= 3:
+        assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in partitions)
+
+
+def _streamed_peak(box, depth, seeds):
+    """tracemalloc's peak while the plan streams, each block dropped before
+    the next, and the bytes of the largest level it yields."""
+    heads = _chain_heads(seeds, len(box))
+    largest = 0
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for block in _level_blocks(box, depth, heads):
+            bounds, points, pred, label = block
+            level_bytes = (points.nbytes + pred.nbytes + label.nbytes) // len(points)
+            rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+            largest = max(largest, rows * level_bytes)
+            del block, bounds, points, pred, label
+        return tracemalloc.get_traced_memory()[1] - base, largest
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("box, depth, seeds", [
+    ((512, 512), 512, (1,)),
+    # The thin box: 361,201 prefixes, each at one level of 1200.
+    ((600, 600, 0), 1200, (1,)),
+    ((64, 64), 128, (1, 2, 3, 4, 5)),
+    ((16, 16, 16), 48, (1,)),
+    ((40, 40, 40), 40, (1, 2)),
+    ((12, 12, 12, 12), 12, (1,)),
+])
+def test_plan_stays_under_its_byte_cap(box, depth, seeds):
+    """Streaming a plan never holds more than the byte cap plus one level,
+    every table, prefix chain and temporary of a block counted."""
+    peak, level = _streamed_peak(box, depth, seeds)
+    assert peak <= lattice._PLAN_BLOCK_BYTES + level

@@ -23,8 +23,8 @@ from gridentropy import (
     path_count,
     sample_polymer_paths,
 )
-from gridentropy import polymer
-from gridentropy.lattice import _level_edges
+from gridentropy import lattice, polymer
+from gridentropy.lattice import _level_blocks, _level_edges
 from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
 import dp_oracle
 from path_oracle import path_weight
@@ -157,9 +157,9 @@ def test_table_build_walks_the_lattice_once(monkeypatch):
 
     def counted(*args):
         walks.append(args)
-        return _level_edges(*args)
+        return _level_blocks(*args)
 
-    monkeypatch.setattr(polymer, "_level_edges", counted)
+    monkeypatch.setattr(polymer, "_level_blocks", counted)
     table = DpTable.point(Environment(2, 3), (2, 1, 2), 1.0, TAU16)
     sample_polymer_paths(table, range(20))
     assert len(walks) == 1
@@ -279,6 +279,46 @@ def test_batched_dp_equals_one_dp_per_seed_and_potential(q, dimension, n_ladder)
             seeds, 0.8, tau, n_ladder, q, dimension)
     # A second batch reads the cells the first one computed.
     assert plan.estimates(0.8, BATCH_TAUS[::-1]) == batched[::-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dp_reach_past_the_float_range_is_refused():
+    """A beta and tau whose DP log weights could overflow float64 raise
+    ValueError before any level is folded, not an overflow warning and a
+    nan: in gibbs_estimate, a plan's estimates, point and level tables
+    (max-plus too) and last passage."""
+    q = Direction.parse("1/2,1/2")
+    tau = TauFn.identity_ladder(4)
+    huge = TauFn.constant(1e308)
+    env = Environment(1, 2)
+    for refused in (
+        lambda: gibbs_estimate((1,), 1e308, tau, (8, 16), q=q),
+        lambda: gibbs_estimate((1, 2), 1.0, huge, (8, 16)),
+        lambda: LadderPlan((1,), (8, 16), q=q).estimates(1e308, [tau]),
+        lambda: LadderPlan((1,), (8, 16)).estimates(1.0, [tau, huge]),
+        lambda: DpTable.point(env, (8, 8), 1e308, tau),
+        lambda: DpTable.level(env, 16, None, huge),
+        lambda: last_passage(env, (3, 3), huge),
+    ):
+        with pytest.raises(ValueError, match="past the float64 range"):
+            refused()
+    # Inside the bound, the same calls run clean.
+    assert math.isfinite(gibbs_estimate((1,), 1e297, tau, (8, 16), q=q).value)
+    assert math.isfinite(DpTable.level(env, 16, None, TauFn.constant(1e298)).log_value())
+
+
+@pytest.mark.parametrize("q, dimension, n_ladder", GIBBS_LADDERS)
+def test_block_boundaries_change_no_estimate(monkeypatch, q, dimension, n_ladder):
+    """Blocks of one level, or of a few levels that cut the ladder between
+    two scales, give the estimates of the module's blocks bit for bit."""
+    seeds = (3, 4)
+    want = gibbs_estimate(seeds, 1.3, TAU16, n_ladder, q=q, dimension=dimension)
+    want_batch = LadderPlan(seeds, n_ladder, q=q, dimension=dimension).estimates(1.3, BATCH_TAUS)
+    for block_bytes in (0, 2500, 5000, 10000, 20000):
+        monkeypatch.setattr(lattice, "_PLAN_BLOCK_BYTES", block_bytes)
+        assert gibbs_estimate(seeds, 1.3, TAU16, n_ladder, q=q, dimension=dimension) == want
+        plan = LadderPlan(seeds, n_ladder, q=q, dimension=dimension)
+        assert plan.estimates(1.3, BATCH_TAUS) == want_batch
 
 
 def test_gibbs_ladder_scales_must_be_positive():

@@ -202,6 +202,22 @@ def test_conjugate_shared_levels_change_nothing(monkeypatch):
     assert alone.ladder == shared.ladder
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_conjugate_refuses_a_reach_past_the_float_range():
+    """A beta whose DP log weights could overflow over the potentials the
+    search can reach, the family's bound plus 1.5 per ascent pass, raises
+    ValueError up front instead of returning nan."""
+    kwargs = dict(tau_family=default_tau_family(2, random_count=0), n_ladder=(8, 16),
+                  restarts=1)
+    with pytest.raises(ValueError, match="past the float64 range"):
+        conjugate_entropy((1,), Q2, discretize_lebesgue(8), 1e308, ascent_passes=0, **kwargs)
+    # 16 steps of 2e298 * (1 + 2 * 1.5) reach 1.28e300; of 2e298 * 1, 3.2e299.
+    with pytest.raises(ValueError, match="past the float64 range"):
+        conjugate_entropy((1,), Q2, discretize_lebesgue(8), 2e298, ascent_passes=2, **kwargs)
+    est = conjugate_entropy((1,), Q2, discretize_lebesgue(8), 2e298, ascent_passes=0, **kwargs)
+    assert math.isfinite(est.value)
+
+
 def _assert_search_matches_oracle(seeds, nu, beta, **kwargs):
     got = conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
     want = conjugate_oracle.conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
