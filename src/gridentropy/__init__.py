@@ -38,8 +38,6 @@ from .lattice import (
     Environment,
     Path,
     TauFn,
-    enumerate_level_paths,
-    enumerate_paths,
     label_rows,
     level_path_count,
     path_count,

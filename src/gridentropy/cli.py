@@ -137,7 +137,7 @@ def _parse_eps_ladder(text: str) -> tuple[float, ...]:
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """Grid: 'start:stop:step' inclusive, else comma floats."""
+    """Grid: 'start:stop:step' inclusive, else comma floats; every value >= 0."""
     if ":" in text:
         start_text, stop_text, step_text = text.split(":")
         start, stop, step = float(start_text), float(stop_text), float(step_text)
@@ -145,8 +145,11 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"bad grid {text!r}")
         count = int(round((stop - start) / step))
         grid = tuple(round(start + k * step, 12) for k in range(count + 1))
-        return grid
-    return _parse_floats(text)
+    else:
+        grid = _parse_floats(text)
+    if not all(alpha >= 0.0 for alpha in grid):
+        raise ValueError(f"values must be >= 0, got {grid}")
+    return grid
 
 
 def _parse_rational(text: str) -> float:
@@ -872,7 +875,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     seeds = config.seeds("seeds")
     k = config.int_("k", at_least=1, at_most=MAX_CELLS)
     random_count = config.int_("random_count", at_least=0)
-    family_seed = config.int_("family_seed")
+    family_seed = config.int_("family_seed", at_least=0)
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
     restarts = config.int_("restarts", at_least=1)
     passes = config.int_("passes", at_least=0)
@@ -884,7 +887,7 @@ def _run_conjugate(config: ExperimentConfig) -> int:
         n_ladder=n_ladder,
         restarts=restarts,
         ascent_passes=passes,
-        rng_seed=config.int_("ascent_seed"),
+        rng_seed=config.int_("ascent_seed", at_least=0),
     )
     best_spec = est.diagnostics["best_tau"]
     best_tau = TauFn(tuple(best_spec["breakpoints"]), tuple(best_spec["values"]))

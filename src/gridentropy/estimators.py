@@ -21,16 +21,17 @@ cost sums log sum exp(-(1/eps) rho(mu_path, target)); ``cost_sum``
 exposes those for the structure checks, while the normalized form above
 is the public estimator.
 
-Everything is deterministic given (seed list, config).  Both forms
+Everything is deterministic given (seed list, config).  Every path
+distance here comes one way: ``lattice.label_rows`` walks the ensemble
+in DFS order, in blocks capped in bytes, each row is sorted, and the
+prokhorov row kernel turns each block into distances.  Both forms
 are functions of one object per ladder point: the profile, the sorted
-array of all path distances.  It is built once per (environment,
-target, n, ensemble) from the paths' sorted label rows, which the
-lattice expands level by level in blocks capped in bytes; the
-prokhorov row kernel turns each block into distances.  One LRU store
-capped in bytes keeps the profile, so the eps ladder, the rank grid
-and the level cross-check all read the same array.  Order statistics
-index into it and each cost sum is one max-shifted log-sum-exp over
-it.
+array of all path distances, built once per (environment, target, n,
+ensemble).  One LRU store capped in bytes keeps the profile, so the
+eps ladder, the rank grid and the level cross-check all read the same
+array.  Order statistics index into it and each cost sum is one
+max-shifted log-sum-exp over it.  ``cost_sum`` keeps its distances in
+the walker's order instead, so its sum adds them in DFS order.
 """
 
 from __future__ import annotations
@@ -48,13 +49,12 @@ from .lattice import (
     BudgetError,
     Direction,
     Environment,
-    enumerate_paths,
     label_rows,
     level_path_count,
     path_count,
 )
 from .measures import Measure
-from .prokhorov import prokhorov_distance, prokhorov_rows
+from .prokhorov import prokhorov_rows
 
 __all__ = [
     "OrderStatSeries",
@@ -172,11 +172,10 @@ def _profile(
 
     profile = np.empty(count)
     filled = 0
-    row_bytes = 8 * (length * len(nu.atoms) + 1)
-    for rows in label_rows(env, _PROFILE_BLOCK_BYTES // row_bytes,
-                           endpoint=endpoint, length=level_length):
-        profile[filled:filled + len(rows)] = prokhorov_rows(rows, 1.0 / n_scale, nu)
-        filled += len(rows)
+    for distances in _distances(env, nu, 1.0 / n_scale, length,
+                                endpoint=endpoint, length=level_length):
+        profile[filled:filled + len(distances)] = distances
+        filled += len(distances)
     profile.sort()
     profile.setflags(write=False)
     if profile.nbytes <= _PROFILE_STORE_BYTES:
@@ -185,6 +184,20 @@ def _profile(
         while stored > _PROFILE_STORE_BYTES:
             stored -= _profiles.popitem(last=False)[1].nbytes
     return profile
+
+
+def _distances(env: Environment, nu: Measure, mass: float, depth: int, **ensemble):
+    """rho(mass * mu_path, nu) of every path of a ``label_rows`` ensemble.
+
+    Yields one array per block, in the walker's DFS order.  A block
+    holds at most _PROFILE_BLOCK_BYTES of breakpoints, depth * m + 1
+    floats for each path against the target's m atoms, and each row is
+    sorted before the row kernel reads it.
+    """
+    row_bytes = 8 * (depth * len(nu.atoms) + 1)
+    for labels, _ in label_rows(env, _PROFILE_BLOCK_BYTES // row_bytes, **ensemble):
+        labels.sort(axis=1)
+        yield prokhorov_rows(labels, mass, nu)
 
 
 def _log_sum_exp(xs: Sequence[float]) -> float:
@@ -282,20 +295,17 @@ def cost_sum(
 ) -> float:
     """Unnormalized cost sum log sum_path exp(-(1/eps) rho(mu_path, target)).
 
+    The paths run start -> endpoint; an empty start is the origin.
     mu_path is the raw (unnormalized) empirical measure and the target
     carries its full mass.  This is the quantity that is exactly
     superadditive under path concatenation; the structure checks run on
-    it.
+    it.  The terms are summed in the walker's DFS order, one path at a
+    time, so the bits do not depend on the block size.
     """
     _cost_scale(1, eps)
-    terms: list[float] = []
-
-    def visit(path, labels):
-        mu = Measure((u, 1.0) for u in labels)
-        terms.append(-prokhorov_distance(mu, target) / eps)
-
-    enumerate_paths(env, endpoint, visit, start=start, budget=budget)
-    return _log_sum_exp(terms)
+    blocks = _distances(env, target, 1.0, sum(endpoint) - sum(start),
+                        endpoint=endpoint, start=start, budget=budget)
+    return _log_sum_exp([-d / eps for distances in blocks for d in distances.tolist()])
 
 
 def vanish_threshold(nu: Measure, n_max: int) -> float:
@@ -318,8 +328,8 @@ def vanish_threshold(nu: Measure, n_max: int) -> float:
 
 def _rank_for(alpha: float, n: int, cap: int) -> int:
     """floor(e^{alpha n}), clipped into [1, cap + 1]."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
     raw = alpha * n
     if raw > math.log(cap + 1):
         return cap + 1

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "path_count",
     "level_path_count",
     "shannon_entropy",
-    "enumerate_paths",
-    "enumerate_level_paths",
     "label_rows",
 ]
 
@@ -330,192 +328,101 @@ def shannon_entropy(q: Direction) -> float:
     )
 
 
-def _dfs_paths(
-    env: Environment,
-    start: tuple[int, ...],
-    visitor: Callable[[Path, Sequence[float]], None],
-    remaining: list[int] | None,
-    depth: int,
-) -> None:
-    """Shared DFS core; remaining=None means free (level) steps.
-
-    Iterative with an explicit axis-counter stack, so path length is
-    not capped by the interpreter recursion limit.  The label list is
-    in step order: appended on descend, popped on backtrack.  The list
-    passed to the visitor is live; callers copy what they keep.
-    """
-    coords = list(start)
-    steps: list[int] = []
-    labels: list[float] = []
-    dimension = env.dimension
-    stack = [0]
-
-    def undo() -> None:
-        axis = steps.pop()
-        coords[axis] -= 1
-        if remaining is not None:
-            remaining[axis] += 1
-        labels.pop()
-
-    # Invariant at the top of each turn: len(steps) == len(stack) - 1.
-    while stack:
-        if len(stack) - 1 == depth:
-            visitor(Path(start, tuple(steps)), labels)
-            stack.pop()
-            if steps:
-                undo()
-            continue
-        axis = stack[-1]
-        if axis == dimension:
-            stack.pop()
-            if steps:
-                undo()
-            continue
-        stack[-1] = axis + 1
-        if remaining is not None:
-            if remaining[axis] == 0:
-                continue
-            remaining[axis] -= 1
-        labels.append(env.edge_label(coords, axis))
-        coords[axis] += 1
-        steps.append(axis)
-        stack.append(0)
-
-
-def enumerate_paths(
-    env: Environment,
-    endpoint: Sequence[int],
-    visitor: Callable[[Path, Sequence[float]], None],
-    *,
-    start: Sequence[int] = (),
-    budget: int = DEFAULT_PATH_BUDGET,
-) -> int:
-    """Visit every NE path start -> endpoint once, depth first.
-
-    The visitor receives the Path and its edge labels in step order
-    (live storage, valid for the duration of the call).  Returns the
-    number of paths visited.  Refuses with BudgetError when the exact
-    path count exceeds the budget.
-    """
-    start = tuple(int(c) for c in start) if start else (0,) * env.dimension
-    endpoint = tuple(int(c) for c in endpoint)
-    if len(endpoint) != env.dimension or len(start) != env.dimension:
-        raise ValueError("start/endpoint dimension mismatch")
-    delta = [e - s for s, e in zip(start, endpoint)]
-    if any(d < 0 for d in delta):
-        raise ValueError(f"endpoint {endpoint} not NE of start {start}")
-    count = path_count(delta)
-    if count > budget:
-        raise BudgetError(count, budget)
-    _dfs_paths(env, start, visitor, delta, sum(delta))
-    return count
-
-
-def enumerate_level_paths(
-    env: Environment,
-    length: int,
-    visitor: Callable[[Path, Sequence[float]], None],
-    *,
-    budget: int = DEFAULT_PATH_BUDGET,
-) -> int:
-    """Visit all D^length NE paths of the given length from the origin.
-
-    The visitor receives what ``enumerate_paths`` passes it: the Path
-    and its live list of edge labels in step order.
-    """
-    count = level_path_count(env.dimension, length)
-    if count > budget:
-        raise BudgetError(count, budget)
-    _dfs_paths(env, (0,) * env.dimension, visitor, None, length)
-    return count
-
-
 def label_rows(
     env: Environment,
     block_rows: int,
     *,
     endpoint: Sequence[int] | None = None,
     length: int | None = None,
-) -> Iterator[np.ndarray]:
-    """The sorted label lists of an ensemble's paths, in blocks of rows.
+    start: Sequence[int] = (),
+    budget: int = DEFAULT_PATH_BUDGET,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every path of an ensemble in DFS order, as label rows and step axes.
 
-    The ensemble is every NE path origin -> endpoint or every one of the
-    D^length paths from the origin; exactly one of the two is given.
-    Each block is a (paths, path length) float array of at most
-    max(1, block_rows) rows, and row i is one path's labels in
-    ascending order: the list ``enumerate_paths`` passes its visitor,
-    sorted.  Every path appears in exactly one row; the order of the
-    rows is not part of the contract.
+    The ensemble is every NE path start -> endpoint, or every one of the
+    D^length paths from start; exactly one of endpoint and length is
+    given, and start defaults to the origin.  Each block is a pair of
+    (paths, path length) arrays of at most max(1, block_rows) rows:
+    row i of the first holds a path's edge labels and row i of the
+    second its step axes, both in step order.  Taken block after block,
+    the rows run in DFS order, which is the lexicographic order of the
+    step sequences.  An ensemble of more than ``budget`` paths raises
+    BudgetError before any label is hashed.
 
     A block is the subtree of one path prefix, built by level
-    expansion: each level takes one ``label_array`` call per axis for
-    the prefixes that step along it.  A prefix with more paths than a
-    block holds is stepped one level, and each child is tried in turn.
+    expansion: each level steps every prefix along every axis it may
+    take, parent-major, with one hash call for the whole level.  A
+    prefix with more paths than a block holds is stepped one level, and
+    its children are tried in order.
     """
     if (endpoint is None) == (length is None):
         raise ValueError("exactly one of endpoint/length must be given")
     d = env.dimension
+    origin = np.array([int(c) for c in start] if start else [0] * d, dtype=np.int64)
+    if len(origin) != d:
+        raise ValueError(f"start {tuple(origin.tolist())} is not a point of Z^{d}")
     if endpoint is not None:
-        box = tuple(int(c) for c in endpoint)
-        if len(box) != d or any(c < 0 for c in box):
-            raise ValueError(f"endpoint {box} is not a point of N^{d}")
-        depth = sum(box)
+        end = np.array([int(c) for c in endpoint], dtype=np.int64)
+        if len(end) != d or (end < origin).any():
+            raise ValueError(f"endpoint {tuple(end.tolist())} is not NE of start "
+                             f"{tuple(origin.tolist())} in Z^{d}")
+        depth = int((end - origin).sum())
 
-        def paths_from(point) -> int:
-            return path_count([b - int(c) for b, c in zip(box, point)])
+        def paths_from(point, done: int) -> int:
+            return path_count(end - point)
     else:
         if length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        box = None
+        end = np.full(d, np.iinfo(np.int64).max)
         depth = length
 
-        def paths_from(point) -> int:
-            return d ** (depth - int(sum(point)))
+        def paths_from(point, done: int) -> int:
+            return d ** (depth - done)
+    count = paths_from(origin, 0)
+    if count > budget:
+        raise BudgetError(count, budget)
     block_rows = max(1, block_rows)
+    heads = _chain_heads([env.seed], d)[:, 0]
 
     def step(points):
-        """One level: (parent row, label, point) of each child, as arrays."""
-        parents, labels, stepped = [], [], []
-        for axis in range(d):
-            if box is None:
-                src = np.arange(len(points))
-            else:
-                src = (points[:, axis] < box[axis]).nonzero()[0]
-                if not len(src):
-                    continue
-            anchors = points[src]
-            labels.append(env.label_array(anchors, axis))
-            anchors[:, axis] += 1
-            parents.append(src)
-            stepped.append(anchors)
-        return np.concatenate(parents), np.concatenate(labels), np.concatenate(stepped)
+        """One level, parent-major: (parent row, axis, label, point) of each child."""
+        parents, axes = (points < end).nonzero()
+        stepped = points[parents]
+        labels = _chain_labels(heads[axes], stepped.astype(np.uint64))
+        stepped[np.arange(len(axes)), axes] += 1
+        return parents, axes, labels, stepped
 
-    # Pending prefixes, one row each: (labels so far, end point).
-    pending = [(np.empty((1, 0)), np.zeros((1, d), dtype=np.uint64))]
+    # Pending prefixes, one row each: (labels, steps, end point).  The
+    # last one is the next in DFS order.
+    pending = [(np.empty((1, 0)), np.empty((1, 0), dtype=np.intp), origin[None, :])]
     while pending:
-        prefix, points = pending.pop()
-        done = prefix.shape[1]
-        if paths_from(points[0]) > block_rows:
+        labels, steps, points = pending.pop()
+        done = labels.shape[1]
+        if paths_from(points[0], done) > block_rows:
             # Too many paths for one block: step the prefix one level.
-            parents, labels, points = step(points)
-            prefix = np.concatenate([prefix[parents], labels[:, None]], axis=1)
-            pending.extend((prefix[i:i + 1], points[i:i + 1]) for i in range(len(points)))
+            parents, axes, level, points = step(points)
+            labels = np.concatenate([labels[parents], level[:, None]], axis=1)
+            steps = np.concatenate([steps[parents], axes[:, None]], axis=1)
+            pending.extend((labels[i:i + 1], steps[i:i + 1], points[i:i + 1])
+                           for i in range(len(points) - 1, -1, -1))
             continue
         # The block fits: expand it to full length, keeping only parent
-        # links, then read the labels back along them.
+        # links, then read the labels and axes back along them.
         levels = []
         for _ in range(done, depth):
-            parents, labels, points = step(points)
-            levels.append((parents, labels))
+            parents, axes, level, points = step(points)
+            levels.append((parents, axes, level))
         block = np.empty((len(points), depth))
+        moves = np.empty((len(points), depth), dtype=np.intp)
         index = np.arange(len(points))
         for col in range(depth - 1, done - 1, -1):
-            parents, labels = levels[col - done]
-            block[:, col] = labels[index]
+            parents, axes, level = levels[col - done]
+            block[:, col] = level[index]
+            moves[:, col] = axes[index]
             index = parents[index]
-        block[:, :done] = prefix
-        block.sort(axis=1)
-        yield block
+        block[:, :done] = labels
+        moves[:, :done] = steps
+        yield block, moves
 
 
 # Byte cap of one block of DP levels while a plan builds it, counting

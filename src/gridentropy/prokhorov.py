@@ -29,8 +29,10 @@ the nonincreasing deficiency therefore gives the exact infimum with no
 search tolerance.
 
 ``prokhorov_rows`` gives the same distances for a block of path
-empirical measures at once: one numpy pass builds every row's
-breakpoints, then each row runs the same bisection and sweep.
+empirical measures at once.  Against a one-atom target it runs the
+singleton crossing on every row together; against more atoms one numpy
+pass builds every row's breakpoints, then each row runs the same
+bisection and sweep.
 
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
@@ -207,26 +209,59 @@ def _infimum(
     return min(float(breakpoints[crossing]), deficiency(crossing - 1))
 
 
+def _singleton_rows(rows: np.ndarray, mass: float, x: float, c: float):
+    """``_singleton_distance`` of every row against the single atom c at x.
+
+    Each row is a measure with mass ``mass`` at each of its labels.
+    The row's distances |u - x| are sorted, the mass at distance >= the
+    i-th of them is a reversed running sum (added from the far end one
+    mass at a time, as the scalar tail is), and the first crossing
+    comes from ``argmax``.  Returns (distances, fast); a row with two
+    equal distances (equal labels included) is not fast, since the
+    scalar version groups those, and its distance is left to the caller.
+    """
+    count, length = rows.shape
+    gaps = np.abs(rows - x)
+    gaps.sort(axis=1)
+    fast = (gaps[:, 1:] > gaps[:, :-1]).all(axis=1)
+    total = math.fsum([mass] * length)
+    lift = max(c - total, 0.0)
+    floor = max(total - c, 0.0)
+    # On (high[i - 1], high[i]] the requirement is eps >= need[i].
+    high = np.concatenate([gaps, np.full((count, 1), math.inf)], axis=1)
+    need = np.append(np.cumsum(np.full(length, mass))[::-1], 0.0) + lift
+    first = (need <= high).argmax(axis=1)
+    low = np.where(first > 0, high[np.arange(count), first - 1], 0.0)
+    return np.maximum(np.maximum(low, need[first]), floor), fast
+
+
 def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
     """prokhorov_distance(Measure((x, mass) for x in row), nu) for every row.
 
-    ``rows`` is a (paths, atoms) float array, each row sorted.  One
-    numpy pass builds the breakpoints of the whole block: IEEE
-    subtraction and abs give the bits of ``prokhorov_distance``'s set
-    comprehension, and a row's breakpoints are 0.0 followed by its
-    sorted n*m distances whenever those are all distinct and nonzero.
-    Each such row then runs the same bisection and sweep.  Every other
-    row goes through ``prokhorov_distance`` unchanged: a row with equal
-    labels (which Measure would merge) or equal or zero distances
-    (which the set would merge), a row equal to the target's positions
-    (it has zero distances), and every row when the row or the target
-    has fewer than two atoms.
+    ``rows`` is a (paths, atoms) float array, each row sorted.  Against
+    a one-atom target, ``_singleton_rows`` gives every row at once.
+    Against more atoms, one numpy pass builds the breakpoints of the
+    whole block: IEEE subtraction and abs give the bits of
+    ``prokhorov_distance``'s set comprehension, and a row's breakpoints
+    are 0.0 followed by its sorted n*m distances whenever those are all
+    distinct and nonzero.  Each such row then runs the same bisection
+    and sweep.  Every other row goes through ``prokhorov_distance``
+    unchanged:
+    - against one atom, a row with two labels at the same distance from
+      it (equal labels included);
+    - against more atoms, a row with equal labels (which Measure would
+      merge) or equal or zero distances (which the set would merge), a
+      row equal to the target's positions (it has zero distances), and
+      every row of fewer than two atoms;
+    - every row, against a target with no atoms.
     """
     count, length = rows.shape
     ys, y_masses = nu.positions, nu.masses
     distances = np.empty(count)
     fast = np.zeros(count, dtype=bool)
-    if length >= 2 and len(ys) >= 2:
+    if len(ys) == 1:
+        distances, fast = _singleton_rows(rows, mass, ys[0], y_masses[0])
+    elif length >= 2 and len(ys) >= 2:
         breakpoints = np.zeros((count, length * len(ys) + 1))
         gaps = breakpoints[:, 1:]
         # Splitting the contiguous last axis gives a view, so the

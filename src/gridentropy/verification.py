@@ -31,7 +31,7 @@ from .lattice import (
     Direction,
     Environment,
     TauFn,
-    enumerate_paths,
+    label_rows,
     path_count,
 )
 from .measures import (
@@ -133,15 +133,9 @@ def _enum_weights(env: Environment, endpoint, beta: float,
                   tau: TauFn) -> tuple[list[tuple[int, ...]], list[float], float]:
     """Every path to the endpoint by enumeration: the paths' steps, their
     beta-weights, and the log of the partition function they sum to."""
-    paths: list[tuple[int, ...]] = []
-    weights: list[float] = []
-    enumerate_paths(
-        env, tuple(endpoint),
-        lambda path, labels: (
-            paths.append(path.steps),
-            weights.append(beta * math.fsum(tau(u) for u in labels)),
-        ),
-    )
+    labels, steps = next(label_rows(env, path_count(endpoint), endpoint=endpoint))
+    paths = [tuple(axes) for axes in steps.tolist()]
+    weights = [beta * math.fsum(tau(u) for u in row) for row in labels.tolist()]
     top = max(weights)
     return paths, weights, top + math.log(math.fsum(math.exp(w - top) for w in weights))
 
@@ -346,7 +340,7 @@ class VerificationSuite:
         return [CheckRow(8, "sandwich violations", bad, 0, bad == 0)]
 
     def criterion_9(self) -> list[CheckRow]:
-        # scipy.stats costs about a second to import; only this check needs it.
+        # scipy.stats takes about 0.4 s to import; only this check needs it.
         from scipy import stats
 
         env = Environment(self.base_seed + 1, 2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 from json_oracle import json_text
 
@@ -27,6 +27,8 @@ from gridentropy.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
+    _COMMANDS,
+    _FLAG_NAMES,
     _parse_alpha_grid,
     _parse_measure,
     _parse_scale_ladder,
@@ -471,6 +473,13 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
       "--random-count", "0", "--restarts", "1", "--passes", "0"), "beta="),
     (("conjugate", "--beta", "2e298", "--n", "8,16", "--seeds", "1", "--k", "2",
       "--random-count", "0", "--restarts", "1", "--passes", "2"), "beta="),
+    (("orderstats", "--alpha-grid", "nan", "--n", "4,6", "--seeds", "1"), "alpha_grid="),
+    (("orderstats", "--alpha-grid=-0.1", "--n", "4,6", "--seeds", "1"), "alpha_grid="),
+    (("orderstats", "--alpha-grid=-1:1:0.5", "--n", "4,6", "--seeds", "1"), "alpha_grid="),
+    (("klbudget", "--method", "orderstats", "--alpha-grid", "nan", "--n", "4,6", "--seeds", "1"),
+     "alpha_grid="),
+    (("conjugate", "--family-seed=-1", "--n", "2,4", "--seeds", "1"), "family_seed="),
+    (("conjugate", "--ascent-seed=-1", "--n", "2,4", "--seeds", "1"), "ascent_seed="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
@@ -482,8 +491,9 @@ def test_bad_ladder_is_a_config_error(capsys, argv, field):
     restart, a negative ascent pass or random-member count, a
     conjugate beta whose DP log weights could overflow over the
     potentials the search can reach, an
-    unknown verify criterion and a number past the float range exit 2
-    naming the field before any estimator runs."""
+    unknown verify criterion, a number past the float range, an alpha
+    grid value that is not >= 0 (NaN included) and a negative conjugate
+    RNG seed exit 2 naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
@@ -614,3 +624,64 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = _run(capsys, "verify")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
+
+
+# property: no argv crashes the CLI
+
+# Small well-formed values for every field the property test sets.
+_FIELD_VALUES = {
+    "D": ("1", "2", "3"),
+    "q": ("1/2,1/2", "1", "1,0", "1/4,1/2", "level"),
+    "t": ("1", "1/2"),
+    "mu": ("lebesgue:4", "atoms:[[0.5,1]]", "hist:0.5,0.5"),
+    "nu": ("lebesgue:4", "atoms:[[0.25,0.5],[0.75,0.5]]", "hist:0.5,0.5", "atoms:[[0.5,1]]"),
+    "tau": ("zero", "identity:4", "constant:0.5", "indicator:0.5", "values:0,1"),
+    "beta": ("0.5", "1", "2"),
+    "n_ladder": ("2,4", "4,6", "4,8", "2..8"),
+    "eps_ladder": ("2,1", "4,2,1"),
+    "alpha_grid": ("0:1:0.5", "0,0.25", "0.5"),
+    "seeds": ("1", "1,2", "1..2"),
+    "seed": ("1", "2"),
+    "budget": ("100000", "10"),
+    "threshold": ("0.5", "0.1"),
+    "endpoint": ("2,2", "3,1", "1,1,1", "4"),
+    "length": ("3", "1"),
+    "draws": ("3",),
+    "rng_seed": ("0", "5"),
+    "p": ("1/2", "0.3"),
+    "s": ("3/4", "0.6"),
+    "k": ("2", "4"),
+    "random_count": ("2",),
+    "family_seed": ("1",),
+    "restarts": ("1", "2"),
+    "passes": ("1",),
+    "ascent_seed": ("1",),
+    "method": ("orderstats", "eps"),
+}
+_MALFORMED = ("nan", "inf", "-1", "0", "")
+# Fields always set, so that no default runs at full size.
+_SIZED = ("n_ladder", "seeds")
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_no_argv_crashes_the_cli(capsys, data):
+    """Any command but verify, at small sizes, exits 0, 2, 3 or 4 and never
+    raises: with well-formed field values, and with each field in turn
+    given one malformed value."""
+    command = data.draw(st.sampled_from([c for c in _COMMANDS if c != "verify"]))
+    keys = [key for key in _COMMANDS[command][0] if key in _FIELD_VALUES]
+    values = {key: data.draw(st.sampled_from(_FIELD_VALUES[key])) for key in keys
+              if key in _SIZED or data.draw(st.booleans())}
+    malformed = data.draw(st.sampled_from(_MALFORMED))
+    for bad in (None, *keys):
+        fields = {**values, bad: malformed} if bad else values
+        argv = [command, *(f"{_FLAG_NAMES[key][0]}={value}" for key, value in fields.items())]
+        note(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_VERIFY)
+        assert "Traceback" not in capsys.readouterr().err

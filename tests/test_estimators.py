@@ -18,8 +18,6 @@ from gridentropy import (
     TauFn,
     cost_sum,
     discretize_lebesgue,
-    enumerate_level_paths,
-    enumerate_paths,
     eps_sum,
     eps_sum_level,
     estimate_entropy_eps,
@@ -35,6 +33,7 @@ from gridentropy import (
     vanish_threshold,
 )
 from gridentropy import estimators
+from path_oracle import enumerate_level_paths, enumerate_paths
 
 
 def _walk_labels(env, axis_seq):
@@ -224,6 +223,13 @@ def test_alpha_grid_enumerates_once_per_seed_and_n(monkeypatch):
     assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
 
 
+@pytest.mark.parametrize("alpha", [-0.1, math.nan])
+def test_alpha_below_zero_or_nan_is_refused(alpha):
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        estimate_entropy_orderstats([1], Direction.parse("1/2,1/2"), discretize_lebesgue(4),
+                                    [2, 4], [0.0, alpha])
+
+
 def test_profile_store_stays_under_byte_cap(monkeypatch):
     """The store evicts down to its cap; an oversized profile is returned, not kept."""
     store = OrderedDict()
@@ -326,6 +332,45 @@ def test_cost_sum_superadditive_concatenation():
                 first = cost_sum(env, (0, 0), (m, m), scale(base, m), 1.0)
                 second = cost_sum(env, (m, m), (m + k, m + k), scale(base, k), 1.0)
                 assert whole >= first + second - 1e-12
+
+
+def _cost_sum_oracle(env, start, endpoint, target, eps):
+    """cost_sum the slow way: one DFS visit, Measure and distance per path,
+    the terms summed in DFS order."""
+    terms = []
+    enumerate_paths(env, endpoint, lambda path, labels: terms.append(
+        -prokhorov_distance(Measure((u, 1.0) for u in labels), target) / eps), start=start)
+    return estimators._log_sum_exp(terms)
+
+
+def _criterion_4_cost_sums():
+    """The (start, endpoint, target) of every cost sum criterion 4 takes per seed."""
+    point, lam4 = Measure([(0.5, 1.0)]), discretize_lebesgue(4)
+    for base, top in ((point, 8), (lam4, 5)):
+        for s in range(1, top + 1):
+            yield (0, 0), (s, s), scale(base, 2.0 * s)
+        for m in range(1, 5):
+            for n in range(1, min(4, top - m) + 1):
+                yield (m, m), (m + n, m + n), scale(base, 2.0 * n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cost_sum_matches_dfs_oracle_on_criterion_4(seed):
+    """Row-kernel cost sums are ``==`` the DFS oracle's on criterion 4's inputs."""
+    env = Environment(seed, 2)
+    for start, endpoint, target in _criterion_4_cost_sums():
+        assert cost_sum(env, start, endpoint, target, 1.0) == _cost_sum_oracle(
+            env, start, endpoint, target, 1.0)
+
+
+def test_cost_sum_matches_dfs_oracle_off_the_origin():
+    """D = 1 and D = 3 boxes from nonzero starts, one- and four-atom targets."""
+    for env, start, endpoint in ((Environment(4, 1), (3,), (9,)),
+                                 (Environment(4, 3), (1, 2, 0), (3, 3, 2))):
+        for target in (Measure.dirac(0.5, 2.0), scale(discretize_lebesgue(4), 3.0)):
+            for eps in (1.0, 0.25):
+                assert cost_sum(env, start, endpoint, target, eps) == _cost_sum_oracle(
+                    env, start, endpoint, target, eps)
 
 
 def test_perturbation_inequality():

@@ -15,8 +15,6 @@ from gridentropy import (
     Measure,
     Path,
     TauFn,
-    enumerate_level_paths,
-    enumerate_paths,
     label_rows,
     level_path_count,
     path_count,
@@ -25,7 +23,7 @@ from gridentropy import (
 from gridentropy import lattice
 from gridentropy.lattice import _chain_heads, _level_blocks, _split
 from gridentropy.measures import add
-from path_oracle import path_labels, path_weight
+from path_oracle import _dfs_paths, enumerate_level_paths, enumerate_paths, path_labels, path_weight
 import plan_oracle
 
 
@@ -213,37 +211,65 @@ def test_enumerate_level_paths():
         enumerate_level_paths(env, 40, lambda p, labels: None, budget=10**6)
 
 
-def _dfs_label_lists(env, endpoint=None, length=None):
-    lists = []
+def _dfs_visits(env, start, endpoint=None, length=None):
+    """The oracle DFS's (labels, steps) of every path, in visiting order."""
+    visits = []
+
+    def visit(path, labels):
+        visits.append((list(labels), list(path.steps)))
+
     if endpoint is not None:
-        enumerate_paths(env, endpoint, lambda p, labels: lists.append(tuple(sorted(labels))))
+        enumerate_paths(env, endpoint, visit, start=start)
     else:
-        enumerate_level_paths(env, length, lambda p, labels: lists.append(tuple(sorted(labels))))
-    return sorted(lists)
+        _dfs_paths(env, start, visit, None, length)
+    return visits
 
 
 @pytest.mark.parametrize("dimension, endpoint, length", [
     (1, (4,), 0), (1, (0,), 1), (2, (3, 2), 5), (2, (0, 0), 3), (3, (2, 1, 2), 4),
 ])
 def test_label_rows_equal_sorted_dfs_lists(dimension, endpoint, length):
-    """Level expansion yields each path's sorted labels once, in blocks of
-    at most block_rows rows, for any block size."""
+    """Level expansion yields the DFS's label lists and step axes, sorted as
+    the DFS visits them (lexicographically by steps), in blocks of at most
+    block_rows rows, for any block size and from the origin or another start."""
     env = Environment(23, dimension)
-    for kwargs in ({"endpoint": endpoint}, {"length": length}):
-        want = _dfs_label_lists(env, **kwargs)
-        for block_rows in (0, 1, 2, 5, 10**6):
-            blocks = list(label_rows(env, block_rows, **kwargs))
-            assert all(len(block) <= max(1, block_rows) for block in blocks)
-            rows = [tuple(row) for block in blocks for row in block.tolist()]
-            assert sorted(rows) == want
+    for start in ((0,) * dimension, tuple(range(1, dimension + 1))):
+        shifted = tuple(s + c for s, c in zip(start, endpoint))
+        for kwargs in ({"endpoint": shifted}, {"length": length}):
+            want = _dfs_visits(env, start, **kwargs)
+            for block_rows in (0, 1, 2, 5, 10**6):
+                blocks = list(label_rows(env, block_rows, start=start, **kwargs))
+                assert all(len(labels) <= max(1, block_rows) for labels, _ in blocks)
+                got = [(row, axes) for labels, steps in blocks
+                       for row, axes in zip(labels.tolist(), steps.tolist())]
+                assert got == want
 
 
 def test_label_rows_validation():
     env = Environment(5, 2)
     for kwargs in ({}, {"endpoint": (1, 1), "length": 2}, {"endpoint": (1, 1, 1)},
-                   {"endpoint": (1, -1)}, {"length": -1}):
+                   {"endpoint": (1, -1)}, {"length": -1},
+                   {"endpoint": (2, 2), "start": (1, 3)}, {"length": 2, "start": (1,)},
+                   {"endpoint": (2, 2), "start": (0, 0, 0)}):
         with pytest.raises(ValueError):
             list(label_rows(env, 10, **kwargs))
+
+
+def test_label_rows_budget_refusal_hashes_nothing(monkeypatch):
+    """An ensemble past the budget raises BudgetError with its exact count
+    before any label is hashed."""
+    def no_hashing(*args):
+        raise AssertionError("hashed a label")
+
+    monkeypatch.setattr(lattice, "_chain_labels", no_hashing)
+    monkeypatch.setattr(lattice, "_mix", no_hashing)
+    env = Environment(5, 2)
+    for kwargs, count in (({"endpoint": (10, 10)}, path_count((10, 10))),
+                          ({"endpoint": (12, 9), "start": (2, 1)}, path_count((10, 8))),
+                          ({"length": 12}, level_path_count(2, 12))):
+        with pytest.raises(BudgetError) as info:
+            next(label_rows(env, 10, budget=1000, **kwargs))
+        assert info.value.count == count
 
 
 def test_enumerate_paths_from_offset_start():

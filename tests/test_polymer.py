@@ -15,8 +15,6 @@ from gridentropy import (
     DpTable,
     Environment,
     TauFn,
-    enumerate_level_paths,
-    enumerate_paths,
     LadderPlan,
     gibbs_estimate,
     last_passage,
@@ -27,7 +25,7 @@ from gridentropy import lattice, polymer
 from gridentropy.lattice import _level_blocks, _level_edges
 from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
 import dp_oracle
-from path_oracle import path_weight
+from path_oracle import enumerate_level_paths, enumerate_paths, path_weight
 from sampler_oracle import SampleStream, box_points, sample_path
 
 TAU16 = TauFn.identity_ladder(16)

@@ -184,23 +184,26 @@ ROW_TARGETS = (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), M
 ])
 def test_prokhorov_rows_match_scalar_distance(monkeypatch, dimension, endpoint, length):
     """The row kernel is ``==`` prokhorov_distance on every path of point and
-    level ensembles, and multi-atom targets never need the scalar path."""
+    level ensembles, and no target needs the scalar path."""
     env = Environment(31, dimension)
     for kwargs in ({"endpoint": endpoint}, {"length": length}):
-        rows = np.concatenate(list(label_rows(env, 10**6, **kwargs)))
+        rows = np.concatenate([labels for labels, _ in label_rows(env, 10**6, **kwargs)])
+        rows.sort(axis=1)
         for nu in ROW_TARGETS:
             for mass in (1.0 / length, 1.0 / (length + 3)):
                 want = [prokhorov_distance(Measure((u, mass) for u in row), nu)
                         for row in rows.tolist()]
                 calls = _count_scalar_calls(monkeypatch)
                 assert prokhorov_rows(rows, mass, nu).tolist() == want
-                assert len(calls) == (len(rows) if len(nu.atoms) == 1 else 0)
+                assert len(calls) == 0
                 monkeypatch.undo()
 
 
 def test_prokhorov_rows_fallback_rows(monkeypatch):
     """Rows that Measure or the breakpoint set would merge, short rows and a
-    row equal to the target go through prokhorov_distance and agree with it."""
+    row equal to the target go through prokhorov_distance and agree with it.
+    Against one atom, only rows with two labels at the same distance from
+    it do, whatever the atom's mass against the row's total."""
     nu = Measure([(0.125, 0.5), (0.375, 0.5)])
     fast = [0.2, 0.6]
     forced = [
@@ -222,6 +225,22 @@ def test_prokhorov_rows_fallback_rows(monkeypatch):
         assert got.tolist() == [prokhorov_distance(Measure((u, 0.25) for u in row), nu)
                                 for row in rows.tolist()]
     assert prokhorov_rows(np.empty((1, 0)), 0.25, nu).tolist() == [nu.total_mass]
+    # Against one atom, only two labels at the same distance from it fall back.
+    dirac = Measure.dirac(0.5)
+    forced = [[0.25, 0.75], [0.3, 0.3]]  # equal distances; equal labels
+    calls.clear()
+    got = prokhorov_rows(np.array([fast] + forced), 0.5, dirac)
+    assert len(calls) == len(forced)
+    want = [prokhorov_distance(Measure((u, 0.5) for u in row), dirac) for row in [fast] + forced]
+    assert got.tolist() == want
+    rows = np.array([[0.1, 0.45, 0.9], [0.5, 0.55, 0.7], [0.0, 0.2, 0.35]])
+    for mass in (0.1, 0.75, 1.5):  # below, equal to and above the row total 3 * 0.25
+        nu = Measure.dirac(0.4, mass)
+        calls.clear()
+        got = prokhorov_rows(rows, 0.25, nu)
+        assert len(calls) == 0
+        assert got.tolist() == [prokhorov_distance(Measure((u, 0.25) for u in row), nu)
+                                for row in rows.tolist()]
 
 
 def test_prokhorov_rows_match_brute_oracle():

@@ -21,7 +21,6 @@ from gridentropy import (
     conjugate_entropy,
     default_tau_family,
     discretize_lebesgue,
-    enumerate_level_paths,
     estimate_entropy_eps,
     gibbs_estimate,
     integral,
@@ -31,6 +30,7 @@ from gridentropy import (
     variational_sup,
 )
 import conjugate_oracle
+from path_oracle import enumerate_level_paths
 from bernoulli_oracle import bernoulli_exponents
 
 Q2 = Direction.parse("1/2,1/2")
