@@ -73,8 +73,9 @@ __all__ = [
 
 # Byte cap of the profile store; a bigger profile is used once, not kept.
 _PROFILE_STORE_BYTES = 256 << 20
-# Byte cap of one block of breakpoints (n*m + 1 floats per path) while
-# a profile is built, so the build's memory does not grow with --budget.
+# Byte cap of one block of paths while a profile is built, counting the
+# walker's and the row kernel's arrays (see _distances), so the build's
+# memory does not grow with --budget.
 _PROFILE_BLOCK_BYTES = 1 << 20
 _profiles: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
@@ -146,9 +147,9 @@ def _profile(
 
     The ensemble is either every path origin -> endpoint or every one
     of the D^level_length paths from the origin.  The paths' sorted
-    label rows arrive in blocks of at most _PROFILE_BLOCK_BYTES of
-    breakpoints, each row an empirical measure with mass 1/n per label,
-    and one row kernel gives each block's distances.  Profiles live in
+    label rows arrive in blocks of about _PROFILE_BLOCK_BYTES, each
+    row an empirical measure with mass 1/n per label, and one row
+    kernel gives each block's distances.  Profiles live in
     one LRU store of at most _PROFILE_STORE_BYTES; a profile bigger
     than that is returned without being stored.
     """
@@ -173,7 +174,7 @@ def _profile(
     profile = np.empty(count)
     filled = 0
     for distances in _distances(env, nu, 1.0 / n_scale, length,
-                                endpoint=endpoint, length=level_length):
+                                endpoint=endpoint, length=level_length, budget=budget):
         profile[filled:filled + len(distances)] = distances
         filled += len(distances)
     profile.sort()
@@ -190,11 +191,15 @@ def _distances(env: Environment, nu: Measure, mass: float, depth: int, **ensembl
     """rho(mass * mu_path, nu) of every path of a ``label_rows`` ensemble.
 
     Yields one array per block, in the walker's DFS order.  A block
-    holds at most _PROFILE_BLOCK_BYTES of breakpoints, depth * m + 1
-    floats for each path against the target's m atoms, and each row is
-    sorted before the row kernel reads it.
+    holds about _PROFILE_BLOCK_BYTES, at 5 * depth + 3 * (depth * m + 1)
+    floats per path against the target's m atoms: the walker's labels
+    and step axes, the parent links, axes and labels of every level it
+    expands (at most one node per path and level), and the row kernel's
+    breakpoints with their temporaries.  Each row is sorted before the
+    row kernel reads it.  The walker checks the ensemble first, so a
+    start past the endpoint raises its ValueError here.
     """
-    row_bytes = 8 * (depth * len(nu.atoms) + 1)
+    row_bytes = 8 * max(1, 5 * depth + 3 * (depth * len(nu.atoms) + 1))
     for labels, _ in label_rows(env, _PROFILE_BLOCK_BYTES // row_bytes, **ensemble):
         labels.sort(axis=1)
         yield prokhorov_rows(labels, mass, nu)

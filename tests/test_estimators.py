@@ -197,12 +197,32 @@ def _count_enumerations(monkeypatch):
     calls = []
     original = estimators.label_rows
 
-    def counting(env, block_rows, *, endpoint=None, length=None):
+    def counting(env, block_rows, *, endpoint=None, **ensemble):
         calls.append((env.seed, tuple(endpoint)))
-        return original(env, block_rows, endpoint=endpoint, length=length)
+        return original(env, block_rows, endpoint=endpoint, **ensemble)
 
     monkeypatch.setattr(estimators, "label_rows", counting)
     return calls
+
+
+def test_caller_budget_reaches_the_walker(monkeypatch):
+    """A budget above the walker's default is the one that counts: an
+    ensemble past the default but within the caller's budget is walked,
+    and one past the caller's budget is refused with that budget."""
+    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    monkeypatch.setitem(estimators.label_rows.__kwdefaults__, "budget", 5)
+    env = Environment(4, 2)
+    q = Direction.parse("1/2,1/2")
+    nu = discretize_lebesgue(6)
+    with pytest.raises(estimators.BudgetError):
+        next(estimators.label_rows(env, 10, endpoint=(3, 3)))
+    stat = order_stat_series(env, q, nu, 6, [1, 20], budget=20)
+    assert math.isfinite(stat.values[1])
+    assert math.isfinite(eps_sum_level(env, Fraction(1), nu, 3, 1.0, budget=8))
+    assert math.isfinite(cost_sum(env, (1, 0), (4, 3), nu, 1.0, budget=20))
+    with pytest.raises(estimators.BudgetError) as info:
+        order_stat_series(env, q, nu, 8, [1], budget=69)
+    assert (info.value.count, info.value.budget) == (70, 69)
 
 
 def test_eps_ladder_enumerates_once_per_seed_and_n(monkeypatch):

@@ -15,6 +15,7 @@ from gridentropy import (
     Measure,
     Path,
     TauFn,
+    cost_sum,
     label_rows,
     level_path_count,
     path_count,
@@ -253,6 +254,11 @@ def test_label_rows_validation():
                    {"endpoint": (2, 2), "start": (0, 0, 0)}):
         with pytest.raises(ValueError):
             list(label_rows(env, 10, **kwargs))
+    # cost_sum hands the same ensembles to the walker, against one atom too.
+    for start, endpoint in (((1, 1), (1, 0)), ((1, 3), (2, 2)), ((0, 0, 0), (2, 2))):
+        for target in (Measure.dirac(0.5), Measure([(0.25, 0.5), (0.75, 0.5)])):
+            with pytest.raises(ValueError):
+                cost_sum(env, start, endpoint, target, 1.0)
 
 
 def test_label_rows_budget_refusal_hashes_nothing(monkeypatch):
