@@ -542,13 +542,25 @@ def _float_json(value: float) -> str:
     return float.__repr__(value)
 
 
+_ROW_CHUNK = 1024  # rows per format call; one call for a whole batch holds a second copy
+
+
+def _format_rows(rows: np.ndarray, head: str, sep: str, end: str):
+    """Each row of a 2-D integer array as head + sep-joined items + end, a chunk at a time."""
+    line = head + sep.join(["%d"] * rows.shape[1]) + end
+    for start in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[start:start + _ROW_CHUNK]
+        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
 def _encode_json(obj, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``out``; ``newline`` is "\\n" plus its indent.
 
     The text is ``json.dumps(obj, indent=2, sort_keys=True)`` after these
     coercions: keys through ``str``, tuples as lists, ``np.floating`` as
-    float, ``np.integer`` as int, and ``Fraction`` or any other unknown
-    object as its ``str``.
+    float, ``np.integer`` as int, ``np.ndarray`` as its ``tolist()``, and
+    ``Fraction`` or any other unknown object as its ``str``.  A nonempty
+    2-D integer array goes through ``_format_rows``.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -567,16 +579,20 @@ def _encode_json(obj, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if set(map(type, obj)) == {int}:
-            # A path's steps: one join instead of one call per item.
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]")
-            return
         sep, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(sep)
             _encode_json(item, inner, out)
             sep = comma
         out.append(newline + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype.kind not in "iu" or not obj.size:
+            _encode_json(obj.tolist(), newline, out)
+            return
+        inner = newline + "  "
+        out.append("[")
+        out.extend(_format_rows(obj, inner + "[" + inner + "  ", "," + inner + "  ", inner + "],"))
+        out[-1] = out[-1][:-1] + newline + "]"
     elif obj is None:
         out.append("null")
     elif obj is True or obj is False:
@@ -810,7 +826,9 @@ def _run_gibbs(config: ExperimentConfig) -> int:
         dimension = q.dimension
     beta = config.float_("beta")
     n_ladder = config.scales("n_ladder", at_least=2)
-    tau = _dp_tau(config, beta, _ladder_box(n_ladder, q, dimension)[1], dimension)
+    # A ladder box too large to index is refused naming q.
+    depth = config._parse("q", lambda _: _ladder_box(n_ladder, q, dimension)[1])
+    tau = _dp_tau(config, beta, depth, dimension)
     seeds = config.seeds("seeds")
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
@@ -860,9 +878,9 @@ def _run_sample(config: ExperimentConfig) -> int:
     else:
         table = DpTable.level(env, depth, beta, tau)
     seeds = range(rng_seed, rng_seed + draws)
-    samples = [path.steps for path in sample_polymer_paths(table, seeds)]
-    # One write for the batch, to whatever sys.stdout is at call time.
-    sys.stdout.write("".join([",".join(map(str, steps)) + "\n" for steps in samples]))
+    samples = sample_polymer_paths(table, seeds)
+    # Written to whatever sys.stdout is at call time.
+    sys.stdout.writelines(_format_rows(samples, "", ",", "\n"))
     _emit(config, (), {"samples": samples})
     return EXIT_OK
 
@@ -879,8 +897,9 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
     restarts = config.int_("restarts", at_least=1)
     passes = config.int_("passes", at_least=0)
+    depth = config._parse("q", lambda _: _ladder_box(n_ladder, q, q.dimension)[1])
     _config_reach(f"beta={config.raw('beta')!r}", abs(beta), _search_bound(family, restarts, passes),
-                  _ladder_box(n_ladder, q, q.dimension)[1], q.dimension)
+                  depth, q.dimension)
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,

@@ -161,7 +161,7 @@ def _profile(
         length = sum(endpoint)
         key = (env, nu, n_scale, "point", endpoint)
     else:
-        count = level_path_count(env.dimension, level_length)
+        count = level_path_count(env.dimension, level_length, budget)
         length = level_length
         key = (env, nu, n_scale, "level", level_length)
     if count > budget:

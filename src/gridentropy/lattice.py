@@ -50,7 +50,7 @@ _MIX_B = 0x94D049BB133111EB
 class BudgetError(RuntimeError):
     """Raised when an enumeration would visit more paths than allowed."""
 
-    def __init__(self, count: int, budget: int):
+    def __init__(self, count: int | str, budget: int):
         super().__init__(f"enumeration of {count} paths exceeds budget {budget}")
         self.count = count
         self.budget = budget
@@ -307,10 +307,17 @@ def path_count(endpoint: Sequence[int]) -> int:
     return count
 
 
-def level_path_count(dimension: int, length: int) -> int:
-    """Number of length-n NE paths from the origin: D^n."""
+def level_path_count(dimension: int, length: int, budget: int | None = None) -> int:
+    """Number of length-n NE paths from the origin: D^n.
+
+    With a budget, an n past both 2^16 and the budget's bit length
+    raises BudgetError before D^n is computed: D >= 2 makes D^n >= 2^n >
+    budget.  Shorter lengths get their exact, cheap count.
+    """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
+    if budget is not None and dimension > 1 and length > max(int(budget).bit_length(), 1 << 16):
+        raise BudgetError(f"{dimension}^{length}", budget)
     return dimension**length
 
 
@@ -371,8 +378,7 @@ def label_rows(
         def paths_from(point, done: int) -> int:
             return path_count(end - point)
     else:
-        if length < 0:
-            raise ValueError(f"length must be >= 0, got {length}")
+        level_path_count(d, length, budget)  # refuses a bad length before d ** length
         end = np.full(d, np.iinfo(np.int64).max)
         depth = length
 
@@ -533,6 +539,12 @@ def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
     return bounds, points, pred, label
 
 
+def _check_box(box: tuple[int, ...], depth: int) -> None:
+    """Raise ValueError when the points of a box up to level depth pass int64 indexing."""
+    if math.prod(min(c, depth) + 1 for c in box) > 2**63 - 1:
+        raise ValueError(f"box {box} is too large to index level points")
+
+
 def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     """The transfer DP's levels inside a box, built a block of levels at a time.
 
@@ -553,8 +565,7 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     """
     box = tuple(int(c) for c in box)
     d = len(box)
-    if math.prod(min(c, depth) + 1 for c in box) > 2**63 - 1:
-        raise ValueError(f"box {box} is too large to index level points")
+    _check_box(box, depth)
     tables = _box_counts(box, depth + 2)
     prefix_tables = _box_counts(box[:-1], depth + 2)
     seeds = heads.shape[1]

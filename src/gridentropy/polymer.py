@@ -42,6 +42,8 @@ those arrays.  The sampler reads them once per call into the
 cumulative thresholds of each point's backward step; all draws then
 step back one level at a time in lockstep, each a threshold comparison
 and a row gather in numpy, so many draws cost little more than one.
+The draws stay one (draws, depth) array of step axes, with no path
+object per draw; the CLI formats its rows a chunk at a time.
 
 Sampling randomness is a dedicated counter-based stream per draw,
 independent of the environment hash: the polymer measure is a
@@ -60,7 +62,7 @@ import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
-    _GOLDEN, _MASK, _chain_heads, _level_blocks, _mix_array, _split,
+    _GOLDEN, _MASK, _chain_heads, _check_box, _level_blocks, _mix_array, _split,
     Direction, Environment, Path, TauFn,
 )
 
@@ -199,7 +201,8 @@ def _dp_reach(scale: float, bound: float, depth: int, dimension: int) -> None:
     ``scale`` is |beta| (1 for max-plus) and ``bound`` the largest
     |tau| the DP weighs.
     """
-    reach = depth * (scale * bound + math.log(dimension))
+    # min keeps an int depth past the float range from overflowing.
+    reach = min(depth, _DP_REACH_LIMIT) * (scale * bound + math.log(dimension))
     if not reach < _DP_REACH_LIMIT:
         raise ValueError(f"DP log weights reach {reach:.3g} over {depth} steps, "
                          f"past the float64 range (limit {_DP_REACH_LIMIT:g})")
@@ -218,12 +221,13 @@ def _ladder_box(n_ladder: Sequence[int], q: Direction | None,
 
     floor(n q) is coordinatewise nondecreasing in n, so the largest
     scale's endpoint (or cube, for length-n paths) contains them all.
+    A box too large to index raises ValueError (``_check_box``).
     """
     n_max = max(n_ladder)
-    if q is not None:
-        box = q.floor_scale(n_max)
-        return box, sum(box)
-    return (n_max,) * dimension, n_max
+    box = q.floor_scale(n_max) if q is not None else (n_max,) * dimension
+    depth = sum(box) if q is not None else n_max
+    _check_box(box, depth)
+    return box, depth
 
 
 def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
@@ -460,7 +464,7 @@ def _step_thresholds(table: DpTable) -> list[np.ndarray]:
     return out
 
 
-def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]:
+def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> np.ndarray:
     """Draw one path per rng seed with probability exp(beta * weight) / Z.
 
     Backward sampling on a softmax table, with the table's environment,
@@ -471,6 +475,9 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
     call; then all draws step back one level at a time together, each
     reading its uniforms from its own counter-based stream.  The paths are
     bit-identical to drawing each seed on its own.
+
+    Returns one (draws, depth) integer array: row i holds the step axes,
+    in step order, of the path from the origin drawn for rng_seeds[i].
     """
     if table.beta is None:
         raise ValueError("sampling needs a softmax table, built with a beta")
@@ -495,9 +502,5 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> list[Path]
         axes = (u01[:, None] < cum[rows]).argmax(axis=1)
         steps[:, k - 1] = axes
         rows = pred[rows, axes]
-    origin = (0,) * table.env.dimension
-    # Zipping the columns builds the step tuples without a list per row,
-    # which keeps the peak memory of a large batch down.
-    step_tuples = zip(*steps.T.tolist()) if depth else [()] * len(bases)
-    return [Path(origin, row) for row in step_tuples]
+    return steps
 

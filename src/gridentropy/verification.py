@@ -12,6 +12,7 @@ mirroring how the estimators share path-profile caches.
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -352,10 +353,9 @@ class VerificationSuite:
             table = DpTable.point(env, endpoint, beta, _TAU16)
             paths, weights, total = _enum_weights(env, endpoint, beta, _TAU16)
             expected = [draws * math.exp(w - total) for w in weights]
-            counts = dict.fromkeys(paths, 0)
             first = self.base_seed * 1_000_000
-            for sampled in sample_polymer_paths(table, range(first, first + draws)):
-                counts[sampled.steps] += 1
+            steps = sample_polymer_paths(table, range(first, first + draws))
+            counts = Counter(zip(*steps.T.tolist()))  # one step-axes tuple per row
             statistic = math.fsum(
                 (counts[p] - e) ** 2 / e for p, e in zip(paths, expected))
             p_value = float(stats.chi2.sf(statistic, len(paths) - 1))

@@ -1,10 +1,11 @@
 """Standard-library oracle for ``gridentropy.cli.write_json``.
 
 The payload is first copied into plain JSON types (keys through ``str``,
-tuples as lists, numpy scalars as Python numbers, ``Fraction`` and any
-other unknown object as its ``str``), then handed to ``json.dumps`` with
-``indent=2, sort_keys=True``.  It knows nothing of the one-pass encoder,
-so it checks that the artifact bytes are the standard library's.
+tuples as lists, numpy scalars as Python numbers, numpy arrays as their
+``tolist()``, ``Fraction`` and any other unknown object as its ``str``),
+then handed to ``json.dumps`` with ``indent=2, sort_keys=True``.  It
+knows nothing of the one-pass encoder, so it checks that the artifact
+bytes are the standard library's.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ def jsonable(obj):
         return {str(key): jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.floating):

@@ -3,6 +3,9 @@ byte-stable emission across runs, and exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +25,7 @@ from gridentropy import (
     last_passage,
     prokhorov_brute,
 )
+from gridentropy import cli
 from gridentropy.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -237,6 +241,16 @@ def test_csv_bytes_stable_across_runs(tmp_path, monkeypatch, capsys):
     assert csv_path.read_bytes() == first
 
 
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def _int_matrix(dtype, rows: int, cols: int, seed: int) -> np.ndarray:
+    """A (rows, cols) array of dtype, its values drawn over the whole dtype range."""
+    info = np.iinfo(dtype)
+    return np.random.default_rng(seed).integers(info.min, info.max, (rows, cols),
+                                                dtype=dtype, endpoint=True)
+
+
 _JSON_KEYS = st.one_of(st.integers(), st.text(), st.fractions())
 _JSON_LEAVES = st.one_of(
     st.none(),
@@ -249,6 +263,10 @@ _JSON_LEAVES = st.one_of(
     st.booleans().map(np.bool_),
     st.fractions(),
     st.text(),  # non-ASCII and control characters included
+    st.builds(_int_matrix, st.sampled_from(_INT_DTYPES), st.integers(0, 5), st.integers(0, 4),
+              st.integers(0, 2**32)),
+    st.lists(st.floats(), max_size=6).map(lambda xs: np.array(xs, dtype=np.float64)[:, None]),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=6).map(np.array),  # 1-D
 )
 _JSON_TREES = st.recursive(
     _JSON_LEAVES,
@@ -267,6 +285,19 @@ _JSON_TREES = st.recursive(
 @example({"steps": [0, 1, True, 2], "ints": (3, -4, 2**70), "empty": [[], (), {}]})
 @example({1: "int key", "1": "str key", Fraction(1, 2): [np.int64(5), np.bool_(False)]})
 @example({"x": [math.nan, math.inf, -math.inf, -0.0, np.float64(1e300), "\u00e9\x00\n\ud800"]})
+@example({
+    "chunks": _int_matrix(np.int64, 2500, 3, 1),  # more than one _ROW_CHUNK
+    "no rows": np.zeros((0, 4), np.int32),
+    "depth 0": np.zeros((3, 0), np.int64),
+    "negative": np.array([[-5, 0], [7, -128]], np.int8),
+    "nested": [{"u64": np.array([[2**64 - 1, 0]], np.uint64)}, np.array([[1]], np.uint8)],
+})
+@example({
+    "floats": np.array([[0.5, -1.25], [1e300, 2.0], [math.nan, -0.0]]),
+    "flat": np.arange(4),
+    "cube": np.arange(-4, 4).reshape(2, 2, 2),
+    "bools": np.array([[True, False]]),
+})
 def test_write_json_matches_stdlib_oracle(tmp_path, payload):
     """write_json writes exactly the bytes of the json.dumps oracle."""
     path = tmp_path / "payload.json"
@@ -274,6 +305,24 @@ def test_write_json_matches_stdlib_oracle(tmp_path, payload):
     text = path.read_bytes()
     path.unlink()  # a fresh file per example: truncating one can be slow
     assert text == json_text(payload).encode("utf-8")
+
+
+def test_write_json_formats_only_2d_integer_arrays(tmp_path, monkeypatch):
+    """Float, boolean and non-2-D arrays, and integer arrays without items,
+    take the generic path; a 2-D integer array with items is formatted by rows."""
+    calls = []
+    format_rows = cli._format_rows
+    monkeypatch.setattr(cli, "_format_rows",
+                        lambda *args: calls.append(args[0].shape) or format_rows(*args))
+    path = tmp_path / "payload.json"
+    for array in (np.array([[0.5, 2.7], [-1.5, 3.0]]), np.array([[True], [False]]),
+                  np.arange(3), np.arange(8).reshape(2, 2, 2), np.array(7),
+                  np.zeros((0, 3), np.int64), np.zeros((2, 0), np.int64)):
+        write_json(str(path), {"a": array})
+        assert path.read_text() == json_text({"a": array})
+    assert calls == []
+    write_json(str(path), {"a": _int_matrix(np.int16, 3, 2, 0)})
+    assert calls == [(3, 2)]
 
 
 def test_sample_json_matches_stdlib_oracle(tmp_path, capsys):
@@ -286,6 +335,23 @@ def test_sample_json_matches_stdlib_oracle(tmp_path, capsys):
     assert len(payload["samples"]) == 500
     assert path.read_bytes() == json_text(payload).encode("utf-8")
     assert out == "".join(",".join(map(str, steps)) + "\n" for steps in payload["samples"])
+
+
+@pytest.mark.parametrize("target", [("--endpoint", "0,0"), ("--length", "0"),
+                                    ("--endpoint", "4,5"), ("--D", "3", "--length", "4")])
+@pytest.mark.parametrize("draws", ["1", "2500"])
+def test_sample_stdout_rows_are_the_json_samples(tmp_path, capsys, target, draws):
+    """stdout prints each JSON sample as one comma-joined line, depth 0 and
+    draws past one chunk of rows included."""
+    path = tmp_path / "s.json"
+    code, out, _ = _run(capsys, "sample", "--seed", "4", *target, "--draws", draws,
+                        "--tau", "identity:16", "--json", str(path))
+    assert code == EXIT_OK
+    samples = read_json(str(path))["samples"]
+    assert len(samples) == int(draws)
+    assert {len(steps) for steps in samples} == {sum(map(int, target[-1].split(",")))}
+    assert out == "".join(",".join(map(str, steps)) + "\n" for steps in samples)
+    assert path.read_bytes() == json_text(read_json(str(path))).encode("utf-8")
 
 
 def test_orderstats_rows_cover_the_grid(tmp_path, capsys):
@@ -685,3 +751,29 @@ def test_no_argv_crashes_the_cli(capsys, data):
             code = exc.code
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_VERIFY)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_level_scale_past_every_budget_is_refused_at_once():
+    """entropy-level --t 1e400 (length n * 10^400) is refused before D^length is
+    computed; in a child process, so that a regression times out instead of hanging."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; from gridentropy.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", code, "entropy-level", "--t", "1e400", "--n", "2,4", "--seeds", "1"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=20)
+    assert child.returncode == EXIT_BUDGET
+    assert "budget refusal" in child.stderr and "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("gibbs", "--q", "1e400,1", "--beta", "1", "--n", "2,4", "--seeds", "1"),
+    ("gibbs", "--q", "1e200,1", "--beta", "1", "--n", "2,4", "--seeds", "1"),
+    ("gibbs", "--q", "level", "--n", "2,10000000000000", "--seeds", "1"),
+    ("conjugate", "--q", "1e400,1", "--n", "2,4", "--seeds", "1"),
+])
+def test_a_ladder_box_past_int64_indexing_names_q(capsys, argv):
+    """A free-energy ladder whose box cannot be indexed exits 2 naming q, not
+    with an OverflowError from the reach bound."""
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert f"field q={argv[2]!r}" in err and "too large to index" in err

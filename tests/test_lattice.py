@@ -278,6 +278,19 @@ def test_label_rows_budget_refusal_hashes_nothing(monkeypatch):
         assert info.value.count == count
 
 
+def test_level_path_count_refuses_a_huge_length_before_counting():
+    """Past 2^16 steps and the budget's bit length, the refusal names D^length
+    instead of computing it; shorter lengths keep their exact count."""
+    with pytest.raises(BudgetError, match=r"2\^(10{400}) paths exceeds budget 100000000"):
+        level_path_count(2, 10**400, budget=10**8)
+    with pytest.raises(BudgetError) as info:
+        next(label_rows(Environment(1, 3), 10, length=10**400, budget=10**8))
+    assert info.value.count == f"3^{10**400}"
+    assert level_path_count(2, 12, budget=1000) == 4096
+    assert level_path_count(2, 1 << 16, budget=10) == 2 ** (1 << 16)
+    assert level_path_count(1, 10**400, budget=1) == 1
+
+
 def test_enumerate_paths_from_offset_start():
     env = Environment(5, 2)
     paths = []

@@ -300,6 +300,15 @@ def test_dp_reach_past_the_float_range_is_refused():
     ):
         with pytest.raises(ValueError, match="past the float64 range"):
             refused()
+    # A depth past the float range is refused, not an OverflowError, and so
+    # is a ladder box too large to index.
+    with pytest.raises(ValueError, match="past the float64 range"):
+        DpTable.point(env, (10**400, 1), 1.0, tau)
+    for wide in (Direction.parse("1e400,1"), Direction.parse("1e200,1"), None):
+        with pytest.raises(ValueError, match="too large to index"):
+            gibbs_estimate((1,), 1.0, tau, (2, 4 if wide else 10**13), q=wide)
+        with pytest.raises(ValueError, match="too large to index"):
+            LadderPlan((1,), (2, 4 if wide else 10**13), q=wide)
     # Inside the bound, the same calls run clean.
     assert math.isfinite(gibbs_estimate((1,), 1e297, tau, (8, 16), q=q).value)
     assert math.isfinite(DpTable.level(env, 16, None, TauFn.constant(1e298)).log_value())
@@ -384,7 +393,7 @@ def test_sampler_beta_zero_uniform():
     """beta = 0 draws uniformly over the 6 paths of (2,2)."""
     env = Environment(11, 2)
     table = DpTable.point(env, (2, 2), 0.0, ZERO)
-    freq = Counter(path.steps for path in sample_polymer_paths(table, range(30000)))
+    freq = Counter(map(tuple, sample_polymer_paths(table, range(30000)).tolist()))
     assert len(freq) == 6
     p = stats.chisquare(list(freq.values())).pvalue
     assert p > 0.01
@@ -398,7 +407,7 @@ def test_sampler_matches_exact_law():
     z = math.fsum(weights.values())
     table = DpTable.point(env, (3, 3), 1.0, TAU16)
     draws = 20000
-    freq = Counter(path.steps for path in sample_polymer_paths(table, range(draws)))
+    freq = Counter(map(tuple, sample_polymer_paths(table, range(draws)).tolist()))
     observed = [freq.get(k, 0) for k in weights]
     expected = [draws * w / z for w in weights.values()]
     p = stats.chisquare(observed, expected).pvalue
@@ -410,7 +419,8 @@ def test_sampler_concentrates_at_large_beta():
     env = Environment(8, 2)
     _, argmax = last_passage(env, (3, 3), TAU16)
     table = DpTable.point(env, (3, 3), 100.0, TAU16)
-    hits = sum(path.steps == argmax.steps for path in sample_polymer_paths(table, range(200)))
+    hits = sum(tuple(steps) == argmax.steps
+               for steps in sample_polymer_paths(table, range(200)).tolist())
     assert hits / 200 >= 0.99
 
 
@@ -418,7 +428,7 @@ def test_sampler_level_mode():
     """Level ensembles sample endpoint and steps; beta = 0 is uniform over D^n."""
     env = Environment(1, 2)
     table = DpTable.level(env, 3, 0.0, ZERO)
-    freq = Counter(path.steps for path in sample_polymer_paths(table, range(8000)))
+    freq = Counter(map(tuple, sample_polymer_paths(table, range(8000)).tolist()))
     assert len(freq) == 8
     assert stats.chisquare(list(freq.values())).pvalue > 0.01
 
@@ -428,22 +438,41 @@ def test_sampler_level_mode():
 _EDGE_SEEDS = [0, 1, -1, -(2**63), 2**63, 2**63 + 7, 2**64 - 1, 2**64 + 3, 3**45]
 
 
+def _oracle_rows(table, seeds):
+    """The scalar oracle's draws as a list of step lists, checking they start at the origin."""
+    paths = [sample_path(table, seed) for seed in seeds]
+    assert all(path.start == (0,) * table.env.dimension for path in paths)
+    return [list(path.steps) for path in paths]
+
+
+def _assert_step_matrix(steps, table, draws):
+    """The sampler's result is one (draws, depth) integer array."""
+    assert isinstance(steps, np.ndarray)
+    assert steps.dtype.kind == "i"
+    assert steps.shape == (draws, len(table.levels) - 1)
+
+
 @pytest.mark.parametrize("dimension, kind, target", [
     (1, "point", (6,)), (1, "level", 5),
     (2, "point", (3, 3)), (2, "point", (0, 4)), (2, "level", 5), (2, "level", 0),
-    (3, "point", (2, 1, 2)), (3, "level", 4),
+    (3, "point", (2, 1, 2)), (3, "level", 4), (2, "point", (0, 0)),
 ])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 100.0])
 def test_lockstep_sampler_matches_scalar_oracle(dimension, kind, target, beta):
-    """The batch sampler draws the scalar oracle's path for every seed."""
+    """The batch sampler draws the scalar oracle's path for every seed, one
+    row of its (draws, depth) step matrix each."""
     env = Environment(3, dimension)
     if kind == "point":
         table = DpTable.point(env, target, beta, TAU16)
     else:
         table = DpTable.level(env, target, beta, TAU16)
     seeds = _EDGE_SEEDS + list(range(100, 400))
-    assert sample_polymer_paths(table, seeds) == [sample_path(table, s) for s in seeds]
-    assert sample_polymer_paths(table, [seeds[3]]) == [sample_path(table, seeds[3])]
+    steps = sample_polymer_paths(table, seeds)
+    _assert_step_matrix(steps, table, len(seeds))
+    assert steps.tolist() == _oracle_rows(table, seeds)
+    one = sample_polymer_paths(table, [seeds[3]])
+    _assert_step_matrix(one, table, 1)
+    assert one.tolist() == _oracle_rows(table, [seeds[3]])
 
 
 def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
@@ -455,7 +484,9 @@ def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
         deflated = dataclasses.replace(table, levels=[v + k for k, v in enumerate(table.levels)])
         deflated.log_value = lambda table=deflated: DpTable.log_value(table) + 1.0
         seeds = range(500)
-        assert sample_polymer_paths(deflated, seeds) == [sample_path(deflated, s) for s in seeds]
+        steps = sample_polymer_paths(deflated, seeds)
+        _assert_step_matrix(steps, deflated, 500)
+        assert steps.tolist() == _oracle_rows(deflated, seeds)
 
 
 def test_vectorized_uniforms_equal_sample_stream():
