@@ -39,6 +39,7 @@ from .estimators import (
     estimate_entropy_orderstats,
 )
 from .lattice import (
+    _check_box,
     BudgetError,
     Direction,
     Environment,
@@ -741,6 +742,17 @@ def _run_metric(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _count_text(log_count: float, count: Callable[[], int]) -> str:
+    """count() in decimal, refused with ValueError before it is computed
+    when log_count, a lower bound on its natural log, puts it past
+    Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and log_count >= limit * math.log(10):
+        raise ValueError(f"the count has more than {int(log_count / math.log(10))} digits, "
+                         f"past Python's {limit}-digit int-to-str limit")
+    return str(count())
+
+
 def _run_count(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
     has_length = config.has("length")
@@ -750,10 +762,18 @@ def _run_count(config: ExperimentConfig) -> int:
         # Without --D the endpoint sets the dimension; a given D must agree.
         endpoint = (_endpoint_in(config, config.dimension("D")) if config.has("D")
                     else config.endpoint("endpoint"))
-        print(path_count(endpoint))
+        # The count is at least C(total, rest) >= (total / rest)^rest, rest
+        # the steps off the longest side; math.log takes ints of any size.
+        rest = sum(endpoint) - max(endpoint)
+        print(config._parse("endpoint", lambda _: _count_text(
+            rest * (math.log(sum(endpoint)) - math.log(rest)) if rest else 0.0,
+            lambda: path_count(endpoint))))
     else:
         dimension = config.dimension("D") if config.has("D") else 2
-        print(level_path_count(dimension, config.int_("length", at_least=0)))
+        length = config.int_("length", at_least=0)
+        print(config._parse("length", lambda _: _count_text(
+            length * math.log(dimension) if dimension > 1 else 0.0,
+            lambda: level_path_count(dimension, length))))
     return EXIT_OK
 
 
@@ -851,6 +871,7 @@ def _endpoint_in(config: ExperimentConfig, dimension: int) -> tuple[int, ...]:
 def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.dimension("D"))
     endpoint = _endpoint_in(config, env.dimension)
+    config._parse("endpoint", lambda _: _check_box(endpoint, sum(endpoint)))
     tau = _dp_tau(config, None, sum(endpoint), env.dimension)
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
@@ -865,11 +886,14 @@ def _run_sample(config: ExperimentConfig) -> int:
         raise ConfigError("give exactly one of --endpoint or --length")
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
+    # A box too large to index is refused naming its field.
     if has_endpoint:
         endpoint = _endpoint_in(config, env.dimension)
         depth = sum(endpoint)
+        config._parse("endpoint", lambda _: _check_box(endpoint, depth))
     else:
         depth = config.int_("length", at_least=0)
+        config._parse("length", lambda _: _check_box((depth,) * env.dimension, depth))
     tau = _dp_tau(config, beta, depth, env.dimension)
     draws = config.int_("draws", at_least=1)
     rng_seed = config.int_("rng_seed")

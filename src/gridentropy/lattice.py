@@ -13,7 +13,8 @@ The transfer DP's levels inside a box come from ``_level_blocks``, a
 block of consecutive levels at a time under a byte cap: points are
 unranked from the level counts of the box's suffixes, predecessor rows
 ranked the same way, and each edge's label finishes, with one mix, a
-hash chain shared by every edge from the same anchor prefix.
+hash chain shared by every edge from the same anchor prefix.  The DP
+reads labels only through tau cells, so they stay 53-bit integers.
 """
 
 from __future__ import annotations
@@ -191,14 +192,16 @@ class TauFn:
     ``values`` has one entry per cell.  tau(x) is the value of the cell
     containing x, with the last cell closed at 1.  At most 64 cells:
     step functions with exact <tau, nu> on atomic nu are all the
-    conjugate search needs.
+    conjugate search needs.  ``cell`` reads a label as the hash's 53-bit
+    integer, with no float: the transfer DP's labels stay integers.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     bound: float = field(init=False, compare=False)
-    # float64 copies for ``apply``, built once.
-    _edges: np.ndarray = field(init=False, compare=False, repr=False)
+    # Read-only arrays, built once: each breakpoint's ``cell`` floor and
+    # each cell's value.
+    _floors: np.ndarray = field(init=False, compare=False, repr=False)
     _cells: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -219,8 +222,9 @@ class TauFn:
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", max(abs(v) for v in values))
-        for name, cells in (("_edges", breakpoints), ("_cells", values)):
-            array = np.array(cells, dtype=np.float64)
+        floors = [math.ceil(b * 2**53) for b in breakpoints]  # b * 2^53 is exact
+        for name, array in (("_floors", np.array(floors, dtype=np.uint64)),
+                            ("_cells", np.array(values, dtype=np.float64))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -252,16 +256,13 @@ class TauFn:
     def __call__(self, x: float) -> float:
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
-    def cell(self, labels: np.ndarray) -> np.ndarray:
-        """Vectorized cell index: the i with breakpoints[i] <= x < breakpoints[i + 1].
+    def cell(self, bits: np.ndarray) -> np.ndarray:
+        """Cell index of each label m * 2^-53, given as its uint64 integer m.
 
-        Labels past the last breakpoint, NaN included, fall in the last cell.
+        The i with breakpoints[i] <= m * 2^-53 < breakpoints[i + 1], exactly:
+        x >= b holds just when m >= ceil(b * 2^53), the floor of b.
         """
-        return np.searchsorted(self._edges, labels, side="right") - 1
-
-    def apply(self, labels: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation."""
-        return self._cells[self.cell(labels)]
+        return np.searchsorted(self._floors, bits, side="right") - 1
 
     def to_json(self) -> str:
         import json
@@ -353,8 +354,9 @@ def label_rows(
     row i of the first holds a path's edge labels and row i of the
     second its step axes, both in step order.  Taken block after block,
     the rows run in DFS order, which is the lexicographic order of the
-    step sequences.  An ensemble of more than ``budget`` paths raises
-    BudgetError before any label is hashed.
+    step sequences.  An ensemble of more than ``budget`` paths, or of
+    paths longer than ``budget`` steps, raises BudgetError before any
+    label is hashed.
 
     A block is the subtree of one path prefix, built by level
     expansion: each level steps every prefix along every axis it may
@@ -387,6 +389,8 @@ def label_rows(
     count = paths_from(origin, 0)
     if count > budget:
         raise BudgetError(count, budget)
+    if depth > budget:  # fewer paths than steps: D = 1, or one nonzero side
+        raise BudgetError(f"{count} length-{depth}", budget)
     block_rows = max(1, block_rows)
     heads = _chain_heads([env.seed], d)[:, 0]
 
@@ -534,9 +538,7 @@ def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
     link[missing] = 0
     last = points[:, -1:] - (np.arange(d) == d - 1)
     state = _mix_array(np.take(chains, link, axis=1) ^ (last.astype(np.uint64) + golden))
-    label = (state >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    label[:, missing] = np.nan
-    return bounds, points, pred, label
+    return bounds, points, pred, state >> np.uint64(11)
 
 
 def _check_box(box: tuple[int, ...], depth: int) -> None:
@@ -551,11 +553,12 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
     lexicographic order; level 0 is the origin.  For k = 1..depth, in
     blocks of consecutive levels, this yields (bounds, points, pred,
-    label): the rows of level first + i are bounds[i]:bounds[i + 1] of
+    bits): the rows of level first + i are bounds[i]:bounds[i + 1] of
     the (rows, D) arrays; pred[r, axis] is the row, within the level
     before, of points[r] minus the unit vector along axis, or -1 where
-    that step leaves the box; label[s, r, axis] is the label of that
-    edge in the environment of seed s, or NaN where pred is -1.
+    that step leaves the box; bits[s, r, axis] is the uint64 53-bit
+    integer m of that edge's label m * 2^-53 in the environment of seed
+    s (``TauFn.cell`` reads it), and holds no edge where pred is -1.
     ``heads`` is ``_chain_heads`` of the seeds.
 
     Every array a block allocates is counted against
@@ -595,13 +598,3 @@ def _split(bounds: list[int], *arrays: np.ndarray):
     for lo, hi in zip(bounds, bounds[1:]):
         yield tuple(array[..., lo:hi, :] for array in arrays)
 
-
-def _level_edges(env: Environment, box: Sequence[int], depth: int):
-    """``_level_blocks``' levels as (points, pred, label) in one environment.
-
-    label[r, axis] is the label of the edge into points[r] along axis,
-    or NaN where pred[r, axis] is -1.
-    """
-    heads = _chain_heads([env.seed], env.dimension)
-    for bounds, points, pred, label in _level_blocks(box, depth, heads):
-        yield from _split(bounds, points, pred, label[0])

@@ -16,9 +16,10 @@ probability exactly proportional to their weight factor.
 
 The levels come from ``lattice._level_blocks``, which builds a block
 of consecutive levels at a time: their points, predecessor rows and the
-labels of every seed in a few array passes, under a byte cap.  Every
-DP here reads it, and each block's labels get their tau cells in one
-call; the fold itself runs level by level.
+labels of every seed (as the hash's 53-bit integers) in a few array
+passes, under a byte cap.  Every DP here reads it, and each block's
+labels get their tau cells in one exact integer search; the fold
+itself runs level by level.
 
 The free-energy ladder runs one recursion to the box of its largest
 scale and reads every scale as the recursion passes it: a point's value
@@ -35,15 +36,16 @@ conjugate entropy) hashes the labels once and pays only for the folds.
 Every DP refuses, with ValueError, a beta and potential whose log
 weights could overflow float64 (``_dp_reach``).
 
-A table keeps, beside each level's values, the one walk of the lattice
-that computed them: per level, each point's predecessor rows and the
-labels of the edges from them.  Last passage backtracks by row through
-those arrays.  The sampler reads them once per call into the
-cumulative thresholds of each point's backward step; all draws then
-step back one level at a time in lockstep, each a threshold comparison
-and a row gather in numpy, so many draws cost little more than one.
-The draws stay one (draws, depth) array of step axes, with no path
-object per draw; the CLI formats its rows a chunk at a time.
+A table keeps, beside each level's values, what its one walk of the
+lattice folded: per level, each point's predecessor rows and edge terms
+(predecessor value plus edge weight).  Last passage backtracks by row
+along the first axis whose term is the point's value.  The sampler
+reads them once per call into the cumulative thresholds of each
+point's backward step; all draws then step back one level at a time
+in lockstep, each a threshold comparison and a row gather in numpy, so
+many draws cost little more than one.  The draws stay one (draws,
+depth) array of step axes, with no path object per draw; the CLI
+formats its rows a chunk at a time.
 
 Sampling randomness is a dedicated counter-based stream per draw,
 independent of the environment hash: the polymer measure is a
@@ -87,45 +89,43 @@ def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
     return endpoint
 
 
-def _weights(beta: float | None, cells: np.ndarray) -> np.ndarray:
-    """beta times each cell value of a potential (the values when beta is None)."""
-    return cells if beta is None else beta * cells
-
-
 def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """prev[..., pred] + weights per (row, axis), over any leading axes.
 
     ``weights`` is each edge's beta * tau(label).  A missing edge (pred
-    -1) gathers the -inf padded onto prev: its NaN label falls in the
-    last cell, a finite weight, so the weight cannot mark it.
+    -1) gathers the -inf padded onto prev, so its term is -inf whatever
+    weight its unhashed bits give it.
     """
     pad = np.full(prev.shape[:-1] + (1,), -np.inf)
     return np.concatenate([prev, pad], axis=-1)[..., pred] + weights
 
 
 def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
-    """Yield (points, values) for level 0 and each level of ``levels``.
+    """Yield (points, values, step) for level 0 and each level of ``levels``.
 
     ``levels`` yields (points, pred, cell) for levels 1, 2, ... of a
     ``_level_blocks`` plan, one level at a time: cell[..., r, axis] is
     the tau cell of the label of the edge into row r along axis, with
     any leading seed axes.
-    weights[..., c] is ``_weights`` of cell c, with any leading member
-    axes.  values[..., i], of shape weights.shape[:-1] +
-    cell.shape[:-2] + (rows,), is the log partition of the paths from
-    the origin to points[i], or their maximal weight when beta is None.
+    weights[..., c] is beta times the value of cell c (the value when
+    beta is None), with any leading member axes.  values[..., i], of
+    shape weights.shape[:-1] + cell.shape[:-2] + (rows,), is the log
+    partition of the paths from the origin to points[i], or their
+    maximal weight when beta is None.
     Each point folds in its predecessors' ``_edge_terms`` in ascending
     axis order with logaddexp (max when beta is None); a missing edge's
-    -inf leaves the fold unchanged.  Every operation is elementwise, so
-    a member and seed of a batch gets the bits of a DP run on its own.
+    -inf leaves the fold unchanged.  step is (pred, terms), the level's
+    predecessor rows and the edge terms it folded (None at level 0).
+    Every operation is elementwise, so a member and seed of a batch
+    gets the bits of a DP run on its own.
     """
     fold = np.maximum if beta is None else np.logaddexp
     values = np.zeros(1)
-    yield np.zeros((1, dimension), dtype=np.intp), values
+    yield np.zeros((1, dimension), dtype=np.intp), values, None
     for points, pred, cell in levels:
         terms = _edge_terms(values, pred, weights[..., cell])
         values = functools.reduce(fold, (terms[..., axis] for axis in range(dimension)))
-        yield points, values
+        yield points, values, (pred, terms)
 
 
 @dataclass
@@ -136,12 +136,13 @@ class DpTable:
     the lexicographic order of ``_level_blocks``: the log partition
     value of the length-k paths from the origin ending there, or their
     maximal weight when beta is None (max-plus).  The origin entry is
-    0.  steps[k - 1] = (pred, label), for k = 1..depth, holds the two
-    (rows, D) arrays that built level k, views into the plan's blocks:
-    pred[r, axis] is the row in level k-1 of point r minus the unit
-    vector along axis (-1 when that leaves the box) and label[r, axis]
-    the label of the edge from it (NaN there).  Built in one walk of
-    the plan; reproducible bit-for-bit given (environment, tau, beta).
+    0.  steps[k - 1] = (pred, terms), for k = 1..depth, holds the two
+    (rows, D) arrays that built level k: pred[r, axis] is the row in
+    level k-1 of point r minus the unit vector along axis (-1 when that
+    leaves the box), and terms[r, axis] the ``_edge_terms`` the fold of
+    point r read along axis: levels[k - 1][pred] plus the edge's
+    weight, or -inf where pred is -1.  Built in one walk of the plan;
+    reproducible bit-for-bit given (environment, tau, beta).
     A beta and tau whose log weights could overflow float64 raise
     ValueError (``_dp_reach``).
     """
@@ -170,18 +171,11 @@ class DpTable:
     def _build(cls, env, tau, beta, kind, box, depth, endpoint) -> "DpTable":
         _dp_reach(1.0 if beta is None else abs(beta), tau.bound, depth, env.dimension)
         heads = _chain_heads([env.seed], env.dimension)
-        steps = []
-
-        def walk():
-            for bounds, points, pred, label in _level_blocks(box, depth, heads):
-                levels = _split(bounds, points, pred, label[0], tau.cell(label[0]))
-                for level_points, level_pred, level_label, cell in levels:
-                    steps.append((level_pred, level_label))
-                    yield level_points, level_pred, cell
-
-        weights = _weights(beta, tau._cells)
-        levels = [values for _, values in _transfer(env.dimension, walk(), beta, weights)]
-        return cls(env, tau, beta, kind, levels, steps, endpoint)
+        walk = (level for bounds, points, pred, bits in _level_blocks(box, depth, heads)
+                for level in _split(bounds, points, pred, tau.cell(bits[0])))
+        weights = tau._cells if beta is None else beta * tau._cells
+        _, levels, steps = zip(*_transfer(env.dimension, walk, beta, weights))
+        return cls(env, tau, beta, kind, list(levels), list(steps[1:]), endpoint)
 
     def log_value(self) -> float:
         """Log partition (or, with beta None, maximal weight) of the ensemble."""
@@ -246,7 +240,7 @@ def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
     for j, n in enumerate(n_ladder):
         reads.setdefault(sum(q.floor_scale(n)) if q is not None else n, []).append(j)
     raws = np.empty((len(weights), seeds, len(n_ladder)))
-    for k, (points, values) in enumerate(_transfer(dimension, levels, beta, weights)):
+    for k, (points, values, _) in enumerate(_transfer(dimension, levels, beta, weights)):
         for j in reads.get(k, ()):
             n = n_ladder[j]
             if q is None:
@@ -273,7 +267,7 @@ def _gibbs_batch(seeds: tuple, beta: float, taus: Sequence[TauFn], n_ladder: lis
         groups.setdefault(tau.breakpoints, []).append(m)
     raws = np.empty((len(taus), len(seeds), len(n_ladder)))
     for members in groups.values():
-        weights = _weights(beta, np.array([taus[m]._cells for m in members]))
+        weights = beta * np.array([taus[m]._cells for m in members])
         raws[members] = _ladder_raws(dimension, levels(taus[members[0]]), beta, weights,
                                      n_ladder, q, len(seeds))
     estimates = []
@@ -323,8 +317,8 @@ def gibbs_estimate(
     heads = _chain_heads(seeds, dimension)
 
     def levels(tau: TauFn):
-        for bounds, points, pred, label in _level_blocks(box, depth, heads):
-            yield from _split(bounds, points, pred, tau.cell(label))
+        for bounds, points, pred, bits in _level_blocks(box, depth, heads):
+            yield from _split(bounds, points, pred, tau.cell(bits))
 
     return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension, levels)[0]
 
@@ -354,7 +348,7 @@ class LadderPlan:
     def _indexed(self, tau: TauFn):
         cells = self._cells.get(tau.breakpoints)
         if cells is None:
-            cells = self._cells[tau.breakpoints] = [tau.cell(label) for *_, label in self._blocks]
+            cells = self._cells[tau.breakpoints] = [tau.cell(bits) for *_, bits in self._blocks]
         for (bounds, points, pred, _), cell in zip(self._blocks, cells):
             yield from _split(bounds, points, pred, cell)
 
@@ -398,20 +392,14 @@ def last_passage(env: Environment, endpoint: Sequence[int], tau: TauFn) -> tuple
     tolerance enters.  Ties break toward the lower axis.
     """
     table = DpTable.point(env, endpoint, None, tau)
-    levels = table.levels
     steps_rev = []
     row = 0  # the endpoint is the one point of the last level
-    for k in range(len(levels) - 1, 0, -1):
-        pred, label = table.steps[k - 1]
-        target = levels[k].item(row)
-        for axis in range(env.dimension):
-            src = pred.item(row, axis)
-            if src >= 0 and levels[k - 1].item(src) + tau(label.item(row, axis)) == target:
-                steps_rev.append(axis)
-                row = src
-                break
-        else:
-            raise AssertionError("max-plus backtrack found no predecessor")
+    for (pred, terms), values in zip(table.steps[::-1], table.levels[:0:-1]):
+        # The max fold returns one of its terms, bit for bit; a missing
+        # edge's term is -inf, never a value.
+        axis = terms[row].tolist().index(values.item(row))
+        steps_rev.append(axis)
+        row = pred.item(row, axis)
     path = Path((0,) * env.dimension, tuple(reversed(steps_rev)))
     return table.log_value(), path
 
@@ -443,18 +431,15 @@ def _step_thresholds(table: DpTable) -> list[np.ndarray]:
 
     Read from the table's ``steps``: cum[r, axis] is the running sum,
     over the predecessors u along axes <= axis in ascending order, of
-    exp(logZ(u) + beta * tau(label) - logZ(v)): math.exp of the table
-    build's own ``_edge_terms``, added one axis at a time.  A missing
-    predecessor adds exp(-inf) = 0, so it carries the running sum and is
-    never the first threshold a draw falls below.  The last
+    exp(logZ(u) + beta * tau(label) - logZ(v)): math.exp of the edge
+    terms the table's fold computed, added one axis at a time.  A
+    missing predecessor adds exp(-inf) = 0, so it carries the running
+    sum and is never the first threshold a draw falls below.  The last
     predecessor's axis is +inf, which takes every draw that passes the
     earlier ones.
     """
     out = []
-    weights = _weights(table.beta, table.tau._cells)
-    for k, (pred, label) in enumerate(table.steps, 1):
-        prev, values = table.levels[k - 1], table.levels[k]
-        terms = _edge_terms(prev, pred, weights[table.tau.cell(label)])
+    for (pred, terms), values in zip(table.steps, table.levels[1:]):
         # cumsum adds left to right, one axis after the other.
         cum = np.cumsum(_exp(terms - values[:, None]), axis=1)
         rows, d = pred.shape

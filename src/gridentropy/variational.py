@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate
-from .lattice import _level_edges, Direction, Environment, TauFn, shannon_entropy
+from .lattice import _chain_heads, _level_blocks, _split, Direction, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
 from .polymer import _dp_reach, _ladder_box, LadderPlan
 
@@ -355,7 +355,9 @@ def bernoulli_exponent_check(
     n_ladder = sorted(int(n) for n in n_ladder)
     if not n_ladder or n_ladder[0] < 1:
         raise ValueError("ladder scales must be positive")
-    lo = 1.0 - p
+    # A label m * 2^-53 is unit (m * 2^-53 >= 1 - p) exactly when m
+    # reaches this integer floor.
+    unit_floor = math.ceil((1.0 - p) * 2**53)
     s_exact = s if isinstance(s, Fraction) else Fraction(s)
     log_d = math.log(dimension)
     budget = log_d - bernoulli_kl(float(s_exact), p) if s_exact > Fraction(p) else log_d
@@ -372,15 +374,17 @@ def bernoulli_exponent_check(
     width = (dimension**n_max).bit_length() + 1
     mask = (1 << width) - 1
     for seed in seeds:
-        env = Environment(seed, dimension)
         rows = [1]
         per_n = {}
-        for k, (_, pred, label) in enumerate(_level_edges(env, (n_max,) * dimension, n_max), 1):
+        blocks = _level_blocks((n_max,) * dimension, n_max, _chain_heads([seed], dimension))
+        levels = (level for bounds, _, pred, bits in blocks
+                  for level in _split(bounds, pred, bits[0] >= unit_floor))
+        for k, (pred, unit_edges) in enumerate(levels, 1):
             # A point adds the integers of its edges (pred -1: no edge) with no
             # 0 to start from, which would copy the first one.
             rows = [functools.reduce(operator.add, [(rows[j] << width) if unit else rows[j]
                                                     for j, unit in zip(preds, units) if j >= 0])
-                    for preds, units in zip(pred.tolist(), (label >= lo).tolist())]
+                    for preds, units in zip(pred.tolist(), unit_edges.tolist())]
             if k in n_ladder:
                 packed = sum(rows) >> (width * math.ceil(k * s_exact))
                 total = 0

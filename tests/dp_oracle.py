@@ -37,13 +37,18 @@ def axis_edges(pred: np.ndarray, label: np.ndarray) -> dict:
     return edges
 
 
+def weights(tau, labels: np.ndarray) -> np.ndarray:
+    """The scalar tau of each label."""
+    return np.array([tau(x) for x in labels.tolist()])
+
+
 def levels(table) -> list[np.ndarray]:
     """The table's levels, refolded from its steps one axis at a time."""
     out = [np.zeros(1)]
     for pred, label in oracle_steps(table):
         prev, values = out[-1], np.full(len(pred), -np.inf)
         for dst, src, labels in axis_edges(pred, label).values():
-            w = table.tau.apply(labels)
+            w = weights(table.tau, labels)
             if table.beta is None:
                 values[dst] = np.maximum(values[dst], prev[src] + w)
             else:
@@ -64,7 +69,7 @@ def step_thresholds(table) -> list[np.ndarray]:
         for axis in range(d):
             if axis in edges:
                 dst, src, labels = edges[axis]
-                exponents = prev[src] + table.beta * table.tau.apply(labels) - values[dst]
+                exponents = prev[src] + table.beta * weights(table.tau, labels) - values[dst]
                 acc[dst] += [math.exp(x) for x in exponents.tolist()]
             # Axes without a predecessor carry the running sum.
             cum[:, axis] = acc

@@ -777,3 +777,69 @@ def test_a_ladder_box_past_int64_indexing_names_q(capsys, argv):
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert f"field q={argv[2]!r}" in err and "too large to index" in err
+
+
+def _run_child(*argv):
+    """The CLI in a child process, so that a regression times out instead of hanging."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; from gridentropy.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=20)
+
+
+@pytest.mark.parametrize("argv, length", [
+    pytest.param(("entropy-level", "--D", "1", "--t", "1e400", "--n", "2,4", "--seeds", "1"),
+                 2 * 10**400, id="D1-level"),
+    pytest.param(("orderstats", "--q", "1,0", "--n", "100000000000000,200000000000000",
+                  "--seeds", "1"), 10**14, id="one-side-endpoint"),
+])
+def test_a_one_path_ensemble_longer_than_the_budget_is_refused_at_once(argv, length):
+    """An ensemble of fewer paths than steps (D = 1, or one nonzero side) whose
+    path length passes the budget exits 3 naming the length, before any hash."""
+    child = _run_child(*argv)
+    assert child.returncode == EXIT_BUDGET
+    assert f"budget refusal: enumeration of 1 length-{length} paths" in child.stderr
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("lpp", "--endpoint", "100000000000,100000000000", "--tau", "zero"), "endpoint"),
+    (("sample", "--endpoint", "100000000000,100000000000", "--tau", "zero"), "endpoint"),
+    (("sample", "--length", "100000000000000000000", "--tau", "zero"), "length"),
+    (("sample", "--D", "3", "--length", "10000000", "--tau", "zero"), "length"),
+])
+def test_a_dp_box_past_int64_indexing_names_its_field(capsys, argv, field):
+    """lpp and sample refuse a box whose points cannot be indexed with exit 2,
+    naming the endpoint or length, not with a ValueError traceback."""
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert f"field {field}={argv[argv.index('--' + field) + 1]!r}" in err
+    assert "too large to index" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("count", "--length", "20000"), "length"),
+    (("count", "--D", "3", "--length", "9100"), "length"),
+    (("count", "--endpoint", "10000,10000"), "endpoint"),
+    (("count", "--length", "100000000000"), "length"),
+    (("count", "--endpoint", "100000000000,100000000000"), "endpoint"),
+    (("count", "--endpoint", "1" + "0" * 400 + ",100000"), "endpoint"),
+])
+def test_a_count_past_the_int_to_str_limit_is_refused(argv, field):
+    """A count with more digits than Python prints exits 2 naming its field;
+    one sized past the limit from its logarithm is never computed."""
+    child = _run_child(*argv)
+    assert child.returncode == EXIT_CONFIG
+    assert f"field {field}=" in child.stderr and "Traceback" not in child.stderr
+
+
+def test_a_count_just_under_the_int_to_str_limit_prints_exactly(capsys):
+    """Counts below the digit limit keep their exact value, huge sides included."""
+    for argv, want in ((("--length", "14000"), 2**14000),
+                       (("--D", "3", "--length", "9000"), 3**9000),
+                       (("--endpoint", "1" + "0" * 400 + ",1"), 10**400 + 1),
+                       (("--D", "1", "--length", "1" + "0" * 400), 1)):
+        code, out, err = _run(capsys, "count", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.strip() == str(want)

@@ -135,22 +135,52 @@ def test_tau_step_function():
     assert tau(0.25) == -2.0
     assert tau(1.0) == 0.5
     assert tau.bound == 2.0
-    xs = np.array([0.0, 0.3, 0.9, 1.0])
-    assert np.array_equal(tau.apply(xs), np.array([1.0, -2.0, 0.5, 0.5]))
+    # Labels 0, 0.3, 0.9 and 1 - 2^-53 (the largest) as their 53-bit integers.
+    bits = np.array([0, math.ceil(0.3 * 2**53), math.ceil(0.9 * 2**53), 2**53 - 1],
+                    dtype=np.uint64)
+    cells = tau.cell(bits).tolist()
+    assert cells == [0, 1, 2, 2]
+    assert [tau.values[c] for c in cells] == [tau(m * 2.0**-53) for m in bits.tolist()]
     assert TauFn.from_json(tau.to_json()) == tau
 
 
-def test_tau_apply_matches_scalar_and_keys_by_cells():
-    """apply equals the scalar call label by label; equality, hashing and
-    repr see only the cells, so equal potentials share a cache key."""
+def test_tau_cell_matches_scalar_and_keys_by_cells():
+    """The cell of each hashed label's bits holds the scalar call's value;
+    equality, hashing and repr see only the cells, so equal potentials
+    share a cache key."""
     labels = Environment(3, 2).label_array(np.arange(200, dtype=np.uint64).reshape(100, 2), 0)
+    bits = (labels * 2.0**53).astype(np.uint64)  # exact: labels are m * 2^-53
     for make in (lambda: TauFn.identity_ladder(16), lambda: TauFn.indicator(0.5),
                  lambda: TauFn.from_values([0.3, -0.2, 0.9])):
         tau, twin = make(), make()
-        assert tau.apply(labels).tolist() == [tau(x) for x in labels.tolist()]
+        assert [tau.values[c] for c in tau.cell(bits).tolist()] == [tau(x) for x in labels.tolist()]
         assert tau == twin and hash(tau) == hash(twin) and {tau: 1}[twin] == 1
         assert repr(tau) == (f"TauFn(breakpoints={tau.breakpoints!r}, "
                              f"values={tau.values!r}, bound={tau.bound!r})")
+
+
+@pytest.mark.parametrize("tau", [
+    *(pytest.param(TauFn.identity_ladder(k), id=f"identity:{k}") for k in range(1, 65)),
+    # Floors that are not multiples of a power of two.
+    pytest.param(TauFn.from_values([0.3, -0.2, 0.9]), id="values:3"),
+    pytest.param(TauFn.indicator(0.3), id="indicator:0.3"),
+    # Subnormal (and tiny) breakpoints: every floor but the first is 1.
+    pytest.param(TauFn((0.0, 5e-324, 1e-310, 2.0**-60), (1.0, 2.0, 3.0, 4.0)), id="subnormal"),
+    # The largest float below 1, whose floor is the largest label's bits.
+    pytest.param(TauFn((0.0, 0.5, 1 - 2.0**-53), (0.0, 1.0, 2.0)), id="below-one"),
+])
+def test_tau_cell_of_bits_equals_the_float_search(tau):
+    """cell(bits) is the float search of the label bits * 2^-53 over the
+    breakpoints: at every integer floor and its neighbours, at both ends
+    of the 53-bit range and at random bits."""
+    floors = [math.ceil(b * 2**53) for b in tau.breakpoints]
+    if tau.values == (1.0, 2.0, 3.0, 4.0):
+        assert floors == [0, 1, 1, 1]
+    near = {0, 2**53 - 1} | {f + d for f in floors for d in (-1, 0, 1) if 0 <= f + d < 2**53}
+    bits = np.concatenate([np.array(sorted(near), dtype=np.uint64),
+                           np.random.default_rng(5).integers(0, 2**53, 10_000, dtype=np.uint64)])
+    want = np.searchsorted(np.array(tau.breakpoints), bits * 2.0**-53, side="right") - 1
+    assert tau.cell(bits).tolist() == want.tolist()
 
 
 def test_tau_validation():
@@ -278,6 +308,29 @@ def test_label_rows_budget_refusal_hashes_nothing(monkeypatch):
         assert info.value.count == count
 
 
+def test_label_rows_refuses_paths_longer_than_the_budget_before_hashing(monkeypatch):
+    """Ensembles of fewer paths than steps (D = 1, or one nonzero side) whose
+    paths are longer than the budget raise BudgetError naming the length before
+    any label is hashed; a length equal to the budget is walked."""
+    budget = 50
+    assert [len(block[0][0]) for block in label_rows(Environment(5, 1), 10, length=budget,
+                                                     budget=budget)] == [budget]
+
+    def no_hashing(*args):
+        raise AssertionError("hashed a label")
+
+    monkeypatch.setattr(lattice, "_chain_labels", no_hashing)
+    monkeypatch.setattr(lattice, "_mix", no_hashing)
+    for env, kwargs, depth in ((Environment(5, 1), {"length": 10**400}, 10**400),
+                               (Environment(5, 1), {"length": budget + 1}, budget + 1),
+                               (Environment(5, 2), {"endpoint": (10**14, 0)}, 10**14),
+                               (Environment(5, 3), {"endpoint": (2, 60, 3), "start": (2, 0, 3)},
+                                60)):
+        with pytest.raises(BudgetError, match=f"enumeration of 1 length-{depth} paths") as info:
+            next(label_rows(env, 10, budget=budget, **kwargs))
+        assert info.value.count == f"1 length-{depth}"
+
+
 def test_level_path_count_refuses_a_huge_length_before_counting():
     """Past 2^16 steps and the budget's bit length, the refusal names D^length
     instead of computing it; shorter lengths keep their exact count."""
@@ -349,10 +402,10 @@ PLAN_BOXES = [
 
 
 def _plan_levels(box, depth, heads, tau):
-    """The block plan's levels as (points, pred, label, cell), and the levels of each block."""
+    """The block plan's levels as (points, pred, bits, cell), and the levels of each block."""
     blocks = list(_level_blocks(box, depth, heads))
-    levels = [level for bounds, points, pred, label in blocks
-              for level in _split(bounds, points, pred, label, tau.cell(label))]
+    levels = [level for bounds, points, pred, bits in blocks
+              for level in _split(bounds, points, pred, bits, tau.cell(bits))]
     return levels, [len(bounds) - 1 for bounds, *_ in blocks]
 
 
@@ -360,15 +413,17 @@ def _plan_levels(box, depth, heads, tau):
 @pytest.mark.parametrize("seeds", [(7,), (3, 2**64 - 1, -5)], ids=["one-seed", "three-seeds"])
 @pytest.mark.parametrize("blocks", ["cap", "one-level", "several"])
 def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, blocks):
-    """Every level of the block plan has the oracle's points, pred, labels
-    (NaN where there is no edge) and cells: under the module's cap, with
-    one level per block, and under caps that cut blocks of several levels."""
+    """Every level of the block plan has the oracle's points and pred and,
+    on every edge (pred >= 0), its labels as bits * 2^-53 and the float
+    search's cells: under the module's cap, with one level per block, and
+    under caps that cut blocks of several levels."""
     heads = _chain_heads(seeds, len(box))
     tau = TauFn((0.0, 0.1, 0.65), (1.0, -2.0, 0.5))
     oracle = []
     for points, pred, edges in plan_oracle._level_plan(box, depth):
         label = plan_oracle._level_labels(heads, pred, edges)
-        oracle.append((points, pred, label, tau.cell(label)))
+        cell = np.searchsorted(np.array(tau.breakpoints), label, side="right") - 1
+        oracle.append((points, pred, label, cell))
     caps = {"cap": [lattice._PLAN_BLOCK_BYTES], "one-level": [0],
             "several": range(250, 16001, 250)}[blocks]
     partitions = []
@@ -378,13 +433,14 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
         partitions.append(sizes)
         assert len(levels) == depth
         for got, want in zip(levels, oracle):
-            points, pred, label, cell = got
+            points, pred, bits, cell = got
             want_points, want_pred, want_label, want_cell = want
             assert points.tolist() == want_points.tolist()
             assert pred.tolist() == want_pred.tolist()
-            assert (np.isnan(label) == np.isnan(want_label)).all()
-            assert (label == want_label).sum() == (~np.isnan(want_label)).sum()
-            assert cell.tolist() == want_cell.tolist()
+            assert bits.dtype == np.uint64 and bits.shape == want_label.shape
+            edge = want_pred >= 0
+            assert (bits[:, edge] * 2.0**-53).tolist() == want_label[:, edge].tolist()
+            assert cell[:, edge].tolist() == want_cell[:, edge].tolist()
     if blocks == "one-level":
         assert partitions == [[1] * depth]
     if blocks == "several" and depth >= 3:
@@ -400,11 +456,11 @@ def _streamed_peak(box, depth, seeds):
     try:
         base = tracemalloc.get_traced_memory()[0]
         for block in _level_blocks(box, depth, heads):
-            bounds, points, pred, label = block
-            level_bytes = (points.nbytes + pred.nbytes + label.nbytes) // len(points)
+            bounds, points, pred, bits = block
+            level_bytes = (points.nbytes + pred.nbytes + bits.nbytes) // len(points)
             rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
             largest = max(largest, rows * level_bytes)
-            del block, bounds, points, pred, label
+            del block, bounds, points, pred, bits
         return tracemalloc.get_traced_memory()[1] - base, largest
     finally:
         tracemalloc.stop()

@@ -22,7 +22,7 @@ from gridentropy import (
     sample_polymer_paths,
 )
 from gridentropy import lattice, polymer
-from gridentropy.lattice import _level_blocks, _level_edges
+from gridentropy.lattice import _chain_heads, _level_blocks, _split
 from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
 import dp_oracle
 from path_oracle import enumerate_level_paths, enumerate_paths, path_weight
@@ -107,27 +107,30 @@ def test_level_decomposition_identity():
 
 def test_table_levels_hold_the_box_points():
     """levels[k] has one entry per level-k point of the box, listed lexicographically,
-    and steps[k - 1] points each row at its predecessors v - e_axis and their labels."""
+    and steps[k - 1] points each row at its predecessors v - e_axis and holds the
+    terms its fold read: the predecessor's value plus the edge's weight, or -inf."""
     for endpoint in ((3, 2), (2, 0, 3), (4,)):
         env = Environment(5, len(endpoint))
         table = DpTable.point(env, endpoint, 1.0, TAU16)
         want = box_points(endpoint)
+        blocks = _level_blocks(endpoint, sum(endpoint), _chain_heads([env.seed], env.dimension))
         walked = [[(0,) * env.dimension]] + [
-            list(map(tuple, points.tolist()))
-            for points, _, _ in _level_edges(env, endpoint, sum(endpoint))]
+            list(map(tuple, level.tolist()))
+            for bounds, points, *_ in blocks for (level,) in _split(bounds, points)]
         assert walked == want
         assert [len(level) for level in table.levels] == [len(pts) for pts in want]
         assert len(table.steps) == sum(endpoint)
-        for k, (pred, label) in enumerate(table.steps, 1):
-            assert pred.shape == label.shape == (len(want[k]), env.dimension)
+        for k, (pred, terms) in enumerate(table.steps, 1):
+            assert pred.shape == terms.shape == (len(want[k]), env.dimension)
             for row, v in enumerate(want[k]):
                 for axis in range(env.dimension):
                     if v[axis] == 0:
-                        assert pred[row, axis] == -1 and math.isnan(label[row, axis])
+                        assert pred[row, axis] == -1 and terms[row, axis] == -math.inf
                         continue
                     u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
                     assert want[k - 1][pred[row, axis]] == u
-                    assert label[row, axis] == env.edge_label(u, axis)
+                    assert terms[row, axis] == (table.levels[k - 1][pred[row, axis]]
+                                                + TAU16(env.edge_label(u, axis)))
     table = DpTable.level(Environment(5, 3), 4, 1.0, TAU16)
     assert [len(level) for level in table.levels] == [math.comb(k + 2, 2) for k in range(5)]
     assert [len(pred) for pred, _ in table.steps] == [math.comb(k + 2, 2) for k in range(1, 5)]
@@ -479,9 +482,12 @@ def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
     """Probabilities that sum below 1 leave the rest to the last axis or point."""
     for table in (DpTable.point(Environment(4, 3), (2, 2, 2), 1.0, TAU16),
                   DpTable.level(Environment(4, 2), 5, 1.0, TAU16)):
-        # Adding k to level k scales every step's probabilities by 1/e; a
-        # larger total does the same to the endpoint marginal.
-        deflated = dataclasses.replace(table, levels=[v + k for k, v in enumerate(table.levels)])
+        # Adding k to level k (and to the terms folded from it) scales
+        # every step's probabilities by 1/e; a larger total does the same
+        # to the endpoint marginal.
+        deflated = dataclasses.replace(
+            table, levels=[v + k for k, v in enumerate(table.levels)],
+            steps=[(pred, terms + k) for k, (pred, terms) in enumerate(table.steps)])
         deflated.log_value = lambda table=deflated: DpTable.log_value(table) + 1.0
         seeds = range(500)
         steps = sample_polymer_paths(deflated, seeds)
