@@ -558,7 +558,7 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     before, of points[r] minus the unit vector along axis, or -1 where
     that step leaves the box; bits[s, r, axis] is the uint64 53-bit
     integer m of that edge's label m * 2^-53 in the environment of seed
-    s (``TauFn.cell`` reads it), and holds no edge where pred is -1.
+    s (``TauFn.cell`` reads it), and means nothing where pred is -1.
     ``heads`` is ``_chain_heads`` of the seeds.
 
     Every array a block allocates is counted against
