@@ -40,12 +40,11 @@ from .estimators import (
 )
 from .lattice import (
     _check_box,
+    _ensemble,
     BudgetError,
     Direction,
     Environment,
     TauFn,
-    level_path_count,
-    path_count,
 )
 from .measures import UNIT_MASS_TOL, Histogram, Measure
 from .polymer import (
@@ -258,8 +257,7 @@ class ExperimentConfig:
         try:
             return self.values[key]
         except KeyError:
-            flag = key.replace("_", "-")
-            raise ConfigError(f"missing required field {key!r} (flag --{flag})") from None
+            raise ConfigError(f"missing required field {key!r} (flag {_flags(key)[-1]})") from None
 
     def _parse(self, key: str, parser: Callable[[str], object]):
         raw = self.raw(key)
@@ -328,41 +326,17 @@ class ExperimentConfig:
         return self._parse(key, _parse_endpoint)
 
 
-# Flag spellings per key; every flag stores a plain string and the
-# typed parse happens once, at use, with the field name in the error.
-_FLAG_NAMES: dict[str, tuple[str, ...]] = {
-    "D": ("--D",),
-    "q": ("--q",),
-    "t": ("--t",),
-    "mu": ("--mu",),
-    "nu": ("--nu",),
-    "tau": ("--tau",),
-    "beta": ("--beta",),
-    "n_ladder": ("--n", "--n-ladder"),
-    "eps_ladder": ("--eps", "--eps-ladder"),
-    "alpha_grid": ("--alpha-grid",),
-    "seeds": ("--seeds",),
-    "seed": ("--seed",),
-    "budget": ("--budget",),
-    "threshold": ("--threshold",),
-    "endpoint": ("--endpoint",),
-    "length": ("--length",),
-    "draws": ("--draws",),
-    "rng_seed": ("--rng-seed",),
-    "p": ("--p",),
-    "s": ("--s",),
-    "k": ("--k",),
-    "random_count": ("--random-count",),
-    "family_seed": ("--family-seed",),
-    "restarts": ("--restarts",),
-    "passes": ("--passes",),
-    "ascent_seed": ("--ascent-seed",),
-    "method": ("--method",),
-    "criteria": ("--criteria",),
-    "csv": ("--csv",),
-    "json": ("--json",),
-    "svg": ("--svg",),
-}
+# Every flag stores a plain string and the typed parse happens once,
+# at use, with the field name in the error.  A key's flag is --key with
+# '_' as '-'; the two ladders also take a short alias, listed first.
+_SHORT_FLAGS = {"n_ladder": "--n", "eps_ladder": "--eps"}
+
+
+def _flags(key: str) -> tuple[str, ...]:
+    """A key's flag spellings, its short alias first."""
+    flag = "--" + key.replace("_", "-")
+    return (_SHORT_FLAGS[key], flag) if key in _SHORT_FLAGS else (flag,)
+
 
 _BUDGET_DEFAULT = str(DEFAULT_PATH_BUDGET)
 
@@ -372,8 +346,8 @@ _FLAG_HELP: dict[str, str] = {
                f"{8 * DEFAULT_PATH_BUDGET // 10**6} MB"),
 }
 
-# (accepted keys, defaults) per subcommand; keys without defaults are
-# optional unless listed in _REQUIRED.
+# (accepted keys, defaults) per subcommand; a key without a default is
+# optional, or required by the first read of it.
 _COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
     "metric": (("mu", "nu", "json"), {}),
     "count": (("D", "endpoint", "length"), {}),
@@ -430,12 +404,6 @@ _COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
     "verify": (("seed", "criteria", "json"), {"seed": "0"}),
 }
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "metric": ("mu", "nu"),
-    "lpp": ("endpoint",),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridentropy",
@@ -447,8 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="flat key=value file supplying defaults")
         for key in keys:
-            flags = _FLAG_NAMES[key]
-            sub.add_argument(*flags, dest=key, default=None, metavar=key.upper(),
+            sub.add_argument(*_flags(key), dest=key, default=None, metavar=key.upper(),
                              help=_FLAG_HELP.get(key))
     return parser
 
@@ -469,10 +436,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
-    for key in _REQUIRED.get(command, ()):
-        if key not in values:
-            flag = key.replace("_", "-")
-            raise ConfigError(f"missing required field {key!r} (flag --{flag})")
     if values.get("svg") and not values.get("csv"):
         raise ConfigError("svg output needs --csv: plots are rendered from the CSV file")
     values["command"] = command
@@ -742,38 +705,30 @@ def _run_metric(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _count_text(log_count: float, count: Callable[[], int]) -> str:
-    """count() in decimal, refused with ValueError before it is computed
-    when log_count, a lower bound on its natural log, puts it past
-    Python's int-to-str digit limit."""
+def _count_text(dimension: int, **ensemble) -> str:
+    """The ensemble's exact path count, sized by the lattice gate against the
+    largest count Python prints, so that one far past it is never computed."""
     limit = sys.get_int_max_str_digits()
-    if limit and log_count >= limit * math.log(10):
-        raise ValueError(f"the count has more than {int(log_count / math.log(10))} digits, "
-                         f"past Python's {limit}-digit int-to-str limit")
-    return str(count())
+    try:
+        return str(_ensemble(dimension, 10**limit - 1 if limit else math.inf, **ensemble)[3])
+    except BudgetError as exc:
+        raise ValueError(f"the count has more than {limit} digits, "
+                         f"past Python's int-to-str limit") from exc
 
 
 def _run_count(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
-    has_length = config.has("length")
-    if has_endpoint == has_length:
+    if has_endpoint == config.has("length"):
         raise ConfigError("give exactly one of --endpoint or --length")
     if has_endpoint:
         # Without --D the endpoint sets the dimension; a given D must agree.
         endpoint = (_endpoint_in(config, config.dimension("D")) if config.has("D")
                     else config.endpoint("endpoint"))
-        # The count is at least C(total, rest) >= (total / rest)^rest, rest
-        # the steps off the longest side; math.log takes ints of any size.
-        rest = sum(endpoint) - max(endpoint)
-        print(config._parse("endpoint", lambda _: _count_text(
-            rest * (math.log(sum(endpoint)) - math.log(rest)) if rest else 0.0,
-            lambda: path_count(endpoint))))
+        print(config._parse("endpoint", lambda _: _count_text(len(endpoint), endpoint=endpoint)))
     else:
         dimension = config.dimension("D") if config.has("D") else 2
         length = config.int_("length", at_least=0)
-        print(config._parse("length", lambda _: _count_text(
-            length * math.log(dimension) if dimension > 1 else 0.0,
-            lambda: level_path_count(dimension, length))))
+        print(config._parse("length", lambda _: _count_text(dimension, length=length)))
     return EXIT_OK
 
 
@@ -881,8 +836,7 @@ def _run_lpp(config: ExperimentConfig) -> int:
 
 def _run_sample(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
-    has_length = config.has("length")
-    if has_endpoint == has_length:
+    if has_endpoint == config.has("length"):
         raise ConfigError("give exactly one of --endpoint or --length")
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
@@ -932,15 +886,13 @@ def _run_conjugate(config: ExperimentConfig) -> int:
         ascent_passes=passes,
         rng_seed=config.int_("ascent_seed", at_least=0),
     )
-    best_spec = est.diagnostics["best_tau"]
-    best_tau = TauFn(tuple(best_spec["breakpoints"]), tuple(best_spec["values"]))
     # The estimate's ladder is the winning potential's free-energy ladder.
     _, gibbs_value, gibbs_band = _ladder_fit(est.ladder)
     sup_value = -est.value
     report = {
         "q": str(q),
         "beta": beta,
-        "tau_id": json.loads(best_tau.to_json()),
+        "tau_id": est.diagnostics["best_tau"],
         "family_id": f"signs:k={k}+random:{random_count}:seed:{family_seed}",
         "sup_value": sup_value,
         "argmax_nu_id": nu_id,

@@ -46,12 +46,10 @@ import numpy as np
 
 from .lattice import (
     DEFAULT_PATH_BUDGET,
-    BudgetError,
     Direction,
     Environment,
+    _ensemble,
     label_rows,
-    level_path_count,
-    path_count,
 )
 from .measures import Measure
 from .prokhorov import prokhorov_rows
@@ -140,32 +138,22 @@ def _profile(
     n_scale: int,
     *,
     endpoint: Sequence[int] | None = None,
-    level_length: int | None = None,
+    length: int | None = None,
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> np.ndarray:
     """Sorted, read-only rho((1/n) mu_path, nu) over one ladder point's paths.
 
     The ensemble is either every path origin -> endpoint or every one
-    of the D^level_length paths from the origin.  The paths' sorted
-    label rows arrive in blocks of about _PROFILE_BLOCK_BYTES, each
-    row an empirical measure with mass 1/n per label, and one row
-    kernel gives each block's distances.  Profiles live in
-    one LRU store of at most _PROFILE_STORE_BYTES; a profile bigger
-    than that is returned without being stored.
+    of the D^length paths from the origin, refused past the budget by
+    ``lattice._ensemble`` before the store is read.  The paths' sorted
+    label rows arrive in blocks of about _PROFILE_BLOCK_BYTES, each row
+    an empirical measure with mass 1/n per label, and one row kernel
+    gives each block's distances.  Profiles live in one LRU store of at
+    most _PROFILE_STORE_BYTES; a bigger profile is not stored.
     """
-    if (endpoint is None) == (level_length is None):
-        raise ValueError("exactly one of endpoint/level_length must be given")
-    if endpoint is not None:
-        endpoint = tuple(int(c) for c in endpoint)
-        count = path_count(endpoint)
-        length = sum(endpoint)
-        key = (env, nu, n_scale, "point", endpoint)
-    else:
-        count = level_path_count(env.dimension, level_length, budget)
-        length = level_length
-        key = (env, nu, n_scale, "level", level_length)
-    if count > budget:
-        raise BudgetError(count, budget)
+    _, end, depth, count = _ensemble(env.dimension, budget, endpoint=endpoint, length=length)
+    # A length ensemble's end lies past every endpoint, so (end, depth) names it.
+    key = (env, nu, n_scale, end, depth)
     profile = _profiles.get(key)
     if profile is not None:
         _profiles.move_to_end(key)
@@ -173,8 +161,8 @@ def _profile(
 
     profile = np.empty(count)
     filled = 0
-    for distances in _distances(env, nu, 1.0 / n_scale, length,
-                                endpoint=endpoint, length=level_length, budget=budget):
+    for distances in _distances(env, nu, 1.0 / n_scale, depth,
+                                endpoint=endpoint, length=length, budget=budget):
         profile[filled:filled + len(distances)] = distances
         filled += len(distances)
     profile.sort()
@@ -271,7 +259,7 @@ def eps_sum_level(
     scale = _cost_scale(n, eps)
     t = Fraction(t)
     length = (n * t.numerator) // t.denominator
-    profile = _profile(env, nu, n, level_length=length, budget=budget)
+    profile = _profile(env, nu, n, length=length, budget=budget)
     return _log_sum_exp((-scale * profile).tolist()) / n
 
 

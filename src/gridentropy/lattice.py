@@ -20,6 +20,7 @@ reads labels only through tau cells, so they stay 53-bit integers.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,12 +50,20 @@ _MIX_B = 0x94D049BB133111EB
 
 
 class BudgetError(RuntimeError):
-    """Raised when an enumeration would visit more paths than allowed."""
+    """Raised by ``_ensemble`` for a path ensemble too big to walk; ``count``
+    is the exact count, or a text where the refusal did not count exactly."""
 
     def __init__(self, count: int | str, budget: int):
-        super().__init__(f"enumeration of {count} paths exceeds budget {budget}")
+        super().__init__(f"enumeration of {_decimal(count)} paths exceeds budget {budget}")
         self.count = count
         self.budget = budget
+
+
+def _decimal(value: int | str) -> str:
+    """value in decimal, or as 10^log10(value) past Python's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    big = isinstance(value, int) and limit and value >= 10**limit
+    return f"10^{math.log10(value):.2f}" if big else str(value)
 
 
 def _mix(z: int) -> int:
@@ -308,18 +317,50 @@ def path_count(endpoint: Sequence[int]) -> int:
     return count
 
 
-def level_path_count(dimension: int, length: int, budget: int | None = None) -> int:
-    """Number of length-n NE paths from the origin: D^n.
-
-    With a budget, an n past both 2^16 and the budget's bit length
-    raises BudgetError before D^n is computed: D >= 2 makes D^n >= 2^n >
-    budget.  Shorter lengths get their exact, cheap count.
-    """
+def level_path_count(dimension: int, length: int) -> int:
+    """Number of length-n NE paths from the origin: D^n."""
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    if budget is not None and dimension > 1 and length > max(int(budget).bit_length(), 1 << 16):
-        raise BudgetError(f"{dimension}^{length}", budget)
     return dimension**length
+
+
+def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = None,
+              length: int | None = None, start: Sequence[int] = ()):
+    """Check a path ensemble and size it against a budget, before any walk.
+
+    The ensemble is every NE path start -> endpoint, or all D^length from
+    start (the origin by default).  Returns (origin, end, depth, count),
+    a length's end int64 max on every axis.  Refuses with BudgetError from
+    a lower bound on ln(count) past ln(budget) and 2^16 bits, before any
+    exact count; then on the exact count, or on paths longer than the budget.
+    """
+    if (endpoint is None) == (length is None):
+        raise ValueError("exactly one of endpoint/length must be given")
+    origin = tuple(int(c) for c in start) if start else (0,) * dimension
+    if len(origin) != dimension:
+        raise ValueError(f"start {origin} is not a point of Z^{dimension}")
+    if endpoint is not None:
+        end = tuple(int(c) for c in endpoint)
+        sides = [b - a for a, b in zip(origin, end)]
+        if len(end) != dimension or min(sides) < 0:
+            raise ValueError(f"endpoint {end} is not NE of start {origin} in Z^{dimension}")
+        depth = sum(sides)
+        # The count is at least C(depth, rest) >= (depth / rest)^rest, rest the
+        # steps off the longest side.  Sides cut to 2^64 keep the bound a float.
+        rest = depth - max(sides)
+        bound = min(rest, 1 << 64) * (math.log(depth) - math.log(rest)) if rest else 0.0
+    else:
+        end, depth = (2**63 - 1,) * dimension, length
+        bound = min(length, 1 << 64) * math.log(dimension)
+    if bound > max(math.log(max(budget, 1)), (1 << 16) * math.log(2)):
+        raise BudgetError(f"{dimension}^{_decimal(length)}" if endpoint is None
+                          else f"at least 10^{int(bound / math.log(10))}", budget)
+    count = path_count(sides) if endpoint is not None else level_path_count(dimension, length)
+    if count > budget:
+        raise BudgetError(count, budget)
+    if depth > budget:  # fewer paths than steps: D = 1, or one nonzero side
+        raise BudgetError(f"{count} length-{_decimal(depth)}", budget)
+    return origin, end, depth, count
 
 
 def shannon_entropy(q: Direction) -> float:
@@ -354,9 +395,8 @@ def label_rows(
     row i of the first holds a path's edge labels and row i of the
     second its step axes, both in step order.  Taken block after block,
     the rows run in DFS order, which is the lexicographic order of the
-    step sequences.  An ensemble of more than ``budget`` paths, or of
-    paths longer than ``budget`` steps, raises BudgetError before any
-    label is hashed.
+    step sequences.  ``_ensemble`` checks the ensemble and refuses it
+    past the budget before any label is hashed.
 
     A block is the subtree of one path prefix, built by level
     expansion: each level steps every prefix along every axis it may
@@ -364,33 +404,12 @@ def label_rows(
     prefix with more paths than a block holds is stepped one level, and
     its children are tried in order.
     """
-    if (endpoint is None) == (length is None):
-        raise ValueError("exactly one of endpoint/length must be given")
     d = env.dimension
-    origin = np.array([int(c) for c in start] if start else [0] * d, dtype=np.int64)
-    if len(origin) != d:
-        raise ValueError(f"start {tuple(origin.tolist())} is not a point of Z^{d}")
-    if endpoint is not None:
-        end = np.array([int(c) for c in endpoint], dtype=np.int64)
-        if len(end) != d or (end < origin).any():
-            raise ValueError(f"endpoint {tuple(end.tolist())} is not NE of start "
-                             f"{tuple(origin.tolist())} in Z^{d}")
-        depth = int((end - origin).sum())
+    origin, end, depth, _ = _ensemble(d, budget, endpoint=endpoint, length=length, start=start)
+    origin, end = np.array(origin, dtype=np.int64), np.array(end, dtype=np.int64)
 
-        def paths_from(point, done: int) -> int:
-            return path_count(end - point)
-    else:
-        level_path_count(d, length, budget)  # refuses a bad length before d ** length
-        end = np.full(d, np.iinfo(np.int64).max)
-        depth = length
-
-        def paths_from(point, done: int) -> int:
-            return d ** (depth - done)
-    count = paths_from(origin, 0)
-    if count > budget:
-        raise BudgetError(count, budget)
-    if depth > budget:  # fewer paths than steps: D = 1, or one nonzero side
-        raise BudgetError(f"{count} length-{depth}", budget)
+    def paths_from(point, done: int) -> int:
+        return path_count(end - point) if endpoint is not None else d ** (depth - done)
     block_rows = max(1, block_rows)
     heads = _chain_heads([env.seed], d)[:, 0]
 

@@ -32,7 +32,7 @@ from gridentropy.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     _COMMANDS,
-    _FLAG_NAMES,
+    _flags,
     _parse_alpha_grid,
     _parse_measure,
     _parse_scale_ladder,
@@ -475,10 +475,15 @@ def test_bad_field_value_names_the_field(capsys):
 
 
 def test_missing_required_field(capsys):
-    """metric without --mu is a config error, not a crash."""
-    code, _, err = _run(capsys, "metric", "--nu", "lebesgue:4")
-    assert code == EXIT_CONFIG
-    assert "mu" in err
+    """A command without a field it needs is a config error naming the field
+    and its flag, not a crash."""
+    for argv, key in ((("metric", "--nu", "lebesgue:4"), "mu"),
+                      (("metric", "--mu", "lebesgue:4"), "nu"),
+                      (("lpp", "--tau", "zero"), "endpoint")):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"config error: missing required field {key!r} (flag --{key})\n"
 
 
 def test_infinite_atom_mass_is_a_config_error(capsys):
@@ -743,7 +748,7 @@ def test_no_argv_crashes_the_cli(capsys, data):
     malformed = data.draw(st.sampled_from(_MALFORMED))
     for bad in (None, *keys):
         fields = {**values, bad: malformed} if bad else values
-        argv = [command, *(f"{_FLAG_NAMES[key][0]}={value}" for key, value in fields.items())]
+        argv = [command, *(f"{_flags(key)[0]}={value}" for key, value in fields.items())]
         note(argv)
         try:
             code = main(argv)
@@ -801,6 +806,24 @@ def test_a_one_path_ensemble_longer_than_the_budget_is_refused_at_once(argv, len
     assert child.returncode == EXIT_BUDGET
     assert f"budget refusal: enumeration of 1 length-{length} paths" in child.stderr
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("orderstats", "--q", "1/2,1/2", "--n", "100000,200000", "--seeds", "1"),
+                 id="count-past-the-digit-limit"),
+    pytest.param(("entropy-level", "--t", "1e5000", "--n", "2,4", "--seeds", "1"),
+                 id="length-past-the-digit-limit"),
+    pytest.param(("entropy-level", "--D", "1", "--t", "1e5000", "--n", "2,4", "--seeds", "1"),
+                 id="D1-length-past-the-digit-limit"),
+    pytest.param(("orderstats", "--q", "1/2,1/2", "--n", "10000000,20000000", "--seeds", "1"),
+                 id="count-refused-from-its-lower-bound"),
+])
+def test_a_huge_ensemble_is_refused_without_a_traceback(argv):
+    """Ensembles whose count or length has more digits than Python prints, or
+    whose exact count would take long to compute, exit 3 with a budget refusal."""
+    child = _run_child(*argv)
+    assert child.returncode == EXIT_BUDGET
+    assert "budget refusal" in child.stderr and "Traceback" not in child.stderr
 
 
 @pytest.mark.parametrize("argv, field", [

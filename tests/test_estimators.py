@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gridentropy import (
+    BudgetError,
     Direction,
     Environment,
     Measure,
@@ -214,13 +215,13 @@ def test_caller_budget_reaches_the_walker(monkeypatch):
     env = Environment(4, 2)
     q = Direction.parse("1/2,1/2")
     nu = discretize_lebesgue(6)
-    with pytest.raises(estimators.BudgetError):
+    with pytest.raises(BudgetError):
         next(estimators.label_rows(env, 10, endpoint=(3, 3)))
     stat = order_stat_series(env, q, nu, 6, [1, 20], budget=20)
     assert math.isfinite(stat.values[1])
     assert math.isfinite(eps_sum_level(env, Fraction(1), nu, 3, 1.0, budget=8))
     assert math.isfinite(cost_sum(env, (1, 0), (4, 3), nu, 1.0, budget=20))
-    with pytest.raises(estimators.BudgetError) as info:
+    with pytest.raises(BudgetError) as info:
         order_stat_series(env, q, nu, 8, [1], budget=69)
     assert (info.value.count, info.value.budget) == (70, 69)
 
@@ -311,7 +312,7 @@ def test_profile_blocks_match_dfs_oracle(monkeypatch, dimension, endpoint, lengt
                 row_bytes = 8 * (length * len(nu.atoms) + 1)
                 monkeypatch.setattr(estimators, "_PROFILE_BLOCK_BYTES", block_paths * row_bytes)
             point = estimators._profile(env, nu, n, endpoint=endpoint)
-            level = estimators._profile(env, nu, n, level_length=length)
+            level = estimators._profile(env, nu, n, length=length)
             assert point.tolist() == want_point
             assert level.tolist() == want_level
 

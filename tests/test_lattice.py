@@ -21,8 +21,8 @@ from gridentropy import (
     path_count,
     shannon_entropy,
 )
-from gridentropy import lattice
-from gridentropy.lattice import _chain_heads, _level_blocks, _split
+from gridentropy import estimators, lattice
+from gridentropy.lattice import _chain_heads, _ensemble, _level_blocks, _split
 from gridentropy.measures import add
 from path_oracle import _dfs_paths, enumerate_level_paths, enumerate_paths, path_labels, path_weight
 import plan_oracle
@@ -331,17 +331,47 @@ def test_label_rows_refuses_paths_longer_than_the_budget_before_hashing(monkeypa
         assert info.value.count == f"1 length-{depth}"
 
 
-def test_level_path_count_refuses_a_huge_length_before_counting():
-    """Past 2^16 steps and the budget's bit length, the refusal names D^length
-    instead of computing it; shorter lengths keep their exact count."""
+def test_ensemble_gate_refuses_a_huge_length_before_counting():
+    """Past 2^16 steps and the budget's bit length, the gate's refusal names
+    D^length instead of computing it; shorter lengths keep their exact count."""
     with pytest.raises(BudgetError, match=r"2\^(10{400}) paths exceeds budget 100000000"):
-        level_path_count(2, 10**400, budget=10**8)
+        _ensemble(2, 10**8, length=10**400)
     with pytest.raises(BudgetError) as info:
         next(label_rows(Environment(1, 3), 10, length=10**400, budget=10**8))
     assert info.value.count == f"3^{10**400}"
-    assert level_path_count(2, 12, budget=1000) == 4096
-    assert level_path_count(2, 1 << 16, budget=10) == 2 ** (1 << 16)
-    assert level_path_count(1, 10**400, budget=1) == 1
+    for length, budget, count in ((12, 1000, 4096), (1 << 16, 10, 2 ** (1 << 16))):
+        with pytest.raises(BudgetError) as info:
+            _ensemble(2, budget, length=length)
+        assert info.value.count == count
+    assert _ensemble(1, 10**401, length=10**400) == ((0,), (2**63 - 1,), 10**400, 1)
+    assert level_path_count(2, 1 << 16) == 2 ** (1 << 16)
+    assert level_path_count(1, 10**400) == 1
+
+
+def test_ensemble_gate_refuses_a_huge_endpoint_before_counting(monkeypatch):
+    """An endpoint whose lower bound rest * ln(total / rest) is far past the
+    budget is refused without the exact count, by the walker and the profile."""
+    def no_counting(*args):
+        raise AssertionError("counted the paths exactly")
+
+    monkeypatch.setattr(lattice, "path_count", no_counting)
+    endpoint = (5 * 10**6, 5 * 10**6)
+    with pytest.raises(BudgetError, match=r"at least 10\^1505149 paths exceeds budget 100000000"):
+        next(label_rows(Environment(5, 2), 10, endpoint=endpoint))
+    with pytest.raises(BudgetError) as info:
+        estimators._profile(Environment(5, 2), Measure.dirac(0.5), 10**7, endpoint=endpoint)
+    assert info.value.count == "at least 10^1505149"
+
+
+def test_budget_refusal_text_stays_under_the_digit_limit():
+    """Counts and lengths past Python's int-to-str digit limit are written as
+    powers of ten, so that building the refusal never raises."""
+    with pytest.raises(BudgetError, match=r"enumeration of 10\^30100\.40 paths"):
+        _ensemble(2, 10**8, endpoint=(50000, 50000))
+    with pytest.raises(BudgetError, match=r"enumeration of 2\^10\^5000\.30 paths"):
+        _ensemble(2, 10**8, length=2 * 10**5000)
+    with pytest.raises(BudgetError, match=r"enumeration of 1 length-10\^5000\.30 paths"):
+        _ensemble(1, 10**8, length=2 * 10**5000)
 
 
 def test_enumerate_paths_from_offset_start():
