@@ -718,7 +718,8 @@ def _count_text(dimension: int, **ensemble) -> str:
 
 def _run_count(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
-    if has_endpoint == config.has("length"):
+    has_length = config.has("length")
+    if has_endpoint == has_length:
         raise ConfigError("give exactly one of --endpoint or --length")
     if has_endpoint:
         # Without --D the endpoint sets the dimension; a given D must agree.
@@ -836,7 +837,8 @@ def _run_lpp(config: ExperimentConfig) -> int:
 
 def _run_sample(config: ExperimentConfig) -> int:
     has_endpoint = config.has("endpoint")
-    if has_endpoint == config.has("length"):
+    has_length = config.has("length")
+    if has_endpoint == has_length:
         raise ConfigError("give exactly one of --endpoint or --length")
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")

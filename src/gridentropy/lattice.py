@@ -336,11 +336,11 @@ def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = N
     """
     if (endpoint is None) == (length is None):
         raise ValueError("exactly one of endpoint/length must be given")
-    origin = tuple(int(c) for c in start) if start else (0,) * dimension
+    origin = tuple(map(int, start)) if start else (0,) * dimension
     if len(origin) != dimension:
         raise ValueError(f"start {origin} is not a point of Z^{dimension}")
     if endpoint is not None:
-        end = tuple(int(c) for c in endpoint)
+        end = tuple(map(int, endpoint))
         sides = [b - a for a, b in zip(origin, end)]
         if len(end) != dimension or min(sides) < 0:
             raise ValueError(f"endpoint {end} is not NE of start {origin} in Z^{dimension}")
@@ -352,7 +352,7 @@ def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = N
     else:
         end, depth = (2**63 - 1,) * dimension, length
         bound = min(length, 1 << 64) * math.log(dimension)
-    if bound > max(math.log(max(budget, 1)), (1 << 16) * math.log(2)):
+    if bound > (1 << 16) * math.log(2) and bound > math.log(max(budget, 1)):
         raise BudgetError(f"{dimension}^{_decimal(length)}" if endpoint is None
                           else f"at least 10^{int(bound / math.log(10))}", budget)
     count = path_count(sides) if endpoint is not None else level_path_count(dimension, length)
