@@ -152,7 +152,7 @@ def _profile(
     most _PROFILE_STORE_BYTES; a bigger profile is not stored.
     """
     _, end, depth, count = _ensemble(env.dimension, budget, endpoint=endpoint, length=length)
-    # A length ensemble's end lies past every endpoint, so (end, depth) names it.
+    # end is None for a length ensemble, so (end, depth) names the ensemble.
     key = (env, nu, n_scale, end, depth)
     profile = _profiles.get(key)
     if profile is not None:

@@ -330,7 +330,7 @@ def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = N
 
     The ensemble is every NE path start -> endpoint, or all D^length from
     start (the origin by default).  Returns (origin, end, depth, count),
-    a length's end int64 max on every axis.  Refuses with BudgetError from
+    with end None for a length.  Refuses with BudgetError from
     a lower bound on ln(count) past ln(budget) and 2^16 bits, before any
     exact count; then on the exact count, or on paths longer than the budget.
     """
@@ -350,7 +350,7 @@ def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = N
         rest = depth - max(sides)
         bound = min(rest, 1 << 64) * (math.log(depth) - math.log(rest)) if rest else 0.0
     else:
-        end, depth = (2**63 - 1,) * dimension, length
+        end, depth = None, length
         bound = min(length, 1 << 64) * math.log(dimension)
     if bound > (1 << 16) * math.log(2) and bound > math.log(max(budget, 1)):
         raise BudgetError(f"{dimension}^{_decimal(length)}" if endpoint is None
@@ -406,7 +406,8 @@ def label_rows(
     """
     d = env.dimension
     origin, end, depth, _ = _ensemble(d, budget, endpoint=endpoint, length=length, start=start)
-    origin, end = np.array(origin, dtype=np.int64), np.array(end, dtype=np.int64)
+    origin = np.array(origin, dtype=np.int64)
+    end = np.full(d, np.iinfo(np.int64).max) if end is None else np.array(end, dtype=np.int64)
 
     def paths_from(point, done: int) -> int:
         return path_count(end - point) if endpoint is not None else d ** (depth - done)

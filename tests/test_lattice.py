@@ -343,7 +343,7 @@ def test_ensemble_gate_refuses_a_huge_length_before_counting():
         with pytest.raises(BudgetError) as info:
             _ensemble(2, budget, length=length)
         assert info.value.count == count
-    assert _ensemble(1, 10**401, length=10**400) == ((0,), (2**63 - 1,), 10**400, 1)
+    assert _ensemble(1, 10**401, length=10**400) == ((0,), None, 10**400, 1)
     assert level_path_count(2, 1 << 16) == 2 ** (1 << 16)
     assert level_path_count(1, 10**400) == 1
 
