@@ -39,7 +39,6 @@ from .estimators import (
     estimate_entropy_orderstats,
 )
 from .lattice import (
-    _check_box,
     _ensemble,
     BudgetError,
     Direction,
@@ -48,7 +47,7 @@ from .lattice import (
 )
 from .measures import UNIT_MASS_TOL, Histogram, Measure
 from .polymer import (
-    DpTable, _dp_reach, _ladder_box, _ladder_fit, gibbs_estimate, last_passage,
+    DpTable, _dp_box, _ladder_box, _ladder_fit, gibbs_estimate, last_passage,
     sample_polymer_paths,
 )
 from .prokhorov import prokhorov_distance
@@ -212,13 +211,6 @@ def _parse_tau(spec: str) -> TauFn:
     raise ValueError(f"unknown potential spec {spec!r}")
 
 
-def _parse_endpoint(text: str) -> tuple[int, ...]:
-    endpoint = _parse_ints(text)
-    if any(c < 0 for c in endpoint):
-        raise ValueError(f"endpoint coordinates must be >= 0, got {endpoint}")
-    return endpoint
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -260,14 +252,16 @@ class ExperimentConfig:
             raise ConfigError(f"missing required field {key!r} (flag {_flags(key)[-1]})") from None
 
     def _parse(self, key: str, parser: Callable[[str], object]):
-        raw = self.raw(key)
+        return self.check((key,), parser, self.raw(key))
+
+    def check(self, keys: Sequence[str], fn: Callable, *args, **kwargs):
+        """fn(*args, **kwargs), a bad-value error from it raised as a config
+        error that names ``keys``, the fields it read, in that order."""
         try:
-            return parser(raw)
-        except (ValueError, OverflowError, ZeroDivisionError, KeyError,
-                json.JSONDecodeError) as exc:
-            raise ConfigError(f"field {key}={raw!r}: {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"field {key}={raw!r}: {exc}") from exc
+            return fn(*args, **kwargs)
+        except (ValueError, OverflowError, ZeroDivisionError, KeyError, OSError) as exc:
+            fields = ", ".join(f"{key}={self.raw(key)!r}" for key in keys)
+            raise ConfigError(f"field {fields}: {exc}") from exc
 
     def int_(self, key: str, *, at_least: int | None = None, at_most: int | None = None) -> int:
         value = self._parse(key, int)
@@ -323,7 +317,12 @@ class ExperimentConfig:
         return self._parse(key, _parse_alpha_grid)
 
     def endpoint(self, key: str) -> tuple[int, ...]:
-        return self._parse(key, _parse_endpoint)
+        return self._parse(key, _parse_ints)
+
+    def budget(self, key: str) -> int:
+        """A path budget: at least 1, and at most int64's 2^63 - 1, so that every
+        ensemble within it is one the walker's int64 arrays can hold."""
+        return self.int_(key, at_least=1, at_most=2**63 - 1)
 
 
 # Every flag stores a plain string and the typed parse happens once,
@@ -716,20 +715,23 @@ def _count_text(dimension: int, **ensemble) -> str:
                          f"past Python's int-to-str limit") from exc
 
 
-def _run_count(config: ExperimentConfig) -> int:
-    has_endpoint = config.has("endpoint")
-    has_length = config.has("length")
-    if has_endpoint == has_length:
+def _ensemble_field(config: ExperimentConfig) -> tuple[str, tuple[int, ...] | int]:
+    """The one of endpoint and length given, and its value."""
+    if config.has("endpoint") == config.has("length"):
         raise ConfigError("give exactly one of --endpoint or --length")
-    if has_endpoint:
-        # Without --D the endpoint sets the dimension; a given D must agree.
-        endpoint = (_endpoint_in(config, config.dimension("D")) if config.has("D")
-                    else config.endpoint("endpoint"))
-        print(config._parse("endpoint", lambda _: _count_text(len(endpoint), endpoint=endpoint)))
+    if config.has("endpoint"):
+        return "endpoint", config.endpoint("endpoint")
+    return "length", config.int_("length")
+
+
+def _run_count(config: ExperimentConfig) -> int:
+    key, value = _ensemble_field(config)
+    # Without --D the endpoint sets the dimension; a given D must agree.
+    if config.has("D"):
+        keys, dimension = (key, "D"), config.dimension("D")
     else:
-        dimension = config.dimension("D") if config.has("D") else 2
-        length = config.int_("length", at_least=0)
-        print(config._parse("length", lambda _: _count_text(dimension, length=length)))
+        keys, dimension = (key,), len(value) if key == "endpoint" else 2
+    print(config.check(keys, _count_text, dimension, **{key: value}))
     return EXIT_OK
 
 
@@ -739,7 +741,7 @@ def _run_orderstats(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     grid = config.alpha_grid("alpha_grid")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget", at_least=1)
+    budget = config.budget("budget")
     threshold = config.float_("threshold") if config.has("threshold") else None
     est = estimate_entropy_orderstats(
         seeds, q, nu, n_ladder, grid, threshold=threshold, budget=budget
@@ -755,7 +757,7 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget", at_least=1)
+    budget = config.budget("budget")
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
     _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
     _print_estimate(est)
@@ -771,27 +773,11 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.int_("budget", at_least=1)
+    budget = config.budget("budget")
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
     _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(est))
     _print_estimate(est)
     return EXIT_OK
-
-
-def _config_reach(fields: str, scale: float, bound: float, depth: int, dimension: int) -> None:
-    """Refuse the named fields when a DP's log weights could overflow float64."""
-    try:
-        _dp_reach(scale, bound, depth, dimension)
-    except ValueError as err:
-        raise ConfigError(f"field {fields}: {err}") from None
-
-
-def _dp_tau(config: ExperimentConfig, beta: float | None, depth: int, dimension: int) -> TauFn:
-    """The tau field, refused with beta when the DP's log weights could overflow."""
-    tau, spec = config.tau("tau")
-    fields = f"tau={spec!r}" + ("" if beta is None else f" with beta={config.raw('beta')!r}")
-    _config_reach(fields, 1.0 if beta is None else abs(beta), tau.bound, depth, dimension)
-    return tau
 
 
 def _run_gibbs(config: ExperimentConfig) -> int:
@@ -802,9 +788,8 @@ def _run_gibbs(config: ExperimentConfig) -> int:
         dimension = q.dimension
     beta = config.float_("beta")
     n_ladder = config.scales("n_ladder", at_least=2)
-    # A ladder box too large to index is refused naming q.
-    depth = config._parse("q", lambda _: _ladder_box(n_ladder, q, dimension)[1])
-    tau = _dp_tau(config, beta, depth, dimension)
+    tau, _ = config.tau("tau")
+    config.check(("q", "tau", "beta"), _ladder_box, n_ladder, q, dimension, abs(beta), tau.bound)
     seeds = config.seeds("seeds")
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
@@ -815,20 +800,11 @@ def _run_gibbs(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _endpoint_in(config: ExperimentConfig, dimension: int) -> tuple[int, ...]:
-    """The endpoint field, which must have one coordinate per dimension."""
-    endpoint = config.endpoint("endpoint")
-    if len(endpoint) != dimension:
-        raise ConfigError(f"field endpoint={config.raw('endpoint')!r}: "
-                          f"{len(endpoint)} coordinates, need D={dimension}")
-    return endpoint
-
-
 def _run_lpp(config: ExperimentConfig) -> int:
     env = Environment(config.int_("seed"), config.dimension("D"))
-    endpoint = _endpoint_in(config, env.dimension)
-    config._parse("endpoint", lambda _: _check_box(endpoint, sum(endpoint)))
-    tau = _dp_tau(config, None, sum(endpoint), env.dimension)
+    endpoint = config.endpoint("endpoint")
+    tau, _ = config.tau("tau")
+    config.check(("endpoint", "tau"), _dp_box, env.dimension, 1.0, tau.bound, endpoint=endpoint)
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
     _emit(config, (), {"value": value, "start": list(path.start), "steps": list(path.steps)})
@@ -836,27 +812,15 @@ def _run_lpp(config: ExperimentConfig) -> int:
 
 
 def _run_sample(config: ExperimentConfig) -> int:
-    has_endpoint = config.has("endpoint")
-    has_length = config.has("length")
-    if has_endpoint == has_length:
-        raise ConfigError("give exactly one of --endpoint or --length")
+    key, value = _ensemble_field(config)
     env = Environment(config.int_("seed"), config.dimension("D"))
     beta = config.float_("beta")
-    # A box too large to index is refused naming its field.
-    if has_endpoint:
-        endpoint = _endpoint_in(config, env.dimension)
-        depth = sum(endpoint)
-        config._parse("endpoint", lambda _: _check_box(endpoint, depth))
-    else:
-        depth = config.int_("length", at_least=0)
-        config._parse("length", lambda _: _check_box((depth,) * env.dimension, depth))
-    tau = _dp_tau(config, beta, depth, env.dimension)
+    tau, _ = config.tau("tau")
+    config.check((key, "tau", "beta"), _dp_box, env.dimension, abs(beta), tau.bound,
+                 **{key: value})
     draws = config.int_("draws", at_least=1)
     rng_seed = config.int_("rng_seed")
-    if has_endpoint:
-        table = DpTable.point(env, endpoint, beta, tau)
-    else:
-        table = DpTable.level(env, depth, beta, tau)
+    table = (DpTable.point if key == "endpoint" else DpTable.level)(env, value, beta, tau)
     seeds = range(rng_seed, rng_seed + draws)
     samples = sample_polymer_paths(table, seeds)
     # Written to whatever sys.stdout is at call time.
@@ -877,9 +841,8 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
     restarts = config.int_("restarts", at_least=1)
     passes = config.int_("passes", at_least=0)
-    depth = config._parse("q", lambda _: _ladder_box(n_ladder, q, q.dimension)[1])
-    _config_reach(f"beta={config.raw('beta')!r}", abs(beta), _search_bound(family, restarts, passes),
-                  depth, q.dimension)
+    config.check(("q", "beta"), _ladder_box, n_ladder, q, q.dimension, abs(beta),
+                 _search_bound(family, restarts, passes))
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
@@ -921,7 +884,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
     nu = target.to_measure() if isinstance(target, Histogram) else target
     n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
-    budget = config.int_("budget", at_least=1)
+    budget = config.budget("budget")
     if method == "orderstats":
         est = estimate_entropy_orderstats(
             seeds, q, nu, n_ladder, config.alpha_grid("alpha_grid"), budget=budget
@@ -951,6 +914,7 @@ def _run_bernoulli(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder")
     seeds = config.seeds("seeds")
     dimension = config.dimension("D")
+    config.check(("n_ladder", "D"), _ladder_box, n_ladder, None, dimension)
     report = bernoulli_exponent_check(p, s, n_ladder, seeds, dimension=dimension)
     nu_id = f"bernoulli:p={config.raw('p')},s={config.raw('s')}"
     rows = [

@@ -66,6 +66,11 @@ def _decimal(value: int | str) -> str:
     return f"10^{math.log10(value):.2f}" if big else str(value)
 
 
+def _point(coords: Sequence[int]) -> str:
+    """A point's coordinates through ``_decimal``, in parentheses."""
+    return f"({', '.join(map(_decimal, coords))})"
+
+
 def _mix(z: int) -> int:
     """64-bit avalanche finalizer (splitmix64 style)."""
     z &= _MASK
@@ -324,33 +329,45 @@ def level_path_count(dimension: int, length: int) -> int:
     return dimension**length
 
 
-def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = None,
-              length: int | None = None, start: Sequence[int] = ()):
-    """Check a path ensemble and size it against a budget, before any walk.
-
-    The ensemble is every NE path start -> endpoint, or all D^length from
-    start (the origin by default).  Returns (origin, end, depth, count),
-    with end None for a length.  Refuses with BudgetError from
-    a lower bound on ln(count) past ln(budget) and 2^16 bits, before any
-    exact count; then on the exact count, or on paths longer than the budget.
-    """
+def _ensemble_ends(dimension: int, *, endpoint: Sequence[int] | None = None,
+                   length: int | None = None, start: Sequence[int] = ()):
+    """Check a path ensemble: every NE path start -> endpoint, or all D^length
+    from start (the origin by default).  Returns (origin, end, depth), with
+    end None for a length; raises ValueError for anything else."""
     if (endpoint is None) == (length is None):
         raise ValueError("exactly one of endpoint/length must be given")
     origin = tuple(map(int, start)) if start else (0,) * dimension
     if len(origin) != dimension:
-        raise ValueError(f"start {origin} is not a point of Z^{dimension}")
-    if endpoint is not None:
-        end = tuple(map(int, endpoint))
+        raise ValueError(f"start {_point(origin)} is not a point of Z^{dimension}")
+    if endpoint is None:
+        if length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
+        return origin, None, length
+    end = tuple(map(int, endpoint))
+    if len(end) != dimension or any(a > b for a, b in zip(origin, end)):
+        raise ValueError(f"endpoint {_point(end)} is not NE of start {_point(origin)} "
+                         f"in Z^D, D={dimension}")
+    return origin, end, sum(end) - sum(origin)
+
+
+def _ensemble(dimension: int, budget: int, *, endpoint: Sequence[int] | None = None,
+              length: int | None = None, start: Sequence[int] = ()):
+    """Check a path ensemble (``_ensemble_ends``) and size it against a budget,
+    before any walk.
+
+    Returns (origin, end, depth, count), with end None for a length.
+    Refuses with BudgetError from a lower bound on ln(count) past
+    ln(budget) and 2^16 bits, before any exact count; then on the exact
+    count, or on paths longer than the budget.
+    """
+    origin, end, depth = _ensemble_ends(dimension, endpoint=endpoint, length=length, start=start)
+    if end is not None:
         sides = [b - a for a, b in zip(origin, end)]
-        if len(end) != dimension or min(sides) < 0:
-            raise ValueError(f"endpoint {end} is not NE of start {origin} in Z^{dimension}")
-        depth = sum(sides)
         # The count is at least C(depth, rest) >= (depth / rest)^rest, rest the
         # steps off the longest side.  Sides cut to 2^64 keep the bound a float.
         rest = depth - max(sides)
         bound = min(rest, 1 << 64) * (math.log(depth) - math.log(rest)) if rest else 0.0
     else:
-        end, depth = None, length
         bound = min(length, 1 << 64) * math.log(dimension)
     if bound > (1 << 16) * math.log(2) and bound > math.log(max(budget, 1)):
         raise BudgetError(f"{dimension}^{_decimal(length)}" if endpoint is None
@@ -561,12 +578,6 @@ def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
     return bounds, points, pred, state >> np.uint64(11)
 
 
-def _check_box(box: tuple[int, ...], depth: int) -> None:
-    """Raise ValueError when the points of a box up to level depth pass int64 indexing."""
-    if math.prod(min(c, depth) + 1 for c in box) > 2**63 - 1:
-        raise ValueError(f"box {box} is too large to index level points")
-
-
 def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     """The transfer DP's levels inside a box, built a block of levels at a time.
 
@@ -579,7 +590,8 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     that step leaves the box; bits[s, r, axis] is the uint64 53-bit
     integer m of that edge's label m * 2^-53 in the environment of seed
     s (``TauFn.cell`` reads it), and means nothing where pred is -1.
-    ``heads`` is ``_chain_heads`` of the seeds.
+    ``heads`` is ``_chain_heads`` of the seeds.  It makes no size check:
+    every caller passes through the DP gate, ``polymer._dp_box``, first.
 
     Every array a block allocates is counted against
     _PLAN_BLOCK_BYTES, and its geometry costs O(points), not O(levels
@@ -588,7 +600,6 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     """
     box = tuple(int(c) for c in box)
     d = len(box)
-    _check_box(box, depth)
     tables = _box_counts(box, depth + 2)
     prefix_tables = _box_counts(box[:-1], depth + 2)
     seeds = heads.shape[1]

@@ -33,8 +33,10 @@ share each edge's cell index, computed once per block.
 ``LadderPlan`` holds them, so that a search over many potentials (the
 conjugate entropy) hashes the labels once and pays only for the folds.
 
-Every DP refuses, with ValueError, a beta and potential whose log
-weights could overflow float64 (``_dp_reach``).
+Every DP passes one gate, ``_dp_box``, before any level is built: it
+refuses, with ValueError, an ensemble that is not one, a box whose
+level points int64 cannot index, and a beta and potential whose log
+weights could overflow float64.
 
 A table keeps, beside each level's values, what its one walk of the
 lattice folded: per level, each point's predecessor rows and edge terms
@@ -64,7 +66,7 @@ import numpy as np
 
 from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
 from .lattice import (
-    _GOLDEN, _MASK, _chain_heads, _check_box, _level_blocks, _mix_array, _split,
+    _GOLDEN, _MASK, _chain_heads, _ensemble_ends, _level_blocks, _mix_array, _point, _split,
     Direction, Environment, Path, TauFn,
 )
 
@@ -77,16 +79,6 @@ __all__ = [
 ]
 
 _STREAM_TAG = 0x1D872B41A9C3F6E5
-
-
-def _endpoint(env: Environment, endpoint: Sequence[int]) -> tuple[int, ...]:
-    endpoint = tuple(int(c) for c in endpoint)
-    if len(endpoint) != env.dimension:
-        raise ValueError(f"endpoint {endpoint} has {len(endpoint)} coordinates, "
-                         f"need D={env.dimension}")
-    if any(c < 0 for c in endpoint):
-        raise ValueError(f"endpoint coordinates must be >= 0, got {endpoint}")
-    return endpoint
 
 
 def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -143,8 +135,8 @@ class DpTable:
     point r read along axis: levels[k - 1][pred] plus the edge's
     weight, or -inf where pred is -1.  Built in one walk of the plan;
     reproducible bit-for-bit given (environment, tau, beta).
-    A beta and tau whose log weights could overflow float64 raise
-    ValueError (``_dp_reach``).
+    ``_dp_box`` refuses the ensemble, box and log weights with
+    ValueError before any level is built.
     """
 
     env: Environment
@@ -158,23 +150,22 @@ class DpTable:
     @classmethod
     def point(cls, env: Environment, endpoint: Sequence[int], beta: float | None,
               tau: TauFn) -> "DpTable":
-        endpoint = _endpoint(env, endpoint)
-        return cls._build(env, tau, beta, "point", endpoint, sum(endpoint), endpoint)
+        return cls._build(env, tau, beta, endpoint=endpoint)
 
     @classmethod
     def level(cls, env: Environment, length: int, beta: float | None, tau: TauFn) -> "DpTable":
-        if length < 0:
-            raise ValueError(f"length must be >= 0, got {length}")
-        return cls._build(env, tau, beta, "level", (length,) * env.dimension, length, None)
+        return cls._build(env, tau, beta, length=length)
 
     @classmethod
-    def _build(cls, env, tau, beta, kind, box, depth, endpoint) -> "DpTable":
-        _dp_reach(1.0 if beta is None else abs(beta), tau.bound, depth, env.dimension)
+    def _build(cls, env, tau, beta, **ensemble) -> "DpTable":
+        box, depth = _dp_box(env.dimension, 1.0 if beta is None else abs(beta), tau.bound,
+                             **ensemble)
         heads = _chain_heads([env.seed], env.dimension)
         walk = (level for bounds, points, pred, bits in _level_blocks(box, depth, heads)
                 for level in _split(bounds, points, pred, tau.cell(bits[0])))
         weights = tau._cells if beta is None else beta * tau._cells
         _, levels, steps = zip(*_transfer(env.dimension, walk, beta, weights))
+        kind, endpoint = ("level", None) if "length" in ensemble else ("point", box)
         return cls(env, tau, beta, kind, list(levels), list(steps[1:]), endpoint)
 
     def log_value(self) -> float:
@@ -189,14 +180,33 @@ class DpTable:
 _DP_REACH_LIMIT = 1e300
 
 
+def _dp_box(dimension: int, scale: float, bound: float, *,
+            endpoint: Sequence[int] | None = None,
+            length: int | None = None) -> tuple[tuple[int, ...], int]:
+    """The one gate of every transfer DP: its box and depth, or ValueError.
+
+    The DP runs from the origin over the box of the endpoint, or the cube
+    of side length for length-n paths, up to level depth.  Refuses, in
+    this order: an ensemble that is not one (``lattice._ensemble_ends``),
+    a box whose points up to level depth int64 cannot index, and log
+    weights that could overflow float64 (``_dp_reach``).
+    """
+    _, end, depth = _ensemble_ends(dimension, endpoint=endpoint, length=length)
+    box = end if end is not None else (depth,) * dimension
+    if math.prod(min(c, depth) + 1 for c in box) > 2**63 - 1:
+        raise ValueError(f"box {_point(box)} is too large to index level points")
+    _dp_reach(scale, bound, depth, dimension)
+    return box, depth
+
+
 def _dp_reach(scale: float, bound: float, depth: int, dimension: int) -> None:
     """Raise ValueError when a DP's log weights could overflow float64.
 
     ``scale`` is |beta| (1 for max-plus) and ``bound`` the largest
-    |tau| the DP weighs.
+    |tau| the DP weighs.  ``depth`` is one ``_dp_box`` let through, so it
+    converts to a float.
     """
-    # min keeps an int depth past the float range from overflowing.
-    reach = min(depth, _DP_REACH_LIMIT) * (scale * bound + math.log(dimension))
+    reach = depth * (scale * bound + math.log(dimension))
     if not reach < _DP_REACH_LIMIT:
         raise ValueError(f"DP log weights reach {reach:.3g} over {depth} steps, "
                          f"past the float64 range (limit {_DP_REACH_LIMIT:g})")
@@ -209,19 +219,19 @@ def _total(last: np.ndarray, beta: float | None) -> float:
     return float(np.logaddexp.reduce(last))
 
 
-def _ladder_box(n_ladder: Sequence[int], q: Direction | None,
-                dimension: int) -> tuple[tuple[int, ...], int]:
-    """Box and depth of the one DP that passes every ladder point.
+def _ladder_box(n_ladder: Sequence[int], q: Direction | None, dimension: int,
+                scale: float = 0.0, bound: float = 0.0) -> tuple[tuple[int, ...], int]:
+    """``_dp_box`` of the one DP that passes every ladder point.
 
     floor(n q) is coordinatewise nondecreasing in n, so the largest
     scale's endpoint (or cube, for length-n paths) contains them all.
-    A box too large to index raises ValueError (``_check_box``).
+    ``scale`` and ``bound`` are ``_dp_reach``'s; their default weighs
+    nothing, for a plan whose potentials come later or for exact counts.
     """
     n_max = max(n_ladder)
-    box = q.floor_scale(n_max) if q is not None else (n_max,) * dimension
-    depth = sum(box) if q is not None else n_max
-    _check_box(box, depth)
-    return box, depth
+    if q is None:
+        return _dp_box(dimension, scale, bound, length=n_max)
+    return _dp_box(dimension, scale, bound, endpoint=q.floor_scale(n_max))
 
 
 def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
@@ -305,15 +315,14 @@ def gibbs_estimate(
     built and hashed for all seeds, given its cells in one call, folded
     level by level and dropped.  Value is the mean of per-seed
     extrapolations; the band is their half-spread plus the mean fit
-    residual.  A beta and tau whose log weights could overflow float64
-    raise ValueError (``_dp_reach``).
+    residual.  ``_dp_box`` refuses the ladder's box and the log weights
+    of beta and tau with ValueError before any level is built.
     """
     seeds = tuple(seeds)
     n_ladder = _ladder_scales(n_ladder)
     if q is not None:
         dimension = q.dimension
-    box, depth = _ladder_box(n_ladder, q, dimension)
-    _dp_reach(abs(beta), tau.bound, depth, dimension)
+    box, depth = _ladder_box(n_ladder, q, dimension, abs(beta), tau.bound)
     heads = _chain_heads(seeds, dimension)
 
     def levels(tau: TauFn):
@@ -331,7 +340,9 @@ class LadderPlan:
     potential; the plan builds them once, and the cells of each
     breakpoint set, one call per block, the first time a potential with
     it is evaluated.  It lives as long as its owner holds it:
-    ``conjugate_entropy`` keeps one per call.
+    ``conjugate_entropy`` keeps one per call.  The box passes ``_dp_box``
+    before any level is built; the log weights, once the potentials
+    arrive, ``_dp_reach``.
     """
 
     def __init__(self, seeds: Sequence[int], n_ladder: Sequence[int], *,

@@ -31,7 +31,7 @@ import numpy as np
 from .estimators import _ladder_scales, EntropyEstimate
 from .lattice import _chain_heads, _level_blocks, _split, Direction, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
-from .polymer import _dp_reach, _ladder_box, LadderPlan
+from .polymer import _ladder_box, LadderPlan
 
 __all__ = [
     "BernoulliReport",
@@ -174,16 +174,16 @@ def conjugate_entropy(
     the value and ``evaluations``, which counts only the potentials the
     walk asks for, are those of evaluating one potential at a time.
 
-    Raises ValueError when the DP log weights of beta and the largest
-    |tau| the search can evaluate (``_search_bound``) could overflow
-    float64.
+    ``_dp_box`` refuses, with ValueError, the ladder's box and the DP
+    log weights of beta and the largest |tau| the search can evaluate
+    (``_search_bound``) before any level is built.
     """
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
         raise ValueError("tau family must be nonempty")
-    _dp_reach(abs(beta), _search_bound(tau_family, restarts, ascent_passes),
-              _ladder_box(_ladder_scales(n_ladder), q, q.dimension)[1], q.dimension)
+    _ladder_box(_ladder_scales(n_ladder), q, q.dimension, abs(beta),
+                _search_bound(tau_family, restarts, ascent_passes))
     plan = LadderPlan(seeds, n_ladder, q=q)
     energies: dict[TauFn, EntropyEstimate] = {}
     asked: set[TauFn] = set()
@@ -348,13 +348,15 @@ def bernoulli_exponent_check(
     crosses fields.  For s > p the exponent
     must fall below log(D) - KL(Bernoulli(s) || Bernoulli(p)) plus a
     finite-size margin; for s <= p typical paths qualify and the budget
-    is just log(D).
+    is just log(D).  The box of length-n_max paths passes ``_dp_box``
+    before any width or level is computed.
     """
     if not 0.0 < p < 1.0 or not 0.0 < s <= 1.0:
         raise ValueError(f"need 0 < p < 1 and 0 < s <= 1, got p={p}, s={s}")
     n_ladder = sorted(int(n) for n in n_ladder)
     if not n_ladder or n_ladder[0] < 1:
         raise ValueError("ladder scales must be positive")
+    box, n_max = _ladder_box(n_ladder, None, dimension)
     # A label m * 2^-53 is unit (m * 2^-53 >= 1 - p) exactly when m
     # reaches this integer floor.
     unit_floor = math.ceil((1.0 - p) * 2**53)
@@ -365,7 +367,6 @@ def bernoulli_exponent_check(
 
     exponents: dict = {}
     final: dict = {}
-    n_max = n_ladder[-1]
     # Kronecker substitution: a level point's counts are one integer of
     # width-bit fields, field c counting the length-k paths to the point
     # with exactly c unit labels.  A field counts at most the D^k <=
@@ -376,7 +377,7 @@ def bernoulli_exponent_check(
     for seed in seeds:
         rows = [1]
         per_n = {}
-        blocks = _level_blocks((n_max,) * dimension, n_max, _chain_heads([seed], dimension))
+        blocks = _level_blocks(box, n_max, _chain_heads([seed], dimension))
         levels = (level for bounds, _, pred, bits in blocks
                   for level in _split(bounds, pred, bits[0] >= unit_floor))
         for k, (pred, unit_edges) in enumerate(levels, 1):

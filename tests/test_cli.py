@@ -775,10 +775,13 @@ def test_a_level_scale_past_every_budget_is_refused_at_once():
     ("gibbs", "--q", "1e200,1", "--beta", "1", "--n", "2,4", "--seeds", "1"),
     ("gibbs", "--q", "level", "--n", "2,10000000000000", "--seeds", "1"),
     ("conjugate", "--q", "1e400,1", "--n", "2,4", "--seeds", "1"),
+    ("gibbs", "--q", "1e5000,1", "--n", "2,4", "--seeds", "1"),
+    ("conjugate", "--q", "1e5000,1", "--n", "2,4", "--seeds", "1"),
 ])
 def test_a_ladder_box_past_int64_indexing_names_q(capsys, argv):
     """A free-energy ladder whose box cannot be indexed exits 2 naming q, not
-    with an OverflowError from the reach bound."""
+    with an OverflowError from the reach bound, nor with the int-to-str digit
+    limit for a side past it."""
     code, _, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert f"field q={argv[2]!r}" in err and "too large to index" in err
@@ -839,6 +842,32 @@ def test_a_dp_box_past_int64_indexing_names_its_field(capsys, argv, field):
     assert code == EXIT_CONFIG
     assert f"field {field}={argv[argv.index('--' + field) + 1]!r}" in err
     assert "too large to index" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    pytest.param(("bernoulli", "--n", "10,100000000000", "--seeds", "1"), "n_ladder",
+                 id="bernoulli-D2"),
+    pytest.param(("bernoulli", "--D", "3", "--n", "10,10000000", "--seeds", "1"), "n_ladder",
+                 id="bernoulli-D3"),
+    pytest.param(("orderstats", "--q", "1,0", "--n", "100000000000000000000,200000000000000000000",
+                  "--seeds", "1", "--budget", "1" + "0" * 30), "budget", id="budget-past-int64"),
+])
+def test_a_bernoulli_box_or_a_budget_past_int64_is_a_config_error(argv, field):
+    """A Bernoulli ladder whose box cannot be indexed exits 2 naming n_ladder
+    before the count's width is computed; a path budget past int64 exits 2
+    naming budget, before the walker builds its int64 arrays."""
+    child = _run_child(*argv)
+    assert child.returncode == EXIT_CONFIG
+    assert f"config error: field {field}=" in child.stderr
+    assert "Traceback" not in child.stderr
+
+
+def test_the_largest_int64_budget_is_accepted(capsys):
+    """A budget of 2^63 - 1 runs as any other budget would."""
+    argv = ("orderstats", "--n", "4,6", "--seeds", "1", "--alpha-grid", "0:1:0.5")
+    code, out, err = _run(capsys, *argv, "--budget", str(2**63 - 1))
+    assert (code, err) == (EXIT_OK, "")
+    assert (code, out, err) == _run(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv, field", [

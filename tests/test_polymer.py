@@ -16,12 +16,16 @@ from gridentropy import (
     Environment,
     TauFn,
     LadderPlan,
+    bernoulli_exponent_check,
+    conjugate_entropy,
+    default_tau_family,
+    discretize_lebesgue,
     gibbs_estimate,
     last_passage,
     path_count,
     sample_polymer_paths,
 )
-from gridentropy import lattice, polymer
+from gridentropy import lattice, polymer, variational
 from gridentropy.lattice import _chain_heads, _level_blocks, _split
 from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
 import dp_oracle
@@ -303,9 +307,10 @@ def test_dp_reach_past_the_float_range_is_refused():
     ):
         with pytest.raises(ValueError, match="past the float64 range"):
             refused()
-    # A depth past the float range is refused, not an OverflowError, and so
-    # is a ladder box too large to index.
-    with pytest.raises(ValueError, match="past the float64 range"):
+    # A depth past the float range is refused, not an OverflowError: its box
+    # is too large to index, which the gate checks before the reach.  So is
+    # a ladder box too large to index.
+    with pytest.raises(ValueError, match="too large to index"):
         DpTable.point(env, (10**400, 1), 1.0, tau)
     for wide in (Direction.parse("1e400,1"), Direction.parse("1e200,1"), None):
         with pytest.raises(ValueError, match="too large to index"):
@@ -315,6 +320,60 @@ def test_dp_reach_past_the_float_range_is_refused():
     # Inside the bound, the same calls run clean.
     assert math.isfinite(gibbs_estimate((1,), 1e297, tau, (8, 16), q=q).value)
     assert math.isfinite(DpTable.level(env, 16, None, TauFn.constant(1e298)).log_value())
+
+
+_WIDE = Direction.parse("1e400,1")
+_CONJUGATE = dict(tau_family=default_tau_family(2, random_count=0), restarts=1, ascent_passes=0)
+
+
+@pytest.mark.parametrize("refused, match", [
+    pytest.param(lambda env: DpTable.point(env, (3, 3, 3), 1.0, TAU16), "not NE of start",
+                 id="point-ensemble"),
+    pytest.param(lambda env: DpTable.point(env, (-1, 3), 1.0, TAU16), "not NE of start",
+                 id="point-negative-ensemble"),
+    pytest.param(lambda env: DpTable.point(env, (10**400, 1), 1e308, TAU16), "too large to index",
+                 id="point-box-before-reach"),
+    pytest.param(lambda env: DpTable.point(env, (10**5000, 1), 1.0, TAU16),
+                 re.escape("box (10^5000.00, 1) is too large to index"),
+                 id="point-box-past-the-digit-limit"),
+    pytest.param(lambda env: DpTable.point(env, (8, 8), 1e308, TAU16), "past the float64 range",
+                 id="point-reach"),
+    pytest.param(lambda env: DpTable.level(env, -1, 1.0, TAU16), "length must be >= 0",
+                 id="level-ensemble"),
+    pytest.param(lambda env: DpTable.level(env, 10**10, None, TAU16), "too large to index",
+                 id="level-box"),
+    pytest.param(lambda env: DpTable.level(env, 16, None, TauFn.constant(1e308)),
+                 "past the float64 range", id="level-reach"),
+    pytest.param(lambda env: last_passage(env, (10**400, 1), TAU16), "too large to index",
+                 id="last-passage-box"),
+    pytest.param(lambda env: gibbs_estimate((1,), 1.0, TAU16, (2, 4), q=_WIDE),
+                 "too large to index", id="gibbs-box"),
+    pytest.param(lambda env: gibbs_estimate((1,), 1e308, TAU16, (8, 16)),
+                 "past the float64 range", id="gibbs-reach"),
+    pytest.param(lambda env: LadderPlan((1,), (2, 10**13)), "too large to index",
+                 id="plan-box"),
+    pytest.param(lambda env: conjugate_entropy((1,), _WIDE, discretize_lebesgue(8), 1.0,
+                                               n_ladder=(2, 4), **_CONJUGATE),
+                 "too large to index", id="conjugate-box"),
+    pytest.param(lambda env: conjugate_entropy((1,), Direction.parse("1/2,1/2"),
+                                               discretize_lebesgue(8), 1e308, n_ladder=(8, 16),
+                                               **_CONJUGATE),
+                 "past the float64 range", id="conjugate-reach"),
+    pytest.param(lambda env: bernoulli_exponent_check(0.5, 0.75, [10, 10**7], [1], dimension=3),
+                 "too large to index", id="bernoulli-box"),
+])
+def test_the_dp_gate_refuses_before_any_level_is_built(monkeypatch, refused, match):
+    """Every DP entry point passes one gate, polymer._dp_box, before it builds
+    a level: an ensemble that is not one, then a box int64 cannot index (its
+    sides past the digit limit written as powers of ten), then log weights
+    past the float range, each a ValueError."""
+    def no_levels(*args):
+        raise AssertionError("a level was built before the gate")
+
+    for module in (lattice, polymer, variational):
+        monkeypatch.setattr(module, "_level_blocks", no_levels)
+    with pytest.raises(ValueError, match=match):
+        refused(Environment(1, 2))
 
 
 @pytest.mark.parametrize("q, dimension, n_ladder", GIBBS_LADDERS)
