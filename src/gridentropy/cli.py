@@ -319,10 +319,10 @@ class ExperimentConfig:
     def endpoint(self, key: str) -> tuple[int, ...]:
         return self._parse(key, _parse_ints)
 
-    def budget(self, key: str) -> int:
-        """A path budget: at least 1, and at most int64's 2^63 - 1, so that every
+    def budget(self) -> int:
+        """The path budget: at least 1, and at most int64's 2^63 - 1, so that every
         ensemble within it is one the walker's int64 arrays can hold."""
-        return self.int_(key, at_least=1, at_most=2**63 - 1)
+        return self.int_("budget", at_least=1, at_most=2**63 - 1)
 
 
 # Every flag stores a plain string and the typed parse happens once,
@@ -741,7 +741,7 @@ def _run_orderstats(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     grid = config.alpha_grid("alpha_grid")
     seeds = config.seeds("seeds")
-    budget = config.budget("budget")
+    budget = config.budget()
     threshold = config.float_("threshold") if config.has("threshold") else None
     est = estimate_entropy_orderstats(
         seeds, q, nu, n_ladder, grid, threshold=threshold, budget=budget
@@ -757,7 +757,7 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.budget("budget")
+    budget = config.budget()
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
     _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
     _print_estimate(est)
@@ -773,7 +773,7 @@ def _run_entropy_level(config: ExperimentConfig) -> int:
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
     seeds = config.seeds("seeds")
-    budget = config.budget("budget")
+    budget = config.budget()
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
     _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(est))
     _print_estimate(est)
@@ -884,7 +884,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
     nu = target.to_measure() if isinstance(target, Histogram) else target
     n_ladder = config.scales("n_ladder", at_least=2)
     seeds = config.seeds("seeds")
-    budget = config.budget("budget")
+    budget = config.budget()
     if method == "orderstats":
         est = estimate_entropy_orderstats(
             seeds, q, nu, n_ladder, config.alpha_grid("alpha_grid"), budget=budget
