@@ -403,14 +403,19 @@ _COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
     "verify": (("seed", "criteria", "json"), {"seed": "0"}),
 }
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with flags only on the first one argv names: the
+    top-level parser takes no values, so that word is the one argparse runs."""
     parser = argparse.ArgumentParser(
         prog="gridentropy",
         description="Path-ensemble entropy experiments on the lattice.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    named = next((word for word in argv if word in _COMMANDS), None)
     for command, (keys, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command)
+        if command != named:
+            continue
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="flat key=value file supplying defaults")
         for key in keys:
@@ -767,8 +772,8 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
 def _run_entropy_level(config: ExperimentConfig) -> int:
     dimension = config.dimension("D")
     t = config.fraction("t")
-    if t < 0:
-        raise ConfigError(f"field t={config.raw('t')!r}: must be >= 0")
+    if t <= 0:
+        raise ConfigError(f"field t={config.raw('t')!r}: must be > 0")
     nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
     eps_ladder = config.eps_ladder("eps_ladder")
@@ -987,8 +992,8 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         config = resolve_config(args)
         return _RUNNERS[config.command](config)

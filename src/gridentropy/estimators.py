@@ -511,13 +511,16 @@ def estimate_entropy_level(
     """Direction-free estimate via level sums, with the balanced-direction cross-check.
 
     The level scale t defaults to the target's total mass (the only
-    scale at which the estimate can be finite).  Where the ladder
-    allows exact comparison (n t divisible by D), the diagnostics carry
-    the balanced-direction endpoint estimate and the per-environment
-    slack of the domination level sum >= endpoint sum.
+    scale at which the estimate can be finite); an explicit t must be
+    > 0, since at t = 0 every ensemble is the single empty path.  Where
+    the ladder allows exact comparison (n t divisible by D), the
+    diagnostics carry the balanced-direction endpoint estimate and the
+    per-environment slack of the domination level sum >= endpoint sum.
     """
     if t is None:
         t = Fraction(nu.total_mass).limit_denominator(10**9)
+    elif t <= 0:
+        raise ValueError(f"level scale t must be > 0, got {t}")
     t = Fraction(t)
     n_ladder = _ladder_scales(n_ladder)
     eps_ladder = list(eps_ladder)

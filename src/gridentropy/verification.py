@@ -5,9 +5,10 @@ tolerance we publish in the README and returns check rows; ``run``
 wraps them with wall-clock budgets.  The suite is deterministic given
 ``base_seed``: environments use ``base_seed + 1 ..``, random measure
 draws use dedicated numpy generators, and estimator defaults are the
-package defaults.  Heavy estimates (the Lebesgue-target ladders) are
-computed once and shared across criteria through an internal bank,
-mirroring how the estimators share path-profile caches.
+package defaults.  The suite keeps no cache of its own: each criterion
+calls its estimator, and the estimators' profile store shares the
+Lebesgue-target profiles across criteria 5, 6, 10 and 12.  The suite
+runs on numpy and the standard library alone.
 """
 
 import math
@@ -130,6 +131,24 @@ def _random_measure(rng: np.random.Generator, max_atoms: int) -> Measure:
     )
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with an integer dof >= 1, in closed form.
+
+    Abramowitz & Stegun 26.4.4 (even dof): exp(-x/2) times the series
+    sum_k (x/2)^k / k! over k < dof/2.  26.4.5 (odd dof): erfc(sqrt(x/2))
+    plus sqrt(2x/pi) exp(-x/2) times sum_r x^(r-1) / (1*3*...*(2r-1))
+    over 1 <= r <= (dof-1)/2.  Both series start at 1 and grow each
+    term by x/k for k = 2, 4, .. or 3, 5, .. below dof - 1.
+    """
+    term = total = 0.0 if dof == 1 else 1.0
+    for k in range(2 + dof % 2, dof - 1, 2):
+        term *= x / k
+        total += term
+    if dof % 2 == 0:
+        return math.exp(-x / 2) * total
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * total
+
+
 def _enum_weights(env: Environment, endpoint, beta: float,
                   tau: TauFn) -> tuple[list[tuple[int, ...]], list[float], float]:
     """Every path to the endpoint by enumeration: the paths' steps, their
@@ -142,11 +161,10 @@ def _enum_weights(env: Environment, endpoint, beta: float,
 
 
 class VerificationSuite:
-    """Deterministic acceptance checks, shared-estimate bank included."""
+    """Deterministic acceptance checks."""
 
     def __init__(self, base_seed: int = 0):
         self.base_seed = base_seed
-        self._bank: dict[str, EntropyEstimate] = {}
         self._lam64 = discretize_lebesgue(64)
         self._half = Histogram([1.0 / 32 if i < 32 else 0.0 for i in range(64)])
         self._triangular = Histogram([(2 * i + 1) / 64**2 for i in range(64)])
@@ -154,26 +172,13 @@ class VerificationSuite:
     def _seeds(self, count: int) -> tuple[int, ...]:
         return tuple(self.base_seed + i for i in range(1, count + 1))
 
-    # -- shared estimates ------------------------------------------------
+    # -- estimates read by more than one criterion ---------------------
 
     def _eps_lam(self) -> EntropyEstimate:
-        if "eps-lam" not in self._bank:
-            self._bank["eps-lam"] = estimate_entropy_eps(
-                self._seeds(5), _Q2, self._lam64, _N_LADDER, _EPS_LADDER)
-        return self._bank["eps-lam"]
+        return estimate_entropy_eps(self._seeds(5), _Q2, self._lam64, _N_LADDER, _EPS_LADDER)
 
-    def _orderstats(self, key: str, nu: Measure) -> EntropyEstimate:
-        name = f"orderstats-{key}"
-        if name not in self._bank:
-            self._bank[name] = estimate_entropy_orderstats(
-                self._seeds(5), _Q2, nu, _N_LADDER, _ALPHA_GRID)
-        return self._bank[name]
-
-    def _conjugate_lam(self) -> EntropyEstimate:
-        if "conjugate-lam" not in self._bank:
-            self._bank["conjugate-lam"] = conjugate_entropy(
-                self._seeds(5), _Q2, self._lam64, 1.0)
-        return self._bank["conjugate-lam"]
+    def _orderstats(self, nu: Measure) -> EntropyEstimate:
+        return estimate_entropy_orderstats(self._seeds(5), _Q2, nu, _N_LADDER, _ALPHA_GRID)
 
     # -- criteria --------------------------------------------------------
 
@@ -301,7 +306,7 @@ class VerificationSuite:
 
     def criterion_5(self) -> list[CheckRow]:
         eps_est = self._eps_lam()
-        order_est = self._orderstats("lam", self._lam64)
+        order_est = self._orderstats(self._lam64)
         eps_err = abs(eps_est.value - math.log(2))
         vanishing = order_est.diagnostics["vanishing"]
         top = max(vanishing) if vanishing else -math.inf
@@ -314,8 +319,8 @@ class VerificationSuite:
     def criterion_6(self) -> list[CheckRow]:
         values = (
             self._eps_lam().value,
-            self._orderstats("lam", self._lam64).value,
-            self._conjugate_lam().value,
+            self._orderstats(self._lam64).value,
+            conjugate_entropy(self._seeds(5), _Q2, self._lam64, 1.0).value,
         )
         gap = max(abs(a - b) for a in values for b in values)
         return [CheckRow(6, "max pairwise estimator gap", gap, 0.15, gap <= 0.15)]
@@ -341,9 +346,6 @@ class VerificationSuite:
         return [CheckRow(8, "sandwich violations", bad, 0, bad == 0)]
 
     def criterion_9(self) -> list[CheckRow]:
-        # scipy.stats takes about 0.4 s to import; only this check needs it.
-        from scipy import stats
-
         env = Environment(self.base_seed + 1, 2)
         rows = []
         for check, endpoint, beta, draws in (
@@ -358,7 +360,7 @@ class VerificationSuite:
             counts = Counter(zip(*steps.T.tolist()))  # one step-axes tuple per row
             statistic = math.fsum(
                 (counts[p] - e) ** 2 / e for p, e in zip(paths, expected))
-            p_value = float(stats.chi2.sf(statistic, len(paths) - 1))
+            p_value = _chi2_sf(statistic, len(paths) - 1)
             rows.append(CheckRow(9, check, p_value, 0.01, p_value > 0.01))
         return rows
 
@@ -369,8 +371,7 @@ class VerificationSuite:
             ("uniform-half", self._half, self._half.to_measure()),
             ("triangular", self._triangular, self._triangular.to_measure()),
         ):
-            estimate = self._orderstats(key if key != "lebesgue" else "lam", nu)
-            report = kl_budget_check(_Q2, hist, estimate)
+            report = kl_budget_check(_Q2, hist, self._orderstats(nu))
             rows.append(CheckRow(
                 10, f"budget slack at {key}", report.slack, -0.10,
                 report.slack >= -0.10))
@@ -385,10 +386,8 @@ class VerificationSuite:
             report.max_exponent <= bound)]
 
     def criterion_12(self) -> list[CheckRow]:
-        if "level-lam" not in self._bank:
-            self._bank["level-lam"] = estimate_entropy_level(
-                self._seeds(5), 2, self._lam64, _N_LADDER, _EPS_LADDER)
-        level_est = self._bank["level-lam"]
+        level_est = estimate_entropy_level(
+            self._seeds(5), 2, self._lam64, _N_LADDER, _EPS_LADDER)
         diff = abs(level_est.diagnostics["difference_to_direction"])
         floor = level_est.diagnostics["min_level_minus_direction_raw"]
         return [

@@ -4,6 +4,7 @@ byte-stable emission across runs, and exit codes."""
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -551,13 +552,14 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
      "alpha_grid="),
     (("conjugate", "--family-seed=-1", "--n", "2,4", "--seeds", "1"), "family_seed="),
     (("conjugate", "--ascent-seed=-1", "--n", "2,4", "--seeds", "1"), "ascent_seed="),
+    (("entropy-level", "--t", "0", "--n", "4,6", "--seeds", "1"), "t="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
     needs two, a dimension below 1, a negative length, a cell count k
     outside 1..8, a Bernoulli p outside (0, 1) or s outside (0, 1], an
-    eps ladder that does not strictly decrease, a negative level scale
-    t, an ensemble target of zero total mass, a KL-budget target whose
+    eps ladder that does not strictly decrease, a level scale t that
+    is not > 0, an ensemble target of zero total mass, a KL-budget target whose
     mass is not 1, a path budget below 1, fewer than one conjugate
     restart, a negative ascent pass or random-member count, a
     conjugate beta whose DP log weights could overflow over the
@@ -787,13 +789,37 @@ def test_a_ladder_box_past_int64_indexing_names_q(capsys, argv):
     assert f"field q={argv[2]!r}" in err and "too large to index" in err
 
 
-def _run_child(*argv):
-    """The CLI in a child process, so that a regression times out instead of hanging."""
+# Address-space cap of a _run_child child: every case fits under it (numpy
+# reserves some address space at import), and a runaway allocation ends in
+# MemoryError instead of growing until the timeout.
+_CHILD_ADDRESS_SPACE = 4 << 30
+
+
+def _cap_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = _CHILD_ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(hard, _CHILD_ADDRESS_SPACE)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _run_child(*argv, prelude=""):
+    """The CLI in a child process under an address-space cap, so that a
+    regression times out or fails with MemoryError instead of hanging or
+    taking the machine's memory.  ``prelude`` runs first in the child."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys; from gridentropy.cli import main; sys.exit(main(sys.argv[1:]))"
+    code = prelude + "import sys; from gridentropy.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv],
                           env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=_cap_address_space,
                           capture_output=True, text=True, timeout=20)
+
+
+def test_verify_criterion_9_runs_without_scipy():
+    """The acceptance suite needs numpy alone: criterion 9 passes in a child
+    where importing scipy fails."""
+    child = _run_child("verify", "--criteria", "9",
+                       prelude="import sys; sys.modules['scipy'] = None; ")
+    assert child.returncode == EXIT_OK, child.stderr
+    assert "ModuleNotFoundError" not in child.stderr
 
 
 @pytest.mark.parametrize("argv, length", [

@@ -462,6 +462,14 @@ def test_estimate_level_homogeneity():
     assert est1.diagnostics["balanced_direction_estimate"] is not None
 
 
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(-1, 2), 0.0])
+def test_estimate_level_refuses_a_level_scale_not_above_zero(t):
+    """At t = 0 every ensemble is the single empty path, which no target of
+    positive mass matches; an explicit t <= 0 raises before any sum."""
+    with pytest.raises(ValueError, match="t must be > 0"):
+        estimate_entropy_level([1], 2, discretize_lebesgue(8), [4, 6], [4.0, 2.0], t=t)
+
+
 def test_estimators_need_two_ladder_scales():
     """Every estimator on a ladder refuses fewer than two distinct scales:
     a + b/n fitted to one scale, however often repeated, is singular."""
