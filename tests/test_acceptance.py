@@ -13,6 +13,7 @@ from collections import Counter, OrderedDict
 import numpy as np
 import pytest
 from scipy import stats
+from test_estimators import _count_enumerations
 
 from gridentropy import estimators
 from gridentropy.verification import TITLES, VerificationSuite, _chi2_sf, format_table
@@ -46,14 +47,7 @@ def test_criteria_5_and_10_walk_each_lebesgue_ensemble_once(monkeypatch):
     once per other target (uniform-half, triangular) and reads its
     Lebesgue profiles from the store."""
     monkeypatch.setattr(estimators, "_profiles", OrderedDict())
-    calls = []
-    original = estimators.label_rows
-
-    def counting(env, block_rows, *, endpoint=None, **ensemble):
-        calls.append((env.seed, tuple(endpoint)))
-        return original(env, block_rows, endpoint=endpoint, **ensemble)
-
-    monkeypatch.setattr(estimators, "label_rows", counting)
+    calls = _count_enumerations(monkeypatch)
     once = Counter((seed, (n // 2, n // 2)) for seed in range(1, 6) for n in (6, 8, 10, 12))
     suite = VerificationSuite()
     suite.run([5])
