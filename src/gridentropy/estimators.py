@@ -511,14 +511,21 @@ def estimate_entropy_level(
     """Direction-free estimate via level sums, with the balanced-direction cross-check.
 
     The level scale t defaults to the target's total mass (the only
-    scale at which the estimate can be finite); an explicit t must be
-    > 0, since at t = 0 every ensemble is the single empty path.  Where
+    scale at which the estimate can be finite), as the nearest fraction
+    with denominator at most 10**9.  Either way t must be > 0, since at
+    t = 0 every ensemble is the single empty path; a mass below 5e-10
+    rounds to 0 and is refused with it.  Where
     the ladder allows exact comparison (n t divisible by D), the
     diagnostics carry the balanced-direction endpoint estimate and the
     per-environment slack of the domination level sum >= endpoint sum.
     """
     if t is None:
         t = Fraction(nu.total_mass).limit_denominator(10**9)
+        if t <= 0:
+            raise ValueError(
+                f"level scale t defaults to the target's total mass {nu.total_mass!r},"
+                " which rounds to t = 0; pass t > 0"
+            )
     elif t <= 0:
         raise ValueError(f"level scale t must be > 0, got {t}")
     t = Fraction(t)

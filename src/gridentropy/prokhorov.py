@@ -30,9 +30,22 @@ search tolerance.
 
 ``prokhorov_rows`` gives the same distances for a block of path
 empirical measures at once.  Against a one-atom target it runs the
-singleton crossing on every row together; against more atoms one numpy
-pass builds every row's breakpoints, then each row runs the same
-bisection and sweep.
+singleton crossing on every row together.  Against more atoms one numpy
+pass builds every row's breakpoints, and a second bisects every row's
+crossing in lockstep on an estimate of the deficiency, with no sweep.
+The estimate is Hall's deficiency max_A [mu(A) - nu(A^r)] read on the
+line.  The closed neighborhood of one atom is an interval, so a set A
+may be split into runs of consecutive atoms.  If two runs' neighborhoods
+meet, every atom between them has its neighborhood inside their hull,
+so adding those atoms adds mu mass and no nu mass; the worst A is
+therefore a union of runs with disjoint neighborhoods, and its
+deficiency is the sum of the runs' own.  A union whose neighborhoods
+overlap sums to no more than its true deficiency, so the best sum of
+run deficiencies over all unions of runs is Hall's value, and one pass
+over the atoms finds it.  Each row then searches with the exact sweep
+from its estimated crossing: two probes confirm the bracket when the
+estimate is right, and an estimate that float rounding (or anything
+else) puts off costs more probes, never a different distance.
 
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
@@ -174,12 +187,23 @@ def _infimum(
     ys: Sequence[float],
     y_masses: Sequence[float],
     max_total: float,
+    guess: int | None = None,
 ) -> float:
-    """The distance, bisected over its increasing breakpoints.
+    """The distance, found at the crossing of its increasing breakpoints.
 
     ``breakpoints`` are 0.0 and every other |x - y|, each once, in
     increasing order (a list or a numpy row); both supports are sorted
     and hold at least two atoms each.
+
+    Without a ``guess`` the crossing is bisected over the full range.
+    ``prokhorov_rows`` passes the crossing that ``_hall_crossings``
+    estimates.  A guess in 0..len(breakpoints) - 1 is probed first,
+    then its neighbour on the side the probe points to.  When those two
+    probes bracket the crossing they are all the search takes;
+    otherwise the search gallops away from the guess, doubling its
+    step, until a probe confirms the bracket, and bisects inside it.
+    Every probe is an exact sweep, so the guess decides how many probes
+    are taken, never which crossing is found.
     """
     deficiency_cache: dict[int, float] = {}
 
@@ -190,14 +214,37 @@ def _infimum(
             deficiency_cache[k] = max(0.0, max_total - flow)
         return deficiency_cache[k]
 
+    def holds(k: int) -> bool:
+        return breakpoints[k] >= deficiency(k)
+
     # deficiency(k) is nonincreasing and breakpoints increase, so the
-    # predicate b_k >= deficiency(k) is monotone; the minimum of
-    # max(b_k, deficiency(k)) sits at the crossing.
+    # predicate holds(k) is monotone; the minimum of
+    # max(b_k, deficiency(k)) sits at the crossing, the first k where
+    # it holds (count if none).  The search keeps it in [crossing, hi]:
+    # holds fails below crossing, and holds at hi unless hi == count.
     count = len(breakpoints)
     crossing, hi = 0, count
+    if guess is not None:
+        step = 1
+        if holds(guess):
+            hi = guess
+            while crossing < hi:
+                k = max(hi - step, crossing)
+                if not holds(k):
+                    crossing = k + 1
+                    break
+                hi, step = k, 2 * step
+        else:
+            crossing = guess + 1
+            while crossing < hi:
+                k = min(crossing + step - 1, hi - 1)
+                if holds(k):
+                    hi = k
+                    break
+                crossing, step = k + 1, 2 * step
     while crossing < hi:
         mid = (crossing + hi) // 2
-        if breakpoints[mid] >= deficiency(mid):
+        if holds(mid):
             hi = mid
         else:
             crossing = mid + 1
@@ -235,6 +282,48 @@ def _singleton_rows(rows: np.ndarray, mass: float, x: float, c: float):
     return np.maximum(np.maximum(low, need[first]), floor), fast
 
 
+def _hall_crossings(
+    breakpoints: np.ndarray, rows: np.ndarray, mass: float, nu: Measure, excess: float
+) -> np.ndarray:
+    """Estimated crossing index of every row, bisected in lockstep.
+
+    Each row is a measure with mass ``mass`` at each of its sorted
+    labels.  At radius r its deficiency is ``excess`` (max_total -
+    mu_total) plus Hall's value, the best sum of run deficiencies (see
+    the module docstring).  The labels i..j cover nu's mass in
+    [x_i - r, x_j + r], so the run costs a_j - b_i with
+    a_j = (j + 1) mass - C(x_j + r) and b_i = i mass - C(x_i - r), C
+    being nu's cumulative mass from two ``searchsorted`` calls.  One pass
+    over j keeps the best union with a run still open (``open_``) and
+    the best closed union (``closed``, 0 for the empty set).  Float
+    rounding can put the estimate off; the caller's exact probes
+    decide.  Returns indices in 0..count - 1, count being clipped to
+    the last breakpoint.
+    """
+    paths, length = rows.shape
+    count = breakpoints.shape[1]
+    ys = np.array(nu.positions)
+    below = np.concatenate([[0.0], np.cumsum(nu.masses)])
+    taken = np.arange(length) * mass
+    lo = np.zeros(paths, dtype=np.int64)
+    hi = np.full(paths, count)
+    while (lo < hi).any():
+        mid = np.minimum((lo + hi) // 2, count - 1)
+        radius = np.take_along_axis(breakpoints, mid[:, None], axis=1)
+        a = taken + mass - below[np.searchsorted(ys, rows + radius, "right")]
+        b = taken - below[np.searchsorted(ys, rows - radius, "left")]
+        closed = np.zeros(paths)
+        open_ = np.full(paths, -math.inf)
+        for j in range(length):
+            np.maximum(open_, closed - b[:, j], out=open_)
+            np.maximum(closed, a[:, j] + open_, out=closed)
+        holds = radius[:, 0] >= closed + excess
+        active = lo < hi
+        hi = np.where(active & holds, mid, hi)
+        lo = np.where(active & ~holds, mid + 1, lo)
+    return np.minimum(lo, count - 1)
+
+
 def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
     """prokhorov_distance(Measure((x, mass) for x in row), nu) for every row.
 
@@ -244,9 +333,12 @@ def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
     whole block: IEEE subtraction and abs give the bits of
     ``prokhorov_distance``'s set comprehension, and a row's breakpoints
     are 0.0 followed by its sorted n*m distances whenever those are all
-    distinct and nonzero.  Each such row then runs the same bisection
-    and sweep.  Every other row goes through ``prokhorov_distance``
-    unchanged:
+    distinct and nonzero.  ``_hall_crossings`` then estimates every
+    row's crossing at once, and each such row runs ``_infimum`` from its
+    estimate: the same exact sweeps decide, so the estimate saves
+    probes (about two per row where the full-range bisection takes
+    log2 of the breakpoint count) and never changes a bit.  Every
+    other row goes through ``prokhorov_distance`` unchanged:
     - against one atom, a row with two labels at the same distance from
       it (equal labels included);
     - against more atoms, a row with equal labels (which Measure would
@@ -272,10 +364,13 @@ def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
         gaps.sort(axis=1)
         fast = (breakpoints[:, 1:] > breakpoints[:, :-1]).all(axis=1)
         x_masses = [mass] * length
-        max_total = max(math.fsum(x_masses), nu.total_mass)
-        for i in fast.nonzero()[0]:
+        mu_total = math.fsum(x_masses)
+        max_total = max(mu_total, nu.total_mass)
+        guesses = _hall_crossings(breakpoints, rows, mass, nu, max_total - mu_total).tolist()
+        labels = rows.tolist()
+        for i in fast.nonzero()[0].tolist():
             distances[i] = _infimum(
-                breakpoints[i], rows[i].tolist(), x_masses, ys, y_masses, max_total
+                breakpoints[i], labels[i], x_masses, ys, y_masses, max_total, guesses[i]
             )
     for i in (~fast).nonzero()[0]:
         distances[i] = prokhorov_distance(Measure((x, mass) for x in rows[i].tolist()), nu)

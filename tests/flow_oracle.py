@@ -1,14 +1,19 @@
-"""General max-flow oracle for the Prokhorov line sweep.
+"""Oracles for the Prokhorov line sweep and for the crossing search.
 
 Dinic's algorithm on the explicit bipartite graph source -> mu atoms ->
 nu atoms -> sink, with an edge for every admissible pair.  It knows
 nothing about the line, so it checks the sweep on supports too large
 for ``prokhorov_brute``.
+
+``bisect_infimum`` is the plain bisection of the crossing over every
+breakpoint, with no start guess; it checks that the guided search
+finds the same crossing from any guess.
 """
 
 from __future__ import annotations
 
 from gridentropy import Measure
+from gridentropy.prokhorov import _sweep_flow
 
 
 def admissible_pairs(mu: Measure, nu: Measure, radius: float, strict: bool) -> list[tuple[int, int]]:
@@ -111,3 +116,34 @@ def oracle_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> 
     """max_A [mu(A) - nu(A^radius)] as mu_total minus the Dinic flow."""
     flow = dinic_max_flow(mu.masses, nu.masses, admissible_pairs(mu, nu, radius, strict))
     return max(0.0, mu.total_mass - flow)
+
+
+def bisect_infimum(breakpoints, xs, x_masses, ys, y_masses, max_total) -> float:
+    """The distance, bisected over its increasing breakpoints from the full range.
+
+    Same arguments as ``prokhorov._infimum``.  The deficiency on
+    (b_k, b_{k+1}] is max_total minus the sweep's flow over the closed
+    edges at b_k; the crossing is the first k with b_k >= deficiency(k).
+    """
+    deficiency_cache: dict[int, float] = {}
+
+    def deficiency(k: int) -> float:
+        if k not in deficiency_cache:
+            flow = _sweep_flow(xs, x_masses, ys, y_masses, float(breakpoints[k]))
+            deficiency_cache[k] = max(0.0, max_total - flow)
+        return deficiency_cache[k]
+
+    count = len(breakpoints)
+    crossing, hi = 0, count
+    while crossing < hi:
+        mid = (crossing + hi) // 2
+        if breakpoints[mid] >= deficiency(mid):
+            hi = mid
+        else:
+            crossing = mid + 1
+
+    if crossing == count:
+        return deficiency(count - 1)
+    if crossing == 0:
+        return float(breakpoints[0])
+    return min(float(breakpoints[crossing]), deficiency(crossing - 1))

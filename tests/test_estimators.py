@@ -470,6 +470,14 @@ def test_estimate_level_refuses_a_level_scale_not_above_zero(t):
         estimate_entropy_level([1], 2, discretize_lebesgue(8), [4, 6], [4.0, 2.0], t=t)
 
 
+def test_estimate_level_refuses_a_default_scale_that_rounds_to_zero():
+    """The default t is the target's mass as a fraction of denominator at
+    most 10**9; a mass of 1e-10 rounds to 0, which is refused, naming the
+    mass, as an explicit t = 0 is."""
+    with pytest.raises(ValueError, match=r"total mass 1e-10, which rounds to t = 0"):
+        estimate_entropy_level([1], 2, Measure([(0.5, 1e-10)]), [4, 6], [4.0, 2.0])
+
+
 def test_estimators_need_two_ladder_scales():
     """Every estimator on a ladder refuses fewer than two distinct scales:
     a + b/n fitted to one scale, however often repeated, is singular."""

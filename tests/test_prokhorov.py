@@ -18,7 +18,7 @@ from gridentropy import (
     tv_distance,
 )
 from gridentropy import prokhorov
-from flow_oracle import oracle_deficiency
+from flow_oracle import bisect_infimum, oracle_deficiency
 
 
 def rand_measure(rng, max_atoms=6):
@@ -162,6 +162,79 @@ def test_sweep_matches_dinic_oracle():
                 want = oracle_deficiency(mu, nu, radius, strict)
                 assert max_deficiency(mu, nu, radius, strict) == want
                 assert max_deficiency(nu, mu, radius, strict) == oracle_deficiency(nu, mu, radius, strict)
+
+
+def _search_cases():
+    """Small measure pairs for the crossing search, both ways round.
+
+    Positions are dyadic (many equal distances, merged in the breakpoint
+    set) or uniform; atom masses are 1/3, 1/6, 1/7 or 1/8, so the sweep's
+    sums round, and the two totals mostly differ, at times by more than
+    the largest distance, so that the crossing can sit past the last
+    breakpoint.
+    """
+    rng = np.random.default_rng(20261020)
+    masses = (1 / 3, 1 / 6, 1 / 7, 1 / 8)
+
+    def measure():
+        k = int(rng.integers(2, 9))
+        if rng.integers(2):
+            positions = (rng.integers(0, 17, size=k) / 16).tolist()
+        else:
+            positions = rng.uniform(size=k).tolist()
+        mass = masses[rng.integers(len(masses))]
+        return Measure((x, mass) for x in positions)
+
+    cases = []
+    while len(cases) < 240:
+        mu, nu = measure(), measure()
+        if len(mu.atoms) >= 2 and len(nu.atoms) >= 2:
+            cases += [(mu, nu), (nu, mu)]
+    return cases
+
+
+def test_guided_search_matches_full_bisection_from_every_guess():
+    """_infimum returns the full-range bisection's bits from no guess and
+    from every start guess; a float predicate that failed to be monotone
+    would let the search order pick a different crossing."""
+    past_last = 0
+    for mu, nu in _search_cases():
+        breakpoints = sorted({0.0} | {abs(x - y) for x in mu.positions for y in nu.positions})
+        args = (breakpoints, mu.positions, mu.masses, nu.positions, nu.masses,
+                max(mu.total_mass, nu.total_mass))
+        want = bisect_infimum(*args).hex()
+        past_last += abs(mu.total_mass - nu.total_mass) > breakpoints[-1]
+        assert prokhorov._infimum(*args).hex() == want
+        for guess in range(len(breakpoints)):
+            assert prokhorov._infimum(*args, guess).hex() == want
+    assert past_last > 0
+
+
+def test_row_search_takes_two_probes_per_fast_row(monkeypatch):
+    """On the 70 paths to (4, 4) against lebesgue:64 at mass 1/8, the
+    estimated crossing leaves about two exact probes per row (about 9 for
+    the full-range bisection), and every row is probed at least once."""
+    [(rows, _)] = label_rows(Environment(1, 2), 10**6, endpoint=(4, 4))
+    rows.sort(axis=1)
+    assert rows.shape == (70, 8)
+    probes = []
+    sweep, infimum = prokhorov._sweep_flow, prokhorov._infimum
+
+    def counting_sweep(*args):
+        probes[-1] += 1
+        return sweep(*args)
+
+    def counting_infimum(*args):
+        probes.append(0)
+        return infimum(*args)
+
+    monkeypatch.setattr(prokhorov, "_sweep_flow", counting_sweep)
+    monkeypatch.setattr(prokhorov, "_infimum", counting_infimum)
+    calls = _count_scalar_calls(monkeypatch)
+    prokhorov_rows(rows, 1 / 8, discretize_lebesgue(64))
+    assert len(calls) == 0 and len(probes) == 70
+    assert min(probes) >= 1
+    assert sum(probes) <= 2.2 * len(probes)
 
 
 def _count_scalar_calls(monkeypatch):
