@@ -32,6 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import (
+    _check_level_ladder,
+    _cost_scale,
     DEFAULT_PATH_BUDGET,
     EntropyEstimate,
     estimate_entropy_eps,
@@ -756,11 +758,19 @@ def _run_orderstats(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _eps_ladder(config: ExperimentConfig, n_ladder: Sequence[int]) -> tuple[float, ...]:
+    """The eps ladder, refused where the cost scale n/eps overflows: at the
+    largest n and the smallest eps, before any rung runs."""
+    eps_ladder = config.eps_ladder("eps_ladder")
+    config.check(("eps_ladder", "n_ladder"), _cost_scale, max(n_ladder), min(eps_ladder))
+    return eps_ladder
+
+
 def _run_entropy_eps(config: ExperimentConfig) -> int:
     q = config.direction("q")
     nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
-    eps_ladder = config.eps_ladder("eps_ladder")
+    eps_ladder = _eps_ladder(config, n_ladder)
     seeds = config.seeds("seeds")
     budget = config.budget()
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
@@ -772,11 +782,10 @@ def _run_entropy_eps(config: ExperimentConfig) -> int:
 def _run_entropy_level(config: ExperimentConfig) -> int:
     dimension = config.dimension("D")
     t = config.fraction("t")
-    if t <= 0:
-        raise ConfigError(f"field t={config.raw('t')!r}: must be > 0")
     nu, nu_id = config.measure("nu", ensemble=True)
     n_ladder = config.scales("n_ladder", at_least=2)
-    eps_ladder = config.eps_ladder("eps_ladder")
+    config.check(("t", "n_ladder"), _check_level_ladder, t, n_ladder)
+    eps_ladder = _eps_ladder(config, n_ladder)
     seeds = config.seeds("seeds")
     budget = config.budget()
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
@@ -896,7 +905,7 @@ def _run_klbudget(config: ExperimentConfig) -> int:
         )
     elif method == "eps":
         est = estimate_entropy_eps(
-            seeds, q, nu, n_ladder, config.eps_ladder("eps_ladder"), budget=budget
+            seeds, q, nu, n_ladder, _eps_ladder(config, n_ladder), budget=budget
         )
     else:
         raise ConfigError(f"field method={method!r}: expected 'orderstats' or 'eps'")

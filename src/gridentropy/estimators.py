@@ -427,6 +427,16 @@ def _ladder_scales(n_ladder: Sequence[int]) -> list[int]:
     return n_ladder
 
 
+def _check_level_ladder(t: Fraction, n_ladder: Sequence[int]) -> None:
+    """Refuse a ladder scale n whose level length floor(n t) is below 1: at
+    length 0 every ensemble is the single empty path, which no target
+    matches."""
+    n = min(n_ladder)
+    if n * t.numerator < t.denominator:
+        raise ValueError(f"the level length floor(n t) is below 1 at n={n} for t={t}; "
+                         f"need n t >= 1 at every ladder scale")
+
+
 def _fit_eps_ladder(
     seeds: Sequence[int],
     n_ladder: list[int],
@@ -512,9 +522,10 @@ def estimate_entropy_level(
 
     The level scale t defaults to the target's total mass (the only
     scale at which the estimate can be finite), as the nearest fraction
-    with denominator at most 10**9.  Either way t must be > 0, since at
-    t = 0 every ensemble is the single empty path; a mass below 5e-10
-    rounds to 0 and is refused with it.  Where
+    with denominator at most 10**9.  Either way t must be > 0, and
+    floor(n t) >= 1 at every ladder scale, since at length 0 every
+    ensemble is the single empty path; a mass below 5e-10 rounds to
+    t = 0 and is refused with it.  Where
     the ladder allows exact comparison (n t divisible by D), the
     diagnostics carry the balanced-direction endpoint estimate and the
     per-environment slack of the domination level sum >= endpoint sum.
@@ -530,6 +541,7 @@ def estimate_entropy_level(
         raise ValueError(f"level scale t must be > 0, got {t}")
     t = Fraction(t)
     n_ladder = _ladder_scales(n_ladder)
+    _check_level_ladder(t, n_ladder)
     eps_ladder = list(eps_ladder)
     balanced = Direction.from_fractions([t / dimension] * dimension)
     exact_ns = [n for n in n_ladder if (n * t.numerator) % (t.denominator * dimension) == 0]

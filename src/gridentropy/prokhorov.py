@@ -24,28 +24,29 @@ Open-neighborhood semantics matter: radius eps admits exactly the edges
 at distance < eps, so on the half-open interval (d_k, d_{k+1}] between
 consecutive pairwise distances the edge set is frozen at the *closed*
 set {distance <= d_k} and the infimum over that interval is
-max(d_k, deficiency).  Bisecting the breakpoints for the crossing of
-the nonincreasing deficiency therefore gives the exact infimum with no
-search tolerance.
+max(d_k, deficiency).  Bisecting the sorted breakpoints (0.0 and every
+|x - y|, repeats kept) for the crossing of the nonincreasing deficiency
+therefore gives the exact infimum with no search tolerance.
 
-``prokhorov_rows`` gives the same distances for a block of path
-empirical measures at once.  Against a one-atom target it runs the
-singleton crossing on every row together.  Against more atoms one numpy
-pass builds every row's breakpoints, and a second bisects every row's
-crossing in lockstep on an estimate of the deficiency, with no sweep.
-The estimate is Hall's deficiency max_A [mu(A) - nu(A^r)] read on the
-line.  The closed neighborhood of one atom is an interval, so a set A
-may be split into runs of consecutive atoms.  If two runs' neighborhoods
-meet, every atom between them has its neighborhood inside their hull,
-so adding those atoms adds mu mass and no nu mass; the worst A is
-therefore a union of runs with disjoint neighborhoods, and its
-deficiency is the sum of the runs' own.  A union whose neighborhoods
-overlap sums to no more than its true deficiency, so the best sum of
-run deficiencies over all unions of runs is Hall's value, and one pass
-over the atoms finds it.  Each row then searches with the exact sweep
-from its estimated crossing: two probes confirm the bracket when the
-estimate is right, and an estimate that float rounding (or anything
-else) puts off costs more probes, never a different distance.
+One row kernel computes every distance: ``prokhorov_rows`` runs it on
+a block of path empirical measures, ``prokhorov_distance`` on one row
+with per-atom masses.  Its cases are equal measures, an empty side, a
+one-atom side (one closed form for either side) and the general case,
+where one numpy pass builds every row's breakpoints.  For a block, a
+second pass bisects every row's crossing in lockstep on Hall's
+deficiency max_A [mu(A) - nu(A^r)] read on the line, with no sweep,
+and each row's exact search starts there.  The closed neighborhood of
+one atom is an interval, so a set A may be split into runs of
+consecutive atoms.  If two runs' neighborhoods meet, every atom
+between them has its neighborhood inside their hull, so adding those
+atoms adds mu mass and no nu mass; the worst A is therefore a union of
+runs with disjoint neighborhoods, and its deficiency is the sum of the
+runs' own.  A union whose neighborhoods overlap sums to no more than
+its true deficiency, so the best sum of run deficiencies over all
+unions of runs is Hall's value, and one pass over the atoms finds it.
+Two probes confirm the crossing when the estimate is right, and an
+estimate that float rounding (or anything else) puts off costs more
+probes, never a different distance.
 
 ``prokhorov_brute`` re-derives the same value straight from the
 definition by enumerating support subsets; it is the reference oracle
@@ -122,62 +123,123 @@ def max_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> flo
     return max(0.0, mu.total_mass - flow)
 
 
-def _singleton_distance(mu: Measure, x: float, c: float) -> float:
-    """Distance from mu to the single atom c at x, without any flows.
+def prokhorov_distance(mu: Measure, nu: Measure) -> float:
+    """Exact Levy-Prokhorov distance between two atomic measures.
 
-    Against a point mass only two kinds of sets bind: subsets of mu's
-    far atoms (giving mass>=distance constraints) and {x} itself
-    (giving the mass-balance constraints).  Writing f(eps) for the mu
-    mass at distance >= eps from x, eps is admissible iff
-    eps >= f(eps) + max(c - total, 0) and eps >= max(total - c, 0);
-    both sides are monotone, so the infimum is the crossing of a step
-    function, found by one pass over the sorted distances.
+    The row kernel on one row: mu's positions, with its per-atom masses.
     """
-    total = mu.total_mass
-    pairs = sorted((abs(p - x), m) for p, m in mu.atoms)
+    return float(_kernel(np.array([mu.positions]), mu.masses, nu)[0])
+
+
+def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
+    """prokhorov_distance(Measure((x, mass) for x in row), nu) for every row.
+
+    ``rows`` is a (paths, atoms) float array, each row sorted.  A row
+    with equal labels, which Measure merges into one atom, goes through
+    ``prokhorov_distance``.  Every other row runs the kernel with the
+    whole block, and in the general case each row's crossing search
+    starts from the ``_hall_crossings`` estimate: the same exact sweeps
+    decide, so the estimate saves probes (about two per row where the
+    full-range bisection takes log2 of the breakpoint count) and never
+    changes a bit.
+    """
+    merged = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    distances = np.empty(len(rows))
+    distances[~merged] = _kernel(rows[~merged], [mass] * rows.shape[1], nu, guess=True)
+    for i in merged.nonzero()[0].tolist():
+        distances[i] = prokhorov_distance(Measure((x, mass) for x in rows[i].tolist()), nu)
+    return distances
+
+
+def _kernel(
+    rows: np.ndarray, masses: Sequence[float], nu: Measure, guess: bool = False
+) -> np.ndarray:
+    """The distance from every row's measure to nu.
+
+    Row i is the measure with mass masses[j] at rows[i, j]; each row is
+    sorted and its labels are distinct.  In the general case one numpy
+    pass builds every row's breakpoints: IEEE subtraction and abs give
+    the bits of every |x - y|, kept with their repeats.  ``guess``
+    starts each row's crossing search from the ``_hall_crossings``
+    estimate, which needs equal masses; on a single row the estimate
+    costs more numpy calls than the probes it saves.
+    """
+    count, length = rows.shape
+    ys, y_masses = nu.positions, nu.masses
+    total = math.fsum(masses)
+    if not ys:
+        distances = np.full(count, total)
+    elif length == 0:
+        distances = np.full(count, nu.total_mass)
+    elif len(ys) == 1:
+        distances = _singleton_rows(rows, masses, total, ys[0], y_masses[0])
+    elif length == 1:
+        # A one-atom row: nu's atoms become the measure, the row's atom the target.
+        distances = _singleton_rows(np.array([ys]), y_masses, nu.total_mass, rows, masses[0])
+    else:
+        breakpoints = np.zeros((count, length * len(ys) + 1))
+        gaps = breakpoints[:, 1:]
+        # Splitting the contiguous last axis gives a view, so the
+        # pairwise distances land in place behind the leading 0.0.
+        pairs = gaps.reshape(count, length, len(ys))
+        np.subtract(rows[:, :, None], np.array(ys), out=pairs)
+        np.abs(pairs, out=pairs)
+        gaps.sort(axis=1)
+        max_total = max(total, nu.total_mass)
+        if guess:
+            guesses = _hall_crossings(breakpoints, rows, masses[0], nu, max_total - total).tolist()
+        else:
+            guesses = [None] * count
+        x_masses = list(masses)
+        distances = np.array([
+            _infimum(row_breakpoints, xs, x_masses, ys, y_masses, max_total, start)
+            for row_breakpoints, xs, start in zip(breakpoints, rows.tolist(), guesses)
+        ])
+    if tuple(masses) == y_masses:
+        distances[(rows == ys).all(axis=1)] = 0.0
+    return distances
+
+
+def _singleton_rows(
+    rows: np.ndarray, masses: Sequence[float], total: float, x: float | np.ndarray, c: float
+) -> np.ndarray:
+    """The distance from every row's measure to the single atom c at x.
+
+    Row i has mass masses[j] at rows[i, j], ``total`` in all; x is a
+    number or a column holding one per row.  Against a point mass only
+    two kinds of sets bind: subsets of the row's far atoms (giving
+    mass>=distance constraints) and {x} itself (giving the mass-balance
+    constraints).  Writing f(eps) for the row's mass at distance >= eps
+    from x, eps is admissible iff eps >= f(eps) + max(c - total, 0) and
+    eps >= max(total - c, 0); both sides are monotone, so the infimum is
+    the crossing of a step function.
+
+    Each row's distances |u - x| are sorted, ties by mass (a plain sort
+    when all masses are equal), the mass at distance >= the i-th of
+    them is a reversed running sum added from the far end one mass at a
+    time, and the first crossing comes from ``argmax``.  A crossing
+    inside a run of equal distances gives that distance, as a crossing
+    at the run's first would.
+    """
+    gaps = np.abs(rows - x)
+    count, length = gaps.shape
+    if len(set(masses)) == 1:
+        gaps.sort(axis=1)
+        tail = np.cumsum(np.full(length, masses[0]))[::-1]
+    else:
+        order = np.lexsort((np.broadcast_to(masses, gaps.shape), gaps), axis=1)
+        gaps = np.take_along_axis(gaps, order, axis=1)
+        tail = np.cumsum(np.array(masses)[order][:, ::-1], axis=1)[:, ::-1]
     lift = max(c - total, 0.0)
     floor = max(total - c, 0.0)
-    # Suffix masses: tail[i] = mass at distance >= pairs[i] distance.
-    tail = [0.0] * (len(pairs) + 1)
-    for i in range(len(pairs) - 1, -1, -1):
-        tail[i] = tail[i + 1] + pairs[i][1]
-    crossing = math.inf
-    low = 0.0
-    i = 0
-    while i <= len(pairs):
-        if i == len(pairs):
-            high, far = math.inf, 0.0
-        else:
-            high, far = pairs[i][0], tail[i]
-            while i + 1 < len(pairs) and pairs[i + 1][0] == high:
-                i += 1
-        # On (low, high] the requirement is eps >= far + lift.
-        if far + lift <= high:
-            crossing = max(low, far + lift)
-            break
-        low = high
-        i += 1
-    return max(crossing, floor)
-
-
-def prokhorov_distance(mu: Measure, nu: Measure) -> float:
-    """Exact Levy-Prokhorov distance between two atomic measures."""
-    if mu.atoms == nu.atoms:
-        return 0.0
-    if not mu.atoms:
-        return nu.total_mass
-    if not nu.atoms:
-        return mu.total_mass
-    if len(nu.atoms) == 1:
-        return _singleton_distance(mu, nu.atoms[0][0], nu.atoms[0][1])
-    if len(mu.atoms) == 1:
-        return _singleton_distance(nu, mu.atoms[0][0], mu.atoms[0][1])
-
-    xs, x_masses = mu.positions, mu.masses
-    ys, y_masses = nu.positions, nu.masses
-    breakpoints = sorted({0.0} | {abs(x - y) for x in xs for y in ys})
-    max_total = max(mu.total_mass, nu.total_mass)
-    return _infimum(breakpoints, xs, x_masses, ys, y_masses, max_total)
+    # On (high[i - 1], high[i]] the requirement is eps >= need[i].
+    high = np.concatenate([gaps, np.full((count, 1), math.inf)], axis=1)
+    need = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1) + lift
+    need = np.broadcast_to(need, high.shape)
+    first = (need <= high).argmax(axis=1)
+    at = np.arange(count)
+    low = np.where(first > 0, high[at, first - 1], 0.0)
+    return np.maximum(np.maximum(low, need[at, first]), floor)
 
 
 def _infimum(
@@ -189,21 +251,22 @@ def _infimum(
     max_total: float,
     guess: int | None = None,
 ) -> float:
-    """The distance, found at the crossing of its increasing breakpoints.
+    """The distance, found at the crossing of its sorted breakpoints.
 
-    ``breakpoints`` are 0.0 and every other |x - y|, each once, in
-    increasing order (a list or a numpy row); both supports are sorted
-    and hold at least two atoms each.
+    ``breakpoints`` are 0.0 and every |x - y| in nondecreasing order,
+    repeats kept (a list or a numpy row); both supports are sorted and
+    hold at least two atoms each.  Equal breakpoints probe alike, so
+    the crossing found is the first of its run, and the result has the
+    bits it would have over the distinct breakpoints alone.
 
     Without a ``guess`` the crossing is bisected over the full range.
     ``prokhorov_rows`` passes the crossing that ``_hall_crossings``
     estimates.  A guess in 0..len(breakpoints) - 1 is probed first,
     then its neighbour on the side the probe points to.  When those two
     probes bracket the crossing they are all the search takes;
-    otherwise the search gallops away from the guess, doubling its
-    step, until a probe confirms the bracket, and bisects inside it.
-    Every probe is an exact sweep, so the guess decides how many probes
-    are taken, never which crossing is found.
+    otherwise what is left of the range is bisected.  Every probe is an
+    exact sweep, so the guess decides how many probes are taken, never
+    which crossing is found.
     """
     deficiency_cache: dict[int, float] = {}
 
@@ -214,72 +277,35 @@ def _infimum(
             deficiency_cache[k] = max(0.0, max_total - flow)
         return deficiency_cache[k]
 
-    def holds(k: int) -> bool:
-        return breakpoints[k] >= deficiency(k)
-
-    # deficiency(k) is nonincreasing and breakpoints increase, so the
-    # predicate holds(k) is monotone; the minimum of
+    # deficiency(k) is nonincreasing and breakpoints do not decrease, so
+    # the predicate b_k >= deficiency(k) is monotone; the minimum of
     # max(b_k, deficiency(k)) sits at the crossing, the first k where
     # it holds (count if none).  The search keeps it in [crossing, hi]:
-    # holds fails below crossing, and holds at hi unless hi == count.
+    # the predicate fails below crossing, and holds at hi unless
+    # hi == count.
     count = len(breakpoints)
     crossing, hi = 0, count
+
+    def probe(k: int) -> None:
+        nonlocal crossing, hi
+        if breakpoints[k] >= deficiency(k):
+            hi = k
+        else:
+            crossing = k + 1
+
     if guess is not None:
-        step = 1
-        if holds(guess):
-            hi = guess
-            while crossing < hi:
-                k = max(hi - step, crossing)
-                if not holds(k):
-                    crossing = k + 1
-                    break
-                hi, step = k, 2 * step
-        else:
-            crossing = guess + 1
-            while crossing < hi:
-                k = min(crossing + step - 1, hi - 1)
-                if holds(k):
-                    hi = k
-                    break
-                crossing, step = k + 1, 2 * step
+        probe(guess)
+        neighbour = guess - 1 if hi == guess else guess + 1
+        if crossing <= neighbour < hi:
+            probe(neighbour)
     while crossing < hi:
-        mid = (crossing + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            crossing = mid + 1
+        probe((crossing + hi) // 2)
 
     if crossing == count:
         return deficiency(count - 1)
     if crossing == 0:
         return float(breakpoints[0])
     return min(float(breakpoints[crossing]), deficiency(crossing - 1))
-
-
-def _singleton_rows(rows: np.ndarray, mass: float, x: float, c: float):
-    """``_singleton_distance`` of every row against the single atom c at x.
-
-    Each row is a measure with mass ``mass`` at each of its labels.
-    The row's distances |u - x| are sorted, the mass at distance >= the
-    i-th of them is a reversed running sum (added from the far end one
-    mass at a time, as the scalar tail is), and the first crossing
-    comes from ``argmax``.  Returns (distances, fast); a row with two
-    equal distances (equal labels included) is not fast, since the
-    scalar version groups those, and its distance is left to the caller.
-    """
-    count, length = rows.shape
-    gaps = np.abs(rows - x)
-    gaps.sort(axis=1)
-    fast = (gaps[:, 1:] > gaps[:, :-1]).all(axis=1)
-    total = math.fsum([mass] * length)
-    lift = max(c - total, 0.0)
-    floor = max(total - c, 0.0)
-    # On (high[i - 1], high[i]] the requirement is eps >= need[i].
-    high = np.concatenate([gaps, np.full((count, 1), math.inf)], axis=1)
-    need = np.append(np.cumsum(np.full(length, mass))[::-1], 0.0) + lift
-    first = (need <= high).argmax(axis=1)
-    low = np.where(first > 0, high[np.arange(count), first - 1], 0.0)
-    return np.maximum(np.maximum(low, need[first]), floor), fast
 
 
 def _hall_crossings(
@@ -322,59 +348,6 @@ def _hall_crossings(
         hi = np.where(active & holds, mid, hi)
         lo = np.where(active & ~holds, mid + 1, lo)
     return np.minimum(lo, count - 1)
-
-
-def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
-    """prokhorov_distance(Measure((x, mass) for x in row), nu) for every row.
-
-    ``rows`` is a (paths, atoms) float array, each row sorted.  Against
-    a one-atom target, ``_singleton_rows`` gives every row at once.
-    Against more atoms, one numpy pass builds the breakpoints of the
-    whole block: IEEE subtraction and abs give the bits of
-    ``prokhorov_distance``'s set comprehension, and a row's breakpoints
-    are 0.0 followed by its sorted n*m distances whenever those are all
-    distinct and nonzero.  ``_hall_crossings`` then estimates every
-    row's crossing at once, and each such row runs ``_infimum`` from its
-    estimate: the same exact sweeps decide, so the estimate saves
-    probes (about two per row where the full-range bisection takes
-    log2 of the breakpoint count) and never changes a bit.  Every
-    other row goes through ``prokhorov_distance`` unchanged:
-    - against one atom, a row with two labels at the same distance from
-      it (equal labels included);
-    - against more atoms, a row with equal labels (which Measure would
-      merge) or equal or zero distances (which the set would merge), a
-      row equal to the target's positions (it has zero distances), and
-      every row of fewer than two atoms;
-    - every row, against a target with no atoms.
-    """
-    count, length = rows.shape
-    ys, y_masses = nu.positions, nu.masses
-    distances = np.empty(count)
-    fast = np.zeros(count, dtype=bool)
-    if len(ys) == 1:
-        distances, fast = _singleton_rows(rows, mass, ys[0], y_masses[0])
-    elif length >= 2 and len(ys) >= 2:
-        breakpoints = np.zeros((count, length * len(ys) + 1))
-        gaps = breakpoints[:, 1:]
-        # Splitting the contiguous last axis gives a view, so the
-        # pairwise distances land in place behind the leading 0.0.
-        pairs = gaps.reshape(count, length, len(ys))
-        np.subtract(rows[:, :, None], np.array(ys), out=pairs)
-        np.abs(pairs, out=pairs)
-        gaps.sort(axis=1)
-        fast = (breakpoints[:, 1:] > breakpoints[:, :-1]).all(axis=1)
-        x_masses = [mass] * length
-        mu_total = math.fsum(x_masses)
-        max_total = max(mu_total, nu.total_mass)
-        guesses = _hall_crossings(breakpoints, rows, mass, nu, max_total - mu_total).tolist()
-        labels = rows.tolist()
-        for i in fast.nonzero()[0].tolist():
-            distances[i] = _infimum(
-                breakpoints[i], labels[i], x_masses, ys, y_masses, max_total, guesses[i]
-            )
-    for i in (~fast).nonzero()[0]:
-        distances[i] = prokhorov_distance(Measure((x, mass) for x in rows[i].tolist()), nu)
-    return distances
 
 
 def prokhorov_brute(mu: Measure, nu: Measure) -> float:

@@ -553,6 +553,13 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("conjugate", "--family-seed=-1", "--n", "2,4", "--seeds", "1"), "family_seed="),
     (("conjugate", "--ascent-seed=-1", "--n", "2,4", "--seeds", "1"), "ascent_seed="),
     (("entropy-level", "--t", "0", "--n", "4,6", "--seeds", "1"), "t="),
+    (("entropy-eps", "--n", "2,4", "--seeds", "1", "--eps", "1e-320"), "eps_ladder="),
+    (("entropy-level", "--n", "2,4", "--seeds", "1", "--eps", "1e-320"), "eps_ladder="),
+    (("klbudget", "--method", "eps", "--n", "2,4", "--seeds", "1", "--eps", "1e-320"),
+     "eps_ladder="),
+    (("entropy-eps", "--n", "4,6", "--seeds", "1", "--eps", "2,1e-308"), "n_ladder="),
+    (("entropy-level", "--t", "1/1000", "--n", "2,4", "--seeds", "1"), "t="),
+    (("entropy-level", "--t", "1/8", "--n", "4,16", "--seeds", "1"), "n_ladder="),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
@@ -565,8 +572,10 @@ def test_bad_ladder_is_a_config_error(capsys, argv, field):
     conjugate beta whose DP log weights could overflow over the
     potentials the search can reach, an
     unknown verify criterion, a number past the float range, an alpha
-    grid value that is not >= 0 (NaN included) and a negative conjugate
-    RNG seed exit 2 naming the field before any estimator runs."""
+    grid value that is not >= 0 (NaN included), a negative conjugate
+    RNG seed, an eps so small that the cost scale n/eps overflows at the
+    largest n, and a level ladder with a scale where floor(n t) = 0 exit
+    2 naming the field before any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
@@ -731,7 +740,7 @@ _FIELD_VALUES = {
     "ascent_seed": ("1",),
     "method": ("orderstats", "eps"),
 }
-_MALFORMED = ("nan", "inf", "-1", "0", "")
+_MALFORMED = ("nan", "inf", "-1", "0", "", "1e-320")
 # Fields always set, so that no default runs at full size.
 _SIZED = ("n_ladder", "seeds")
 

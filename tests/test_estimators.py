@@ -478,6 +478,15 @@ def test_estimate_level_refuses_a_default_scale_that_rounds_to_zero():
         estimate_entropy_level([1], 2, Measure([(0.5, 1e-10)]), [4, 6], [4.0, 2.0])
 
 
+@pytest.mark.parametrize("t, n_ladder", [(Fraction(1, 1000), [2, 4]), (Fraction(1, 8), [4, 16])])
+def test_estimate_level_refuses_a_ladder_scale_of_level_length_zero(t, n_ladder):
+    """Where floor(n t) = 0 the ensemble is the single empty path, as at
+    t = 0; a ladder with such a scale raises, also when it is one point of
+    the fit."""
+    with pytest.raises(ValueError, match=rf"floor\(n t\) is below 1 at n={n_ladder[0]} "):
+        estimate_entropy_level([1], 2, discretize_lebesgue(8), n_ladder, [4.0, 2.0], t=t)
+
+
 def test_estimators_need_two_ladder_scales():
     """Every estimator on a ladder refuses fewer than two distinct scales:
     a + b/n fitted to one scale, however often repeated, is singular."""

@@ -273,10 +273,11 @@ def test_prokhorov_rows_match_scalar_distance(monkeypatch, dimension, endpoint, 
 
 
 def test_prokhorov_rows_fallback_rows(monkeypatch):
-    """Rows that Measure or the breakpoint set would merge, short rows and a
-    row equal to the target go through prokhorov_distance and agree with it.
-    Against one atom, only rows with two labels at the same distance from
-    it do, whatever the atom's mass against the row's total."""
+    """Rows with zero or equal breakpoints, short rows, a row equal to the
+    target and rows with two labels at the same distance from a one-atom
+    target agree with prokhorov_distance.  Only rows with equal labels,
+    which Measure merges, call it, whatever a one-atom target's mass
+    against the row's total."""
     nu = Measure([(0.125, 0.5), (0.375, 0.5)])
     fast = [0.2, 0.6]
     forced = [
@@ -287,23 +288,23 @@ def test_prokhorov_rows_fallback_rows(monkeypatch):
     ]
     calls = _count_scalar_calls(monkeypatch)
     got = prokhorov_rows(np.array([fast] + forced), 0.5, nu)
-    assert len(calls) == len(forced)
+    assert len(calls) == 1  # the duplicate labels
     want = [prokhorov_distance(Measure((u, 0.5) for u in row), nu) for row in [fast] + forced]
     assert got.tolist() == want
     assert got[-1] == 0.0
     for rows in (np.empty((1, 0)), np.array([[0.3], [0.7]])):
         calls.clear()
         got = prokhorov_rows(rows, 0.25, nu)
-        assert len(calls) == len(rows)
+        assert len(calls) == 0
         assert got.tolist() == [prokhorov_distance(Measure((u, 0.25) for u in row), nu)
                                 for row in rows.tolist()]
     assert prokhorov_rows(np.empty((1, 0)), 0.25, nu).tolist() == [nu.total_mass]
-    # Against one atom, only two labels at the same distance from it fall back.
+    # Against one atom, two labels at the same distance from it run the kernel too.
     dirac = Measure.dirac(0.5)
     forced = [[0.25, 0.75], [0.3, 0.3]]  # equal distances; equal labels
     calls.clear()
     got = prokhorov_rows(np.array([fast] + forced), 0.5, dirac)
-    assert len(calls) == len(forced)
+    assert len(calls) == 1  # the equal labels
     want = [prokhorov_distance(Measure((u, 0.5) for u in row), dirac) for row in [fast] + forced]
     assert got.tolist() == want
     rows = np.array([[0.1, 0.45, 0.9], [0.5, 0.55, 0.7], [0.0, 0.2, 0.35]])
@@ -326,3 +327,40 @@ def test_prokhorov_rows_match_brute_oracle():
         nu = Measure(zip(rng.uniform(size=3), rng.uniform(0.1, 0.5, 3)))
         for row, got in zip(rows.tolist(), prokhorov_rows(rows, mass, nu).tolist()):
             assert abs(got - prokhorov_brute(Measure((u, mass) for u in row), nu)) <= 1e-12
+
+
+def test_prokhorov_rows_match_prokhorov_distance_bits():
+    """A block's distances have the float.hex of prokhorov_distance on each
+    row alone: dyadic labels (distance ties, equal labels and zero
+    distances), one-atom rows against multi-atom targets, and empty rows,
+    against one-atom and multi-atom targets of mixed masses."""
+    rng = np.random.default_rng(20261021)
+    targets = (
+        discretize_lebesgue(8),
+        Measure([(0.25, 1 / 3), (0.5, 1 / 7), (0.75, 1 / 3)]),
+        Measure.dirac(0.5),
+        Measure.dirac(0.375, 0.2),
+        Measure.zero(),
+    )
+    for length in range(7):
+        for rows in (rng.integers(0, 9, size=(40, length)) / 8, rng.uniform(size=(40, length))):
+            rows.sort(axis=1)
+            for nu in targets:
+                for mass in (1 / 3, 1 / 8, 1.0):
+                    got = [d.hex() for d in prokhorov_rows(rows, mass, nu).tolist()]
+                    want = [prokhorov_distance(Measure((u, mass) for u in row), nu).hex()
+                            for row in rows.tolist()]
+                    assert got == want
+
+
+def test_one_atom_closed_form_breaks_distance_ties_by_mass():
+    """Two atoms at the same distance from a one-atom target join the far
+    mass in (distance, mass) order, the lighter added last, from either
+    side; the two orders round apart here."""
+    light, heavy, far = 0.02247455323943691, 0.03257964863613815, 0.03943616755677566
+    mu = Measure([(0.25, heavy), (0.45, 0.004692979338711745), (0.75, light), (0.9, far)])
+    nu = Measure.dirac(0.5, 0.008504242956601892)
+    want = (far + heavy) + light
+    assert want != (far + light) + heavy
+    assert prokhorov_distance(mu, nu) == want
+    assert prokhorov_distance(nu, mu) == want
