@@ -145,24 +145,23 @@ def prokhorov_rows(rows: np.ndarray, mass: float, nu: Measure) -> np.ndarray:
     """
     merged = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     distances = np.empty(len(rows))
-    distances[~merged] = _kernel(rows[~merged], [mass] * rows.shape[1], nu, guess=True)
+    distances[~merged] = _kernel(rows[~merged], [mass] * rows.shape[1], nu)
     for i in merged.nonzero()[0].tolist():
         distances[i] = prokhorov_distance(Measure((x, mass) for x in rows[i].tolist()), nu)
     return distances
 
 
-def _kernel(
-    rows: np.ndarray, masses: Sequence[float], nu: Measure, guess: bool = False
-) -> np.ndarray:
+def _kernel(rows: np.ndarray, masses: Sequence[float], nu: Measure) -> np.ndarray:
     """The distance from every row's measure to nu.
 
     Row i is the measure with mass masses[j] at rows[i, j]; each row is
     sorted and its labels are distinct.  In the general case one numpy
     pass builds every row's breakpoints: IEEE subtraction and abs give
-    the bits of every |x - y|, kept with their repeats.  ``guess``
-    starts each row's crossing search from the ``_hall_crossings``
-    estimate, which needs equal masses; on a single row the estimate
-    costs more numpy calls than the probes it saves.
+    the bits of every |x - y|, kept with their repeats.  A block of
+    more than one row starts each row's crossing search from the
+    ``_hall_crossings`` estimate, which reads masses[0] as every atom's
+    mass; a single row, where the estimate costs more numpy calls than
+    the probes it saves, bisects the full range.
     """
     count, length = rows.shape
     ys, y_masses = nu.positions, nu.masses
@@ -186,7 +185,7 @@ def _kernel(
         np.abs(pairs, out=pairs)
         gaps.sort(axis=1)
         max_total = max(total, nu.total_mass)
-        if guess:
+        if count > 1:
             guesses = _hall_crossings(breakpoints, rows, masses[0], nu, max_total - total).tolist()
         else:
             guesses = [None] * count
@@ -214,12 +213,15 @@ def _singleton_rows(
     eps >= max(total - c, 0); both sides are monotone, so the infimum is
     the crossing of a step function.
 
-    Each row's distances |u - x| are sorted, ties by mass (a plain sort
-    when all masses are equal), the mass at distance >= the i-th of
-    them is a reversed running sum added from the far end one mass at a
-    time, and the first crossing comes from ``argmax``.  A crossing
-    inside a run of equal distances gives that distance, as a crossing
-    at the run's first would.
+    Each row's distances |u - x| are sorted, ties by mass, the mass at
+    distance >= the i-th of them is a reversed running sum added from
+    the far end one mass at a time, and the first crossing comes from
+    ``argmax``.  A crossing inside a run of equal distances gives that
+    distance, as a crossing at the run's first would.  When all masses
+    are equal the tie order changes no bit, so a plain sort and one
+    running sum for the whole block stand in for ``lexsort`` and a
+    running sum per row, which cost several times as much on a large
+    block of path measures.
     """
     gaps = np.abs(rows - x)
     count, length = gaps.shape
