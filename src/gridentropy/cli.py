@@ -32,8 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import (
+    _check_eps_ladder,
     _check_level_ladder,
-    _cost_scale,
+    _ladder_scales,
     DEFAULT_PATH_BUDGET,
     EntropyEstimate,
     estimate_entropy_eps,
@@ -47,7 +48,7 @@ from .lattice import (
     Environment,
     TauFn,
 )
-from .measures import UNIT_MASS_TOL, Histogram, Measure
+from .measures import Histogram, Measure, kl_divergence
 from .polymer import (
     DpTable, _dp_box, _ladder_box, _ladder_fit, gibbs_estimate, last_passage,
     sample_polymer_paths,
@@ -55,7 +56,6 @@ from .polymer import (
 from .prokhorov import prokhorov_distance
 from .variational import (
     _search_bound,
-    MAX_CELLS,
     bernoulli_exponent_check,
     conjugate_entropy,
     default_tau_family,
@@ -125,16 +125,6 @@ def _parse_scale_ladder(text: str) -> tuple[int, ...]:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
-
-
-def _parse_eps_ladder(text: str) -> tuple[float, ...]:
-    """Eps ladder: comma floats, all positive, strictly decreasing."""
-    values = _parse_floats(text)
-    if not all(v > 0.0 for v in values):
-        raise ValueError(f"values must be positive, got {values}")
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"values must be strictly decreasing, got {values}")
-    return values
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -239,7 +229,12 @@ def load_config_file(path: str) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved run: the command plus its flat key -> value map."""
+    """One resolved run: the command plus its flat key -> value map.
+
+    A field is read by handing its raw text to a grammar (``parse``);
+    a rule on the value belongs to the library function that owns it,
+    run through ``check`` so that its error names the fields read.
+    """
 
     command: str
     values: dict
@@ -253,8 +248,8 @@ class ExperimentConfig:
         except KeyError:
             raise ConfigError(f"missing required field {key!r} (flag {_flags(key)[-1]})") from None
 
-    def _parse(self, key: str, parser: Callable[[str], object]):
-        return self.check((key,), parser, self.raw(key))
+    def parse(self, key: str, grammar: Callable[[str], object]):
+        return self.check((key,), grammar, self.raw(key))
 
     def check(self, keys: Sequence[str], fn: Callable, *args, **kwargs):
         """fn(*args, **kwargs), a bad-value error from it raised as a config
@@ -266,60 +261,24 @@ class ExperimentConfig:
             raise ConfigError(f"field {fields}: {exc}") from exc
 
     def int_(self, key: str, *, at_least: int | None = None, at_most: int | None = None) -> int:
-        value = self._parse(key, int)
+        value = self.parse(key, int)
         if at_least is not None and value < at_least:
             raise ConfigError(f"field {key}={self.raw(key)!r}: must be >= {at_least}")
         if at_most is not None and value > at_most:
             raise ConfigError(f"field {key}={self.raw(key)!r}: must be <= {at_most}")
         return value
 
-    def float_(self, key: str) -> float:
-        return self._parse(key, _parse_rational)
-
-    def dimension(self, key: str) -> int:
-        return self.int_(key, at_least=1)
-
-    def fraction(self, key: str) -> Fraction:
-        return self._parse(key, Fraction)
-
-    def direction(self, key: str) -> Direction:
-        return self._parse(key, Direction.parse)
-
-    def measure(self, key: str, *, ensemble: bool = False) -> tuple[Measure, str]:
-        return self._target(key, _parse_measure, ensemble), self.raw(key)
-
-    def target(self, key: str, *, ensemble: bool = False):
-        return self._target(key, _parse_target, ensemble), self.raw(key)
-
-    def _target(self, key: str, parser: Callable[[str], object], ensemble: bool):
-        """A measure spec; a path-ensemble target must have positive total mass."""
-        target = self._parse(key, parser)
+    def target(self, key: str, grammar: Callable[[str], object] = _parse_measure, *,
+               ensemble: bool = False):
+        """(measure, raw spec); a path-ensemble target must have positive total mass."""
+        target = self.parse(key, grammar)
         if ensemble and not target.total_mass > 0.0:
             raise ConfigError(f"field {key}={self.raw(key)!r}: total mass must be positive")
-        return target
+        return target, self.raw(key)
 
-    def tau(self, key: str) -> tuple[TauFn, str]:
-        return self._parse(key, _parse_tau), self.raw(key)
-
-    def seeds(self, key: str) -> tuple[int, ...]:
-        return self._parse(key, _parse_seed_list)
-
-    def scales(self, key: str, *, at_least: int = 1) -> tuple[int, ...]:
-        """Positive ladder scales, ``at_least`` of them distinct (two for an a + b/n fit)."""
-        scales = self._parse(key, _parse_scale_ladder)
-        if len(set(scales)) < at_least:
-            raise ConfigError(f"field {key}={self.raw(key)!r}: need at least {at_least} "
-                              f"distinct scales, got {len(set(scales))}")
-        return scales
-
-    def eps_ladder(self, key: str) -> tuple[float, ...]:
-        return self._parse(key, _parse_eps_ladder)
-
-    def alpha_grid(self, key: str) -> tuple[float, ...]:
-        return self._parse(key, _parse_alpha_grid)
-
-    def endpoint(self, key: str) -> tuple[int, ...]:
-        return self._parse(key, _parse_ints)
+    def ladder(self, key: str) -> list[int]:
+        """A fit's scale ladder, sorted: positive, at least two scales distinct."""
+        return self.check((key,), _ladder_scales, self.parse(key, _parse_scale_ladder))
 
     def budget(self) -> int:
         """The path budget: at least 1, and at most int64's 2^63 - 1, so that every
@@ -347,64 +306,6 @@ _FLAG_HELP: dict[str, str] = {
                f"{8 * DEFAULT_PATH_BUDGET // 10**6} MB"),
 }
 
-# (accepted keys, defaults) per subcommand; a key without a default is
-# optional, or required by the first read of it.
-_COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str]]] = {
-    "metric": (("mu", "nu", "json"), {}),
-    "count": (("D", "endpoint", "length"), {}),
-    "orderstats": (
-        ("q", "nu", "n_ladder", "alpha_grid", "seeds", "threshold", "budget",
-         "csv", "json", "svg"),
-        {"q": "1/2,1/2", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
-         "alpha_grid": "0:1:0.05", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
-    ),
-    "entropy-eps": (
-        ("q", "nu", "n_ladder", "eps_ladder", "seeds", "budget", "csv", "json", "svg"),
-        {"q": "1/2,1/2", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
-         "eps_ladder": "8,4,2", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
-    ),
-    "entropy-level": (
-        ("D", "t", "nu", "n_ladder", "eps_ladder", "seeds", "budget",
-         "csv", "json", "svg"),
-        {"D": "2", "t": "1", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
-         "eps_ladder": "8,4,2", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
-    ),
-    "gibbs": (
-        ("D", "q", "beta", "tau", "n_ladder", "seeds", "csv", "json", "svg"),
-        {"D": "2", "q": "1/2,1/2", "beta": "1", "tau": "zero",
-         "n_ladder": "64..512", "seeds": "1..5"},
-    ),
-    "lpp": (
-        ("D", "seed", "endpoint", "tau", "json"),
-        {"D": "2", "seed": "1", "tau": "identity:16"},
-    ),
-    "sample": (
-        ("D", "seed", "beta", "tau", "endpoint", "length", "draws", "rng_seed", "json"),
-        {"D": "2", "seed": "1", "beta": "1", "tau": "identity:16",
-         "draws": "1", "rng_seed": "0"},
-    ),
-    "conjugate": (
-        ("q", "nu", "beta", "n_ladder", "seeds", "k", "random_count", "family_seed",
-         "restarts", "passes", "ascent_seed", "csv", "json"),
-        {"q": "1/2,1/2", "nu": "lebesgue:64", "beta": "1",
-         "n_ladder": "64,128,256,512", "seeds": "1..5", "k": "4",
-         "random_count": "8", "family_seed": "2026", "restarts": "3",
-         "passes": "2", "ascent_seed": "9"},
-    ),
-    "klbudget": (
-        ("q", "nu", "method", "n_ladder", "eps_ladder", "alpha_grid", "seeds",
-         "budget", "json"),
-        {"q": "1/2,1/2", "nu": "lebesgue:64", "method": "orderstats",
-         "n_ladder": "6,8,10,12", "eps_ladder": "8,4,2",
-         "alpha_grid": "0:1:0.05", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
-    ),
-    "bernoulli": (
-        ("D", "p", "s", "n_ladder", "seeds", "csv", "json"),
-        {"D": "2", "p": "1/2", "s": "3/4", "n_ladder": "50,100,200", "seeds": "1..2"},
-    ),
-    "verify": (("seed", "criteria", "json"), {"seed": "0"}),
-}
-
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """Every subcommand, with flags only on the first one argv names: the
     top-level parser takes no values, so that word is the one argparse runs."""
@@ -414,7 +315,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     named = next((word for word in argv if word in _COMMANDS), None)
-    for command, (keys, _) in _COMMANDS.items():
+    for command, (keys, *_) in _COMMANDS.items():
         sub = subparsers.add_parser(command)
         if command != named:
             continue
@@ -428,7 +329,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     command = args.command
-    keys, defaults = _COMMANDS[command]
+    keys, defaults, _ = _COMMANDS[command]
     values = dict(defaults)
     if args.config is not None:
         file_values = load_config_file(args.config)
@@ -654,15 +555,6 @@ def render_svg(rows: Sequence[dict], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _ladder_rows(est: EntropyEstimate, dimension: int, q_or_t: str, nu_id: str) -> list[tuple]:
-    ordered = sorted(est.ladder, key=lambda row: (row.n, row.param, row.seed))
-    return [
-        (est.method, dimension, row.seed, q_or_t, nu_id, row.n, row.param,
-         row.raw, est.extrapolated, est.band)
-        for row in ordered
-    ]
-
-
 def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> None:
     """Write whichever of csv/json/svg the run asked for.
 
@@ -683,19 +575,23 @@ def _emit(config: ExperimentConfig, rows: Sequence[tuple], payload: dict) -> Non
             fh.write(render_svg(parsed, title))
 
 
-def _summary_payload(est: EntropyEstimate) -> dict:
-    return {
+def _emit_estimate(config: ExperimentConfig, est: EntropyEstimate, dimension: int,
+                   q_or_t: str, nu_id: str, /, **extra) -> str:
+    """Emit an estimate: its ladder rows in CSV order, and its summary plus
+    ``extra`` as the JSON payload.  Returns its one-line summary for stdout."""
+    rows = [(est.method, dimension, row.seed, q_or_t, nu_id, row.n, row.param,
+             row.raw, est.extrapolated, est.band)
+            for row in sorted(est.ladder, key=lambda row: (row.n, row.param, row.seed))]
+    _emit(config, rows, {
         "method": est.method,
         "value": est.value,
         "extrapolated": est.extrapolated,
         "band": est.band,
         "diagnostics": est.diagnostics,
         "ladder_points": len(est.ladder),
-    }
-
-
-def _print_estimate(est: EntropyEstimate) -> None:
-    print(f"method={est.method} value={_fmt(est.value)} band={_fmt(est.band)}")
+        **extra,
+    })
+    return f"method={est.method} value={_fmt(est.value)} band={_fmt(est.band)}"
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +599,8 @@ def _print_estimate(est: EntropyEstimate) -> None:
 
 
 def _run_metric(config: ExperimentConfig) -> int:
-    mu, _ = config.measure("mu")
-    nu, _ = config.measure("nu")
+    mu, _ = config.target("mu")
+    nu, _ = config.target("nu")
     distance = prokhorov_distance(mu, nu)
     print(_fmt(distance))
     _emit(config, (), {"distance": distance})
@@ -727,7 +623,7 @@ def _ensemble_field(config: ExperimentConfig) -> tuple[str, tuple[int, ...] | in
     if config.has("endpoint") == config.has("length"):
         raise ConfigError("give exactly one of --endpoint or --length")
     if config.has("endpoint"):
-        return "endpoint", config.endpoint("endpoint")
+        return "endpoint", config.parse("endpoint", _parse_ints)
     return "length", config.int_("length")
 
 
@@ -735,7 +631,7 @@ def _run_count(config: ExperimentConfig) -> int:
     key, value = _ensemble_field(config)
     # Without --D the endpoint sets the dimension; a given D must agree.
     if config.has("D"):
-        keys, dimension = (key, "D"), config.dimension("D")
+        keys, dimension = (key, "D"), config.int_("D", at_least=1)
     else:
         keys, dimension = (key,), len(value) if key == "endpoint" else 2
     print(config.check(keys, _count_text, dimension, **{key: value}))
@@ -743,81 +639,72 @@ def _run_count(config: ExperimentConfig) -> int:
 
 
 def _run_orderstats(config: ExperimentConfig) -> int:
-    q = config.direction("q")
-    nu, nu_id = config.measure("nu", ensemble=True)
-    n_ladder = config.scales("n_ladder", at_least=2)
-    grid = config.alpha_grid("alpha_grid")
-    seeds = config.seeds("seeds")
+    q = config.parse("q", Direction.parse)
+    nu, nu_id = config.target("nu", ensemble=True)
+    n_ladder = config.ladder("n_ladder")
+    grid = config.parse("alpha_grid", _parse_alpha_grid)
+    seeds = config.parse("seeds", _parse_seed_list)
     budget = config.budget()
-    threshold = config.float_("threshold") if config.has("threshold") else None
+    threshold = config.parse("threshold", _parse_rational) if config.has("threshold") else None
     est = estimate_entropy_orderstats(
         seeds, q, nu, n_ladder, grid, threshold=threshold, budget=budget
     )
-    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
-    _print_estimate(est)
+    print(_emit_estimate(config, est, q.dimension, str(q), nu_id))
     return EXIT_OK
 
 
-def _eps_ladder(config: ExperimentConfig, n_ladder: Sequence[int]) -> tuple[float, ...]:
-    """The eps ladder, refused where the cost scale n/eps overflows: at the
-    largest n and the smallest eps, before any rung runs."""
-    eps_ladder = config.eps_ladder("eps_ladder")
-    config.check(("eps_ladder", "n_ladder"), _cost_scale, max(n_ladder), min(eps_ladder))
-    return eps_ladder
+def _eps_ladder(config: ExperimentConfig, n_ladder: Sequence[int]) -> list[float]:
+    """The eps ladder, refused by ``_check_eps_ladder`` before any rung runs."""
+    return config.check(("eps_ladder", "n_ladder"), _check_eps_ladder, n_ladder,
+                        config.parse("eps_ladder", _parse_floats))
 
 
 def _run_entropy_eps(config: ExperimentConfig) -> int:
-    q = config.direction("q")
-    nu, nu_id = config.measure("nu", ensemble=True)
-    n_ladder = config.scales("n_ladder", at_least=2)
+    q = config.parse("q", Direction.parse)
+    nu, nu_id = config.target("nu", ensemble=True)
+    n_ladder = config.ladder("n_ladder")
     eps_ladder = _eps_ladder(config, n_ladder)
-    seeds = config.seeds("seeds")
+    seeds = config.parse("seeds", _parse_seed_list)
     budget = config.budget()
     est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
-    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), _summary_payload(est))
-    _print_estimate(est)
+    print(_emit_estimate(config, est, q.dimension, str(q), nu_id))
     return EXIT_OK
 
 
 def _run_entropy_level(config: ExperimentConfig) -> int:
-    dimension = config.dimension("D")
-    t = config.fraction("t")
-    nu, nu_id = config.measure("nu", ensemble=True)
-    n_ladder = config.scales("n_ladder", at_least=2)
+    dimension = config.int_("D", at_least=1)
+    t = config.parse("t", Fraction)
+    nu, nu_id = config.target("nu", ensemble=True)
+    n_ladder = config.ladder("n_ladder")
     config.check(("t", "n_ladder"), _check_level_ladder, t, n_ladder)
     eps_ladder = _eps_ladder(config, n_ladder)
-    seeds = config.seeds("seeds")
+    seeds = config.parse("seeds", _parse_seed_list)
     budget = config.budget()
     est = estimate_entropy_level(seeds, dimension, nu, n_ladder, eps_ladder, t=t, budget=budget)
-    _emit(config, _ladder_rows(est, dimension, str(t), nu_id), _summary_payload(est))
-    _print_estimate(est)
+    print(_emit_estimate(config, est, dimension, str(t), nu_id))
     return EXIT_OK
 
 
 def _run_gibbs(config: ExperimentConfig) -> int:
-    dimension = config.dimension("D")
-    q_spec = config.raw("q")
-    q = None if q_spec == "level" else config.direction("q")
+    dimension = config.int_("D", at_least=1)
+    q = None if config.raw("q") == "level" else config.parse("q", Direction.parse)
     if q is not None:
         dimension = q.dimension
-    beta = config.float_("beta")
-    n_ladder = config.scales("n_ladder", at_least=2)
-    tau, _ = config.tau("tau")
+    beta = config.parse("beta", _parse_rational)
+    n_ladder = config.ladder("n_ladder")
+    tau = config.parse("tau", _parse_tau)
     config.check(("q", "tau", "beta"), _ladder_box, n_ladder, q, dimension, abs(beta), tau.bound)
-    seeds = config.seeds("seeds")
+    seeds = config.parse("seeds", _parse_seed_list)
     est = gibbs_estimate(seeds, beta, tau, n_ladder, q=q, dimension=dimension)
     q_or_t = str(q) if q is not None else "level"
-    nu_id = config.values.get("tau", "zero")
-    _emit(config, _ladder_rows(est, dimension, q_or_t, f"tau:{nu_id}"),
-          _summary_payload(est))
-    _print_estimate(est)
+    print(_emit_estimate(config, est, dimension, q_or_t, f"tau:{config.raw('tau')}"))
     return EXIT_OK
 
 
 def _run_lpp(config: ExperimentConfig) -> int:
-    env = Environment(config.int_("seed"), config.dimension("D"))
-    endpoint = config.endpoint("endpoint")
-    tau, _ = config.tau("tau")
+    env = Environment(config.int_("seed"), config.int_("D", at_least=1))
+    endpoint = config.parse("endpoint", _parse_ints)
+    tau = config.parse("tau", _parse_tau)
     config.check(("endpoint", "tau"), _dp_box, env.dimension, 1.0, tau.bound, endpoint=endpoint)
     value, path = last_passage(env, endpoint, tau)
     print(_fmt(value))
@@ -827,9 +714,9 @@ def _run_lpp(config: ExperimentConfig) -> int:
 
 def _run_sample(config: ExperimentConfig) -> int:
     key, value = _ensemble_field(config)
-    env = Environment(config.int_("seed"), config.dimension("D"))
-    beta = config.float_("beta")
-    tau, _ = config.tau("tau")
+    env = Environment(config.int_("seed"), config.int_("D", at_least=1))
+    beta = config.parse("beta", _parse_rational)
+    tau = config.parse("tau", _parse_tau)
     config.check((key, "tau", "beta"), _dp_box, env.dimension, abs(beta), tau.bound,
                  **{key: value})
     draws = config.int_("draws", at_least=1)
@@ -844,19 +731,20 @@ def _run_sample(config: ExperimentConfig) -> int:
 
 
 def _run_conjugate(config: ExperimentConfig) -> int:
-    q = config.direction("q")
-    nu, nu_id = config.measure("nu")
-    beta = config.float_("beta")
-    n_ladder = config.scales("n_ladder", at_least=2)
-    seeds = config.seeds("seeds")
-    k = config.int_("k", at_least=1, at_most=MAX_CELLS)
-    random_count = config.int_("random_count", at_least=0)
-    family_seed = config.int_("family_seed", at_least=0)
-    family = default_tau_family(k, random_count=random_count, rng_seed=family_seed)
-    restarts = config.int_("restarts", at_least=1)
-    passes = config.int_("passes", at_least=0)
-    config.check(("q", "beta"), _ladder_box, n_ladder, q, q.dimension, abs(beta),
-                 _search_bound(family, restarts, passes))
+    q = config.parse("q", Direction.parse)
+    nu, nu_id = config.target("nu")
+    beta = config.parse("beta", _parse_rational)
+    n_ladder = config.ladder("n_ladder")
+    seeds = config.parse("seeds", _parse_seed_list)
+    k = config.int_("k")
+    random_count = config.int_("random_count")
+    family_seed = config.int_("family_seed")
+    family = config.check(("k", "random_count", "family_seed"), default_tau_family,
+                          k, random_count=random_count, rng_seed=family_seed)
+    restarts = config.int_("restarts")
+    passes = config.int_("passes")
+    bound = config.check(("restarts", "passes"), _search_bound, family, restarts, passes)
+    config.check(("q", "beta"), _ladder_box, n_ladder, q, q.dimension, abs(beta), bound)
     est = conjugate_entropy(
         seeds, q, nu, beta,
         tau_family=family,
@@ -867,13 +755,12 @@ def _run_conjugate(config: ExperimentConfig) -> int:
     )
     # The estimate's ladder is the winning potential's free-energy ladder.
     _, gibbs_value, gibbs_band = _ladder_fit(est.ladder)
-    sup_value = -est.value
     report = {
         "q": str(q),
         "beta": beta,
         "tau_id": est.diagnostics["best_tau"],
         "family_id": f"signs:k={k}+random:{random_count}:seed:{family_seed}",
-        "sup_value": sup_value,
+        "sup_value": -est.value,
         "argmax_nu_id": nu_id,
         "gibbs_value": gibbs_value,
         # Observable stand-in for the distance to the true supremum:
@@ -881,53 +768,44 @@ def _run_conjugate(config: ExperimentConfig) -> int:
         "gap": est.diagnostics["refined_gain"],
         "bands": {"gibbs": gibbs_band, "entropy": est.band},
     }
-    payload = _summary_payload(est)
-    payload["report"] = report
-    _emit(config, _ladder_rows(est, q.dimension, str(q), nu_id), payload)
-    _print_estimate(est)
+    print(_emit_estimate(config, est, q.dimension, str(q), nu_id, report=report))
     return EXIT_OK
 
 
 def _run_klbudget(config: ExperimentConfig) -> int:
-    q = config.direction("q")
-    target, nu_id = config.target("nu", ensemble=True)
-    if abs(target.total_mass - 1.0) > UNIT_MASS_TOL:
-        raise ConfigError(f"field nu={nu_id!r}: the KL budget needs total mass 1, "
-                          f"got {target.total_mass}")
+    q = config.parse("q", Direction.parse)
+    target, nu_id = config.target("nu", _parse_target, ensemble=True)
+    config.check(("nu",), kl_divergence, target)
     method = config.raw("method")
     nu = target.to_measure() if isinstance(target, Histogram) else target
-    n_ladder = config.scales("n_ladder", at_least=2)
-    seeds = config.seeds("seeds")
+    n_ladder = config.ladder("n_ladder")
+    seeds = config.parse("seeds", _parse_seed_list)
     budget = config.budget()
     if method == "orderstats":
-        est = estimate_entropy_orderstats(
-            seeds, q, nu, n_ladder, config.alpha_grid("alpha_grid"), budget=budget
-        )
+        grid = config.parse("alpha_grid", _parse_alpha_grid)
+        est = estimate_entropy_orderstats(seeds, q, nu, n_ladder, grid, budget=budget)
     elif method == "eps":
-        est = estimate_entropy_eps(
-            seeds, q, nu, n_ladder, _eps_ladder(config, n_ladder), budget=budget
-        )
+        eps_ladder = _eps_ladder(config, n_ladder)
+        est = estimate_entropy_eps(seeds, q, nu, n_ladder, eps_ladder, budget=budget)
     else:
         raise ConfigError(f"field method={method!r}: expected 'orderstats' or 'eps'")
     report = kl_budget_check(q, target, est)
-    payload = _summary_payload(est)
-    payload["report"] = asdict(report)
-    payload["nu_id"] = nu_id
-    _emit(config, (), payload)
+    # klbudget takes no --csv, so only the summary, report and nu_id are written.
+    _emit_estimate(config, est, q.dimension, str(q), nu_id, report=asdict(report), nu_id=nu_id)
     print(f"method={report.method} slack={_fmt(report.slack)} violation={report.violation}")
     return EXIT_OK
 
 
 def _run_bernoulli(config: ExperimentConfig) -> int:
-    p = config.float_("p")
+    p = config.parse("p", _parse_rational)
     if not 0.0 < p < 1.0:
         raise ConfigError(f"field p={config.raw('p')!r}: need 0 < p < 1")
-    s = config.float_("s")
+    s = config.parse("s", _parse_rational)
     if not 0.0 < s <= 1.0:
         raise ConfigError(f"field s={config.raw('s')!r}: need 0 < s <= 1")
-    n_ladder = config.scales("n_ladder")
-    seeds = config.seeds("seeds")
-    dimension = config.dimension("D")
+    n_ladder = config.parse("n_ladder", _parse_scale_ladder)
+    seeds = config.parse("seeds", _parse_seed_list)
+    dimension = config.int_("D", at_least=1)
     config.check(("n_ladder", "D"), _ladder_box, n_ladder, None, dimension)
     report = bernoulli_exponent_check(p, s, n_ladder, seeds, dimension=dimension)
     nu_id = f"bernoulli:p={config.raw('p')},s={config.raw('s')}"
@@ -952,7 +830,7 @@ def _run_verify(config: ExperimentConfig) -> int:
     suite = VerificationSuite(config.int_("seed"))
     criteria = None
     if config.has("criteria"):
-        criteria = sorted(config.seeds("criteria"))
+        criteria = sorted(config.parse("criteria", _parse_seed_list))
         if not set(criteria) <= set(TITLES):
             raise ConfigError(f"field criteria={config.raw('criteria')!r}: "
                               f"criteria are {min(TITLES)}..{max(TITLES)}")
@@ -984,28 +862,81 @@ def _run_verify(config: ExperimentConfig) -> int:
     return EXIT_VERIFY
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig], int]] = {
-    "metric": _run_metric,
-    "count": _run_count,
-    "orderstats": _run_orderstats,
-    "entropy-eps": _run_entropy_eps,
-    "entropy-level": _run_entropy_level,
-    "gibbs": _run_gibbs,
-    "lpp": _run_lpp,
-    "sample": _run_sample,
-    "conjugate": _run_conjugate,
-    "klbudget": _run_klbudget,
-    "bernoulli": _run_bernoulli,
-    "verify": _run_verify,
+# (accepted keys, defaults, runner) per subcommand.  A key without a
+# default is optional, or required by the first read of it; the runner
+# reads its fields from the resolved config and returns the exit code.
+_COMMANDS: dict[str, tuple[tuple[str, ...], dict[str, str],
+                           Callable[[ExperimentConfig], int]]] = {
+    "metric": (("mu", "nu", "json"), {}, _run_metric),
+    "count": (("D", "endpoint", "length"), {}, _run_count),
+    "orderstats": (
+        ("q", "nu", "n_ladder", "alpha_grid", "seeds", "threshold", "budget",
+         "csv", "json", "svg"),
+        {"q": "1/2,1/2", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
+         "alpha_grid": "0:1:0.05", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
+        _run_orderstats,
+    ),
+    "entropy-eps": (
+        ("q", "nu", "n_ladder", "eps_ladder", "seeds", "budget", "csv", "json", "svg"),
+        {"q": "1/2,1/2", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
+         "eps_ladder": "8,4,2", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
+        _run_entropy_eps,
+    ),
+    "entropy-level": (
+        ("D", "t", "nu", "n_ladder", "eps_ladder", "seeds", "budget",
+         "csv", "json", "svg"),
+        {"D": "2", "t": "1", "nu": "lebesgue:64", "n_ladder": "6,8,10,12",
+         "eps_ladder": "8,4,2", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
+        _run_entropy_level,
+    ),
+    "gibbs": (
+        ("D", "q", "beta", "tau", "n_ladder", "seeds", "csv", "json", "svg"),
+        {"D": "2", "q": "1/2,1/2", "beta": "1", "tau": "zero",
+         "n_ladder": "64..512", "seeds": "1..5"},
+        _run_gibbs,
+    ),
+    "lpp": (
+        ("D", "seed", "endpoint", "tau", "json"),
+        {"D": "2", "seed": "1", "tau": "identity:16"},
+        _run_lpp,
+    ),
+    "sample": (
+        ("D", "seed", "beta", "tau", "endpoint", "length", "draws", "rng_seed", "json"),
+        {"D": "2", "seed": "1", "beta": "1", "tau": "identity:16",
+         "draws": "1", "rng_seed": "0"},
+        _run_sample,
+    ),
+    "conjugate": (
+        ("q", "nu", "beta", "n_ladder", "seeds", "k", "random_count", "family_seed",
+         "restarts", "passes", "ascent_seed", "csv", "json"),
+        {"q": "1/2,1/2", "nu": "lebesgue:64", "beta": "1",
+         "n_ladder": "64,128,256,512", "seeds": "1..5", "k": "4",
+         "random_count": "8", "family_seed": "2026", "restarts": "3",
+         "passes": "2", "ascent_seed": "9"},
+        _run_conjugate,
+    ),
+    "klbudget": (
+        ("q", "nu", "method", "n_ladder", "eps_ladder", "alpha_grid", "seeds",
+         "budget", "json"),
+        {"q": "1/2,1/2", "nu": "lebesgue:64", "method": "orderstats",
+         "n_ladder": "6,8,10,12", "eps_ladder": "8,4,2",
+         "alpha_grid": "0:1:0.05", "seeds": "1..5", "budget": _BUDGET_DEFAULT},
+        _run_klbudget,
+    ),
+    "bernoulli": (
+        ("D", "p", "s", "n_ladder", "seeds", "csv", "json"),
+        {"D": "2", "p": "1/2", "s": "3/4", "n_ladder": "50,100,200", "seeds": "1..2"},
+        _run_bernoulli,
+    ),
+    "verify": (("seed", "criteria", "json"), {"seed": "0"}, _run_verify),
 }
-
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
     try:
         config = resolve_config(args)
-        return _RUNNERS[config.command](config)
+        return _COMMANDS[config.command][2](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -346,8 +346,9 @@ def estimate_entropy_orderstats(
     to a small noise slack) and its final value is below the threshold.
     The decision rule is a documented heuristic; diagnostics carry the
     ambiguous cases.  Returns -inf when not even alpha = 0 (the single
-    smallest distance) vanishes.
+    smallest distance) vanishes.  Empty seeds raise ValueError.
     """
+    seeds = _check_seeds(seeds)
     n_ladder = _ladder_scales(n_ladder)
     if threshold is None:
         threshold = vanish_threshold(nu, n_ladder[-1])
@@ -427,6 +428,27 @@ def _ladder_scales(n_ladder: Sequence[int]) -> list[int]:
     return n_ladder
 
 
+def _check_eps_ladder(n_ladder: Sequence[int], eps_ladder: Sequence[float]) -> list[float]:
+    """The eps ladder as given: nonempty, positive, strictly decreasing, and
+    with a finite cost scale n/eps at the largest n and the smallest eps."""
+    eps_ladder = list(eps_ladder)
+    if not eps_ladder or not all(eps > 0.0 for eps in eps_ladder):
+        raise ValueError(f"eps ladder must be nonempty and positive, got {eps_ladder}")
+    if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
+        raise ValueError(f"eps ladder must be strictly decreasing, got {eps_ladder}")
+    _cost_scale(max(n_ladder), min(eps_ladder))
+    return eps_ladder
+
+
+def _check_seeds(seeds: Sequence[int]) -> tuple[int, ...]:
+    """The seeds as a tuple, refused when there are none: an estimate over no
+    environment has no value."""
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    return seeds
+
+
 def _check_level_ladder(t: Fraction, n_ladder: Sequence[int]) -> None:
     """Refuse a ladder scale n whose level length floor(n t) is below 1: at
     length 0 every ensemble is the single empty path, which no target
@@ -481,12 +503,13 @@ def estimate_entropy_eps(
 
     Per-environment raw values are exactly nonincreasing as eps
     decreases (termwise domination); the fitted limits should inherit
-    that within the band, and the diagnostic flags violations.
+    that within the band, and the diagnostic flags violations.  Empty
+    seeds and a bad eps ladder (``_check_eps_ladder``) raise ValueError
+    before any profile is read.
     """
+    seeds = _check_seeds(seeds)
     n_ladder = _ladder_scales(n_ladder)
-    eps_ladder = list(eps_ladder)
-    if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
 
     def raw(seed: int, n: int, eps: float) -> float:
         return eps_sum(Environment(seed, q.dimension), q, nu, n, eps, budget=budget)
@@ -527,8 +550,10 @@ def estimate_entropy_level(
     ensemble is the single empty path; a mass below 5e-10 rounds to
     t = 0 and is refused with it.  Where
     the ladder allows exact comparison (n t divisible by D), the
-    diagnostics carry the balanced-direction endpoint estimate and the
-    per-environment slack of the domination level sum >= endpoint sum.
+    diagnostics carry the per-environment slack of the domination level
+    sum >= endpoint sum, and, where two distinct scales allow it, the
+    balanced-direction endpoint estimate.  Empty seeds and a bad eps
+    ladder raise ValueError before any profile is read.
     """
     if t is None:
         t = Fraction(nu.total_mass).limit_denominator(10**9)
@@ -540,9 +565,10 @@ def estimate_entropy_level(
     elif t <= 0:
         raise ValueError(f"level scale t must be > 0, got {t}")
     t = Fraction(t)
+    seeds = _check_seeds(seeds)
     n_ladder = _ladder_scales(n_ladder)
     _check_level_ladder(t, n_ladder)
-    eps_ladder = list(eps_ladder)
+    eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
     balanced = Direction.from_fractions([t / dimension] * dimension)
     exact_ns = [n for n in n_ladder if (n * t.numerator) % (t.denominator * dimension) == 0]
     slacks = []
@@ -559,7 +585,7 @@ def estimate_entropy_level(
 
     direction_estimate = None
     difference = None
-    if len(exact_ns) >= 2:
+    if len(set(exact_ns)) >= 2:
         point_est = estimate_entropy_eps(seeds, balanced, nu, exact_ns, eps_ladder, budget=budget)
         direction_estimate = point_est.value
         difference = value - point_est.value

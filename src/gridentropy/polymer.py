@@ -64,7 +64,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder
+from .estimators import (
+    _check_seeds, _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder,
+)
 from .lattice import (
     _GOLDEN, _MASK, _chain_heads, _ensemble_ends, _level_blocks, _mix_array, _point, _split,
     Direction, Environment, Path, TauFn,
@@ -316,9 +318,10 @@ def gibbs_estimate(
     level by level and dropped.  Value is the mean of per-seed
     extrapolations; the band is their half-spread plus the mean fit
     residual.  ``_dp_box`` refuses the ladder's box and the log weights
-    of beta and tau with ValueError before any level is built.
+    of beta and tau, and empty seeds are refused, with ValueError before
+    any level is built.
     """
-    seeds = tuple(seeds)
+    seeds = _check_seeds(seeds)
     n_ladder = _ladder_scales(n_ladder)
     if q is not None:
         dimension = q.dimension
@@ -347,7 +350,7 @@ class LadderPlan:
 
     def __init__(self, seeds: Sequence[int], n_ladder: Sequence[int], *,
                  q: Direction | None = None, dimension: int = 2):
-        self.seeds = tuple(seeds)
+        self.seeds = _check_seeds(seeds)
         self.n_ladder = _ladder_scales(n_ladder)
         self.q = q
         self.dimension = q.dimension if q is not None else dimension

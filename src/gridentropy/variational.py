@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import _ladder_scales, EntropyEstimate
+from .estimators import _check_seeds, _ladder_scales, EntropyEstimate
 from .lattice import _chain_heads, _level_blocks, _split, Direction, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
 from .polymer import _ladder_box, LadderPlan
@@ -117,6 +117,8 @@ def default_tau_family(
     """
     if not 1 <= k <= MAX_CELLS:
         raise ValueError(f"cell count must be in 1..{MAX_CELLS}, got {k}")
+    if random_count < 0:
+        raise ValueError(f"random count must be >= 0, got {random_count}")
     ladders = [
         TauFn.from_values(values)
         for values in itertools.product((-1.0, 0.0, 1.0), repeat=k)
@@ -136,7 +138,14 @@ def _search_bound(tau_family: Sequence[TauFn], restarts: int, ascent_passes: int
     Random starts lie in (-1, 1).  The ascent deltas are symmetric, and
     the steps a pass accepts on one side sum to at most their positive
     half (0.8 + 0.4 + 0.2 + 0.1), speculative evaluations included.
+    Raises ValueError for a negative count, and for ascent passes with
+    no start to climb from (restarts 0).
     """
+    if restarts < 0 or ascent_passes < 0:
+        raise ValueError(f"restarts and ascent passes must be >= 0, "
+                         f"got {restarts} and {ascent_passes}")
+    if ascent_passes and not restarts:
+        raise ValueError(f"{ascent_passes} ascent passes need restarts >= 1, got 0")
     start = max(tau.bound for tau in tau_family)
     if restarts > 1:
         start = max(start, 1.0)
@@ -159,8 +168,9 @@ def conjugate_entropy(
 
     Maximizes beta*<tau, nu> - G(beta, tau) over the tau family, then
     refines the winner by coordinate ascent on its cell values from
-    ``restarts`` starting points (the objective is concave in tau, so
-    local ascent is meaningful).  Returns -max as the estimate; since a
+    ``restarts`` starting points, the winner and then random ones (the
+    objective is concave in tau, so local ascent is meaningful); with
+    none, the family maximum stands.  Returns -max as the estimate; since a
     finite family under-reaches the true sup, the value upper-bounds
     the entropy up to the free-energy bands.
 
@@ -176,8 +186,10 @@ def conjugate_entropy(
 
     ``_dp_box`` refuses, with ValueError, the ladder's box and the DP
     log weights of beta and the largest |tau| the search can evaluate
-    (``_search_bound``) before any level is built.
+    (``_search_bound``, which also refuses a negative count, and ascent
+    passes with no restart) before any level is built.
     """
+    seeds = _check_seeds(seeds)
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
@@ -207,9 +219,9 @@ def conjugate_entropy(
     family_best_obj = best_obj
 
     rng = np.random.default_rng(rng_seed)
-    starts = [best_tau]
+    starts = [best_tau][:restarts]
     width = len(best_tau.values)
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(TauFn.from_values(tuple(rng.uniform(-1.0, 1.0, size=width))))
     evaluate(TauFn.from_values(start.values) for start in starts)
     for start in starts:
@@ -353,6 +365,7 @@ def bernoulli_exponent_check(
     """
     if not 0.0 < p < 1.0 or not 0.0 < s <= 1.0:
         raise ValueError(f"need 0 < p < 1 and 0 < s <= 1, got p={p}, s={s}")
+    seeds = _check_seeds(seeds)
     n_ladder = sorted(int(n) for n in n_ladder)
     if not n_ladder or n_ladder[0] < 1:
         raise ValueError("ladder scales must be positive")

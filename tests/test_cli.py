@@ -380,6 +380,37 @@ def test_entropy_level_runs_with_rational_scale(tmp_path, capsys):
     assert {row["method"] for row in rows} == {"eps_sum_level"}
 
 
+def test_entropy_level_with_a_repeated_scale_runs(tmp_path, capsys):
+    """--n 4,4,5 leaves one distinct exact scale for the balanced-direction
+    cross-check; the run succeeds and reports no cross-check estimate."""
+    json_path = tmp_path / "level.json"
+    code, out, err = _run(capsys, "entropy-level", "--n", "4,4,5", "--seeds", "1",
+                          "--nu", "lebesgue:8", "--json", str(json_path))
+    assert code == EXIT_OK, err
+    assert out.startswith("method=eps_sum_level value=")
+    assert read_json(str(json_path))["diagnostics"]["balanced_direction_estimate"] is None
+
+
+@pytest.mark.parametrize("eps", ["nan,1", "1,nan", "2,1,1"])
+def test_an_eps_ladder_that_is_not_positive_and_decreasing_names_its_field(capsys, eps):
+    """The library's eps-ladder rule, NaN included, reaches the CLI as a
+    config error naming eps_ladder, before any rung runs."""
+    code, _, err = _run(capsys, "entropy-level", "--eps", eps, "--n", "4,6", "--seeds", "1")
+    assert code == EXIT_CONFIG
+    assert f"eps_ladder={eps!r}" in err and "Traceback" not in err
+
+
+def test_conjugate_refusals_name_the_counts_the_library_reads(capsys):
+    """k, random_count and family_seed are checked by default_tau_family, and
+    restarts and passes by the search bound; a search of the family alone
+    (restarts 0, passes 0) runs."""
+    base = ("conjugate", "--n", "8,16", "--seeds", "1", "--k", "2", "--random-count", "1")
+    code, _, err = _run(capsys, *base, "--restarts", "0", "--passes", "1")
+    assert code == EXIT_CONFIG and "restarts='0', passes='1'" in err
+    code, out, _ = _run(capsys, *base, "--restarts", "0", "--passes", "0")
+    assert code == EXIT_OK and out.startswith("method=conjugate value=")
+
+
 def test_gibbs_range_ladder_and_accuracy(tmp_path, capsys):
     """'--n 64..256' doubles through the range; tau=0 lands near log 2."""
     csv_path = tmp_path / "gibbs.csv"
@@ -740,7 +771,7 @@ _FIELD_VALUES = {
     "ascent_seed": ("1",),
     "method": ("orderstats", "eps"),
 }
-_MALFORMED = ("nan", "inf", "-1", "0", "", "1e-320")
+_MALFORMED = ("nan", "inf", "-1", "0", "", "1e-320", "nan,1")
 # Fields always set, so that no default runs at full size.
 _SIZED = ("n_ladder", "seeds")
 

@@ -26,6 +26,8 @@ from gridentropy import (
     estimate_entropy_orderstats,
     extrapolate_ladder,
     LadderPlan,
+    bernoulli_exponent_check,
+    conjugate_entropy,
     gibbs_estimate,
     order_stat_series,
     prokhorov_brute,
@@ -242,6 +244,60 @@ def test_alpha_grid_enumerates_once_per_seed_and_n(monkeypatch):
     est = estimate_entropy_orderstats([5, 6], Direction.parse("1/2,1/2"), nu, [2, 4, 6], grid)
     assert len(est.ladder) == 2 * 3 * len(grid)
     assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
+
+
+@pytest.mark.parametrize("eps_ladder", [[2.0, math.nan], [math.nan, 1.0], [], [0.0], [1.0, 2.0],
+                                        [2.0, 2.0], [2.0, 1e-308]])
+@pytest.mark.parametrize("level", [False, True])
+def test_bad_eps_ladder_is_refused_before_any_walk(monkeypatch, eps_ladder, level):
+    """An eps ladder that is empty, not positive (NaN included), not strictly
+    decreasing, or whose cost scale n/eps overflows at the largest n raises
+    ValueError before either cost-sum estimate walks a path."""
+    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    calls = _count_enumerations(monkeypatch)
+    nu = discretize_lebesgue(8)
+    with pytest.raises(ValueError, match="eps"):
+        if level:
+            estimate_entropy_level([1, 2], 2, nu, [4, 6], eps_ladder)
+        else:
+            estimate_entropy_eps([1, 2], Direction.parse("1/2,1/2"), nu, [4, 6], eps_ladder)
+    assert calls == []
+
+
+def test_level_estimate_refuses_an_increasing_eps_ladder():
+    """The level estimate holds the eps ladder to the point estimate's rule."""
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        estimate_entropy_level([1], 2, discretize_lebesgue(8), [4, 5], [1.0, 2.0])
+
+
+def test_level_cross_check_needs_two_distinct_exact_scales():
+    """A repeated scale leaves one distinct exact scale, too few to fit the
+    balanced-direction estimate: it is None, and the level estimate stands."""
+    est = estimate_entropy_level([1], 2, discretize_lebesgue(8), [4, 4, 5], [2.0, 1.0])
+    assert math.isfinite(est.value)
+    assert est.diagnostics["balanced_direction_estimate"] is None
+    assert est.diagnostics["difference_to_direction"] is None
+    assert list(est.diagnostics["fits_by_eps"]) == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda nu: estimate_entropy_eps([], Direction.parse("1/2,1/2"), nu, [4, 6], [2.0, 1.0]),
+    lambda nu: estimate_entropy_level([], 2, nu, [4, 6], [2.0, 1.0]),
+    lambda nu: estimate_entropy_orderstats([], Direction.parse("1/2,1/2"), nu, [4, 6],
+                                           [0.0, 0.5, 0.9]),
+    lambda nu: gibbs_estimate([], 1.0, TauFn.constant(0.0), [4, 8]),
+    lambda nu: LadderPlan([], [4, 8], q=Direction.parse("1/2,1/2")),
+    lambda nu: conjugate_entropy([], Direction.parse("1/2,1/2"), nu, 1.0, n_ladder=(4, 8)),
+    lambda nu: bernoulli_exponent_check(0.5, 0.75, [4, 8], []),
+], ids=["eps", "level", "orderstats", "gibbs", "plan", "conjugate", "bernoulli"])
+def test_empty_seeds_are_refused_before_any_walk(monkeypatch, estimate):
+    """No seed means no environment to average: each entry point raises a
+    ValueError naming the seeds, not nan, a grid value or a numpy error."""
+    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    calls = _count_enumerations(monkeypatch)
+    with pytest.raises(ValueError, match="seeds"):
+        estimate(discretize_lebesgue(8))
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha", [-0.1, math.nan])

@@ -218,6 +218,31 @@ def test_conjugate_refuses_a_reach_past_the_float_range():
     assert math.isfinite(est.value)
 
 
+@pytest.mark.parametrize("restarts, passes", [(0, -2), (-1, 0), (0, 1), (2, -1)])
+def test_conjugate_refuses_negative_counts_and_passes_without_a_start(restarts, passes):
+    """A negative restart or pass count, or ascent passes with no start to
+    climb from, raise ValueError."""
+    with pytest.raises(ValueError, match="restarts"):
+        conjugate_entropy((1,), Q2, discretize_lebesgue(8), 1.0, n_ladder=(8, 16),
+                          tau_family=default_tau_family(2, random_count=0),
+                          restarts=restarts, ascent_passes=passes)
+
+
+def test_conjugate_without_a_start_is_the_family_maximum():
+    """restarts=0 runs no ascent: the estimate is the family's best member,
+    and only the family is evaluated."""
+    family = default_tau_family(2, random_count=1)
+    kwargs = dict(tau_family=family, n_ladder=(8, 16), ascent_passes=0)
+    est = conjugate_entropy((1,), Q2, _half_measure(), 1.0, restarts=0, **kwargs)
+    assert est.value == -est.diagnostics["family_best_objective"]
+    assert est.diagnostics["evaluations"] == len(family)
+
+
+def test_default_tau_family_refuses_a_negative_random_count():
+    with pytest.raises(ValueError, match="random count"):
+        default_tau_family(2, random_count=-3)
+
+
 def _assert_search_matches_oracle(seeds, nu, beta, **kwargs):
     got = conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
     want = conjugate_oracle.conjugate_entropy(seeds, Q2, nu, beta, **kwargs)
