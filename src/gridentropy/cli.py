@@ -55,6 +55,7 @@ from .polymer import (
 )
 from .prokhorov import prokhorov_distance
 from .variational import (
+    _check_bernoulli,
     _search_bound,
     bernoulli_exponent_check,
     conjugate_entropy,
@@ -417,11 +418,31 @@ _ROW_CHUNK = 1024  # rows per format call; one call for a whole batch holds a se
 
 
 def _format_rows(rows: np.ndarray, head: str, sep: str, end: str):
-    """Each row of a 2-D integer array as head + sep-joined items + end, a chunk at a time."""
-    line = head + sep.join(["%d"] * rows.shape[1]) + end
+    """Each row of a 2-D integer array as head + sep-joined items + end, a chunk at a time.
+
+    When every item is a digit 0..9 (every step matrix of D <= 10), a
+    chunk is one ASCII line template (head, "0" items joined by sep,
+    end) copied into a (rows, width) byte buffer whose digit columns
+    are set to 48 + item.  Any other matrix is %-formatted a chunk at a
+    time; both give the same text.
+    """
+    width = rows.shape[1]
+    if rows.size and not (rows.min() >= 0 and rows.max() <= 9):
+        line = head + sep.join(["%d"] * width) + end
+        for start in range(0, len(rows), _ROW_CHUNK):
+            chunk = rows[start:start + _ROW_CHUNK]
+            yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+        return
+    template = (head + sep.join(["0"] * width) + end).encode("ascii")
+    buf = np.empty((min(len(rows), _ROW_CHUNK), len(template)), np.uint8)
+    buf[:] = np.frombuffer(template, np.uint8)
+    stride = len(sep) + 1
+    digits = slice(len(head), len(head) + width * stride, stride)
     for start in range(0, len(rows), _ROW_CHUNK):
         chunk = rows[start:start + _ROW_CHUNK]
-        yield (line * len(chunk)) % tuple(chunk.ravel().tolist())
+        lines = buf[:len(chunk)]
+        lines[:, digits] = chunk + 48
+        yield lines.tobytes().decode("ascii")
 
 
 def _encode_json(obj, newline: str, out: list[str]) -> None:
@@ -798,11 +819,8 @@ def _run_klbudget(config: ExperimentConfig) -> int:
 
 def _run_bernoulli(config: ExperimentConfig) -> int:
     p = config.parse("p", _parse_rational)
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"field p={config.raw('p')!r}: need 0 < p < 1")
     s = config.parse("s", _parse_rational)
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"field s={config.raw('s')!r}: need 0 < s <= 1")
+    config.check(("p", "s"), _check_bernoulli, p, s)
     n_ladder = config.parse("n_ladder", _parse_scale_ladder)
     seeds = config.parse("seeds", _parse_seed_list)
     dimension = config.int_("D", at_least=1)

@@ -47,12 +47,14 @@ point's backward step; all draws then step back one level at a time
 in lockstep, each a threshold comparison and a row gather in numpy, so
 many draws cost little more than one.  The draws stay one (draws,
 depth) array of step axes, with no path object per draw; the CLI
-formats its rows a chunk at a time.
+formats its rows a chunk at a time, as copies of one byte template
+when every step axis is a digit (D <= 10).
 
 Sampling randomness is a dedicated counter-based stream per draw,
 independent of the environment hash: the polymer measure is a
 distribution over paths for a fixed environment, so the two sources
-must not mix.
+must not mix.  A range of draw seeds, as the CLI passes, gets its
+stream bases in uint64 array arithmetic, with no Python int per seed.
 """
 
 from __future__ import annotations
@@ -422,9 +424,15 @@ def _stream_bases(rng_seeds: Sequence[int]) -> np.ndarray:
     """The stream base of each draw seed, as a uint64 array.
 
     The environment's mixer under a distinct domain tag, so no (seed,
-    counter) pair can collide with an edge-label chain.
+    counter) pair can collide with an edge-label chain.  A range of
+    seeds is its start plus multiples of its step in uint64 arrays,
+    which wrap mod 2^64 as ``int(seed) & _MASK`` does.
     """
-    seeds = np.array([int(seed) & _MASK for seed in rng_seeds], dtype=np.uint64)
+    if isinstance(rng_seeds, range):
+        seeds = (np.uint64(rng_seeds.start & _MASK)
+                 + np.arange(len(rng_seeds), dtype=np.uint64) * np.uint64(rng_seeds.step & _MASK))
+    else:
+        seeds = np.array([int(seed) & _MASK for seed in rng_seeds], dtype=np.uint64)
     return _mix_array((seeds ^ np.uint64(_STREAM_TAG)) + np.uint64(_GOLDEN))
 
 

@@ -187,7 +187,8 @@ def conjugate_entropy(
     ``_dp_box`` refuses, with ValueError, the ladder's box and the DP
     log weights of beta and the largest |tau| the search can evaluate
     (``_search_bound``, which also refuses a negative count, and ascent
-    passes with no restart) before any level is built.
+    passes with no restart) before any level is built, and so does
+    numpy an ``rng_seed`` it cannot seed from.
     """
     seeds = _check_seeds(seeds)
     if tau_family is None:
@@ -196,6 +197,7 @@ def conjugate_entropy(
         raise ValueError("tau family must be nonempty")
     _ladder_box(_ladder_scales(n_ladder), q, q.dimension, abs(beta),
                 _search_bound(tau_family, restarts, ascent_passes))
+    rng = np.random.default_rng(rng_seed)  # drawn from only after the family
     plan = LadderPlan(seeds, n_ladder, q=q)
     energies: dict[TauFn, EntropyEstimate] = {}
     asked: set[TauFn] = set()
@@ -218,7 +220,6 @@ def conjugate_entropy(
     best_obj = objective(best_tau)
     family_best_obj = best_obj
 
-    rng = np.random.default_rng(rng_seed)
     starts = [best_tau][:restarts]
     width = len(best_tau.values)
     for _ in range(restarts - 1):
@@ -339,6 +340,13 @@ class BernoulliReport:
     within_budget: bool = True
 
 
+def _check_bernoulli(p: float, s: float) -> None:
+    """Refuse, with ValueError, a unit probability p outside (0, 1) or a
+    threshold fraction s outside (0, 1]."""
+    if not 0.0 < p < 1.0 or not 0.0 < s <= 1.0:
+        raise ValueError(f"need 0 < p < 1 and 0 < s <= 1, got p={p}, s={s}")
+
+
 def bernoulli_exponent_check(
     p: float,
     s: float,
@@ -363,8 +371,7 @@ def bernoulli_exponent_check(
     is just log(D).  The box of length-n_max paths passes ``_dp_box``
     before any width or level is computed.
     """
-    if not 0.0 < p < 1.0 or not 0.0 < s <= 1.0:
-        raise ValueError(f"need 0 < p < 1 and 0 < s <= 1, got p={p}, s={s}")
+    _check_bernoulli(p, s)
     seeds = _check_seeds(seeds)
     n_ladder = sorted(int(n) for n in n_ladder)
     if not n_ladder or n_ladder[0] < 1:

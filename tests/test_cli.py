@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,55 @@ def test_write_json_matches_stdlib_oracle(tmp_path, payload):
     text = path.read_bytes()
     path.unlink()  # a fresh file per example: truncating one can be slow
     assert text == json_text(payload).encode("utf-8")
+
+
+# (head, sep, end) of a stdout line and of a JSON row of a top-level key.
+_ROW_SHAPES = (("", ",", "\n"), ("\n    [\n      ", ",\n      ", "\n    ],"))
+
+
+def _rows_oracle(rows: np.ndarray, head: str, sep: str, end: str) -> str:
+    return "".join(head + sep.join(map(str, row)) + end for row in rows.tolist())
+
+
+@pytest.mark.parametrize("shape", _ROW_SHAPES, ids=("stdout", "json"))
+def test_digit_rows_match_the_oracle_for_every_dtype(shape):
+    """Digit matrices (the byte template) give the oracle's text for every
+    integer dtype, across chunk boundaries and depths 0 to 12."""
+    for n in (0, 1, 1023, 1024, 1025, 2500):
+        for depth in range(13):
+            digits = np.random.default_rng(13 * n + depth).integers(0, 10, (n, depth))
+            expected = _rows_oracle(digits, *shape)
+            for dtype in _INT_DTYPES:
+                assert "".join(cli._format_rows(digits.astype(dtype), *shape)) == expected
+
+
+@pytest.mark.parametrize("shape", _ROW_SHAPES, ids=("stdout", "json"))
+@pytest.mark.parametrize("value", [10, -1])
+@pytest.mark.parametrize("row", [0, 1500, 2499])
+def test_one_item_outside_0_to_9_formats_every_row_by_percent(shape, value, row):
+    """One 10 or -1 anywhere in the matrix, past the first chunk too, keeps
+    the whole matrix off the digit template (which would print ':' or '/')."""
+    rows = np.random.default_rng(row).integers(0, 10, (2500, 6))
+    rows[row, 3] = value
+    assert "".join(cli._format_rows(rows, *shape)) == _rows_oracle(rows, *shape)
+
+
+def test_formatting_holds_one_chunk_of_buffers_beyond_its_text():
+    """A 300,000 x 12 step matrix of D = 10 formats within one chunk's buffers
+    of its own text: past the yielded lines, at most the 1,024 x 24 byte line
+    buffer, its bytes copy and the chunk's 1,024 x 12 int64 digits, 147,456
+    bytes in all."""
+    bound = 24_576 + 24_576 + 98_304
+    rows = np.random.default_rng(0).integers(0, 10, (300_000, 12))
+    tracemalloc.start()
+    try:
+        lines = list(cli._format_rows(rows, "", ",", "\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = sum(map(sys.getsizeof, lines))
+    assert sum(map(len, lines)) == 300_000 * 24
+    assert peak - text <= bound
 
 
 def test_write_json_formats_only_2d_integer_arrays(tmp_path, monkeypatch):

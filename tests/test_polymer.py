@@ -562,6 +562,17 @@ def test_vectorized_uniforms_equal_sample_stream():
         assert _stream_uniforms(bases, counter).tolist() == [s.uniform() for s in streams]
 
 
+@pytest.mark.parametrize("seeds", [
+    range(-5, 6), range(2**63 - 4, 2**63 + 5), range(2**64 - 4, 2**64 + 9, 3),
+    range(-(2**63) - 4, -(2**63) + 3), range(3, -(2**64) - 7, -(2**62) + 5),
+    range(2**64 + 3, 2**64 - 8, -2), range(-7, 40, 3), range(10, -11, -2), range(0),
+    range(2**70, 2**70 + 4),
+])
+def test_stream_bases_of_a_range_wrap_like_each_seed(seeds):
+    """A range's bases, from uint64 array arithmetic, are those of its seeds one by one."""
+    assert _stream_bases(seeds).tolist() == _stream_bases(list(seeds)).tolist()
+
+
 def test_sampler_refuses_a_maxplus_table():
     """Only a softmax table defines a polymer measure to sample."""
     with pytest.raises(ValueError, match="softmax"):

@@ -228,6 +228,20 @@ def test_conjugate_refuses_negative_counts_and_passes_without_a_start(restarts, 
                           restarts=restarts, ascent_passes=passes)
 
 
+def test_conjugate_refuses_a_bad_rng_seed_before_any_free_energy(monkeypatch):
+    """An rng_seed numpy cannot seed from raises before the family's batch runs."""
+    from gridentropy import polymer
+
+    batches = []
+    gibbs_batch = polymer._gibbs_batch
+    monkeypatch.setattr(polymer, "_gibbs_batch",
+                        lambda *args: batches.append(args) or gibbs_batch(*args))
+    with pytest.raises(ValueError, match="non-negative"):
+        conjugate_entropy((1, 2), Direction.parse("1/2,1/2"), discretize_lebesgue(8), 1.0,
+                          n_ladder=(16, 32), rng_seed=-1)
+    assert batches == []
+
+
 def test_conjugate_without_a_start_is_the_family_maximum():
     """restarts=0 runs no ascent: the estimate is the family's best member,
     and only the family is evaluated."""
