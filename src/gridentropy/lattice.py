@@ -214,9 +214,11 @@ class TauFn:
     values: tuple[float, ...]
     bound: float = field(init=False, compare=False)
     # Read-only arrays, built once: each breakpoint's ``cell`` floor and
-    # each cell's value.
+    # each cell's value; and the shift that reads a cell off its label's
+    # bits when the breakpoints are i / 2^j (None for any others).
     _floors: np.ndarray = field(init=False, compare=False, repr=False)
     _cells: np.ndarray = field(init=False, compare=False, repr=False)
+    _shift: int | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         breakpoints = tuple(float(b) for b in self.breakpoints)
@@ -237,6 +239,11 @@ class TauFn:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "bound", max(abs(v) for v in values))
         floors = [math.ceil(b * 2**53) for b in breakpoints]  # b * 2^53 is exact
+        # k cells of width 2^-j have floors i << (53 - j); no other k
+        # passes, as every floor is below 2^53.
+        shift = 53 - (len(floors).bit_length() - 1)
+        object.__setattr__(self, "_shift", shift if floors == [i << shift for i in range(len(floors))]
+                           else None)
         for name, array in (("_floors", np.array(floors, dtype=np.uint64)),
                             ("_cells", np.array(values, dtype=np.float64))):
             array.flags.writeable = False
@@ -274,9 +281,14 @@ class TauFn:
         """Cell index of each label m * 2^-53, given as its uint64 integer m.
 
         The i with breakpoints[i] <= m * 2^-53 < breakpoints[i + 1], exactly:
-        x >= b holds just when m >= ceil(b * 2^53), the floor of b.
+        x >= b holds just when m >= ceil(b * 2^53), the floor of b.  When
+        the breakpoints are i / 2^j, floor i is i << (53 - j), so the cell
+        is m's top j bits, one shift; other breakpoints take a binary
+        search over the floors.
         """
-        return np.searchsorted(self._floors, bits, side="right") - 1
+        if self._shift is None:
+            return np.searchsorted(self._floors, bits, side="right") - 1
+        return (bits >> self._shift).view(np.int64)
 
     def to_json(self) -> str:
         import json

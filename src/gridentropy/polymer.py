@@ -18,8 +18,11 @@ The levels come from ``lattice._level_blocks``, which builds a block
 of consecutive levels at a time: their points, predecessor rows and the
 labels of every seed (as the hash's 53-bit integers) in a few array
 passes, under a byte cap.  Every DP here reads it, and each block's
-labels get their tau cells in one exact integer search; the fold
-itself runs level by level.
+labels get their tau cells in one exact integer pass: a shift to the
+label's top j bits when the cells are the 2^j equal cells of width
+2^-j (identity:16, the default conjugate family, constant potentials),
+a binary search over the cell floors otherwise; the fold itself runs
+level by level.
 
 The free-energy ladder runs one recursion to the box of its largest
 scale and reads every scale as the recursion passes it: a point's value

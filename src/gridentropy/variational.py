@@ -18,10 +18,8 @@ a threshold, and compares the growth exponent against the closed-form
 large-deviation budget.
 """
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -363,13 +361,32 @@ def bernoulli_exponent_check(
     at a time, keeps per level point one Python integer of fixed-width
     fields, field c counting the paths to the point with exactly c unit
     labels.  An edge adds its source integer, shifted one field up when
-    its label is a unit.  The width, one bit more than D^n_max needs,
-    bounds every field and every field of a level's sum, so no carry
-    crosses fields.  For s > p the exponent
-    must fall below log(D) - KL(Bernoulli(s) || Bernoulli(p)) plus a
-    finite-size margin; for s <= p typical paths qualify and the budget
-    is just log(D).  The box of length-n_max paths passes ``_dp_box``
-    before any width or level is computed.
+    its label is a unit.  For s > p the exponent must fall below
+    log(D) - KL(Bernoulli(s) || Bernoulli(p)) plus a finite-size margin;
+    for s <= p typical paths qualify and the budget is just log(D).  The
+    box of length-n_max paths passes ``_dp_box`` before any width or
+    level is computed.
+
+    No carry: the width, one bit more than D^n_max needs, bounds every
+    field and every field of a sum of a level's integers, since a field
+    counts at most the D^k paths of length k.  No dead field: a path
+    with c unit labels at level k has at most c + (n - k) at a ladder
+    scale n >= k, so it can count at some scale only if c >= low(k) =
+    max(0, min over n >= k of ceil(n s) - n + k).  For s <= 1, ceil(n s)
+    - n never increases with n, so the minimum is at n_max and low(k) =
+    max(0, k - slack), slack = n_max - ceil(n_max s) being the non-unit
+    labels a counted length-n_max path may have.  Field 0 of a level's
+    integers is field low(k), the fields below shifted out: low rises by
+    one field a level past slack and never falls, and low(k) <= ceil(k
+    s), so no read at a ladder scale needs a pruned field.  The counts
+    keep their bits with integers up to ceil(n_max s) fields shorter.
+
+    A level is a numpy object array of those integers, with a trailing
+    0 that ``pred`` -1 (no edge) reads.  It is read at the next level's
+    offset through two arrays, one for a unit edge and one for any
+    other: one is the level itself and the other one shift of it, taken
+    once per level.  Each point adds its edges' gathers; Python integer
+    sums are exact in any order.
     """
     _check_bernoulli(p, s)
     seeds = _check_seeds(seeds)
@@ -387,27 +404,23 @@ def bernoulli_exponent_check(
 
     exponents: dict = {}
     final: dict = {}
-    # Kronecker substitution: a level point's counts are one integer of
-    # width-bit fields, field c counting the length-k paths to the point
-    # with exactly c unit labels.  A field counts at most the D^k <=
-    # D^n_max paths of length k, and so does each field of a level's
-    # sum; D^n_max < 2^(width - 1), so no field carries into the next.
     width = (dimension**n_max).bit_length() + 1
     mask = (1 << width) - 1
+    threshold = {n: math.ceil(n * s_exact) for n in n_ladder}
+    slack = n_max - threshold[n_max]
     for seed in seeds:
-        rows = [1]
+        level = np.array([1, 0], dtype=object)
         per_n = {}
         blocks = _level_blocks(box, n_max, _chain_heads([seed], dimension))
-        levels = (level for bounds, _, pred, bits in blocks
-                  for level in _split(bounds, pred, bits[0] >= unit_floor))
-        for k, (pred, unit_edges) in enumerate(levels, 1):
-            # A point adds the integers of its edges (pred -1: no edge) with no
-            # 0 to start from, which would copy the first one.
-            rows = [functools.reduce(operator.add, [(rows[j] << width) if unit else rows[j]
-                                                    for j, unit in zip(preds, units) if j >= 0])
-                    for preds, units in zip(pred.tolist(), unit_edges.tolist())]
-            if k in n_ladder:
-                packed = sum(rows) >> (width * math.ceil(k * s_exact))
+        steps = (step for bounds, _, pred, bits in blocks
+                 for step in _split(bounds, pred, bits[0] >= unit_floor))
+        for k, (pred, unit) in enumerate(steps, 1):
+            # Up to slack no field dies and a unit edge moves a count one
+            # field up; past it field 0 dies and a unit edge keeps it in place.
+            up, same = (level << width, level) if k <= slack else (level, level >> width)
+            level = np.append(np.where(unit, up[pred], same[pred]).sum(axis=1), 0)
+            if k in threshold:
+                packed = level.sum() >> width * (threshold[k] - max(0, k - slack))
                 total = 0
                 while packed:
                     total += packed & mask

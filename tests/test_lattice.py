@@ -168,11 +168,15 @@ def test_tau_cell_matches_scalar_and_keys_by_cells():
     pytest.param(TauFn((0.0, 5e-324, 1e-310, 2.0**-60), (1.0, 2.0, 3.0, 4.0)), id="subnormal"),
     # The largest float below 1, whose floor is the largest label's bits.
     pytest.param(TauFn((0.0, 0.5, 1 - 2.0**-53), (0.0, 1.0, 2.0)), id="below-one"),
+    # A power-of-two cell count with unequal cells: the search, not the shift.
+    pytest.param(TauFn((0.0, 0.3), (1.0, 2.0)), id="unequal:2"),
+    pytest.param(TauFn((0.0, 0.25, 0.5, 0.875), (-1.0, 0.0, 1.0, 2.0)), id="unequal:4"),
 ])
 def test_tau_cell_of_bits_equals_the_float_search(tau):
     """cell(bits) is the float search of the label bits * 2^-53 over the
     breakpoints: at every integer floor and its neighbours, at both ends
-    of the 53-bit range and at random bits."""
+    of the 53-bit range and at random bits, whether the cell is read by
+    shift (identity:2^j) or by search (every other case)."""
     floors = [math.ceil(b * 2**53) for b in tau.breakpoints]
     if tau.values == (1.0, 2.0, 3.0, 4.0):
         assert floors == [0, 1, 1, 1]
@@ -181,6 +185,19 @@ def test_tau_cell_of_bits_equals_the_float_search(tau):
                            np.random.default_rng(5).integers(0, 2**53, 10_000, dtype=np.uint64)])
     want = np.searchsorted(np.array(tau.breakpoints), bits * 2.0**-53, side="right") - 1
     assert tau.cell(bits).tolist() == want.tolist()
+
+
+def test_tau_cell_shifts_exactly_for_equal_cells_of_width_a_power_of_two():
+    """The shift serves k = 2^j equal cells (identity:1..64, 4 cells from
+    values, zero and constant potentials) and no other breakpoints."""
+    shifted = [*(TauFn.identity_ladder(2**j) for j in range(7)),
+               TauFn.from_values([0.3, -0.2, 0.9, 0.1]), TauFn.constant(0.0), TauFn.constant(2.5)]
+    assert [tau._shift for tau in shifted] == [53, 52, 51, 50, 49, 48, 47, 51, 53, 53]
+    searched = [TauFn.identity_ladder(k) for k in (3, 5, 6, 7, 12, 48, 63)]
+    searched += [TauFn.from_values([0.3, -0.2, 0.9]), TauFn.indicator(0.3),
+                 TauFn((0.0, 0.3), (1.0, 2.0)), TauFn((0.0, 0.25, 0.5, 0.875), (1.0, 2.0, 3.0, 4.0)),
+                 TauFn((0.0, 0.25), (1.0, 2.0))]
+    assert all(tau._shift is None for tau in searched)
 
 
 def test_tau_validation():

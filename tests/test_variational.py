@@ -1,6 +1,7 @@
 """Duality layer: sup/conjugate searches, KL budget, Bernoulli counts."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -387,14 +388,53 @@ def test_bernoulli_dp_matches_enumeration_3d():
     (0.99, 0.5, (20, 70), (1,), 2),
     (0.99, 0.5, (5, 10), (1,), 3),
     (0.5, 0.3, (40, 80), (5,), 2),
+    # Small scales that leave the ladder early, one ladder past 2^64
+    # paths, D = 1 with s < p, and D = 4.
+    (0.5, 0.75, (4, 40, 41), (1, 3), 2),
+    (0.5, Fraction(3, 5), (4, 70, 71), (2,), 2),
+    (0.7, 0.5, (3, 9, 17), (1, 4), 1),
+    (0.5, 0.75, (2, 7, 8), (5,), 4),
 ])
 def test_bernoulli_packed_counts_match_list_oracle(p, s, n_ladder, seeds, dimension):
     """Packed integer fields count exactly what per-count lists count:
     D = 1..4, s below p, s = 1, a Fraction s, a skewed p whose all-unit
-    field holds most of the D^n paths, and D=2 ladders past n = 64,
-    where counts exceed 2^64."""
+    field holds most of the D^n paths, D=2 ladders past n = 64, where
+    counts exceed 2^64, and ladders whose small scales leave early.
+
+    Fields below low(k) = max(0, min over scales n >= k of ceil(n s) -
+    n + k) are pruned.  From one level to the next low never decreases
+    and rises by at most one field: by 0 on early levels, by 1 in the
+    steady state, and by 1 on every level when s = 1.  It never passes
+    ceil(k s) at a scale k, and it equals the DP's closed form max(0, k
+    - n_max + ceil(n_max s)): a scale leaving the ladder never drops a
+    second field, since ceil(n s) - n never increases with n."""
     report = bernoulli_exponent_check(p, s, n_ladder, seeds, dimension=dimension)
     assert report.exponents == bernoulli_exponents(p, s, n_ladder, seeds, dimension)
+    s_exact = Fraction(s)
+    n_max = max(n_ladder)
+    low = [max(0, min(math.ceil(n * s_exact) - n + k for n in n_ladder if n >= k))
+           for k in range(n_max + 1)]
+    drops = [b - a for a, b in zip(low, low[1:])]
+    assert set(drops) == ({1} if s == 1 else {0, 1})
+    assert all(low[n] <= math.ceil(n * s_exact) for n in n_ladder)
+    slack = n_max - math.ceil(n_max * s_exact)
+    assert low == [max(0, k - slack) for k in range(n_max + 1)]
+
+
+def test_bernoulli_pruned_levels_peak_below_the_unpruned_dp():
+    """The workload-sized DP (p = 1/2, s = 3/4, n = 40, 80, 160, seed 12)
+    peaks under tracemalloc below the 1,082 KiB the unpruned DP peaked
+    at (about 675 KiB pruned, with numpy 2.4 on CPython 3.11): its level
+    integers hold up to ceil(n_max s) = 120 fewer fields of 162 bits."""
+    args = (Fraction(1, 2), Fraction(3, 4), (40, 80, 160), (12,))
+    bernoulli_exponent_check(*args)  # imports and caches out of the peak
+    tracemalloc.start()
+    try:
+        bernoulli_exponent_check(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 900 * 1024
 
 
 def test_bernoulli_exponent_within_budget():
