@@ -16,7 +16,7 @@ from .measures import (
     scale,
     tv_distance,
 )
-from .prokhorov import max_deficiency, prokhorov_brute, prokhorov_distance, prokhorov_rows
+from .prokhorov import prokhorov_brute, prokhorov_distance, prokhorov_rows
 from .estimators import (
     EntropyEstimate,
     LadderRow,

@@ -10,9 +10,9 @@ CSV rows follow one fixed schema,
 
     method,D,seed,q_or_t,nu_id,n,epsilon_or_alpha,raw_value,extrapolated,band
 
-sorted by (n, epsilon_or_alpha, seed).  SVG plots are rendered from
-the CSV after it is written back through the parser, not from
-in-memory state.
+sorted by (n, epsilon_or_alpha, seed); ``extrapolated`` repeats the
+JSON's headline ``value``.  SVG plots are rendered from the CSV after
+it is written back through the parser, not from in-memory state.
 
 Exit codes: 0 success, 2 configuration error, 3 budget refusal, 4
 verification failure.
@@ -601,12 +601,12 @@ def _emit_estimate(config: ExperimentConfig, est: EntropyEstimate, dimension: in
     """Emit an estimate: its ladder rows in CSV order, and its summary plus
     ``extra`` as the JSON payload.  Returns its one-line summary for stdout."""
     rows = [(est.method, dimension, row.seed, q_or_t, nu_id, row.n, row.param,
-             row.raw, est.extrapolated, est.band)
+             row.raw, est.value, est.band)
             for row in sorted(est.ladder, key=lambda row: (row.n, row.param, row.seed))]
     _emit(config, rows, {
         "method": est.method,
         "value": est.value,
-        "extrapolated": est.extrapolated,
+        "extrapolated": est.value,
         "band": est.band,
         "diagnostics": est.diagnostics,
         "ladder_points": len(est.ladder),

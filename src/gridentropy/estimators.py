@@ -27,15 +27,17 @@ in DFS order, in blocks capped in bytes, each row is sorted, and the
 prokhorov row kernel turns each block into distances.  Both forms
 are functions of one object per ladder point: the profile, the sorted
 array of all path distances, built once per (environment, target, n,
-ensemble).  One LRU store capped in bytes keeps the profile, so the
-eps ladder, the rank grid and the level cross-check all read the same
-array.  Order statistics index into it and each cost sum is one
-max-shifted log-sum-exp over it.  ``cost_sum`` keeps its distances in
+ensemble).  Each estimator reads a profile once for its whole eps
+ladder or rank grid, the level estimate's cross-check included, and
+one LRU store capped in bytes keeps profiles for later calls.  Order
+statistics index into a profile and each cost sum is one max-shifted
+log-sum-exp over it.  ``cost_sum`` keeps its distances in
 the walker's order instead, so its sum adds them in DFS order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -118,16 +120,14 @@ class EntropyEstimate:
     """Reported entropy value with its ladder data and uncertainty band.
 
     ``value`` is the headline estimate (-inf when the target is not
-    attainable); ``extrapolated`` the n -> infinity fit behind it;
-    ``band`` a half-width combining fit residuals and ladder gaps.
-    Raw estimates are never clamped into [0, H(q)]: the bound is
-    asymptotic, and ``diagnostics`` records violations instead.
+    attainable); ``band`` a half-width combining fit residuals and
+    ladder gaps.  Raw estimates are never clamped into [0, H(q)]: the
+    bound is asymptotic, and ``diagnostics`` records violations instead.
     """
 
     method: str
     value: float
     ladder: tuple[LadderRow, ...]
-    extrapolated: float
     band: float
     diagnostics: dict = field(default_factory=dict)
 
@@ -241,9 +241,8 @@ def eps_sum(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Normalized cost sum (1/n) log sum_path exp(-(n/eps) rho((1/n) mu_path, nu))."""
-    scale = _cost_scale(n, eps)
-    profile = _profile(env, nu, n, endpoint=q.floor_scale(n), budget=budget)
-    return _log_sum_exp((-scale * profile).tolist()) / n
+    _cost_scale(n, eps)  # refuses a bad eps before the walk
+    return _cost_sums(_profile(env, nu, n, endpoint=q.floor_scale(n), budget=budget), n, [eps])[0]
 
 
 def eps_sum_level(
@@ -256,11 +255,15 @@ def eps_sum_level(
     budget: int = DEFAULT_PATH_BUDGET,
 ) -> float:
     """Direction-free cost sum over all length-floor(n t) paths from the origin."""
-    scale = _cost_scale(n, eps)
+    _cost_scale(n, eps)  # refuses a bad eps before the walk
     t = Fraction(t)
     length = (n * t.numerator) // t.denominator
-    profile = _profile(env, nu, n, length=length, budget=budget)
-    return _log_sum_exp((-scale * profile).tolist()) / n
+    return _cost_sums(_profile(env, nu, n, length=length, budget=budget), n, [eps])[0]
+
+
+def _cost_sums(profile: np.ndarray, n: int, eps_ladder: Sequence[float]) -> list[float]:
+    """The normalized cost sum (1/n) log sum exp(-(n/eps) rho) of one profile, at each eps."""
+    return [_log_sum_exp((-_cost_scale(n, eps) * profile).tolist()) / n for eps in eps_ladder]
 
 
 def _cost_scale(n: int, eps: float) -> float:
@@ -353,6 +356,15 @@ def estimate_entropy_orderstats(
     if threshold is None:
         threshold = vanish_threshold(nu, n_ladder[-1])
 
+    # One profile read per (seed, n) gives every alpha's order statistic.
+    grid = sorted(alpha_grid)
+    stats = {}
+    for seed, n in itertools.product(dict.fromkeys(seeds), dict.fromkeys(n_ladder)):
+        if grid:
+            ranks = [_rank_for(alpha, n, budget) for alpha in grid]
+            stat = order_stat_series(Environment(seed, q.dimension), q, nu, n, ranks, budget=budget)
+            stats[seed, n] = dict(zip(grid, stat.values))
+
     rows = []
     vanishing: list[float] = []
     ambiguous: list[float] = []
@@ -360,15 +372,8 @@ def estimate_entropy_orderstats(
         alpha_ok = True
         alpha_close = False
         for seed in seeds:
-            env = Environment(seed, q.dimension)
-            series = []
-            for n in n_ladder:
-                count_cap = budget
-                rank = _rank_for(alpha, n, count_cap)
-                stat = order_stat_series(env, q, nu, n, [rank], budget=budget)
-                value = stat.values[0]
-                series.append(value)
-                rows.append(LadderRow(seed, n, alpha, value))
+            series = [stats[seed, n][alpha] for n in n_ladder]
+            rows.extend(LadderRow(seed, n, alpha, value) for n, value in zip(n_ladder, series))
             decreasing = all(
                 b <= a + _MONOTONE_SLACK for a, b in zip(series, series[1:])
             )
@@ -383,13 +388,11 @@ def estimate_entropy_orderstats(
             ambiguous.append(alpha)
 
     value = max(vanishing) if vanishing else -math.inf
-    grid = sorted(alpha_grid)
     spacing = max(b - a for a, b in zip(grid, grid[1:])) if len(grid) > 1 else 0.0
     return EntropyEstimate(
         method="orderstats",
         value=value,
         ladder=tuple(rows),
-        extrapolated=value,
         band=spacing,
         diagnostics={
             "threshold": threshold,
@@ -463,26 +466,25 @@ def _fit_eps_ladder(
     seeds: Sequence[int],
     n_ladder: list[int],
     eps_ladder: list[float],
-    raw: Callable[[int, int, float], float],
+    raws: Callable[[int, int], list[float]],
 ) -> tuple[list[LadderRow], list[float], int, float]:
     """Extrapolate n -> infinity per eps; return (rows, fits, argmin, band).
 
-    ``raw(seed, n, eps)`` is one raw cost sum; each eps fits a + b/n to
-    the seed means over the ladder.  The band is the largest fit
-    residual plus the gap between the last two fits.
+    ``raws(seed, n)`` lists every eps's raw cost sum, once per distinct
+    (seed, n); each eps fits a + b/n to the seed means over the ladder.
+    The band is the largest fit residual plus the gap between the last two fits.
     """
+    table = {(seed, n): raws(seed, n) for n in dict.fromkeys(n_ladder)
+             for seed in dict.fromkeys(seeds)}
     rows = []
     fits = []
     residuals = []
-    for eps in eps_ladder:
+    for i, eps in enumerate(eps_ladder):
         means = []
         for n in n_ladder:
-            raws = []
-            for seed in seeds:
-                value = raw(seed, n, eps)
-                raws.append(value)
-                rows.append(LadderRow(seed, n, eps, value))
-            means.append(float(np.mean(raws)))
+            values = [table[seed, n][i] for seed in seeds]
+            rows.extend(LadderRow(seed, n, eps, value) for seed, value in zip(seeds, values))
+            means.append(float(np.mean(values)))
         a, resid = extrapolate_ladder(n_ladder, means)
         fits.append(a)
         residuals.append(resid)
@@ -511,17 +513,18 @@ def estimate_entropy_eps(
     n_ladder = _ladder_scales(n_ladder)
     eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
 
-    def raw(seed: int, n: int, eps: float) -> float:
-        return eps_sum(Environment(seed, q.dimension), q, nu, n, eps, budget=budget)
+    def raws(seed: int, n: int) -> list[float]:
+        env = Environment(seed, q.dimension)
+        return _cost_sums(_profile(env, nu, n, endpoint=q.floor_scale(n), budget=budget),
+                          n, eps_ladder)
 
-    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raw)
+    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raws)
     value = fits[best]
     monotone = all(b <= a + band for a, b in zip(fits, fits[1:]))
     return EntropyEstimate(
         method="eps_sum",
         value=value,
         ladder=tuple(rows),
-        extrapolated=value,
         band=band,
         diagnostics={
             "fits_by_eps": dict(zip(eps_ladder, fits)),
@@ -571,30 +574,38 @@ def estimate_entropy_level(
     eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
     balanced = Direction.from_fractions([t / dimension] * dimension)
     exact_ns = [n for n in n_ladder if (n * t.numerator) % (t.denominator * dimension) == 0]
-    slacks = []
+    level_raws, balanced_raws = {}, {}
 
-    def raw(seed: int, n: int, eps: float) -> float:
+    def raws(seed: int, n: int) -> list[float]:
         env = Environment(seed, dimension)
-        value = eps_sum_level(env, t, nu, n, eps, budget=budget)
+        length = (n * t.numerator) // t.denominator
+        level_raws[seed, n] = _cost_sums(_profile(env, nu, n, length=length, budget=budget),
+                                         n, eps_ladder)
         if n in exact_ns:
-            slacks.append(value - eps_sum(env, balanced, nu, n, eps, budget=budget))
-        return value
+            balanced_raws[seed, n] = _cost_sums(
+                _profile(env, nu, n, endpoint=balanced.floor_scale(n), budget=budget),
+                n, eps_ladder)
+        return level_raws[seed, n]
 
-    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raw)
+    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raws)
     value = fits[best]
+    # In the ladder rows' order, on which the min of a list holding NaN depends.
+    slacks = [level_raws[seed, n][i] - balanced_raws[seed, n][i]
+              for i in range(len(eps_ladder)) for n in exact_ns for seed in seeds]
 
     direction_estimate = None
     difference = None
     if len(set(exact_ns)) >= 2:
-        point_est = estimate_entropy_eps(seeds, balanced, nu, exact_ns, eps_ladder, budget=budget)
-        direction_estimate = point_est.value
-        difference = value - point_est.value
+        # estimate_entropy_eps(seeds, balanced, nu, exact_ns, eps_ladder), from the same sums.
+        _, point_fits, point_best, _ = _fit_eps_ladder(
+            seeds, exact_ns, eps_ladder, lambda seed, n: balanced_raws[seed, n])
+        direction_estimate = point_fits[point_best]
+        difference = value - direction_estimate
 
     return EntropyEstimate(
         method="eps_sum_level",
         value=value,
         ladder=tuple(rows),
-        extrapolated=value,
         band=band,
         diagnostics={
             "t": t,

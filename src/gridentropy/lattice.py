@@ -71,15 +71,8 @@ def _point(coords: Sequence[int]) -> str:
     return f"({', '.join(map(_decimal, coords))})"
 
 
-def _mix(z: int) -> int:
-    """64-bit avalanche finalizer (splitmix64 style)."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
+    """64-bit avalanche finalizer (splitmix64 style) on uint64 arrays, wrapping mod 2^64."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
@@ -144,42 +137,15 @@ class Environment:
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
-    def edge_label(self, anchor: Sequence[int], axis: int) -> float:
-        """Label of the edge from anchor one step along the given axis.
-
-        Pure function of (seed, anchor, axis): a chained avalanche mix,
-        folded to [0, 1) with full 53-bit mantissa resolution.
-        """
-        if not 0 <= axis < self.dimension:
-            raise ValueError(f"axis {axis} out of range for D={self.dimension}")
-        state = _chain_head(self.seed, axis)
-        for c in anchor:
-            state = _mix(state ^ ((c + _GOLDEN) & _MASK))
-        return (state >> 11) * 2.0**-53
-
-    def label_array(self, anchors: np.ndarray, axis: int) -> np.ndarray:
-        """Vectorized edge_label for an (k, D) integer array of anchors.
-
-        Bit-identical to the scalar version (same mixing chain on
-        uint64 arrays).
-        """
-        if not 0 <= axis < self.dimension:
-            raise ValueError(f"axis {axis} out of range for D={self.dimension}")
-        anchors = np.asarray(anchors, dtype=np.uint64)
-        if anchors.ndim != 2 or anchors.shape[1] != self.dimension:
-            raise ValueError(f"anchors must be (k, {self.dimension}), got {anchors.shape}")
-        return _chain_labels(np.uint64(_chain_head(self.seed, axis)), anchors)
-
-
-def _chain_head(seed: int, axis: int) -> int:
-    """The seed and axis links of ``edge_label``'s chain, the same for every anchor."""
-    return _mix(_mix((seed + _GOLDEN) & _MASK) ^ (((axis + 1) * _GOLDEN) & _MASK))
-
 
 def _chain_heads(seeds: Sequence[int], dimension: int) -> np.ndarray:
-    """``_chain_head`` of every seed along every axis: a (D, seeds) uint64 array."""
-    return np.array([[_chain_head(int(seed), axis) for seed in seeds]
-                     for axis in range(dimension)], dtype=np.uint64)
+    """The seed and axis links of every label's hash chain, the same for every
+    anchor: mix(mix(s + golden) ^ (a + 1) * golden) mod 2^64 for each seed s
+    and axis a, as a (D, seeds) uint64 array."""
+    golden = np.uint64(_GOLDEN)
+    seeds = np.array([int(seed) & _MASK for seed in seeds], dtype=np.uint64)
+    axes = np.arange(1, dimension + 1, dtype=np.uint64)[:, None] * golden
+    return _mix_array(_mix_array(seeds + golden) ^ axes)
 
 
 def _chain_labels(heads: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -590,7 +556,7 @@ def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
     return bounds, points, pred, state >> np.uint64(11)
 
 
-def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
+def _level_blocks(box: Sequence[int], depth: int, seeds: Sequence[int]):
     """The transfer DP's levels inside a box, built a block of levels at a time.
 
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
@@ -601,9 +567,9 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     before, of points[r] minus the unit vector along axis, or -1 where
     that step leaves the box; bits[s, r, axis] is the uint64 53-bit
     integer m of that edge's label m * 2^-53 in the environment of seed
-    s (``TauFn.cell`` reads it), and means nothing where pred is -1.
-    ``heads`` is ``_chain_heads`` of the seeds.  It makes no size check:
-    every caller passes through the DP gate, ``polymer._dp_box``, first.
+    seeds[s] (``TauFn.cell`` reads it), and means nothing where pred is
+    -1.  It makes no size check: every caller passes through the DP
+    gate, ``polymer._dp_box``, first.
 
     Every array a block allocates is counted against
     _PLAN_BLOCK_BYTES, and its geometry costs O(points), not O(levels
@@ -614,19 +580,19 @@ def _level_blocks(box: Sequence[int], depth: int, heads: np.ndarray):
     d = len(box)
     tables = _box_counts(box, depth + 2)
     prefix_tables = _box_counts(box[:-1], depth + 2)
-    seeds = heads.shape[1]
     # Per row: level, rank and unranking temporaries, points, pred and
     # link (D each), and per seed and axis the gathered chains, two mix
     # temporaries and the labels.  Per prefix: its coordinates and the
     # chains of every seed and axis with a mix temporary.
-    row_bytes = 8 * (8 + 4 * d + 4 * seeds * d)
-    prefix_bytes = 8 * (2 + d + 2 * seeds * d)
+    row_bytes = 8 * (8 + 4 * d + 4 * len(seeds) * d)
+    prefix_bytes = 8 * (2 + d + 2 * len(seeds) * d)
     # The bytes of levels first..stop-1 are reach[stop - 1] less those
     # of the levels and prefixes before them; the tables and reach
     # itself come off the cap.
     reach = (row_bytes * tables[0][1:].astype(np.float64)
              + prefix_bytes * prefix_tables[0][:-1].astype(np.float64))
     cap = _PLAN_BLOCK_BYTES - sum(table.nbytes for table in tables + prefix_tables) - reach.nbytes
+    heads = _chain_heads(seeds, d)
     first = 1
     while first <= depth:
         lo = max(0, first - 1 - box[-1])

@@ -73,7 +73,7 @@ from .estimators import (
     _check_seeds, _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder,
 )
 from .lattice import (
-    _GOLDEN, _MASK, _chain_heads, _ensemble_ends, _level_blocks, _mix_array, _point, _split,
+    _GOLDEN, _MASK, _ensemble_ends, _level_blocks, _mix_array, _point, _split,
     Direction, Environment, Path, TauFn,
 )
 
@@ -167,8 +167,7 @@ class DpTable:
     def _build(cls, env, tau, beta, **ensemble) -> "DpTable":
         box, depth = _dp_box(env.dimension, 1.0 if beta is None else abs(beta), tau.bound,
                              **ensemble)
-        heads = _chain_heads([env.seed], env.dimension)
-        walk = (level for bounds, points, pred, bits in _level_blocks(box, depth, heads)
+        walk = (level for bounds, points, pred, bits in _level_blocks(box, depth, [env.seed])
                 for level in _split(bounds, points, pred, tau.cell(bits[0])))
         weights = tau._cells if beta is None else beta * tau._cells
         _, levels, steps = zip(*_transfer(env.dimension, walk, beta, weights))
@@ -296,7 +295,6 @@ def _gibbs_batch(seeds: tuple, beta: float, taus: Sequence[TauFn], n_ladder: lis
             method="gibbs",
             value=value,
             ladder=tuple(rows),
-            extrapolated=value,
             band=band,
             diagnostics={"per_seed_fits": dict(zip(seeds, fits))},
         ))
@@ -331,10 +329,9 @@ def gibbs_estimate(
     if q is not None:
         dimension = q.dimension
     box, depth = _ladder_box(n_ladder, q, dimension, abs(beta), tau.bound)
-    heads = _chain_heads(seeds, dimension)
 
     def levels(tau: TauFn):
-        for bounds, points, pred, bits in _level_blocks(box, depth, heads):
+        for bounds, points, pred, bits in _level_blocks(box, depth, seeds):
             yield from _split(bounds, points, pred, tau.cell(bits))
 
     return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension, levels)[0]
@@ -360,8 +357,7 @@ class LadderPlan:
         self.q = q
         self.dimension = q.dimension if q is not None else dimension
         box, self._depth = _ladder_box(self.n_ladder, q, self.dimension)
-        heads = _chain_heads(self.seeds, self.dimension)
-        self._blocks = list(_level_blocks(box, self._depth, heads))
+        self._blocks = list(_level_blocks(box, self._depth, self.seeds))
         self._cells: dict[tuple[float, ...], list[np.ndarray]] = {}
 
     def _indexed(self, tau: TauFn):

@@ -62,7 +62,7 @@ import numpy as np
 
 from .measures import Measure
 
-__all__ = ["max_deficiency", "prokhorov_distance", "prokhorov_rows", "prokhorov_brute"]
+__all__ = ["prokhorov_distance", "prokhorov_rows", "prokhorov_brute"]
 
 _BRUTE_SUPPORT_MAX = 16
 
@@ -103,24 +103,6 @@ def _sweep_flow(
                 remaining[i] = have - need
                 break
     return flow
-
-
-def max_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> float:
-    """Worst-case constraint violation max_A [mu(A) - nu(A^radius)].
-
-    ``strict`` selects open-neighborhood edges (distance < radius); the
-    closure variant (<= radius) is what the breakpoint scan evaluates.
-    Equals mu_total minus the max flow through the admissible graph,
-    which the line sweep computes exactly (Glover 1967; Strassen 1965).
-    A strict radius is the closed one just below it: for floats,
-    d < r holds exactly when d <= nextafter(r, -inf).
-    """
-    if radius < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    if strict:
-        radius = math.nextafter(radius, -math.inf)
-    flow = _sweep_flow(mu.positions, mu.masses, nu.positions, nu.masses, radius)
-    return max(0.0, mu.total_mass - flow)
 
 
 def prokhorov_distance(mu: Measure, nu: Measure) -> float:
@@ -375,7 +357,6 @@ def prokhorov_brute(mu: Measure, nu: Measure) -> float:
                 (min(abs(y - x) for x, _ in chosen), m) for y, m in to_atoms
             )
             best = None
-            covered = 0.0
             # Interval (0, d_1]: only distance-0 mass is inside A^eps.
             thresholds = [0.0] + [d for d, _ in dists]
             masses_at = {0.0: 0.0}

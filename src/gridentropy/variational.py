@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import _check_seeds, _ladder_scales, EntropyEstimate
-from .lattice import _chain_heads, _level_blocks, _split, Direction, TauFn, shannon_entropy
+from .lattice import _level_blocks, _split, Direction, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
 from .polymer import _ladder_box, LadderPlan
 
@@ -253,7 +253,6 @@ def conjugate_entropy(
         method="conjugate",
         value=-best_obj,
         ladder=winner.ladder,
-        extrapolated=-best_obj,
         band=winner.band,
         diagnostics={
             "beta": beta,
@@ -411,7 +410,7 @@ def bernoulli_exponent_check(
     for seed in seeds:
         level = np.array([1, 0], dtype=object)
         per_n = {}
-        blocks = _level_blocks(box, n_max, _chain_heads([seed], dimension))
+        blocks = _level_blocks(box, n_max, [seed])
         steps = (step for bounds, _, pred, bits in blocks
                  for step in _split(bounds, pred, bits[0] >= unit_floor))
         for k, (pred, unit) in enumerate(steps, 1):

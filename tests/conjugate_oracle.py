@@ -82,7 +82,6 @@ def conjugate_entropy(
         method="conjugate",
         value=-best_obj,
         ladder=winner.ladder,
-        extrapolated=-best_obj,
         band=winner.band,
         diagnostics={
             "beta": beta,

@@ -16,15 +16,10 @@ from gridentropy import Measure
 from gridentropy.prokhorov import _sweep_flow
 
 
-def admissible_pairs(mu: Measure, nu: Measure, radius: float, strict: bool) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with |x_i - y_j| < radius (strict) or <= radius."""
-    pairs = []
-    for i, x in enumerate(mu.positions):
-        for j, y in enumerate(nu.positions):
-            d = abs(x - y)
-            if (d < radius) if strict else (d <= radius):
-                pairs.append((i, j))
-    return pairs
+def admissible_pairs(mu: Measure, nu: Measure, radius: float) -> list[tuple[int, int]]:
+    """Index pairs (i, j) with |x_i - y_j| <= radius."""
+    return [(i, j) for i, x in enumerate(mu.positions) for j, y in enumerate(nu.positions)
+            if abs(x - y) <= radius]
 
 
 def dinic_max_flow(
@@ -112,9 +107,9 @@ def dinic_max_flow(
             u = tail
 
 
-def oracle_deficiency(mu: Measure, nu: Measure, radius: float, strict: bool) -> float:
-    """max_A [mu(A) - nu(A^radius)] as mu_total minus the Dinic flow."""
-    flow = dinic_max_flow(mu.masses, nu.masses, admissible_pairs(mu, nu, radius, strict))
+def oracle_deficiency(mu: Measure, nu: Measure, radius: float) -> float:
+    """max_A [mu(A) - nu(A^radius)], A^radius closed, as mu_total minus the Dinic flow."""
+    flow = dinic_max_flow(mu.masses, nu.masses, admissible_pairs(mu, nu, radius))
     return max(0.0, mu.total_mass - flow)
 
 

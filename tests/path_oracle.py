@@ -1,10 +1,14 @@
-"""Scalar path oracles: a path-at-a-time DFS, and a path's labels and weight.
+"""Scalar path oracles: one edge label, a path-at-a-time DFS, and a path's labels and weight.
 
-All of them call ``Environment.edge_label`` once per step, so they know
-nothing of the label rows or the DP levels that the tests check against
-them.  The DFS trio (``_dfs_paths``, ``enumerate_paths``,
-``enumerate_level_paths``) is the library's former path walker, kept
-unchanged as the oracle of ``label_rows``.
+``edge_label`` hashes one label with Python ints, one avalanche mix per
+link of the chain (seed, axis, then each anchor coordinate), under its
+own copy of the hash constants.  It is the library's former scalar
+label API, kept as the oracle of ``lattice._chain_heads`` and
+``_chain_labels``, and so of the label rows and the DP levels built on
+them.  The other oracles call it once per step.  The DFS trio
+(``_dfs_paths``, ``enumerate_paths``, ``enumerate_level_paths``) is the
+library's former path walker, kept unchanged as the oracle of
+``label_rows``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,38 @@ from gridentropy import (
     level_path_count,
     path_count,
 )
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+
+
+def _mix(z: int) -> int:
+    """64-bit avalanche finalizer (splitmix64 style)."""
+    z &= _MASK
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK
+    return z ^ (z >> 31)
+
+
+def _chain_head(seed: int, axis: int) -> int:
+    """The seed and axis links of ``edge_label``'s chain, the same for every anchor."""
+    return _mix(_mix((seed + _GOLDEN) & _MASK) ^ (((axis + 1) * _GOLDEN) & _MASK))
+
+
+def edge_label(env: Environment, anchor: Sequence[int], axis: int) -> float:
+    """Label of the edge from anchor one step along the given axis.
+
+    A pure function of (seed, anchor, axis): the chained mix, folded to
+    [0, 1) with full 53-bit mantissa resolution.
+    """
+    if not 0 <= axis < env.dimension:
+        raise ValueError(f"axis {axis} out of range for D={env.dimension}")
+    state = _chain_head(env.seed, axis)
+    for c in anchor:
+        state = _mix(state ^ ((c + _GOLDEN) & _MASK))
+    return (state >> 11) * 2.0**-53
 
 
 def _dfs_paths(
@@ -69,7 +105,7 @@ def _dfs_paths(
             if remaining[axis] == 0:
                 continue
             remaining[axis] -= 1
-        labels.append(env.edge_label(coords, axis))
+        labels.append(edge_label(env, coords, axis))
         coords[axis] += 1
         steps.append(axis)
         stack.append(0)
@@ -128,7 +164,7 @@ def path_labels(env: Environment, path: Path) -> list[float]:
     coords = list(path.start)
     out = []
     for axis in path.steps:
-        out.append(env.edge_label(coords, axis))
+        out.append(edge_label(env, coords, axis))
         coords[axis] += 1
     return out
 

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from gridentropy.lattice import _chain_heads, _chain_labels
+from gridentropy.lattice import _chain_labels
+from path_oracle import _chain_head
 
 
 def _level_plan(box: Sequence[int], depth: int):
@@ -54,16 +55,18 @@ def _level_plan(box: Sequence[int], depth: int):
         yield points, pred, (dst, axis, anchors)
 
 
-def _level_labels(heads: np.ndarray, pred: np.ndarray, edges) -> np.ndarray:
+def _level_labels(seeds: Sequence[int], pred: np.ndarray, edges) -> np.ndarray:
     """The (seeds, rows, D) edge labels of one ``_level_plan`` level.
 
-    label[s, r, axis] is the label, in the environment of seed s, of the
-    edge into row r along axis, or NaN where pred is -1; ``heads`` is
-    ``_chain_heads`` of the seeds.
+    label[s, r, axis] is the label, in the environment of seeds[s], of
+    the edge into row r along axis, or NaN where pred is -1.  The heads
+    of the chains are the scalar oracle's, hashed with Python ints.
     """
     dst, axis, anchors = edges
-    label = np.full((heads.shape[1],) + pred.shape, np.nan)
-    label[:, dst, axis] = _chain_labels(heads.T[:, axis], anchors)
+    heads = np.array([[_chain_head(seed, a) for a in range(pred.shape[1])] for seed in seeds],
+                     dtype=np.uint64)
+    label = np.full((len(seeds),) + pred.shape, np.nan)
+    label[:, dst, axis] = _chain_labels(heads[:, axis], anchors)
     return label
 
 
@@ -73,6 +76,5 @@ def level_edges(env, box: Sequence[int], depth: int):
     label[r, axis] is the label of the edge into points[r] along axis,
     or NaN where pred[r, axis] is -1.
     """
-    heads = _chain_heads([env.seed], env.dimension)
     for points, pred, anchors in _level_plan(box, depth):
-        yield points, pred, _level_labels(heads, pred, anchors)[0]
+        yield points, pred, _level_labels([env.seed], pred, anchors)[0]

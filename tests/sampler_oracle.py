@@ -1,12 +1,14 @@
 """Scalar oracle for the lockstep polymer sampler.
 
 One draw at a time: a fresh ``SampleStream`` per seed, each label hashed
-with ``Environment.edge_label``, each point's row found by bisection in
+with ``path_oracle.edge_label``, each point's row found by bisection in
 a lexicographic point list built here from the box, and the
 predecessors of a point tried in ascending axis order with a running
 ``acc += math.exp(...)``.  It knows nothing of the table's predecessor
 or threshold arrays, so it checks that the batch sampler draws the same
-paths bit for bit.
+paths bit for bit.  ``SampleStream`` runs ``path_oracle``'s scalar
+``_mix`` under its own copy of the stream tag, so it shares nothing
+with the library's vectorized stream but the constants.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from bisect import bisect_left
 
 from gridentropy import DpTable, Path
-from gridentropy.lattice import _GOLDEN, _MASK, _mix
+from path_oracle import _GOLDEN, _MASK, _mix, edge_label
 
 _STREAM_TAG = 0x1D872B41A9C3F6E5
 
@@ -82,7 +84,7 @@ def sample_path(table: DpTable, rng_seed: int) -> Path:
             fallback = (axis, u)
             acc += math.exp(
                 levels[k - 1].item(bisect_left(points[k - 1], u))
-                + beta * tau(env.edge_label(u, axis)) - target
+                + beta * tau(edge_label(env, u, axis)) - target
             )
             if u01 < acc:
                 chosen = (axis, u)

@@ -36,14 +36,14 @@ from gridentropy import (
     vanish_threshold,
 )
 from gridentropy import estimators
-from path_oracle import enumerate_level_paths, enumerate_paths
+from path_oracle import edge_label, enumerate_level_paths, enumerate_paths
 
 
 def _walk_labels(env, axis_seq):
     pos = [0] * env.dimension
     labels = []
     for axis in axis_seq:
-        labels.append(env.edge_label(tuple(pos), axis))
+        labels.append(edge_label(env, tuple(pos), axis))
         pos[axis] += 1
     return labels
 
@@ -244,6 +244,41 @@ def test_alpha_grid_enumerates_once_per_seed_and_n(monkeypatch):
     est = estimate_entropy_orderstats([5, 6], Direction.parse("1/2,1/2"), nu, [2, 4, 6], grid)
     assert len(est.ladder) == 2 * 3 * len(grid)
     assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
+
+
+@pytest.mark.parametrize("estimate, ensembles", [
+    (lambda nu: estimate_entropy_orderstats([5, 6], Direction.parse("1/2,1/2"), nu, [4, 6],
+                                            [0.0, 0.2, 0.4]),
+     [(2, 2), (3, 3)]),
+    (lambda nu: estimate_entropy_eps([5, 6], Direction.parse("1/2,1/2"), nu, [4, 6],
+                                     [4.0, 2.0, 1.0]),
+     [(2, 2), (3, 3)]),
+    (lambda nu: estimate_entropy_level([5, 6], 2, nu, [4, 6], [4.0, 2.0, 1.0]),
+     [4, 6, (2, 2), (3, 3)]),
+], ids=["orderstats", "eps", "level"])
+def test_a_profile_past_the_store_is_walked_once_per_seed_and_n(monkeypatch, estimate,
+                                                                 ensembles):
+    """With the store capped at 0 bytes, so that it keeps no profile, each
+    estimator still walks each (seed, n) ensemble once for all of its
+    alphas or eps values, the level estimate's balanced cross-check
+    included, and gives the bits it gives with the store."""
+    nu = discretize_lebesgue(9)
+    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    want = estimate(nu)
+    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    monkeypatch.setattr(estimators, "_PROFILE_STORE_BYTES", 0)
+    walks = []
+    original = estimators._distances
+
+    def counting(env, nu, mass, depth, *, endpoint=None, **ensemble):
+        walks.append((env.seed, ensemble["length"] if endpoint is None else tuple(endpoint)))
+        return original(env, nu, mass, depth, endpoint=endpoint, **ensemble)
+
+    monkeypatch.setattr(estimators, "_distances", counting)
+    assert repr(estimate(nu)) == repr(want)
+    assert sorted(walks, key=repr) == sorted(((seed, ensemble) for seed in (5, 6)
+                                              for ensemble in ensembles), key=repr)
+    assert not estimators._profiles
 
 
 @pytest.mark.parametrize("eps_ladder", [[2.0, math.nan], [math.nan, 1.0], [], [0.0], [1.0, 2.0],

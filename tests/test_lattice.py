@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -22,9 +23,12 @@ from gridentropy import (
     shannon_entropy,
 )
 from gridentropy import estimators, lattice
-from gridentropy.lattice import _chain_heads, _ensemble, _level_blocks, _split
+from gridentropy.lattice import _chain_heads, _chain_labels, _ensemble, _level_blocks, _split
 from gridentropy.measures import add
-from path_oracle import _dfs_paths, enumerate_level_paths, enumerate_paths, path_labels, path_weight
+from path_oracle import (
+    _chain_head, _dfs_paths, edge_label, enumerate_level_paths, enumerate_paths, path_labels,
+    path_weight,
+)
 import plan_oracle
 
 
@@ -87,13 +91,43 @@ def test_direction_reduction_and_floor():
         Direction((1, -1), 2)
 
 
+def _labels(env, anchors, axis):
+    """The labels of the (k, D) anchors' edges along one axis, hashed as the engines hash them."""
+    heads = _chain_heads([env.seed], env.dimension)[axis]
+    return _chain_labels(heads, np.asarray(anchors, dtype=np.uint64))
+
+
+# Seed 42's labels of three (anchor, axis) edges in D = 2, frozen: the
+# hash is part of the reproducibility contract.
+FROZEN_LABELS = {((0, 0), 0): 0.6064316414486781, ((0, 0), 1): 0.5690243419601562,
+                 ((3, 4), 0): 0.9126466496849445}
+
+
 def test_edge_label_deterministic_and_frozen_values():
+    """The frozen labels come out of the scalar oracle, the walker's label rows
+    and the DP plan's bits alike."""
     env = Environment(42, 2)
-    assert env.edge_label((0, 0), 0) == env.edge_label((0, 0), 0)
-    # frozen values: the hash is part of the reproducibility contract
-    assert env.edge_label((0, 0), 0) == pytest.approx(0.6064316414486781, abs=0)
-    assert env.edge_label((0, 0), 1) == pytest.approx(0.5690243419601562, abs=0)
-    assert env.edge_label((3, 4), 0) == pytest.approx(0.9126466496849445, abs=0)
+    plan = {}
+    for _, points, _, bits in _level_blocks((4, 4), 8, [42]):
+        for point, row in zip(points.tolist(), bits[0].tolist()):
+            plan.update({(tuple(point), axis): m * 2.0**-53 for axis, m in enumerate(row)})
+    for (anchor, axis), want in FROZEN_LABELS.items():
+        assert edge_label(env, anchor, axis) == edge_label(env, anchor, axis) == want
+        end = tuple(c + (i == axis) for i, c in enumerate(anchor))
+        [(rows, steps)] = label_rows(env, 1, endpoint=end, start=anchor)
+        assert rows.tolist() == [[want]] and steps.tolist() == [[axis]]
+        assert plan[end, axis] == want
+
+
+def test_chain_heads_equal_the_scalar_oracle_heads():
+    """The uint64 heads equal the oracle's Python-int heads for seeds at
+    and past both ends of 64 bits, with no numpy overflow warning."""
+    seeds = [0, 1, 2**63, 2**64 - 1, -1, 2**70 + 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        heads = _chain_heads(seeds, 4)
+    assert heads.dtype == np.uint64
+    assert heads.tolist() == [[_chain_head(seed, axis) for seed in seeds] for axis in range(4)]
 
 
 def test_edge_label_vectorized_matches_scalar():
@@ -101,9 +135,9 @@ def test_edge_label_vectorized_matches_scalar():
     rng = np.random.default_rng(0)
     anchors = rng.integers(0, 1000, size=(50, 3))
     for axis in range(3):
-        batch = env.label_array(anchors, axis)
+        batch = _labels(env, anchors, axis)
         for row, got in zip(anchors, batch):
-            assert got == env.edge_label(tuple(int(c) for c in row), axis)
+            assert got == edge_label(env, tuple(int(c) for c in row), axis)
 
 
 def test_edge_label_uniformity_chi_square():
@@ -111,7 +145,7 @@ def test_edge_label_uniformity_chi_square():
     env = Environment(20260815, 2)
     k = 1_000_000
     anchors = np.stack([np.arange(k), np.zeros(k, dtype=np.int64)], axis=1)
-    labels = env.label_array(anchors, 0)
+    labels = _labels(env, anchors, 0)
     assert abs(labels.mean() - 0.5) < 0.002
     counts = np.bincount((labels * 256).astype(np.int64), minlength=256)
     p = stats.chisquare(counts).pvalue
@@ -123,8 +157,8 @@ def test_distinct_seeds_uncorrelated():
     env_b = Environment(2, 2)
     k = 100_000
     anchors = np.stack([np.arange(k), np.arange(k) * 7 % 1000], axis=1)
-    la = env_a.label_array(anchors, 1)
-    lb = env_b.label_array(anchors, 1)
+    la = _labels(env_a, anchors, 1)
+    lb = _labels(env_b, anchors, 1)
     assert abs(np.corrcoef(la, lb)[0, 1]) < 0.01
 
 
@@ -148,7 +182,7 @@ def test_tau_cell_matches_scalar_and_keys_by_cells():
     """The cell of each hashed label's bits holds the scalar call's value;
     equality, hashing and repr see only the cells, so equal potentials
     share a cache key."""
-    labels = Environment(3, 2).label_array(np.arange(200, dtype=np.uint64).reshape(100, 2), 0)
+    labels = _labels(Environment(3, 2), np.arange(200).reshape(100, 2), 0)
     bits = (labels * 2.0**53).astype(np.uint64)  # exact: labels are m * 2^-53
     for make in (lambda: TauFn.identity_ladder(16), lambda: TauFn.indicator(0.5),
                  lambda: TauFn.from_values([0.3, -0.2, 0.9])):
@@ -315,7 +349,7 @@ def test_label_rows_budget_refusal_hashes_nothing(monkeypatch):
         raise AssertionError("hashed a label")
 
     monkeypatch.setattr(lattice, "_chain_labels", no_hashing)
-    monkeypatch.setattr(lattice, "_mix", no_hashing)
+    monkeypatch.setattr(lattice, "_mix_array", no_hashing)
     env = Environment(5, 2)
     for kwargs, count in (({"endpoint": (10, 10)}, path_count((10, 10))),
                           ({"endpoint": (12, 9), "start": (2, 1)}, path_count((10, 8))),
@@ -337,7 +371,7 @@ def test_label_rows_refuses_paths_longer_than_the_budget_before_hashing(monkeypa
         raise AssertionError("hashed a label")
 
     monkeypatch.setattr(lattice, "_chain_labels", no_hashing)
-    monkeypatch.setattr(lattice, "_mix", no_hashing)
+    monkeypatch.setattr(lattice, "_mix_array", no_hashing)
     for env, kwargs, depth in ((Environment(5, 1), {"length": 10**400}, 10**400),
                                (Environment(5, 1), {"length": budget + 1}, budget + 1),
                                (Environment(5, 2), {"endpoint": (10**14, 0)}, 10**14),
@@ -434,7 +468,7 @@ def test_staircase_empirical_cdf_near_uniform():
     n = 100_000
     anchors = np.zeros((n, 2), dtype=np.int64)
     anchors[:, 0] = np.arange(n)
-    labels = np.sort(env.label_array(anchors, 0))
+    labels = np.sort(_labels(env, anchors, 0))
     grid = (np.arange(1, n + 1)) / n
     kolmogorov = np.max(np.abs(labels - grid))
     assert kolmogorov <= 0.01
@@ -448,9 +482,9 @@ PLAN_BOXES = [
 ]
 
 
-def _plan_levels(box, depth, heads, tau):
+def _plan_levels(box, depth, seeds, tau):
     """The block plan's levels as (points, pred, bits, cell), and the levels of each block."""
-    blocks = list(_level_blocks(box, depth, heads))
+    blocks = list(_level_blocks(box, depth, seeds))
     levels = [level for bounds, points, pred, bits in blocks
               for level in _split(bounds, points, pred, bits, tau.cell(bits))]
     return levels, [len(bounds) - 1 for bounds, *_ in blocks]
@@ -464,11 +498,10 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
     on every edge (pred >= 0), its labels as bits * 2^-53 and the float
     search's cells: under the module's cap, with one level per block, and
     under caps that cut blocks of several levels."""
-    heads = _chain_heads(seeds, len(box))
     tau = TauFn((0.0, 0.1, 0.65), (1.0, -2.0, 0.5))
     oracle = []
     for points, pred, edges in plan_oracle._level_plan(box, depth):
-        label = plan_oracle._level_labels(heads, pred, edges)
+        label = plan_oracle._level_labels(seeds, pred, edges)
         cell = np.searchsorted(np.array(tau.breakpoints), label, side="right") - 1
         oracle.append((points, pred, label, cell))
     caps = {"cap": [lattice._PLAN_BLOCK_BYTES], "one-level": [0],
@@ -476,7 +509,7 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
     partitions = []
     for cap in caps:
         monkeypatch.setattr(lattice, "_PLAN_BLOCK_BYTES", cap)
-        levels, sizes = _plan_levels(box, depth, heads, tau)
+        levels, sizes = _plan_levels(box, depth, seeds, tau)
         partitions.append(sizes)
         assert len(levels) == depth
         for got, want in zip(levels, oracle):
@@ -497,12 +530,11 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
 def _streamed_peak(box, depth, seeds):
     """tracemalloc's peak while the plan streams, each block dropped before
     the next, and the bytes of the largest level it yields."""
-    heads = _chain_heads(seeds, len(box))
     largest = 0
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for block in _level_blocks(box, depth, heads):
+        for block in _level_blocks(box, depth, seeds):
             bounds, points, pred, bits = block
             level_bytes = (points.nbytes + pred.nbytes + bits.nbytes) // len(points)
             rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))

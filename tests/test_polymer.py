@@ -26,10 +26,10 @@ from gridentropy import (
     sample_polymer_paths,
 )
 from gridentropy import lattice, polymer, variational
-from gridentropy.lattice import _chain_heads, _level_blocks, _split
+from gridentropy.lattice import _level_blocks, _split
 from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
 import dp_oracle
-from path_oracle import enumerate_level_paths, enumerate_paths, path_weight
+from path_oracle import edge_label, enumerate_level_paths, enumerate_paths, path_weight
 from sampler_oracle import SampleStream, box_points, sample_path
 
 TAU16 = TauFn.identity_ladder(16)
@@ -73,7 +73,7 @@ def test_point_partition_zero_tau_is_log_count():
 def test_single_edge_endpoint():
     """Endpoint (1,0) has one edge: value is beta times its weight."""
     env = Environment(6, 2)
-    expected = 1.7 * TAU16(env.edge_label((0, 0), 0))
+    expected = 1.7 * TAU16(edge_label(env, (0, 0), 0))
     assert abs(DpTable.point(env, (1, 0), 1.7, TAU16).log_value() - expected) < 1e-14
 
 
@@ -117,7 +117,7 @@ def test_table_levels_hold_the_box_points():
         env = Environment(5, len(endpoint))
         table = DpTable.point(env, endpoint, 1.0, TAU16)
         want = box_points(endpoint)
-        blocks = _level_blocks(endpoint, sum(endpoint), _chain_heads([env.seed], env.dimension))
+        blocks = _level_blocks(endpoint, sum(endpoint), [env.seed])
         walked = [[(0,) * env.dimension]] + [
             list(map(tuple, level.tolist()))
             for bounds, points, *_ in blocks for (level,) in _split(bounds, points)]
@@ -134,7 +134,7 @@ def test_table_levels_hold_the_box_points():
                     u = v[:axis] + (v[axis] - 1,) + v[axis + 1:]
                     assert want[k - 1][pred[row, axis]] == u
                     assert terms[row, axis] == (table.levels[k - 1][pred[row, axis]]
-                                                + TAU16(env.edge_label(u, axis)))
+                                                + TAU16(edge_label(env, u, axis)))
     table = DpTable.level(Environment(5, 3), 4, 1.0, TAU16)
     assert [len(level) for level in table.levels] == [math.comb(k + 2, 2) for k in range(5)]
     assert [len(pred) for pred, _ in table.steps] == [math.comb(k + 2, 2) for k in range(1, 5)]

@@ -11,7 +11,6 @@ from gridentropy import (
     add,
     discretize_lebesgue,
     label_rows,
-    max_deficiency,
     prokhorov_brute,
     prokhorov_distance,
     prokhorov_rows,
@@ -26,14 +25,19 @@ def rand_measure(rng, max_atoms=6):
     return Measure([(rng.uniform(), rng.uniform(0.1, 2.0)) for _ in range(k)])
 
 
+def sweep_deficiency(mu, nu, radius):
+    """max_A [mu(A) - nu(A^radius)], A^radius closed, as mu_total minus the sweep's flow."""
+    flow = prokhorov._sweep_flow(mu.positions, mu.masses, nu.positions, nu.masses, radius)
+    return max(0.0, mu.total_mass - flow)
+
+
 def test_max_deficiency_examples():
+    """The sweep's deficiency at closed radii, the exact distance included."""
     mu = Measure([(0.2, 1.0), (0.8, 1.0)])
-    assert max_deficiency(mu, mu, 0.0, strict=False) == 0.0
-    assert max_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.1, strict=False) == 1.0
-    assert max_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.4, strict=False) == 0.0
-    # strict vs closure at the exact distance
-    assert max_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.3, strict=True) == 1.0
-    assert max_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.3, strict=False) == 0.0
+    assert sweep_deficiency(mu, mu, 0.0) == 0.0
+    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.1) == 1.0
+    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.4) == 0.0
+    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.3) == 0.0
 
 
 def test_distance_examples():
@@ -140,9 +144,9 @@ def test_singleton_target_tie_cases():
 def test_sweep_matches_dinic_oracle():
     """The sweep's deficiency equals the general max-flow's bit for bit.
 
-    Supports run to 40 atoms, past prokhorov_brute's limit, and half the
-    radii sit exactly on a pairwise distance, where strict and closed
-    neighborhoods differ.
+    Supports run to 40 atoms, past prokhorov_brute's limit, and a third
+    of the radii sit exactly on a pairwise distance, whose pairs the
+    closed neighborhood admits.
     """
     rng = np.random.default_rng(20261018)
     mass_kinds = (1 / 6, 1 / 10, 1 / 64, None)
@@ -158,10 +162,8 @@ def test_sweep_matches_dinic_oracle():
         distances = sorted({abs(x - y) for x in mu.positions for y in nu.positions})
         on_distance = distances[int(rng.integers(len(distances)))]
         for radius in (0.0, on_distance, float(rng.uniform(0.0, 0.3))):
-            for strict in (False, True):
-                want = oracle_deficiency(mu, nu, radius, strict)
-                assert max_deficiency(mu, nu, radius, strict) == want
-                assert max_deficiency(nu, mu, radius, strict) == oracle_deficiency(nu, mu, radius, strict)
+            assert sweep_deficiency(mu, nu, radius) == oracle_deficiency(mu, nu, radius)
+            assert sweep_deficiency(nu, mu, radius) == oracle_deficiency(nu, mu, radius)
 
 
 def _search_cases():

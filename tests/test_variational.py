@@ -45,7 +45,7 @@ def _half_measure():
 
 
 def _stub(value: float, band: float = 0.01) -> EntropyEstimate:
-    return EntropyEstimate("stub", value, (), value, band)
+    return EntropyEstimate("stub", value, (), band)
 
 
 def test_integral_constant_and_zero():
