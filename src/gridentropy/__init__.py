@@ -45,7 +45,6 @@ from .lattice import (
 )
 from .polymer import (
     DpTable,
-    LadderPlan,
     gibbs_estimate,
     last_passage,
     sample_polymer_paths,

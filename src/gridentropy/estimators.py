@@ -193,19 +193,23 @@ def _distances(env: Environment, nu: Measure, mass: float, depth: int, **ensembl
         yield prokhorov_rows(labels, mass, nu)
 
 
-def _log_sum_exp(xs: Sequence[float]) -> float:
-    """log sum exp(x), shifted by max(xs) so that no term overflows.
+_LOG_SUM_EXP_CHUNK = 1 << 16  # terms made Python floats at a time, not the whole array
 
-    The exponentials are added one at a time in the given order, so a
-    fixed input order gives fixed bits.  Empty or all -inf input gives
-    -inf.
+
+def _log_sum_exp(xs: np.ndarray) -> float:
+    """log sum exp(x) of a float array, shifted by its max so that no term overflows.
+
+    The exponentials are added one at a time in array order with
+    ``math.exp``, so a fixed input order gives fixed bits.  Empty or all
+    -inf input gives -inf.
     """
-    shift = max(xs, default=-math.inf)
+    shift = float(np.max(xs, initial=-math.inf))
     if shift == -math.inf:
         return -math.inf
     total = 0.0
-    for x in xs:
-        total += math.exp(x - shift)
+    for start in range(0, len(xs), _LOG_SUM_EXP_CHUNK):
+        for x in xs[start:start + _LOG_SUM_EXP_CHUNK].tolist():
+            total += math.exp(x - shift)
     return shift + math.log(total)
 
 
@@ -263,7 +267,7 @@ def eps_sum_level(
 
 def _cost_sums(profile: np.ndarray, n: int, eps_ladder: Sequence[float]) -> list[float]:
     """The normalized cost sum (1/n) log sum exp(-(n/eps) rho) of one profile, at each eps."""
-    return [_log_sum_exp((-_cost_scale(n, eps) * profile).tolist()) / n for eps in eps_ladder]
+    return [_log_sum_exp(-_cost_scale(n, eps) * profile) / n for eps in eps_ladder]
 
 
 def _cost_scale(n: int, eps: float) -> float:
@@ -301,7 +305,8 @@ def cost_sum(
     _cost_scale(1, eps)
     blocks = _distances(env, target, 1.0, sum(endpoint) - sum(start),
                         endpoint=endpoint, start=start, budget=budget)
-    return _log_sum_exp([-d / eps for distances in blocks for d in distances.tolist()])
+    with np.errstate(over="ignore"):  # a term past the float range is -inf and drops out
+        return _log_sum_exp(-np.concatenate(list(blocks)) / eps)
 
 
 def vanish_threshold(nu: Measure, n_max: int) -> float:

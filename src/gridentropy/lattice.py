@@ -14,7 +14,8 @@ block of consecutive levels at a time under a byte cap: points are
 unranked from the level counts of the box's suffixes, predecessor rows
 ranked the same way, and each edge's label finishes, with one mix, a
 hash chain shared by every edge from the same anchor prefix.  The DP
-reads labels only through tau cells, so they stay 53-bit integers.
+reads labels only through a cell function its caller passes, once per
+block, so they stay 53-bit integers and no caller holds them.
 """
 
 from __future__ import annotations
@@ -516,8 +517,9 @@ def _rank(tables: list[np.ndarray], level, prefix):
 
 
 def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
-                first: int, stop: int):
-    """Levels first..stop-1 of ``_level_blocks``' plan, as one block."""
+                first: int, stop: int, cell):
+    """Levels first..stop-1 of ``_level_blocks``' plan, as one block: its
+    level bounds, points, pred, and the ``cell`` of its label bits."""
     d = len(box)
     level, points = _box_levels(tables, first, stop)
     bounds = (tables[0][first:stop + 1] - tables[0][first]).tolist()
@@ -552,24 +554,27 @@ def _plan_block(box: tuple[int, ...], tables, prefix_tables, heads: np.ndarray,
     pred[missing] = -1
     link[missing] = 0
     last = points[:, -1:] - (np.arange(d) == d - 1)
-    state = _mix_array(np.take(chains, link, axis=1) ^ (last.astype(np.uint64) + golden))
-    return bounds, points, pred, state >> np.uint64(11)
+    bits = _mix_array(np.take(chains, link, axis=1) ^ (last.astype(np.uint64) + golden))
+    bits >>= np.uint64(11)
+    return bounds, points, pred, cell(bits)
 
 
-def _level_blocks(box: Sequence[int], depth: int, seeds: Sequence[int]):
+def _level_blocks(box: Sequence[int], depth: int, seeds: Sequence[int], cell):
     """The transfer DP's levels inside a box, built a block of levels at a time.
 
     Level k holds the points v with 0 <= v <= box and sum(v) == k, in
-    lexicographic order; level 0 is the origin.  For k = 1..depth, in
-    blocks of consecutive levels, this yields (bounds, points, pred,
-    bits): the rows of level first + i are bounds[i]:bounds[i + 1] of
-    the (rows, D) arrays; pred[r, axis] is the row, within the level
+    lexicographic order; level 0 is the origin.  For k = 1..depth this
+    yields (points, pred, cells), one level at a time: points is level
+    k as a (rows, D) array; pred[r, axis] is the row, within the level
     before, of points[r] minus the unit vector along axis, or -1 where
-    that step leaves the box; bits[s, r, axis] is the uint64 53-bit
-    integer m of that edge's label m * 2^-53 in the environment of seed
-    seeds[s] (``TauFn.cell`` reads it), and means nothing where pred is
-    -1.  It makes no size check: every caller passes through the DP
-    gate, ``polymer._dp_box``, first.
+    that step leaves the box; cells is ``cell`` of the label bits,
+    sliced to the level's rows (axis -2).  ``cell`` is called once per
+    block, on a (seeds, rows, D) uint64 array: bits[s, r, axis] is the
+    53-bit integer m of that edge's label m * 2^-53 in the environment
+    of seed seeds[s] (``TauFn.cell`` reads it), and means nothing where
+    pred is -1.  The bits are dropped once ``cell`` returns, so no
+    caller holds them.  It makes no size check: every caller passes
+    through the DP gate, ``polymer._dp_box``, first.
 
     Every array a block allocates is counted against
     _PLAN_BLOCK_BYTES, and its geometry costs O(points), not O(levels
@@ -582,8 +587,10 @@ def _level_blocks(box: Sequence[int], depth: int, seeds: Sequence[int]):
     prefix_tables = _box_counts(box[:-1], depth + 2)
     # Per row: level, rank and unranking temporaries, points, pred and
     # link (D each), and per seed and axis the gathered chains, two mix
-    # temporaries and the labels.  Per prefix: its coordinates and the
-    # chains of every seed and axis with a mix temporary.
+    # temporaries and the labels; ``cell``'s result and temporary take
+    # the room of the mix temporaries, dropped before it runs.  Per
+    # prefix: its coordinates and the chains of every seed and axis with
+    # a mix temporary.
     row_bytes = 8 * (8 + 4 * d + 4 * len(seeds) * d)
     prefix_bytes = 8 * (2 + d + 2 * len(seeds) * d)
     # The bytes of levels first..stop-1 are reach[stop - 1] less those
@@ -598,12 +605,9 @@ def _level_blocks(box: Sequence[int], depth: int, seeds: Sequence[int]):
         lo = max(0, first - 1 - box[-1])
         spent = row_bytes * float(tables[0][first]) + prefix_bytes * float(prefix_tables[0][lo])
         stop = min(depth + 1, max(first + 1, int(np.searchsorted(reach, spent + cap, "right"))))
-        yield _plan_block(box, tables, prefix_tables, heads, first, stop)
+        bounds, points, pred, cells = _plan_block(box, tables, prefix_tables, heads,
+                                                  first, stop, cell)
+        for start, end in zip(bounds, bounds[1:]):
+            yield points[start:end], pred[start:end], cells[..., start:end, :]
         first = stop
-
-
-def _split(bounds: list[int], *arrays: np.ndarray):
-    """Each level of a ``_level_blocks`` block: the arrays' rows (axis -2) of that level."""
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield tuple(array[..., lo:hi, :] for array in arrays)
 

@@ -17,12 +17,13 @@ probability exactly proportional to their weight factor.
 The levels come from ``lattice._level_blocks``, which builds a block
 of consecutive levels at a time: their points, predecessor rows and the
 labels of every seed (as the hash's 53-bit integers) in a few array
-passes, under a byte cap.  Every DP here reads it, and each block's
-labels get their tau cells in one exact integer pass: a shift to the
-label's top j bits when the cells are the 2^j equal cells of width
-2^-j (identity:16, the default conjugate family, constant potentials),
-a binary search over the cell floors otherwise; the fold itself runs
-level by level.
+passes, under a byte cap.  Every DP here reads it, one level at a time,
+and passes it the cell function that reads each block's labels in one
+exact integer pass; no DP sees the labels themselves.  For a potential
+that is ``TauFn.cell``: a shift to the label's top j bits when the
+cells are the 2^j equal cells of width 2^-j (identity:16, the default
+conjugate family, constant potentials), a binary search over the cell
+floors otherwise.
 
 The free-energy ladder runs one recursion to the box of its largest
 scale and reads every scale as the recursion passes it: a point's value
@@ -32,9 +33,10 @@ rows) is the same for every seed and only its labels are not, so one
 recursion carries every seed and every potential at once, over
 (potentials, seeds, rows) arrays.  Potentials that share breakpoints
 share each edge's cell index, computed once per block.
-``gibbs_estimate`` streams the blocks of one potential; a
-``LadderPlan`` holds them, so that a search over many potentials (the
-conjugate entropy) hashes the labels once and pays only for the folds.
+``gibbs_estimate`` streams the levels of one potential;
+``variational.conjugate_entropy`` holds the levels of each breakpoint
+set it meets, so that a search over many potentials hashes the labels
+once and pays only for the folds.
 
 Every DP passes one gate, ``_dp_box``, before any level is built: it
 refuses, with ValueError, an ensemble that is not one, a box whose
@@ -73,13 +75,12 @@ from .estimators import (
     _check_seeds, _ladder_scales, EntropyEstimate, LadderRow, extrapolate_ladder,
 )
 from .lattice import (
-    _GOLDEN, _MASK, _ensemble_ends, _level_blocks, _mix_array, _point, _split,
+    _GOLDEN, _MASK, _ensemble_ends, _level_blocks, _mix_array, _point,
     Direction, Environment, Path, TauFn,
 )
 
 __all__ = [
     "DpTable",
-    "LadderPlan",
     "gibbs_estimate",
     "last_passage",
     "sample_polymer_paths",
@@ -102,10 +103,9 @@ def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.n
 def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
     """Yield (points, values, step) for level 0 and each level of ``levels``.
 
-    ``levels`` yields (points, pred, cell) for levels 1, 2, ... of a
-    ``_level_blocks`` plan, one level at a time: cell[..., r, axis] is
-    the tau cell of the label of the edge into row r along axis, with
-    any leading seed axes.
+    ``levels`` yields (points, pred, cell) for levels 1, 2, ... as
+    ``_level_blocks`` does: cell[..., r, axis] is the tau cell of the
+    label of the edge into row r along axis, with any leading seed axes.
     weights[..., c] is beta times the value of cell c (the value when
     beta is None), with any leading member axes.  values[..., i], of
     shape weights.shape[:-1] + cell.shape[:-2] + (rows,), is the log
@@ -167,16 +167,17 @@ class DpTable:
     def _build(cls, env, tau, beta, **ensemble) -> "DpTable":
         box, depth = _dp_box(env.dimension, 1.0 if beta is None else abs(beta), tau.bound,
                              **ensemble)
-        walk = (level for bounds, points, pred, bits in _level_blocks(box, depth, [env.seed])
-                for level in _split(bounds, points, pred, tau.cell(bits[0])))
+        walk = _level_blocks(box, depth, [env.seed], lambda bits: tau.cell(bits[0]))
         weights = tau._cells if beta is None else beta * tau._cells
         _, levels, steps = zip(*_transfer(env.dimension, walk, beta, weights))
         kind, endpoint = ("level", None) if "length" in ensemble else ("point", box)
         return cls(env, tau, beta, kind, list(levels), list(steps[1:]), endpoint)
 
     def log_value(self) -> float:
-        """Log partition (or, with beta None, maximal weight) of the ensemble."""
-        return _total(self.levels[-1], self.beta)
+        """Log partition (or, with beta None, maximal weight) of the ensemble:
+        the last level folded in row order, logaddexp from -inf or max."""
+        last = self.levels[-1]
+        return float(last.max() if self.beta is None else np.logaddexp.reduce(last))
 
 
 # float64 overflows near 1.8e308.  Every log value and edge term of a
@@ -218,13 +219,6 @@ def _dp_reach(scale: float, bound: float, depth: int, dimension: int) -> None:
                          f"past the float64 range (limit {_DP_REACH_LIMIT:g})")
 
 
-def _total(last: np.ndarray, beta: float | None) -> float:
-    """Fold the last level in row order: logaddexp from -inf, or max when beta is None."""
-    if beta is None:
-        return float(last.max())
-    return float(np.logaddexp.reduce(last))
-
-
 def _ladder_box(n_ladder: Sequence[int], q: Direction | None, dimension: int,
                 scale: float = 0.0, bound: float = 0.0) -> tuple[tuple[int, ...], int]:
     """``_dp_box`` of the one DP that passes every ladder point.
@@ -232,7 +226,7 @@ def _ladder_box(n_ladder: Sequence[int], q: Direction | None, dimension: int,
     floor(n q) is coordinatewise nondecreasing in n, so the largest
     scale's endpoint (or cube, for length-n paths) contains them all.
     ``scale`` and ``bound`` are ``_dp_reach``'s; their default weighs
-    nothing, for a plan whose potentials come later or for exact counts.
+    nothing, for exact counts.
     """
     n_max = max(n_ladder)
     if q is None:
@@ -246,9 +240,10 @@ def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
 
     Returns a (members, seeds, scales) array for the members of
     ``weights`` and the seeds of ``levels``' cells.  With q, the value
-    at floor(n q); without, the fold of level n, one (member, seed) row
-    at a time.  A point's value depends only on its predecessors, which
-    every box containing the point holds alike, so each read equals the
+    at floor(n q); without, the fold of level n, one reduce that folds
+    each (member, seed) row left to right, as ``log_value()`` folds
+    one.  A point's value depends only on its predecessors, which every
+    box containing the point holds alike, so each read equals the
     ``log_value()`` of that scale's ``DpTable.point`` / ``DpTable.level``
     bit for bit.
     """
@@ -260,8 +255,7 @@ def _ladder_raws(dimension: int, levels, beta: float, weights: np.ndarray,
         for j in reads.get(k, ()):
             n = n_ladder[j]
             if q is None:
-                for index in np.ndindex(values.shape[:-1]):
-                    raws[index + (j,)] = _total(values[index], beta) / n
+                raws[..., j] = np.logaddexp.reduce(values, axis=-1) / n
             else:
                 end = np.array(q.floor_scale(n), dtype=np.intp)
                 row = np.flatnonzero((points == end).all(axis=1))[0]
@@ -274,9 +268,11 @@ def _gibbs_batch(seeds: tuple, beta: float, taus: Sequence[TauFn], n_ladder: lis
     """``gibbs_estimate`` of every potential, the seeds and potentials in one DP.
 
     ``levels(tau)`` yields the (points, pred, cell) levels of the
-    ladder's box with tau's cells, for all seeds.  Potentials that share
-    breakpoints share cells, so each breakpoint set runs one DP over
-    (members, seeds, rows) arrays.
+    ladder's box with tau's cells, for all seeds, as ``_level_blocks``
+    does with ``tau.cell``; the caller streams them or holds them.
+    Potentials that share breakpoints share cells, so each breakpoint
+    set runs one DP over (members, seeds, rows) arrays.  The caller's
+    gate has checked the box and the reach of every potential.
     """
     groups: dict[tuple[float, ...], list[int]] = {}
     for m, tau in enumerate(taus):
@@ -329,54 +325,8 @@ def gibbs_estimate(
     if q is not None:
         dimension = q.dimension
     box, depth = _ladder_box(n_ladder, q, dimension, abs(beta), tau.bound)
-
-    def levels(tau: TauFn):
-        for bounds, points, pred, bits in _level_blocks(box, depth, seeds):
-            yield from _split(bounds, points, pred, tau.cell(bits))
-
-    return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension, levels)[0]
-
-
-class LadderPlan:
-    """One free-energy ladder's levels for a set of seeds, held to evaluate many potentials.
-
-    The level blocks of ``_level_blocks`` (geometry and the labels of
-    every seed) depend on the seeds, the ladder and q, not on the
-    potential; the plan builds them once, and the cells of each
-    breakpoint set, one call per block, the first time a potential with
-    it is evaluated.  It lives as long as its owner holds it:
-    ``conjugate_entropy`` keeps one per call.  The box passes ``_dp_box``
-    before any level is built; the log weights, once the potentials
-    arrive, ``_dp_reach``.
-    """
-
-    def __init__(self, seeds: Sequence[int], n_ladder: Sequence[int], *,
-                 q: Direction | None = None, dimension: int = 2):
-        self.seeds = _check_seeds(seeds)
-        self.n_ladder = _ladder_scales(n_ladder)
-        self.q = q
-        self.dimension = q.dimension if q is not None else dimension
-        box, self._depth = _ladder_box(self.n_ladder, q, self.dimension)
-        self._blocks = list(_level_blocks(box, self._depth, self.seeds))
-        self._cells: dict[tuple[float, ...], list[np.ndarray]] = {}
-
-    def _indexed(self, tau: TauFn):
-        cells = self._cells.get(tau.breakpoints)
-        if cells is None:
-            cells = self._cells[tau.breakpoints] = [tau.cell(bits) for *_, bits in self._blocks]
-        for (bounds, points, pred, _), cell in zip(self._blocks, cells):
-            yield from _split(bounds, points, pred, cell)
-
-    def estimates(self, beta: float, taus: Sequence[TauFn]) -> list[EntropyEstimate]:
-        """``gibbs_estimate`` of each potential, bit for bit, in one batch.
-
-        Raises ValueError when the DP log weights of beta and the
-        potentials could overflow float64 (``_dp_reach``).
-        """
-        _dp_reach(abs(beta), max((tau.bound for tau in taus), default=0.0), self._depth,
-                  self.dimension)
-        return _gibbs_batch(self.seeds, beta, taus, self.n_ladder, self.q, self.dimension,
-                            self._indexed)
+    return _gibbs_batch(seeds, beta, [tau], n_ladder, q, dimension,
+                        lambda tau: _level_blocks(box, depth, seeds, tau.cell))[0]
 
 
 def _ladder_fit(rows: Sequence[LadderRow]) -> tuple[tuple[float, ...], float, float]:

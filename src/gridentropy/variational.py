@@ -27,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import _check_seeds, _ladder_scales, EntropyEstimate
-from .lattice import _level_blocks, _split, Direction, TauFn, shannon_entropy
+from .lattice import _level_blocks, Direction, TauFn, shannon_entropy
 from .measures import Histogram, Measure, kl_divergence
-from .polymer import _ladder_box, LadderPlan
+from .polymer import _gibbs_batch, _ladder_box
 
 __all__ = [
     "BernoulliReport",
@@ -136,8 +136,10 @@ def _search_bound(tau_family: Sequence[TauFn], restarts: int, ascent_passes: int
     Random starts lie in (-1, 1).  The ascent deltas are symmetric, and
     the steps a pass accepts on one side sum to at most their positive
     half (0.8 + 0.4 + 0.2 + 0.1), speculative evaluations included.
-    Raises ValueError for a negative count, and for ascent passes with
-    no start to climb from (restarts 0).
+    The ascent adds in floating point, a few ulps past the exact sum at
+    most, so the bound has a relative margin of 2^-40.  Raises
+    ValueError for a negative count, and for ascent passes with no
+    start to climb from (restarts 0).
     """
     if restarts < 0 or ascent_passes < 0:
         raise ValueError(f"restarts and ascent passes must be >= 0, "
@@ -147,7 +149,7 @@ def _search_bound(tau_family: Sequence[TauFn], restarts: int, ascent_passes: int
     start = max(tau.bound for tau in tau_family)
     if restarts > 1:
         start = max(start, 1.0)
-    return start + ascent_passes * sum(d for d in _ASCENT_DELTAS if d > 0)
+    return (start + ascent_passes * sum(d for d in _ASCENT_DELTAS if d > 0)) * (1.0 + 2.0**-40)
 
 
 def conjugate_entropy(
@@ -172,37 +174,48 @@ def conjugate_entropy(
     finite family under-reaches the true sup, the value upper-bounds
     the entropy up to the free-energy bands.
 
-    One ``LadderPlan`` holds the seeds' levels for the call, and the
-    free energies come from it in batches: the whole family, then every
-    start, then, whenever the ascent asks for a potential not yet
-    evaluated, that one with the rest of its coordinate's deltas around
-    the current pivot.  The walk itself is sequential and reads the
-    batches, so an accepted step re-batches the deltas after it.  Each
-    free energy equals its ``gibbs_estimate`` bit for bit; the winner,
-    the value and ``evaluations``, which counts only the potentials the
-    walk asks for, are those of evaluating one potential at a time.
+    The ladder's levels, with every seed's cells, are built once per
+    breakpoint set and held for the call; the default family and every
+    potential its search reaches share one set, so the labels are hashed
+    once.  The free energies come from ``polymer._gibbs_batch`` in
+    batches: the whole family, then every start, then, whenever the
+    ascent asks for a potential not yet evaluated, that one with the
+    rest of its coordinate's deltas around the current pivot.  The walk
+    itself is sequential and reads the batches, so an accepted step
+    re-batches the deltas after it.  Each free energy equals its
+    ``gibbs_estimate`` bit for bit; the winner, the value and
+    ``evaluations``, which counts only the potentials the walk asks
+    for, are those of evaluating one potential at a time.
 
     ``_dp_box`` refuses, with ValueError, the ladder's box and the DP
     log weights of beta and the largest |tau| the search can evaluate
     (``_search_bound``, which also refuses a negative count, and ascent
     passes with no restart) before any level is built, and so does
-    numpy an ``rng_seed`` it cannot seed from.
+    numpy an ``rng_seed`` it cannot seed from.  That one gate covers
+    every potential the search evaluates, so no batch checks again.
     """
     seeds = _check_seeds(seeds)
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:
         raise ValueError("tau family must be nonempty")
-    _ladder_box(_ladder_scales(n_ladder), q, q.dimension, abs(beta),
-                _search_bound(tau_family, restarts, ascent_passes))
+    n_ladder = _ladder_scales(n_ladder)
+    box, depth = _ladder_box(n_ladder, q, q.dimension, abs(beta),
+                             _search_bound(tau_family, restarts, ascent_passes))
     rng = np.random.default_rng(rng_seed)  # drawn from only after the family
-    plan = LadderPlan(seeds, n_ladder, q=q)
+    held: dict[tuple[float, ...], list] = {}
     energies: dict[TauFn, EntropyEstimate] = {}
     asked: set[TauFn] = set()
 
+    def levels(tau: TauFn) -> list:
+        if tau.breakpoints not in held:
+            held[tau.breakpoints] = list(_level_blocks(box, depth, seeds, tau.cell))
+        return held[tau.breakpoints]
+
     def evaluate(taus) -> None:
         fresh = list(dict.fromkeys(tau for tau in taus if tau not in energies))
-        energies.update(zip(fresh, plan.estimates(beta, fresh)))
+        energies.update(zip(fresh, _gibbs_batch(seeds, beta, fresh, n_ladder, q, q.dimension,
+                                                levels)))
 
     def free_energy(tau: TauFn) -> EntropyEstimate:
         asked.add(tau)
@@ -410,10 +423,8 @@ def bernoulli_exponent_check(
     for seed in seeds:
         level = np.array([1, 0], dtype=object)
         per_n = {}
-        blocks = _level_blocks(box, n_max, [seed])
-        steps = (step for bounds, _, pred, bits in blocks
-                 for step in _split(bounds, pred, bits[0] >= unit_floor))
-        for k, (pred, unit) in enumerate(steps, 1):
+        steps = _level_blocks(box, n_max, [seed], lambda bits: bits[0] >= unit_floor)
+        for k, (_, pred, unit) in enumerate(steps, 1):
             # Up to slack no field dies and a unit edge moves a count one
             # field up; past it field 0 dies and a unit edge keeps it in place.
             up, same = (level << width, level) if k <= slack else (level, level >> width)

@@ -242,27 +242,16 @@ class VerificationSuite:
         superadd_bad = 0
         for seed in seeds:
             env = Environment(seed, 2)
-            point = Measure([(0.5, 1.0)])
-            # whole[m] for m <= 4 doubles as the head of the split at m.
-            whole = {s: cost_sum(env, (0, 0), (s, s), scale(point, 2.0 * s), 1.0)
-                     for s in range(1, 9)}
-            for m in range(1, 5):
-                for n in range(1, 5):
-                    tail = cost_sum(
-                        env, (m, m), (m + n, m + n), scale(point, 2.0 * n), 1.0)
-                    if whole[m + n] < whole[m] + tail - slop:
-                        superadd_bad += 1
-            lam4 = discretize_lebesgue(4)
-            rich_whole = {s: cost_sum(env, (0, 0), (s, s), scale(lam4, 2.0 * s), 1.0)
-                          for s in range(1, 6)}
-            for m in range(1, 5):
-                for n in range(1, 5):
-                    if m + n > 5:
-                        continue
-                    tail = cost_sum(
-                        env, (m, m), (m + n, m + n), scale(lam4, 2.0 * n), 1.0)
-                    if rich_whole[m + n] < rich_whole[m] + tail - slop:
-                        superadd_bad += 1
+            # A one-atom target up to s = 8, and lebesgue:4 up to s = 5.
+            for base, top in ((Measure([(0.5, 1.0)]), 8), (discretize_lebesgue(4), 5)):
+                # whole[m] for m <= 4 doubles as the head of the split at m.
+                whole = {s: cost_sum(env, (0, 0), (s, s), scale(base, 2.0 * s), 1.0)
+                         for s in range(1, top + 1)}
+                for m in range(1, 5):
+                    for n in range(1, min(4, top - m) + 1):
+                        tail = cost_sum(env, (m, m), (m + n, m + n), scale(base, 2.0 * n), 1.0)
+                        if whole[m + n] < whole[m] + tail - slop:
+                            superadd_bad += 1
 
         perturb_bad = 0
         p_low = Direction.parse("1/4,1/4")

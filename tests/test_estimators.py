@@ -4,6 +4,7 @@ profile sharing and the profile store's byte cap, and classification
 behavior."""
 
 import math
+import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import permutations
@@ -25,7 +26,6 @@ from gridentropy import (
     estimate_entropy_level,
     estimate_entropy_orderstats,
     extrapolate_ladder,
-    LadderPlan,
     bernoulli_exponent_check,
     conjugate_entropy,
     gibbs_estimate,
@@ -321,10 +321,9 @@ def test_level_cross_check_needs_two_distinct_exact_scales():
     lambda nu: estimate_entropy_orderstats([], Direction.parse("1/2,1/2"), nu, [4, 6],
                                            [0.0, 0.5, 0.9]),
     lambda nu: gibbs_estimate([], 1.0, TauFn.constant(0.0), [4, 8]),
-    lambda nu: LadderPlan([], [4, 8], q=Direction.parse("1/2,1/2")),
     lambda nu: conjugate_entropy([], Direction.parse("1/2,1/2"), nu, 1.0, n_ladder=(4, 8)),
     lambda nu: bernoulli_exponent_check(0.5, 0.75, [4, 8], []),
-], ids=["eps", "level", "orderstats", "gibbs", "plan", "conjugate", "bernoulli"])
+], ids=["eps", "level", "orderstats", "gibbs", "conjugate", "bernoulli"])
 def test_empty_seeds_are_refused_before_any_walk(monkeypatch, estimate):
     """No seed means no environment to average: each entry point raises a
     ValueError naming the seeds, not nan, a grid value or a numpy error."""
@@ -452,7 +451,66 @@ def _cost_sum_oracle(env, start, endpoint, target, eps):
     terms = []
     enumerate_paths(env, endpoint, lambda path, labels: terms.append(
         -prokhorov_distance(Measure((u, 1.0) for u in labels), target) / eps), start=start)
-    return estimators._log_sum_exp(terms)
+    return estimators._log_sum_exp(np.array(terms))
+
+
+def _list_log_sum_exp(xs):
+    """log sum exp(x) in its list form: Python's max as the shift, then
+    math.exp of each term added in list order."""
+    shift = max(xs, default=-math.inf)
+    if shift == -math.inf:
+        return -math.inf
+    total = 0.0
+    for x in xs:
+        total += math.exp(x - shift)
+    return shift + math.log(total)
+
+
+LOG_SUM_EXP_TERMS = [
+    [], [-0.5], [0.0], [-math.inf], [-math.inf, -math.inf], [-0.0, 0.0, -2.0],
+    [-1.5, -0.25, -0.25, -1.5, -0.25], [-math.inf, -3.0, -math.inf, -3.0],
+    [700.0, -math.inf, 699.5, 700.0],
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_log_sum_exp_keeps_the_bits_of_the_list_form(monkeypatch, chunk):
+    """The chunked array form gives the list form's bits: ties, -inf terms,
+    one term, no term, and chunks that cut a long array anywhere."""
+    if chunk is not None:
+        monkeypatch.setattr(estimators, "_LOG_SUM_EXP_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    long = np.round(rng.uniform(-40.0, 0.0, 5000), 1)  # many ties
+    long[rng.choice(5000, 50, replace=False)] = -math.inf
+    for terms in LOG_SUM_EXP_TERMS + [long.tolist()]:
+        got = estimators._log_sum_exp(np.array(terms, dtype=np.float64))
+        assert repr(got) == repr(_list_log_sum_exp(terms))
+
+
+def test_cost_sums_keep_the_bits_of_the_list_form():
+    """Profiles with ties, with distances whose cost term is -inf, and of one
+    distance give the list form's sums at every eps."""
+    profiles = [[0.1, 0.1, 0.25, 0.25, 0.25], [0.0, 0.5, math.inf, math.inf], [0.3], [0.0],
+                [math.inf]]
+    for profile in profiles:
+        profile = np.array(profile)
+        want = [_list_log_sum_exp((-(8 / eps) * profile).tolist()) / 8 for eps in (2.0, 1.0, 0.5)]
+        assert estimators._cost_sums(profile, 8, [2.0, 1.0, 0.5]) == want
+
+
+def test_a_cost_sum_holds_about_one_copy_of_its_profile():
+    """A cost sum's traced peak stays within 1.5 profiles: its terms become
+    Python floats a chunk at a time, not as one list of the whole profile
+    (about five profiles)."""
+    profile = np.sort(np.random.default_rng(5).uniform(0.0, 0.5, 2_000_000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        estimators._cost_sums(profile, 8, [1.0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * profile.nbytes
 
 
 def _criterion_4_cost_sums():
@@ -589,7 +647,7 @@ def test_estimators_need_two_ladder_scales():
             lambda: estimate_entropy_eps([1], q, nu, n_ladder, [4.0, 2.0]),
             lambda: estimate_entropy_orderstats([1], q, nu, n_ladder, [0.0, 0.5]),
             lambda: gibbs_estimate([1], 1.0, TauFn.constant(0.0), n_ladder, q=q),
-            lambda: LadderPlan([1], n_ladder, q=q),
+            lambda: conjugate_entropy([1], q, nu, 1.0, n_ladder=n_ladder),
         ):
             with pytest.raises(ValueError, match="two ladder scales"):
                 estimate()

@@ -23,7 +23,7 @@ from gridentropy import (
     shannon_entropy,
 )
 from gridentropy import estimators, lattice
-from gridentropy.lattice import _chain_heads, _chain_labels, _ensemble, _level_blocks, _split
+from gridentropy.lattice import _chain_heads, _chain_labels, _ensemble, _level_blocks
 from gridentropy.measures import add
 from path_oracle import (
     _chain_head, _dfs_paths, edge_label, enumerate_level_paths, enumerate_paths, path_labels,
@@ -108,8 +108,8 @@ def test_edge_label_deterministic_and_frozen_values():
     and the DP plan's bits alike."""
     env = Environment(42, 2)
     plan = {}
-    for _, points, _, bits in _level_blocks((4, 4), 8, [42]):
-        for point, row in zip(points.tolist(), bits[0].tolist()):
+    for points, _, bits in _level_blocks((4, 4), 8, [42], lambda bits: bits[0]):
+        for point, row in zip(points.tolist(), bits.tolist()):
             plan.update({(tuple(point), axis): m * 2.0**-53 for axis, m in enumerate(row)})
     for (anchor, axis), want in FROZEN_LABELS.items():
         assert edge_label(env, anchor, axis) == edge_label(env, anchor, axis) == want
@@ -483,11 +483,21 @@ PLAN_BOXES = [
 
 
 def _plan_levels(box, depth, seeds, tau):
-    """The block plan's levels as (points, pred, bits, cell), and the levels of each block."""
-    blocks = list(_level_blocks(box, depth, seeds))
-    levels = [level for bounds, points, pred, bits in blocks
-              for level in _split(bounds, points, pred, bits, tau.cell(bits))]
-    return levels, [len(bounds) - 1 for bounds, *_ in blocks]
+    """The block plan's levels as (points, pred, bits, cell), from two walks
+    whose cell functions are the identity and ``tau.cell``, and its block
+    count: the plan calls its cell function once per block, on the block's
+    (seeds, rows, D) bits."""
+    shapes = []
+
+    def cell(bits):
+        shapes.append(bits.shape)
+        return tau.cell(bits)
+
+    levels = [(points, pred, bits, cells) for (points, pred, bits), (*_, cells) in zip(
+        _level_blocks(box, depth, seeds, lambda bits: bits), _level_blocks(box, depth, seeds, cell))]
+    assert [shape[0] for shape in shapes] == [len(seeds)] * len(shapes)
+    assert sum(shape[1] for shape in shapes) == sum(len(points) for points, *_ in levels)
+    return levels, len(shapes)
 
 
 @pytest.mark.parametrize("box, depth", PLAN_BOXES)
@@ -506,11 +516,11 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
         oracle.append((points, pred, label, cell))
     caps = {"cap": [lattice._PLAN_BLOCK_BYTES], "one-level": [0],
             "several": range(250, 16001, 250)}[blocks]
-    partitions = []
+    block_counts = []
     for cap in caps:
         monkeypatch.setattr(lattice, "_PLAN_BLOCK_BYTES", cap)
-        levels, sizes = _plan_levels(box, depth, seeds, tau)
-        partitions.append(sizes)
+        levels, count = _plan_levels(box, depth, seeds, tau)
+        block_counts.append(count)
         assert len(levels) == depth
         for got, want in zip(levels, oracle):
             points, pred, bits, cell = got
@@ -522,24 +532,23 @@ def test_block_plan_equals_the_level_oracle(monkeypatch, box, depth, seeds, bloc
             assert (bits[:, edge] * 2.0**-53).tolist() == want_label[:, edge].tolist()
             assert cell[:, edge].tolist() == want_cell[:, edge].tolist()
     if blocks == "one-level":
-        assert partitions == [[1] * depth]
+        assert block_counts == [depth]
     if blocks == "several" and depth >= 3:
-        assert any(len(sizes) > 1 and max(sizes) > 1 for sizes in partitions)
+        assert any(1 < count < depth for count in block_counts)
 
 
 def _streamed_peak(box, depth, seeds):
     """tracemalloc's peak while the plan streams, each block dropped before
-    the next, and the bytes of the largest level it yields."""
+    the next, and the bytes of the largest level it yields.  The cells are
+    read by binary search, the cell function with the most temporaries."""
+    tau = TauFn((0.0, 0.1, 0.65), (1.0, -2.0, 0.5))
     largest = 0
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for block in _level_blocks(box, depth, seeds):
-            bounds, points, pred, bits = block
-            level_bytes = (points.nbytes + pred.nbytes + bits.nbytes) // len(points)
-            rows = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-            largest = max(largest, rows * level_bytes)
-            del block, bounds, points, pred, bits
+        for points, pred, cells in _level_blocks(box, depth, seeds, tau.cell):
+            largest = max(largest, points.nbytes + pred.nbytes + cells.nbytes)
+            del points, pred, cells
         return tracemalloc.get_traced_memory()[1] - base, largest
     finally:
         tracemalloc.stop()

@@ -15,7 +15,6 @@ from gridentropy import (
     DpTable,
     Environment,
     TauFn,
-    LadderPlan,
     bernoulli_exponent_check,
     conjugate_entropy,
     default_tau_family,
@@ -26,8 +25,11 @@ from gridentropy import (
     sample_polymer_paths,
 )
 from gridentropy import lattice, polymer, variational
-from gridentropy.lattice import _level_blocks, _split
-from gridentropy.polymer import _step_thresholds, _stream_bases, _stream_uniforms
+from gridentropy.estimators import _check_seeds, _ladder_scales
+from gridentropy.lattice import _level_blocks
+from gridentropy.polymer import (
+    _gibbs_batch, _ladder_box, _step_thresholds, _stream_bases, _stream_uniforms,
+)
 import dp_oracle
 from path_oracle import edge_label, enumerate_level_paths, enumerate_paths, path_weight
 from sampler_oracle import SampleStream, box_points, sample_path
@@ -117,10 +119,9 @@ def test_table_levels_hold_the_box_points():
         env = Environment(5, len(endpoint))
         table = DpTable.point(env, endpoint, 1.0, TAU16)
         want = box_points(endpoint)
-        blocks = _level_blocks(endpoint, sum(endpoint), [env.seed])
+        levels = _level_blocks(endpoint, sum(endpoint), [env.seed], lambda bits: bits)
         walked = [[(0,) * env.dimension]] + [
-            list(map(tuple, level.tolist()))
-            for bounds, points, *_ in blocks for (level,) in _split(bounds, points)]
+            list(map(tuple, points.tolist())) for points, *_ in levels]
         assert walked == want
         assert [len(level) for level in table.levels] == [len(pts) for pts in want]
         assert len(table.steps) == sum(endpoint)
@@ -210,6 +211,22 @@ def test_level_free_energy_dominates_point():
         assert lvl >= pt - 1e-9
 
 
+def _held_batch(seeds, beta, taus, n_ladder, q, dimension, held):
+    """``_gibbs_batch`` over levels listed once per breakpoint set in ``held``,
+    as ``conjugate_entropy`` holds them, so a later batch reads the cells an
+    earlier one computed."""
+    seeds, n_ladder = _check_seeds(seeds), _ladder_scales(n_ladder)
+    dimension = q.dimension if q is not None else dimension
+    box, depth = _ladder_box(n_ladder, q, dimension)
+
+    def levels(tau):
+        if tau.breakpoints not in held:
+            held[tau.breakpoints] = list(_level_blocks(box, depth, seeds, tau.cell))
+        return held[tau.breakpoints]
+
+    return _gibbs_batch(seeds, beta, taus, n_ladder, q, dimension, levels)
+
+
 def _per_scale_raws(seeds, beta, tau, n_ladder, q, dimension):
     """(1/n) log Z from one ``DpTable`` per scale: the ladder's oracle."""
     raws = []
@@ -244,11 +261,11 @@ GIBBS_LADDERS = [
 @pytest.mark.parametrize("tau", [TauFn.identity_ladder(16), TauFn.indicator(0.3)],
                          ids=["identity16", "indicator"])
 def test_gibbs_ladder_reads_equal_per_scale_partitions(q, dimension, n_ladder, tau):
-    """One DP to the largest box reads every scale bit for bit, streamed or from a plan."""
+    """One DP to the largest box reads every scale bit for bit, streamed or from held levels."""
     seeds = (3, 4)
     oracle = _per_scale_raws(seeds, 1.3, tau, n_ladder, q, dimension)
     streamed = gibbs_estimate(seeds, 1.3, tau, n_ladder, q=q, dimension=dimension)
-    shared = LadderPlan(seeds, n_ladder, q=q, dimension=dimension).estimates(1.3, [tau])
+    shared = _held_batch(seeds, 1.3, [tau], n_ladder, q, dimension, {})
     assert [row.raw for row in streamed.ladder] == oracle
     assert shared == [streamed]
 
@@ -269,12 +286,12 @@ BATCH_TAUS = (
 
 @pytest.mark.parametrize("q, dimension, n_ladder", GIBBS_LADDERS)
 def test_batched_dp_equals_one_dp_per_seed_and_potential(q, dimension, n_ladder):
-    """A plan's batch over (potentials x seeds x rows) gives every potential
-    the estimate of its own ``gibbs_estimate`` and every seed the raws of
-    a DP run for it alone, in point and level mode, for D = 1, 2, 3."""
+    """A batch over (potentials x seeds x rows) gives every potential the
+    estimate of its own ``gibbs_estimate`` and every seed the raws of a DP
+    run for it alone, in point and level mode, for D = 1, 2, 3."""
     seeds = (3, 4, 9)
-    plan = LadderPlan(seeds, n_ladder, q=q, dimension=dimension)
-    batched = plan.estimates(0.8, BATCH_TAUS)
+    held = {}
+    batched = _held_batch(seeds, 0.8, BATCH_TAUS, n_ladder, q, dimension, held)
     for tau, est in zip(BATCH_TAUS, batched):
         assert est == gibbs_estimate(seeds, 0.8, tau, n_ladder, q=q, dimension=dimension)
         for i, seed in enumerate(seeds):
@@ -283,15 +300,17 @@ def test_batched_dp_equals_one_dp_per_seed_and_potential(q, dimension, n_ladder)
         assert [row.raw for row in est.ladder] == _per_scale_raws(
             seeds, 0.8, tau, n_ladder, q, dimension)
     # A second batch reads the cells the first one computed.
-    assert plan.estimates(0.8, BATCH_TAUS[::-1]) == batched[::-1]
+    assert len(held) == 6
+    assert _held_batch(seeds, 0.8, BATCH_TAUS[::-1], n_ladder, q, dimension, held) == batched[::-1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_dp_reach_past_the_float_range_is_refused():
     """A beta and tau whose DP log weights could overflow float64 raise
     ValueError before any level is folded, not an overflow warning and a
-    nan: in gibbs_estimate, a plan's estimates, point and level tables
-    (max-plus too) and last passage."""
+    nan: in gibbs_estimate, point and level tables (max-plus too) and
+    last passage.  The conjugate search's own gate has its tests in
+    test_variational."""
     q = Direction.parse("1/2,1/2")
     tau = TauFn.identity_ladder(4)
     huge = TauFn.constant(1e308)
@@ -299,8 +318,6 @@ def test_dp_reach_past_the_float_range_is_refused():
     for refused in (
         lambda: gibbs_estimate((1,), 1e308, tau, (8, 16), q=q),
         lambda: gibbs_estimate((1, 2), 1.0, huge, (8, 16)),
-        lambda: LadderPlan((1,), (8, 16), q=q).estimates(1e308, [tau]),
-        lambda: LadderPlan((1,), (8, 16)).estimates(1.0, [tau, huge]),
         lambda: DpTable.point(env, (8, 8), 1e308, tau),
         lambda: DpTable.level(env, 16, None, huge),
         lambda: last_passage(env, (3, 3), huge),
@@ -315,8 +332,6 @@ def test_dp_reach_past_the_float_range_is_refused():
     for wide in (Direction.parse("1e400,1"), Direction.parse("1e200,1"), None):
         with pytest.raises(ValueError, match="too large to index"):
             gibbs_estimate((1,), 1.0, tau, (2, 4 if wide else 10**13), q=wide)
-        with pytest.raises(ValueError, match="too large to index"):
-            LadderPlan((1,), (2, 4 if wide else 10**13), q=wide)
     # Inside the bound, the same calls run clean.
     assert math.isfinite(gibbs_estimate((1,), 1e297, tau, (8, 16), q=q).value)
     assert math.isfinite(DpTable.level(env, 16, None, TauFn.constant(1e298)).log_value())
@@ -350,8 +365,10 @@ _CONJUGATE = dict(tau_family=default_tau_family(2, random_count=0), restarts=1, 
                  "too large to index", id="gibbs-box"),
     pytest.param(lambda env: gibbs_estimate((1,), 1e308, TAU16, (8, 16)),
                  "past the float64 range", id="gibbs-reach"),
-    pytest.param(lambda env: LadderPlan((1,), (2, 10**13)), "too large to index",
-                 id="plan-box"),
+    pytest.param(lambda env: conjugate_entropy((1,), Direction.parse("1/2,1/2"),
+                                               discretize_lebesgue(8), 1.0,
+                                               n_ladder=(2, 10**13), **_CONJUGATE),
+                 "too large to index", id="conjugate-ladder-box"),
     pytest.param(lambda env: conjugate_entropy((1,), _WIDE, discretize_lebesgue(8), 1.0,
                                                n_ladder=(2, 4), **_CONJUGATE),
                  "too large to index", id="conjugate-box"),
@@ -382,12 +399,11 @@ def test_block_boundaries_change_no_estimate(monkeypatch, q, dimension, n_ladder
     two scales, give the estimates of the module's blocks bit for bit."""
     seeds = (3, 4)
     want = gibbs_estimate(seeds, 1.3, TAU16, n_ladder, q=q, dimension=dimension)
-    want_batch = LadderPlan(seeds, n_ladder, q=q, dimension=dimension).estimates(1.3, BATCH_TAUS)
+    want_batch = _held_batch(seeds, 1.3, BATCH_TAUS, n_ladder, q, dimension, {})
     for block_bytes in (0, 2500, 5000, 10000, 20000):
         monkeypatch.setattr(lattice, "_PLAN_BLOCK_BYTES", block_bytes)
         assert gibbs_estimate(seeds, 1.3, TAU16, n_ladder, q=q, dimension=dimension) == want
-        plan = LadderPlan(seeds, n_ladder, q=q, dimension=dimension)
-        assert plan.estimates(1.3, BATCH_TAUS) == want_batch
+        assert _held_batch(seeds, 1.3, BATCH_TAUS, n_ladder, q, dimension, {}) == want_batch
 
 
 def test_gibbs_ladder_scales_must_be_positive():

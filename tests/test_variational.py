@@ -14,7 +14,6 @@ from gridentropy import (
     Environment,
     EntropyEstimate,
     Histogram,
-    LadderPlan,
     Measure,
     TauFn,
     bernoulli_exponent_check,
@@ -171,22 +170,26 @@ def test_conjugate_upper_bounds_entropy_on_half_intervals():
         assert conj.value <= eps.value + conj.band + eps.band
 
 
-def test_conjugate_shared_levels_change_nothing(monkeypatch):
-    """One plan of shared levels gives the search of streaming each evaluation:
-    the sequential oracle, one ``gibbs_estimate`` per potential it asks for."""
+def _count_level_walks(monkeypatch):
+    """The ``_level_blocks`` calls the conjugate search makes, as a list."""
     from gridentropy import variational
 
+    walks = []
+    level_blocks = variational._level_blocks
+    monkeypatch.setattr(variational, "_level_blocks",
+                        lambda *args: walks.append(args) or level_blocks(*args))
+    return walks
+
+
+def test_conjugate_shared_levels_change_nothing(monkeypatch):
+    """Levels held once for the search give the search of streaming each
+    evaluation: the sequential oracle, one ``gibbs_estimate`` per potential
+    it asks for."""
     kwargs = dict(
         tau_family=default_tau_family(2, random_count=1), n_ladder=(8, 16, 32),
         restarts=2, ascent_passes=1,
     )
-    plans = []
-
-    def counted(*args, **rest):
-        plans.append(args)
-        return LadderPlan(*args, **rest)
-
-    monkeypatch.setattr(variational, "LadderPlan", counted)
+    walks = _count_level_walks(monkeypatch)
     shared = conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
     calls = []
 
@@ -197,10 +200,42 @@ def test_conjugate_shared_levels_change_nothing(monkeypatch):
     monkeypatch.setattr(conjugate_oracle, "gibbs_estimate", streamed)
     alone = conjugate_oracle.conjugate_entropy((1, 2), Q2, LAM64, 1.0, **kwargs)
     assert len(calls) == alone.diagnostics["evaluations"]
-    assert len(plans) == 1
+    assert len(walks) == 1
     assert alone.value == shared.value
     assert alone.diagnostics == shared.diagnostics
     assert alone.ladder == shared.ladder
+
+
+def test_a_default_family_search_walks_the_levels_once(monkeypatch):
+    """The default family, its random starts and every ascent step share one
+    breakpoint set, so one search builds and hashes the levels once."""
+    walks = _count_level_walks(monkeypatch)
+    est = conjugate_entropy((1, 2), Q2, discretize_lebesgue(8), 1.0, n_ladder=(8, 16))
+    assert est.diagnostics["evaluations"] > est.diagnostics["family_size"] == 89
+    assert len(walks) == 1
+
+
+# Restarts 0..3 with passes 0..3, but for passes without a start (refused).
+@pytest.mark.parametrize("restarts, passes", [
+    (restarts, passes) for restarts in range(4) for passes in range(4) if restarts or not passes])
+def test_every_evaluated_potential_is_inside_the_search_bound(monkeypatch, restarts, passes):
+    """Every potential the search hands to ``_gibbs_batch`` has |tau| within
+    ``_search_bound``, the one reach its gate checks; no batch checks again.
+    Random starts and ascent steps reach past the family's bound of 1."""
+    from gridentropy import polymer, variational
+
+    family = default_tau_family(2, random_count=2, rng_seed=restarts * 4 + passes)
+    bound = variational._search_bound(family, restarts, passes)
+    bounds = []
+    gibbs_batch = polymer._gibbs_batch
+    monkeypatch.setattr(variational, "_gibbs_batch", lambda seeds, beta, taus, *rest: (
+        bounds.extend(tau.bound for tau in taus) or gibbs_batch(seeds, beta, taus, *rest)))
+    conjugate_entropy((1,), Q2, _half_measure(), 1.0, tau_family=family, n_ladder=(8, 16),
+                      restarts=restarts, ascent_passes=passes, rng_seed=passes)
+    assert len(bounds) >= len(family)
+    assert max(bounds) <= bound
+    if restarts and passes:
+        assert max(bounds) > 1.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -231,16 +266,17 @@ def test_conjugate_refuses_negative_counts_and_passes_without_a_start(restarts, 
 
 def test_conjugate_refuses_a_bad_rng_seed_before_any_free_energy(monkeypatch):
     """An rng_seed numpy cannot seed from raises before the family's batch runs."""
-    from gridentropy import polymer
+    from gridentropy import variational
 
     batches = []
-    gibbs_batch = polymer._gibbs_batch
-    monkeypatch.setattr(polymer, "_gibbs_batch",
+    gibbs_batch = variational._gibbs_batch
+    monkeypatch.setattr(variational, "_gibbs_batch",
                         lambda *args: batches.append(args) or gibbs_batch(*args))
+    walks = _count_level_walks(monkeypatch)
     with pytest.raises(ValueError, match="non-negative"):
         conjugate_entropy((1, 2), Direction.parse("1/2,1/2"), discretize_lebesgue(8), 1.0,
                           n_ladder=(16, 32), rng_seed=-1)
-    assert batches == []
+    assert batches == [] and walks == []
 
 
 def test_conjugate_without_a_start_is_the_family_maximum():
