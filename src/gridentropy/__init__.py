@@ -7,6 +7,11 @@ polymer partition functions, last-passage times, and polymer path
 sampling on hashed deterministic environments.
 """
 
+import os
+
+# The one BLAS call is a two-column ladder fit; an idle OpenBLAS worker only burns CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .measures import (
     Histogram,
     Measure,

@@ -64,7 +64,6 @@ stream bases in uint64 array arithmetic, with no Python int per seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,42 +88,49 @@ __all__ = [
 _STREAM_TAG = 0x1D872B41A9C3F6E5
 
 
-def _edge_terms(prev: np.ndarray, pred: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """prev[..., pred] + weights per (row, axis), over any leading axes.
-
-    ``weights`` is each edge's beta * tau(label).  A missing edge (pred
-    -1) gathers the -inf padded onto prev, so its term is -inf whatever
-    weight its unhashed bits give it.
-    """
-    pad = np.full(prev.shape[:-1] + (1,), -np.inf)
-    return np.concatenate([prev, pad], axis=-1)[..., pred] + weights
-
-
 def _transfer(dimension: int, levels, beta: float | None, weights: np.ndarray):
     """Yield (points, values, step) for level 0 and each level of ``levels``.
 
     ``levels`` yields (points, pred, cell) for levels 1, 2, ... as
     ``_level_blocks`` does: cell[..., r, axis] is the tau cell of the
-    label of the edge into row r along axis, with any leading seed axes.
-    weights[..., c] is beta times the value of cell c (the value when
-    beta is None), with any leading member axes.  values[..., i], of
-    shape weights.shape[:-1] + cell.shape[:-2] + (rows,), is the log
-    partition of the paths from the origin to points[i], or their
-    maximal weight when beta is None.
-    Each point folds in its predecessors' ``_edge_terms`` in ascending
-    axis order with logaddexp (max when beta is None); a missing edge's
-    -inf leaves the fold unchanged.  step is (pred, terms), the level's
-    predecessor rows and the edge terms it folded (None at level 0).
-    Every operation is elementwise, so a member and seed of a batch
-    gets the bits of a DP run on its own.
+    label of the edge into row r along axis, with at most one leading
+    seed axis.  weights[..., c] is beta times the value of cell c (the
+    value when beta is None), with at most one leading member axis.
+    values[..., i], of shape weights.shape[:-1] + cell.shape[:-2] +
+    (rows,), is the log partition of the paths from the origin to
+    points[i], or their maximal weight when beta is None.  step is
+    (pred, terms), the level's predecessor rows and the edge terms it
+    folded (None at level 0): terms[..., r, axis] is the value of row
+    pred[r, axis] of the level before plus the edge's weight.
+
+    The fold runs on the transposes (axis-major, rows first): each
+    level's values fill a fresh buffer with one trailing -inf row,
+    which a missing edge (pred -1) gathers, so its term is -inf
+    whatever weight its unhashed bits give it.  Each point folds its
+    terms, one contiguous slice per axis in ascending order, with
+    logaddexp (max when beta is None); a missing edge's -inf leaves the
+    fold unchanged.  Every operation is elementwise, so a member and
+    seed of a batch gets the bits of a DP run on its own.
     """
     fold = np.maximum if beta is None else np.logaddexp
-    values = np.zeros(1)
-    yield np.zeros((1, dimension), dtype=np.intp), values, None
+    weights = weights.T
+    buffer = np.array([0.0, -np.inf])
+    yield np.zeros((1, dimension), dtype=np.intp), buffer[:-1], None
     for points, pred, cell in levels:
-        terms = _edge_terms(values, pred, weights[..., cell])
-        values = functools.reduce(fold, (terms[..., axis] for axis in range(dimension)))
-        yield points, values, (pred, terms)
+        terms = weights[cell.T]
+        prev = np.take(buffer, pred.T, axis=0)
+        # Level 0 has no seed or member axes; broadcast it over the terms'.
+        terms += prev.reshape(prev.shape + (1,) * (terms.ndim - prev.ndim))
+        buffer = np.empty((len(pred) + 1,) + terms.shape[2:])
+        buffer[-1] = -np.inf
+        values = buffer[:-1]
+        if dimension == 1:
+            values[...] = terms[0]
+        else:
+            fold(terms[0], terms[1], out=values)
+            for axis in range(2, dimension):
+                fold(values, terms[axis], out=values)
+        yield points, values.T, (pred, terms.T)
 
 
 @dataclass
@@ -138,7 +144,7 @@ class DpTable:
     0.  steps[k - 1] = (pred, terms), for k = 1..depth, holds the two
     (rows, D) arrays that built level k: pred[r, axis] is the row in
     level k-1 of point r minus the unit vector along axis (-1 when that
-    leaves the box), and terms[r, axis] the ``_edge_terms`` the fold of
+    leaves the box), and terms[r, axis] the edge term the fold of
     point r read along axis: levels[k - 1][pred] plus the edge's
     weight, or -inf where pred is -1.  Built in one walk of the plan;
     reproducible bit-for-bit given (environment, tau, beta).

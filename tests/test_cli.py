@@ -912,6 +912,59 @@ def test_verify_criterion_9_runs_without_scipy():
     assert child.returncode == EXIT_OK, child.stderr
 
 
+def _python_child(code, openblas_threads=None):
+    """stdout of ``python -c code`` with the package on its path, and with
+    OPENBLAS_NUM_THREADS set to ``openblas_threads`` (removed when None)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(openblas_threads)
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+_PRINT_THREADS = ("; print(next(line.split()[1] for line in open('/proc/self/status')"
+                  " if line.startswith('Threads:')))")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the thread count from /proc/self/status")
+@pytest.mark.parametrize("imports, openblas_threads", [
+    pytest.param("import gridentropy.cli", None, id="unset"),
+    pytest.param("import gridentropy.cli", 2, id="preset-2"),
+    pytest.param("import numpy, gridentropy.cli", None, id="numpy-first"),
+])
+def test_importing_gridentropy_first_pins_openblas_to_one_thread(imports, openblas_threads):
+    """A process that loads numpy through gridentropy runs on one thread: no
+    idle OpenBLAS worker.  A preset OPENBLAS_NUM_THREADS still wins, and a
+    process that loaded numpy first keeps the threads numpy alone starts."""
+    threads = int(_python_child(imports + _PRINT_THREADS, openblas_threads))
+    if openblas_threads is None and imports == "import gridentropy.cli":
+        assert threads == 1
+    else:
+        assert threads == int(_python_child("import numpy" + _PRINT_THREADS, openblas_threads))
+        if openblas_threads is not None and len(os.sched_getaffinity(0)) >= openblas_threads:
+            assert threads == openblas_threads
+
+
+def test_the_ladder_fit_does_not_depend_on_the_blas_thread_count():
+    """extrapolate_ladder returns the same bits under one and two OpenBLAS
+    threads, on ladders of as many scales as the CLI's (2, 3) and far more."""
+    code = (
+        "import numpy as np; from gridentropy import extrapolate_ladder\n"
+        "rng = np.random.default_rng(20220101)\n"
+        "for k in (2, 3, 97, 449):\n"
+        "    ns = np.sort(rng.choice(np.arange(2, 4000), k, replace=False))\n"
+        "    raws = 0.5 - 0.7 / ns + 0.01 * rng.standard_normal(k)\n"
+        "    print(*map(float.hex, extrapolate_ladder(ns.tolist(), raws.tolist())))\n"
+    )
+    one = _python_child(code, 1)
+    assert len(one.splitlines()) == 4
+    assert _python_child(code, 2) == one
+
+
 @pytest.mark.parametrize("argv, length", [
     pytest.param(("entropy-level", "--D", "1", "--t", "1e400", "--n", "2,4", "--seeds", "1"),
                  2 * 10**400, id="D1-level"),
