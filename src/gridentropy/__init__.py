@@ -25,7 +25,6 @@ from .prokhorov import prokhorov_brute, prokhorov_distance, prokhorov_rows
 from .estimators import (
     EntropyEstimate,
     LadderRow,
-    OrderStatSeries,
     cost_sum,
     eps_sum,
     eps_sum_level,
@@ -56,16 +55,13 @@ from .polymer import (
 )
 from .variational import (
     BernoulliReport,
-    CandidateFamily,
     KlBudgetReport,
-    SupResult,
     bernoulli_exponent_check,
     bernoulli_kl,
     conjugate_entropy,
     default_tau_family,
     integral,
     kl_budget_check,
-    variational_sup,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -344,6 +345,15 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
+    for key, value in values.items():
+        if "\n" in value or "\r" in value:
+            raise ConfigError(f"field {key}={value!r}: line breaks are not allowed in a value; "
+                              f"give a multi-line spec as @FILE")
+    # Artifacts are written after the run, so a path that cannot be written is refused first.
+    for key in ("csv", "json", "svg"):
+        path = values.get(key)
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ConfigError(f"field {key}={path!r}: not a file in an existing directory")
     if values.get("svg") and not values.get("csv"):
         raise ConfigError("svg output needs --csv: plots are rendered from the CSV file")
     values["command"] = command

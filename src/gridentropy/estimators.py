@@ -42,7 +42,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .measures import Measure
 from .prokhorov import prokhorov_rows
 
 __all__ = [
-    "OrderStatSeries",
     "LadderRow",
     "EntropyEstimate",
     "order_stat_series",
@@ -82,27 +81,6 @@ _profiles: OrderedDict[tuple, np.ndarray] = OrderedDict()
 # Tolerated per-step rise when deciding whether an order-statistic
 # sequence is "decreasing" (finite-n noise allowance).
 _MONOTONE_SLACK = 0.01
-
-
-@dataclass(frozen=True)
-class OrderStatSeries:
-    """Order statistics of path distances at one scale n.
-
-    values[i] is the ranks[i]-th smallest rho((1/n) mu_path, nu); the
-    +inf sentinel marks ranks beyond the ensemble size.
-    """
-
-    n: int
-    target: Measure
-    ranks: tuple[int, ...]
-    values: tuple[float, ...]
-    ensemble: str
-
-    def __post_init__(self):
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks are 1-based and must be >= 1")
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("order statistics must be nondecreasing in the rank")
 
 
 @dataclass(frozen=True)
@@ -221,18 +199,18 @@ def order_stat_series(
     ranks: Sequence[int],
     *,
     budget: int = DEFAULT_PATH_BUDGET,
-) -> OrderStatSeries:
+) -> tuple[float, ...]:
     """Exact order statistics of rho((1/n) mu_path, nu) over paths to floor(n q).
 
-    Ranks past the ensemble size get the +inf sentinel.
+    values[i] is the ranks[i]-th smallest distance; ranks past the
+    ensemble size get the +inf sentinel.
     """
     ranks = tuple(int(j) for j in ranks)
     if not ranks or any(j < 1 for j in ranks):
         raise ValueError("ranks are 1-based and must be >= 1")
     endpoint = q.floor_scale(n)
     profile = _profile(env, nu, n, endpoint=endpoint, budget=budget)
-    values = tuple(float(profile[j - 1]) if j <= len(profile) else math.inf for j in ranks)
-    return OrderStatSeries(n, nu, ranks, values, ensemble=f"point:{endpoint}")
+    return tuple(float(profile[j - 1]) if j <= len(profile) else math.inf for j in ranks)
 
 
 def eps_sum(
@@ -367,8 +345,8 @@ def estimate_entropy_orderstats(
     for seed, n in itertools.product(dict.fromkeys(seeds), dict.fromkeys(n_ladder)):
         if grid:
             ranks = [_rank_for(alpha, n, budget) for alpha in grid]
-            stat = order_stat_series(Environment(seed, q.dimension), q, nu, n, ranks, budget=budget)
-            stats[seed, n] = dict(zip(grid, stat.values))
+            stats[seed, n] = dict(zip(grid, order_stat_series(
+                Environment(seed, q.dimension), q, nu, n, ranks, budget=budget)))
 
     rows = []
     vanishing: list[float] = []
@@ -471,16 +449,14 @@ def _fit_eps_ladder(
     seeds: Sequence[int],
     n_ladder: list[int],
     eps_ladder: list[float],
-    raws: Callable[[int, int], list[float]],
+    table: dict[tuple[int, int], list[float]],
 ) -> tuple[list[LadderRow], list[float], int, float]:
     """Extrapolate n -> infinity per eps; return (rows, fits, argmin, band).
 
-    ``raws(seed, n)`` lists every eps's raw cost sum, once per distinct
-    (seed, n); each eps fits a + b/n to the seed means over the ladder.
-    The band is the largest fit residual plus the gap between the last two fits.
+    ``table[seed, n]`` lists every eps's raw cost sum; each eps fits
+    a + b/n to the seed means over the ladder.  The band is the largest
+    fit residual plus the gap between the last two fits.
     """
-    table = {(seed, n): raws(seed, n) for n in dict.fromkeys(n_ladder)
-             for seed in dict.fromkeys(seeds)}
     rows = []
     fits = []
     residuals = []
@@ -517,12 +493,11 @@ def estimate_entropy_eps(
     seeds = _check_seeds(seeds)
     n_ladder = _ladder_scales(n_ladder)
     eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
-
-    def raws(seed: int, n: int) -> list[float]:
-        env = Environment(seed, q.dimension)
-        return _cost_sums(_profile(env, nu, n, endpoint=q.floor_scale(n), budget=budget),
-                          n, eps_ladder)
-
+    # Each distinct (seed, n) profile is read once: n outer, seed inner.
+    raws = {(seed, n): _cost_sums(_profile(Environment(seed, q.dimension), nu, n,
+                                           endpoint=q.floor_scale(n), budget=budget),
+                                  n, eps_ladder)
+            for n in dict.fromkeys(n_ladder) for seed in dict.fromkeys(seeds)}
     rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raws)
     value = fits[best]
     monotone = all(b <= a + band for a, b in zip(fits, fits[1:]))
@@ -579,20 +554,19 @@ def estimate_entropy_level(
     eps_ladder = _check_eps_ladder(n_ladder, eps_ladder)
     balanced = Direction.from_fractions([t / dimension] * dimension)
     exact_ns = [n for n in n_ladder if (n * t.numerator) % (t.denominator * dimension) == 0]
+    # Each distinct (seed, n) is read once: n outer, seed inner, level before balanced.
     level_raws, balanced_raws = {}, {}
-
-    def raws(seed: int, n: int) -> list[float]:
-        env = Environment(seed, dimension)
+    for n in dict.fromkeys(n_ladder):
         length = (n * t.numerator) // t.denominator
-        level_raws[seed, n] = _cost_sums(_profile(env, nu, n, length=length, budget=budget),
-                                         n, eps_ladder)
-        if n in exact_ns:
-            balanced_raws[seed, n] = _cost_sums(
-                _profile(env, nu, n, endpoint=balanced.floor_scale(n), budget=budget),
-                n, eps_ladder)
-        return level_raws[seed, n]
-
-    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, raws)
+        for seed in dict.fromkeys(seeds):
+            env = Environment(seed, dimension)
+            level_raws[seed, n] = _cost_sums(_profile(env, nu, n, length=length, budget=budget),
+                                             n, eps_ladder)
+            if n in exact_ns:
+                balanced_raws[seed, n] = _cost_sums(
+                    _profile(env, nu, n, endpoint=balanced.floor_scale(n), budget=budget),
+                    n, eps_ladder)
+    rows, fits, best, band = _fit_eps_ladder(seeds, n_ladder, eps_ladder, level_raws)
     value = fits[best]
     # In the ladder rows' order, on which the min of a list holding NaN depends.
     slacks = [level_raws[seed, n][i] - balanced_raws[seed, n][i]
@@ -602,8 +576,7 @@ def estimate_entropy_level(
     difference = None
     if len(set(exact_ns)) >= 2:
         # estimate_entropy_eps(seeds, balanced, nu, exact_ns, eps_ladder), from the same sums.
-        _, point_fits, point_best, _ = _fit_eps_ladder(
-            seeds, exact_ns, eps_ladder, lambda seed, n: balanced_raws[seed, n])
+        _, point_fits, point_best, _ = _fit_eps_ladder(seeds, exact_ns, eps_ladder, balanced_raws)
         direction_estimate = point_fits[point_best]
         difference = value - direction_estimate
 

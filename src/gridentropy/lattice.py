@@ -20,6 +20,7 @@ block, so they stay 53-bit integers and no caller holds them.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from bisect import bisect_right
@@ -257,15 +258,8 @@ class TauFn:
             return np.searchsorted(self._floors, bits, side="right") - 1
         return (bits >> self._shift).view(np.int64)
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({"breakpoints": list(self.breakpoints), "values": list(self.values)})
-
     @classmethod
     def from_json(cls, text: str) -> "TauFn":
-        import json
-
         obj = json.loads(text)
         return cls(tuple(obj["breakpoints"]), tuple(obj["values"]))
 
@@ -283,9 +277,6 @@ class Path:
         for axis in self.steps:
             coords[axis] += 1
         return tuple(coords)
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def path_count(endpoint: Sequence[int]) -> int:

@@ -73,14 +73,6 @@ class Measure:
         object.__setattr__(self, "atoms", cleaned)
         object.__setattr__(self, "total_mass", math.fsum(m for _, m in cleaned))
 
-    @classmethod
-    def zero(cls) -> "Measure":
-        return cls(())
-
-    @classmethod
-    def dirac(cls, position: float, mass: float = 1.0) -> "Measure":
-        return cls(((position, mass),))
-
     @property
     def positions(self) -> tuple[float, ...]:
         return tuple(p for p, _ in self.atoms)
@@ -88,10 +80,6 @@ class Measure:
     @property
     def masses(self) -> tuple[float, ...]:
         return tuple(m for _, m in self.atoms)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of [position, mass] pairs."""
-        return json.dumps([[p, m] for p, m in self.atoms])
 
     @classmethod
     def from_json(cls, text: str) -> "Measure":
@@ -145,9 +133,6 @@ class Histogram:
             for i, mass in enumerate(self.bin_masses)
             if mass > 0.0
         )
-
-    def to_json(self) -> str:
-        return json.dumps({"bin_count": self.bin_count, "bin_masses": list(self.bin_masses)})
 
     @classmethod
     def from_json(cls, text: str) -> "Histogram":

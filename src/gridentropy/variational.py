@@ -1,14 +1,11 @@
 """Convex duality between entropy, free energy, and passage times.
 
 The free energy of the polymer ensemble and the entropy of an empirical
-target are convex conjugates of each other.  This module exploits that
-in both directions: ``variational_sup`` rebuilds the free energy from a
-family of candidate targets (each carrying its own entropy estimate),
-and ``conjugate_entropy`` rebuilds the entropy of one target from free
-energies over a family of step potentials.  Both searches run over
-finite families, so equalities degrade to one-sided inequalities that
-tighten as the families grow; the invariant tests check exactly those
-directions.
+target are convex conjugates of each other.  ``conjugate_entropy``
+rebuilds the entropy of one target from free energies over a family of
+step potentials.  The search runs over a finite family, so the equality
+degrades to a one-sided inequality that tightens as the family grows;
+the invariant tests check exactly that direction.
 
 Two budget checks round the module out.  ``kl_budget_check`` audits the
 bound "relative entropy to Lebesgue plus path entropy is at most the
@@ -33,72 +30,19 @@ from .polymer import _gibbs_batch, _ladder_box
 
 __all__ = [
     "BernoulliReport",
-    "CandidateFamily",
     "KlBudgetReport",
-    "SupResult",
     "bernoulli_exponent_check",
     "bernoulli_kl",
     "conjugate_entropy",
     "default_tau_family",
     "integral",
     "kl_budget_check",
-    "variational_sup",
 ]
-
-
-@dataclass(frozen=True)
-class CandidateFamily:
-    """Finite family of target measures with their entropy estimates.
-
-    ``recipe`` records how the family was generated (for reports);
-    members share a total mass, matching a single path ensemble.
-    """
-
-    recipe: str
-    members: tuple[tuple[Measure, EntropyEstimate], ...]
-
-    def __post_init__(self):
-        masses = [nu.total_mass for nu, _ in self.members]
-        if masses and max(masses) - min(masses) > 1e-9:
-            raise ValueError(f"family mixes total masses {min(masses)}..{max(masses)}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class SupResult:
-    """Value and winner of a sup over a candidate family."""
-
-    value: float
-    argmax: Measure
-    band: float
 
 
 def integral(tau: TauFn, nu: Measure) -> float:
     """<tau, nu>: exact atom-by-atom integral of a step function."""
     return math.fsum(mass * tau(pos) for pos, mass in nu.atoms)
-
-
-def variational_sup(beta: float, tau: TauFn, family: CandidateFamily) -> SupResult:
-    """Free-energy lower bound: max of beta*<tau, nu> + entropy over the family.
-
-    A finite family under-reaches the true sup, so the value sits below
-    the matching ``gibbs_estimate`` up to bands.  The reported band is
-    the largest member band, which covers any member that could
-    overtake the winner within its own uncertainty.
-    """
-    if not family.members:
-        raise ValueError("family must be nonempty")
-    best_value = -math.inf
-    best_nu = family.members[0][0]
-    for nu, estimate in family.members:
-        score = beta * integral(tau, nu) + estimate.value
-        if score > best_value:
-            best_value = score
-            best_nu = nu
-    band = max(estimate.band for _, estimate in family.members)
-    return SupResult(best_value, best_nu, band)
 
 
 # Most cells of a default family: it holds 3^k sign ladders.

@@ -96,7 +96,8 @@ def test_tau_specs_parse(tmp_path):
     assert _parse_tau("indicator:0.5") == TauFn.indicator(0.5)
     assert _parse_tau("values:1,0,-1") == TauFn.from_values([1.0, 0.0, -1.0])
     path = tmp_path / "tau.json"
-    path.write_text(TauFn.identity_ladder(4).to_json())
+    tau = TauFn.identity_ladder(4)
+    path.write_text(json.dumps({"breakpoints": tau.breakpoints, "values": tau.values}))
     assert _parse_tau(f"@{path}") == TauFn.identity_ladder(4)
 
 
@@ -145,8 +146,8 @@ def test_metric_matches_brute_oracle(tmp_path, capsys):
         nu = Measure(zip(rng.uniform(0, 1, 2), rng.uniform(0.1, 1, 2)))
         mu_path = tmp_path / f"mu{trial}.json"
         nu_path = tmp_path / f"nu{trial}.json"
-        mu_path.write_text(mu.to_json())
-        nu_path.write_text(nu.to_json())
+        mu_path.write_text(json.dumps(mu.atoms))
+        nu_path.write_text(json.dumps(nu.atoms))
         code, out, _ = _run(
             capsys, "metric", "--mu", f"atoms:@{mu_path}", "--nu", f"atoms:@{nu_path}"
         )
@@ -504,6 +505,57 @@ def test_svg_without_csv_is_refused_before_the_estimator_runs(tmp_path, monkeypa
     assert code == EXIT_CONFIG
     assert out == ""
     assert "csv" in err.lower()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["verify", "--criteria", "11", "--json", "{missing}/v.json"], "json"),
+    (["sample", "--endpoint", "3,3", "--draws", "5", "--json", "{missing}/s.json"], "json"),
+    (["entropy-eps", "--n", "4,6", "--seeds", "1", "--nu", "lebesgue:8",
+      "--csv", "{tmp}/ok.csv", "--json", "{missing}/e.json"], "json"),
+    (["entropy-eps", "--n", "4,6", "--seeds", "1", "--nu", "lebesgue:8",
+      "--csv", "{tmp}", "--json", "{tmp}/e.json"], "csv"),
+    (["gibbs", "--n", "8,16", "--seeds", "1", "--csv", "{tmp}/ok.csv",
+      "--svg", "{missing}/g.svg"], "svg"),
+], ids=["verify-json", "sample-json", "eps-json", "csv-is-a-directory", "gibbs-svg"])
+def test_an_artifact_path_that_cannot_be_written_is_refused_before_any_work(
+        tmp_path, capsys, argv, field):
+    """A csv/json/svg path in a missing directory, or naming a directory, is a
+    config error that names its field before anything runs or is written."""
+    argv = [arg.format(tmp=tmp_path, missing=tmp_path / "missing") for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert f"field {field}=" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [("nu", "lebesgue:8\n"), ("seeds", "1\r"),
+                                        ("csv", "{tmp}/x\n.csv")])
+def test_a_value_with_a_line_break_is_a_config_error(tmp_path, capsys, key, value):
+    """No field value may hold a line break, which would break the CSV's
+    one-line config header; a multi-line spec is read from @FILE."""
+    values = {"nu": "lebesgue:8", "seeds": "1", "csv": "{tmp}/x.csv", key: value}
+    argv = ["entropy-eps", "--n", "4,6", "--svg", "{tmp}/x.svg"]
+    for name, text in values.items():
+        argv += [_flags(name)[-1], text]
+    code, out, err = _run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == EXIT_CONFIG
+    assert f"field {key}=" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_multi_line_spec_file_still_reads(tmp_path, capsys):
+    """Line breaks inside an @FILE spec are the file's, not a flag value's."""
+    spec = tmp_path / "nu.json"
+    spec.write_text("[\n  [0.25, 0.5],\n  [0.75, 0.5]\n]\n")
+    code, _, _ = _run(capsys, "entropy-eps", "--n", "4,6", "--seeds", "1",
+                      "--nu", f"atoms:@{spec}", "--csv", str(tmp_path / "x.csv"),
+                      "--svg", str(tmp_path / "x.svg"))
+    assert code == EXIT_OK
+    header, rows = read_csv(str(tmp_path / "x.csv"))
+    assert header["nu"] == f"atoms:@{spec}"
+    assert rows
 
 
 def test_read_csv_rejects_foreign_columns(tmp_path):

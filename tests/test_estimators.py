@@ -115,15 +115,15 @@ def test_order_stat_attained_path_is_zero():
     collected = []
     enumerate_paths(env, (2, 1), lambda path, labels: collected.append(list(labels)))
     nu = Measure((u, 1.0 / n) for u in collected[1])
-    stat = order_stat_series(env, Direction.from_fractions([Fraction(2, 3), Fraction(1, 3)]), nu, n, [1])
-    assert stat.values[0] == 0.0
+    values = order_stat_series(env, Direction.from_fractions([Fraction(2, 3), Fraction(1, 3)]), nu, n, [1])
+    assert values[0] == 0.0
 
 
 def test_order_stat_rank_past_count_is_inf():
     """Rank 7 of a 6-path ensemble carries the +inf sentinel."""
-    stat = order_stat_series(Environment(0, 2), Direction.parse("1,1"), discretize_lebesgue(4), 2, [1, 7])
-    assert math.isfinite(stat.values[0])
-    assert stat.values[1] == math.inf
+    values = order_stat_series(Environment(0, 2), Direction.parse("1,1"), discretize_lebesgue(4), 2, [1, 7])
+    assert math.isfinite(values[0])
+    assert values[1] == math.inf
 
 
 def test_order_stat_matches_sort_oracle():
@@ -140,8 +140,8 @@ def test_order_stat_matches_sort_oracle():
         ),
     )
     oracle = sorted(dists)
-    stat = order_stat_series(env, Direction.parse("1,1"), nu, n, [1, 6, 20])
-    assert stat.values == (oracle[0], oracle[5], oracle[19])
+    values = order_stat_series(env, Direction.parse("1,1"), nu, n, [1, 6, 20])
+    assert values == (oracle[0], oracle[5], oracle[19])
 
 
 def test_eps_sum_level_empty_path():
@@ -150,7 +150,7 @@ def test_eps_sum_level_empty_path():
     nu = discretize_lebesgue(4)
     got = eps_sum_level(env, Fraction(1, 2), nu, 1, 2.0)
     assert abs(got - (-nu.total_mass / 2.0)) < 1e-15
-    assert eps_sum_level(env, Fraction(1, 2), Measure.zero(), 1, 2.0) == 0.0
+    assert eps_sum_level(env, Fraction(1, 2), Measure(), 1, 2.0) == 0.0
 
 
 def test_tiny_eps_is_rejected_not_silently_wrong():
@@ -219,8 +219,8 @@ def test_caller_budget_reaches_the_walker(monkeypatch):
     nu = discretize_lebesgue(6)
     with pytest.raises(BudgetError):
         next(estimators.label_rows(env, 10, endpoint=(3, 3)))
-    stat = order_stat_series(env, q, nu, 6, [1, 20], budget=20)
-    assert math.isfinite(stat.values[1])
+    values = order_stat_series(env, q, nu, 6, [1, 20], budget=20)
+    assert math.isfinite(values[1])
     assert math.isfinite(eps_sum_level(env, Fraction(1), nu, 3, 1.0, budget=8))
     assert math.isfinite(cost_sum(env, (1, 0), (4, 3), nu, 1.0, budget=20))
     with pytest.raises(BudgetError) as info:
@@ -234,6 +234,36 @@ def test_eps_ladder_enumerates_once_per_seed_and_n(monkeypatch):
     nu = discretize_lebesgue(11)
     estimate_entropy_eps([5, 6], Direction.parse("1/2,1/2"), nu, [2, 4, 6], [4.0, 2.0, 1.0])
     assert sorted(calls) == sorted((seed, (n // 2, n // 2)) for seed in (5, 6) for n in (2, 4, 6))
+
+
+def test_eps_estimators_read_profiles_n_outer_seed_inner_level_first(monkeypatch):
+    """Profiles are read, and so enter the LRU store, with n outer and the
+    seeds inner in the caller's order; the level estimator reads each level
+    profile before its balanced-direction one, which only n t = 0 mod D has."""
+    reads = []
+    original = estimators._profile
+
+    def recording(env, nu, n, *, endpoint=None, length=None, budget):
+        reads.append((n, env.seed, length if endpoint is None else tuple(endpoint)))
+        return original(env, nu, n, endpoint=endpoint, length=length, budget=budget)
+
+    monkeypatch.setattr(estimators, "_profile", recording)
+    nu = discretize_lebesgue(8)
+    for estimate, want in (
+        (lambda: estimate_entropy_eps([6, 5], Direction.parse("1/2,1/2"), nu, [4, 5, 6],
+                                      [4.0, 2.0]),
+         [(4, 6, (2, 2)), (4, 5, (2, 2)), (5, 6, (2, 2)), (5, 5, (2, 2)),
+          (6, 6, (3, 3)), (6, 5, (3, 3))]),
+        (lambda: estimate_entropy_level([6, 5], 2, nu, [4, 5, 6], [4.0, 2.0]),
+         [(4, 6, 4), (4, 6, (2, 2)), (4, 5, 4), (4, 5, (2, 2)), (5, 6, 5), (5, 5, 5),
+          (6, 6, 6), (6, 6, (3, 3)), (6, 5, 6), (6, 5, (3, 3))]),
+    ):
+        store = OrderedDict()
+        monkeypatch.setattr(estimators, "_profiles", store)
+        reads.clear()
+        estimate()
+        assert reads == want
+        assert [(n, env.seed) for env, _, n, _, _ in store] == [(n, seed) for n, seed, _ in want]
 
 
 def test_alpha_grid_enumerates_once_per_seed_and_n(monkeypatch):
@@ -366,8 +396,8 @@ def test_profile_store_stays_under_byte_cap(monkeypatch):
             prokhorov_distance(Measure((u, 1.0 / 4) for u in labels), nu)
         ),
     )
-    stat = order_stat_series(env, q, nu, 4, [1, 35, 70, 71])
-    assert stat.values == (*(sorted(dists)[j - 1] for j in (1, 35, 70)), math.inf)
+    values = order_stat_series(env, q, nu, 4, [1, 35, 70, 71])
+    assert values == (*(sorted(dists)[j - 1] for j in (1, 35, 70)), math.inf)
     assert sorted(len(p) for p in store.values()) == [2, 20]
 
 
@@ -392,7 +422,7 @@ def test_profile_blocks_match_dfs_oracle(monkeypatch, dimension, endpoint, lengt
     """Profiles built from label rows in blocks of a few rows are ``==``
     the sorted per-path distances of the DFS, for point and level ensembles."""
     env = Environment(17, dimension)
-    for nu in (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure.dirac(0.5)):
+    for nu in (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure([(0.5, 1.0)])):
         n = length + 1
         want_point = _dfs_profile(env, nu, n, endpoint=endpoint)
         want_level = _dfs_profile(env, nu, n, length=length)
@@ -537,7 +567,7 @@ def test_cost_sum_matches_dfs_oracle_off_the_origin():
     """D = 1 and D = 3 boxes from nonzero starts, one- and four-atom targets."""
     for env, start, endpoint in ((Environment(4, 1), (3,), (9,)),
                                  (Environment(4, 3), (1, 2, 0), (3, 3, 2))):
-        for target in (Measure.dirac(0.5, 2.0), scale(discretize_lebesgue(4), 3.0)):
+        for target in (Measure([(0.5, 2.0)]), scale(discretize_lebesgue(4), 3.0)):
             for eps in (1.0, 0.25):
                 assert cost_sum(env, start, endpoint, target, eps) == _cost_sum_oracle(
                     env, start, endpoint, target, eps)
@@ -658,14 +688,10 @@ def test_vanish_threshold_values():
     assert abs(vanish_threshold(discretize_lebesgue(64), 12) - 2 * (1 / 128 + 1 / 12)) < 1e-15
     half = Measure(((2 * i + 1) / 128, 1 / 32) for i in range(32))
     assert abs(vanish_threshold(half, 12) - 2 * (1 / 128 + 1 / 12)) < 1e-15
-    assert vanish_threshold(Measure.dirac(0.3), 10) == 0.2
+    assert vanish_threshold(Measure([(0.3, 1.0)]), 10) == 0.2
 
 
 def test_order_stat_series_validation():
-    """Ranks below 1 and decreasing value tuples are rejected."""
+    """Ranks below 1 are rejected."""
     with pytest.raises(ValueError):
-        order_stat_series(Environment(0, 2), Direction.parse("1,1"), Measure.zero(), 2, [0])
-    from gridentropy import OrderStatSeries
-
-    with pytest.raises(ValueError):
-        OrderStatSeries(2, Measure.zero(), (1, 2), (0.5, 0.4), "point")
+        order_stat_series(Environment(0, 2), Direction.parse("1,1"), Measure(), 2, [0])

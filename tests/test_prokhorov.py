@@ -35,24 +35,24 @@ def test_max_deficiency_examples():
     """The sweep's deficiency at closed radii, the exact distance included."""
     mu = Measure([(0.2, 1.0), (0.8, 1.0)])
     assert sweep_deficiency(mu, mu, 0.0) == 0.0
-    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.1) == 1.0
-    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.4) == 0.0
-    assert sweep_deficiency(Measure.dirac(0.2), Measure.dirac(0.5), 0.3) == 0.0
+    assert sweep_deficiency(Measure([(0.2, 1.0)]), Measure([(0.5, 1.0)]), 0.1) == 1.0
+    assert sweep_deficiency(Measure([(0.2, 1.0)]), Measure([(0.5, 1.0)]), 0.4) == 0.0
+    assert sweep_deficiency(Measure([(0.2, 1.0)]), Measure([(0.5, 1.0)]), 0.3) == 0.0
 
 
 def test_distance_examples():
-    assert prokhorov_distance(Measure.dirac(0.2), Measure.dirac(0.5)) == pytest.approx(0.3)
-    assert prokhorov_distance(Measure([(0.3, 2.0)]), Measure.dirac(0.3)) == pytest.approx(1.0)
-    assert prokhorov_distance(Measure([(0.0, 0.5), (1.0, 0.5)]), Measure.dirac(0.5)) == pytest.approx(0.5)
-    assert prokhorov_brute(Measure.dirac(0.0), Measure.dirac(1.0)) == pytest.approx(1.0)
+    assert prokhorov_distance(Measure([(0.2, 1.0)]), Measure([(0.5, 1.0)])) == pytest.approx(0.3)
+    assert prokhorov_distance(Measure([(0.3, 2.0)]), Measure([(0.3, 1.0)])) == pytest.approx(1.0)
+    assert prokhorov_distance(Measure([(0.0, 0.5), (1.0, 0.5)]), Measure([(0.5, 1.0)])) == pytest.approx(0.5)
+    assert prokhorov_brute(Measure([(0.0, 1.0)]), Measure([(1.0, 1.0)])) == pytest.approx(1.0)
 
 
 def test_distance_to_zero_measure_is_tv_norm():
     rng = np.random.default_rng(2)
     for _ in range(20):
         mu = rand_measure(rng)
-        assert prokhorov_distance(mu, Measure.zero()) == pytest.approx(mu.total_mass, abs=1e-12)
-        assert prokhorov_distance(Measure.zero(), mu) == pytest.approx(mu.total_mass, abs=1e-12)
+        assert prokhorov_distance(mu, Measure()) == pytest.approx(mu.total_mass, abs=1e-12)
+        assert prokhorov_distance(Measure(), mu) == pytest.approx(mu.total_mass, abs=1e-12)
 
 
 def test_lebesgue_discretizations_are_close():
@@ -251,7 +251,7 @@ def _count_scalar_calls(monkeypatch):
     return calls
 
 
-ROW_TARGETS = (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure.dirac(0.5))
+ROW_TARGETS = (discretize_lebesgue(64), Measure([(0.125, 0.5), (0.375, 0.5)]), Measure([(0.5, 1.0)]))
 
 
 @pytest.mark.parametrize("dimension, endpoint, length", [
@@ -302,7 +302,7 @@ def test_prokhorov_rows_fallback_rows(monkeypatch):
                                 for row in rows.tolist()]
     assert prokhorov_rows(np.empty((1, 0)), 0.25, nu).tolist() == [nu.total_mass]
     # Against one atom, two labels at the same distance from it run the kernel too.
-    dirac = Measure.dirac(0.5)
+    dirac = Measure([(0.5, 1.0)])
     forced = [[0.25, 0.75], [0.3, 0.3]]  # equal distances; equal labels
     calls.clear()
     got = prokhorov_rows(np.array([fast] + forced), 0.5, dirac)
@@ -311,7 +311,7 @@ def test_prokhorov_rows_fallback_rows(monkeypatch):
     assert got.tolist() == want
     rows = np.array([[0.1, 0.45, 0.9], [0.5, 0.55, 0.7], [0.0, 0.2, 0.35]])
     for mass in (0.1, 0.75, 1.5):  # below, equal to and above the row total 3 * 0.25
-        nu = Measure.dirac(0.4, mass)
+        nu = Measure([(0.4, mass)])
         calls.clear()
         got = prokhorov_rows(rows, 0.25, nu)
         assert len(calls) == 0
@@ -340,9 +340,9 @@ def test_prokhorov_rows_match_prokhorov_distance_bits():
     targets = (
         discretize_lebesgue(8),
         Measure([(0.25, 1 / 3), (0.5, 1 / 7), (0.75, 1 / 3)]),
-        Measure.dirac(0.5),
-        Measure.dirac(0.375, 0.2),
-        Measure.zero(),
+        Measure([(0.5, 1.0)]),
+        Measure([(0.375, 0.2)]),
+        Measure(),
     )
     for length in range(7):
         for rows in (rng.integers(0, 9, size=(40, length)) / 8, rng.uniform(size=(40, length))):
@@ -361,7 +361,7 @@ def test_one_atom_closed_form_breaks_distance_ties_by_mass():
     side; the two orders round apart here."""
     light, heavy, far = 0.02247455323943691, 0.03257964863613815, 0.03943616755677566
     mu = Measure([(0.25, heavy), (0.45, 0.004692979338711745), (0.75, light), (0.9, far)])
-    nu = Measure.dirac(0.5, 0.008504242956601892)
+    nu = Measure([(0.5, 0.008504242956601892)])
     want = (far + heavy) + light
     assert want != (far + light) + heavy
     assert prokhorov_distance(mu, nu) == want

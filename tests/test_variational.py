@@ -1,4 +1,4 @@
-"""Duality layer: sup/conjugate searches, KL budget, Bernoulli counts."""
+"""Duality layer: conjugate search, KL budget, Bernoulli counts."""
 
 import math
 import tracemalloc
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gridentropy import (
-    CandidateFamily,
     Direction,
     DpTable,
     Environment,
@@ -27,7 +26,6 @@ from gridentropy import (
     kl_budget_check,
     last_passage,
     shannon_entropy,
-    variational_sup,
 )
 import conjugate_oracle
 from path_oracle import enumerate_level_paths
@@ -66,67 +64,19 @@ def test_integral_matches_hand_fsum():
     assert integral(ID16, LAM64) == hand
 
 
-def test_family_mass_mismatch_raises():
-    """Members of one family must share a total mass."""
-    with pytest.raises(ValueError):
-        CandidateFamily("bad", ((LAM64, _stub(0.5)), (Measure([(0.5, 2.0)]), _stub(0.1))))
-
-
-def test_sup_single_member_exact():
-    """A one-member family degenerates to beta*<tau,nu> + estimate."""
-    fam = CandidateFamily("single", ((LAM64, _stub(0.6, 0.02)),))
-    res = variational_sup(1.5, ID16, fam)
-    assert res.value == pytest.approx(1.5 * integral(ID16, LAM64) + 0.6, abs=1e-12)
-    assert res.argmax is LAM64
-    assert res.band == 0.02
-
-
-def test_sup_picks_max_and_band():
-    """The sup selects the best member and reports the largest band."""
-    hi = Measure([(0.9, 1.0)])
-    fam = CandidateFamily("pair", ((LAM64, _stub(0.6, 0.02)), (hi, _stub(0.1, 0.05))))
-    res = variational_sup(1.0, ID16, fam)
-    want = max(integral(ID16, LAM64) + 0.6, integral(ID16, hi) + 0.1)
-    assert res.value == pytest.approx(want, abs=1e-12)
-    assert res.band == 0.05
-
-
-def test_sup_empty_family_raises():
-    """An empty family has no sup."""
-    with pytest.raises(ValueError):
-        variational_sup(1.0, ZERO, CandidateFamily("empty", ()))
-
-
-def test_sup_zero_potential_is_max_entropy():
-    """With tau = 0 the sup reduces to the largest entropy in the family."""
-    hi = Measure([(0.9, 1.0)])
-    fam = CandidateFamily("pair", ((LAM64, _stub(0.69, 0.01)), (hi, _stub(0.2, 0.01))))
-    res = variational_sup(1.0, ZERO, fam)
-    assert res.value == 0.69
-    assert res.argmax is LAM64
-
-
-def test_sup_large_beta_recovers_time_constant_formula():
-    """At large beta the scaled sup approaches the best mean potential."""
-    hi = Measure([(0.9, 1.0)])
-    fam = CandidateFamily("pair", ((LAM64, _stub(0.69, 0.01)), (hi, _stub(0.0, 0.01))))
-    beta = 200.0
-    res = variational_sup(beta, ID16, fam)
-    best_mean = max(integral(ID16, LAM64), integral(ID16, hi))
-    assert abs(res.value / beta - best_mean) <= 0.69 / beta + 1e-12
-    assert res.argmax is hi
-
-
 def test_sup_stays_below_free_energy():
-    """A finite-family sup under-reaches the matching free energy."""
+    """The max of beta*<tau, nu> + entropy over two targets under-reaches the
+    matching free energy, within the largest member band plus the free
+    energy's band."""
     est_lam = estimate_entropy_eps((1, 2), Q2, LAM64, (6, 8), (8.0, 4.0, 2.0))
     half = _half_measure()
     est_half = estimate_entropy_eps((1, 2), Q2, half, (6, 8), (8.0, 4.0, 2.0))
-    fam = CandidateFamily("pair", ((LAM64, est_lam), (half, est_half)))
+    band = max(est_lam.band, est_half.band)
     for beta in (0.5, 1.0):
-        res = variational_sup(beta, ID16, fam)
+        sup = max(beta * integral(ID16, LAM64) + est_lam.value,
+                  beta * integral(ID16, half) + est_half.value)
         free = gibbs_estimate((1, 2), beta, ID16, (32, 64, 128), q=Q2)
-        assert res.value <= free.value + res.band + free.band
+        assert sup <= free.value + band + free.band
 
 
 def test_conjugate_zero_family_equals_free_energy():
