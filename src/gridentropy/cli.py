@@ -57,6 +57,7 @@ from .polymer import (
 from .prokhorov import prokhorov_distance
 from .variational import (
     _check_bernoulli,
+    _check_target,
     _search_bound,
     bernoulli_exponent_check,
     conjugate_entropy,
@@ -130,7 +131,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
-    """Grid: 'start:stop:step' inclusive, else comma floats; every value >= 0."""
+    """Grid: 'start:stop:step' up to stop inclusive, else comma floats; every value >= 0.
+
+    A colon grid's values are rounded to 12 places, and only those <= stop
+    are kept, so a step that does not divide the span stops short of it.
+    """
     if ":" in text:
         start_text, stop_text, step_text = text.split(":")
         start, stop, step = float(start_text), float(stop_text), float(step_text)
@@ -138,6 +143,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"bad grid {text!r}")
         count = int(round((stop - start) / step))
         grid = tuple(round(start + k * step, 12) for k in range(count + 1))
+        grid = tuple(value for value in grid if value <= stop)
     else:
         grid = _parse_floats(text)
     if not all(alpha >= 0.0 for alpha in grid):
@@ -411,19 +417,6 @@ def read_csv(path: str) -> tuple[dict[str, str], list[dict]]:
     return header, rows
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _float_json(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 _ROW_CHUNK = 1024  # rows per format call; one call for a whole batch holds a second copy
 
 
@@ -455,67 +448,46 @@ def _format_rows(rows: np.ndarray, head: str, sep: str, end: str):
         yield lines.tobytes().decode("ascii")
 
 
-def _encode_json(obj, newline: str, out: list[str]) -> None:
-    """Append the JSON text of ``obj`` to ``out``; ``newline`` is "\\n" plus its indent.
-
-    The text is ``json.dumps(obj, indent=2, sort_keys=True)`` after these
-    coercions: keys through ``str``, tuples as lists, ``np.floating`` as
-    float, ``np.integer`` as int, ``np.ndarray`` as its ``tolist()``, and
-    ``Fraction`` or any other unknown object as its ``str``.  A nonempty
-    2-D integer array goes through ``_format_rows``.
-    """
+def _jsonable(obj):
+    """``obj`` in plain JSON types: keys through ``str``, tuples as lists,
+    ``np.integer`` as int, ``np.floating`` as float, arrays via ``tolist()``,
+    and ``Fraction`` or any other unknown object as its ``str``."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key, value in sorted({str(key): value for key, value in obj.items()}.items()):
-            out.append(sep)
-            out.append(_encode_str(key) + ": ")
-            _encode_json(value, inner, out)
-            sep = comma
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            out.append(sep)
-            _encode_json(item, inner, out)
-            sep = comma
-        out.append(newline + "]")
-    elif isinstance(obj, np.ndarray):
-        if obj.ndim != 2 or obj.dtype.kind not in "iu" or not obj.size:
-            _encode_json(obj.tolist(), newline, out)
-            return
-        inner = newline + "  "
-        out.append("[")
-        out.extend(_format_rows(obj, inner + "[" + inner + "  ", "," + inner + "  ", inner + "],"))
-        out[-1] = out[-1][:-1] + newline + "]"
-    elif obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_json(float(obj)))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    else:
-        out.append(_encode_str(str(obj)))
+        return {str(key): _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    return str(obj)
 
 
 def write_json(path: str, payload: dict) -> None:
-    """One pass over ``payload``, byte-identical to ``json.dump(..., indent=2, sort_keys=True)``."""
-    out: list[str] = []
-    _encode_json(payload, "\n", out)
-    out.append("\n")
+    """``json.dumps(_jsonable(payload), indent=2, sort_keys=True)`` plus a newline.
+
+    The top-level object is written one value at a time, so that a
+    nonempty 2-D integer array there (a step matrix) goes through
+    ``_format_rows`` instead of a Python list per row.
+    """
+    pieces: list[str] = []
+    for key, value in sorted({str(key): value for key, value in payload.items()}.items()):
+        pieces.append(("{" if not pieces else ",") + "\n  " + json.dumps(key) + ": ")
+        if (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu"
+                and value.size):
+            pieces.append("[")
+            pieces.extend(_format_rows(value, "\n    [\n      ", ",\n      ", "\n    ],"))
+            pieces[-1] = pieces[-1][:-1] + "\n  ]"
+        else:
+            text = json.dumps(_jsonable(value), indent=2, sort_keys=True)
+            pieces.append(text.replace("\n", "\n  "))
+    pieces.append("\n}\n" if pieces else "{}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
+        fh.writelines(pieces)
 
 
 def read_json(path: str) -> dict:
@@ -764,6 +736,7 @@ def _run_sample(config: ExperimentConfig) -> int:
 def _run_conjugate(config: ExperimentConfig) -> int:
     q = config.parse("q", Direction.parse)
     nu, nu_id = config.target("nu")
+    config.check(("nu",), _check_target, nu)
     beta = config.parse("beta", _parse_rational)
     n_ladder = config.ladder("n_ladder")
     seeds = config.parse("seeds", _parse_seed_list)

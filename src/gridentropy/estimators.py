@@ -77,6 +77,7 @@ _PROFILE_STORE_BYTES = 256 << 20
 # memory does not grow with --budget.
 _PROFILE_BLOCK_BYTES = 1 << 20
 _profiles: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_profile_bytes = 0  # the stored profiles' nbytes, kept with each insert and eviction
 
 # Tolerated per-step rise when deciding whether an order-statistic
 # sequence is "decreasing" (finite-n noise allowance).
@@ -129,6 +130,7 @@ def _profile(
     gives each block's distances.  Profiles live in one LRU store of at
     most _PROFILE_STORE_BYTES; a bigger profile is not stored.
     """
+    global _profile_bytes
     _, end, depth, count = _ensemble(env.dimension, budget, endpoint=endpoint, length=length)
     # end is None for a length ensemble, so (end, depth) names the ensemble.
     key = (env, nu, n_scale, end, depth)
@@ -147,9 +149,9 @@ def _profile(
     profile.setflags(write=False)
     if profile.nbytes <= _PROFILE_STORE_BYTES:
         _profiles[key] = profile
-        stored = sum(p.nbytes for p in _profiles.values())
-        while stored > _PROFILE_STORE_BYTES:
-            stored -= _profiles.popitem(last=False)[1].nbytes
+        _profile_bytes += profile.nbytes
+        while _profile_bytes > _PROFILE_STORE_BYTES:
+            _profile_bytes -= _profiles.popitem(last=False)[1].nbytes
     return profile
 
 

@@ -74,6 +74,14 @@ def default_tau_family(
 _ASCENT_DELTAS = (-0.8, -0.4, -0.2, -0.1, 0.1, 0.2, 0.4, 0.8)
 
 
+def _check_target(nu: Measure) -> None:
+    """Refuse, with ValueError, a target atom outside [0, 1], where the
+    step potentials are defined."""
+    outside = [pos for pos, _ in nu.atoms if not 0.0 <= pos <= 1.0]
+    if outside:
+        raise ValueError(f"target atoms must lie in [0, 1], got one at {outside[0]!r}")
+
+
 def _search_bound(tau_family: Sequence[TauFn], restarts: int, ascent_passes: int) -> float:
     """The largest |tau| that ``conjugate_entropy`` can evaluate.
 
@@ -131,6 +139,7 @@ def conjugate_entropy(
     ``evaluations``, which counts only the potentials the walk asks
     for, are those of evaluating one potential at a time.
 
+    A target atom outside [0, 1] is refused with ValueError, and
     ``_dp_box`` refuses, with ValueError, the ladder's box and the DP
     log weights of beta and the largest |tau| the search can evaluate
     (``_search_bound``, which also refuses a negative count, and ascent
@@ -139,6 +148,7 @@ def conjugate_entropy(
     every potential the search evaluates, so no batch checks again.
     """
     seeds = _check_seeds(seeds)
+    _check_target(nu)
     if tau_family is None:
         tau_family = default_tau_family()
     if not tau_family:

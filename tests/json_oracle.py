@@ -4,8 +4,9 @@ The payload is first copied into plain JSON types (keys through ``str``,
 tuples as lists, numpy scalars as Python numbers, numpy arrays as their
 ``tolist()``, ``Fraction`` and any other unknown object as its ``str``),
 then handed to ``json.dumps`` with ``indent=2, sort_keys=True``.  It
-knows nothing of the one-pass encoder, so it checks that the artifact
-bytes are the standard library's.
+dumps the whole payload at once and formats no row by hand, so it checks
+that ``write_json``'s top-level composition and its step-matrix rows
+give the standard library's bytes.
 """
 
 from __future__ import annotations

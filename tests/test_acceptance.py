@@ -47,6 +47,7 @@ def test_criteria_5_and_10_walk_each_lebesgue_ensemble_once(monkeypatch):
     once per other target (uniform-half, triangular) and reads its
     Lebesgue profiles from the store."""
     monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    monkeypatch.setattr(estimators, "_profile_bytes", 0)
     calls = _count_enumerations(monkeypatch)
     once = Counter((seed, (n // 2, n // 2)) for seed in range(1, 6) for n in (6, 8, 10, 12))
     suite = VerificationSuite()

@@ -70,8 +70,12 @@ def test_scale_range_doubles():
 
 
 def test_alpha_grid_colon_grammar():
-    """'start:stop:step' builds the inclusive grid."""
+    """'start:stop:step' builds the inclusive grid, and a step that does not
+    divide the span stops at the last value <= stop, not past it."""
     assert _parse_alpha_grid("0:1:0.25") == (0.0, 0.25, 0.5, 0.75, 1.0)
+    assert _parse_alpha_grid("0:1:0.6") == (0.0, 0.6)
+    assert _parse_alpha_grid("0.1:0.2:0.15") == (0.1,)
+    assert _parse_alpha_grid("0:1:0.05") == tuple(k / 20 for k in range(21))
     assert _parse_alpha_grid("0.1,0.3") == (0.1, 0.3)
 
 
@@ -301,6 +305,11 @@ _JSON_TREES = st.recursive(
     "cube": np.arange(-4, 4).reshape(2, 2, 2),
     "bools": np.array([[True, False]]),
 })
+@example({"a": np.array([[0, 1], [1, 0]], np.uint8), "b": None, "c": [1.5]})  # step matrix first
+@example({"a": 1, "m": np.array([[3, 12, 0]]), "z": {"k": ()}})  # middle
+@example({"config": {"json": "s.json"}, "samples": np.array([[1, 0], [0, 1], [1, 1]])})  # last
+@example({"samples": np.array([[9], [0]], np.int8)})  # only
+@example({2: {10: [1, 2], 3: {1: 0.5}}, "samples": np.array([[0, 1]]), 1: {-1: True}})
 def test_write_json_matches_stdlib_oracle(tmp_path, payload):
     """write_json writes exactly the bytes of the json.dumps oracle."""
     path = tmp_path / "payload.json"
@@ -693,6 +702,9 @@ def test_infinite_atom_mass_is_a_config_error(capsys):
     (("entropy-eps", "--n", "4,6", "--seeds", "1", "--eps", "2,1e-308"), "n_ladder="),
     (("entropy-level", "--t", "1/1000", "--n", "2,4", "--seeds", "1"), "t="),
     (("entropy-level", "--t", "1/8", "--n", "4,16", "--seeds", "1"), "n_ladder="),
+    *((("conjugate", "--nu", f"atoms:[[{position},1]]", "--n", "8,16", "--seeds", "1", "--k", "2",
+        "--random-count", "0", "--restarts", "1", "--passes", "0"), "nu=")
+      for position in ("2.0", "-0.5")),
 ])
 def test_bad_ladder_is_a_config_error(capsys, argv, field):
     """Non-positive scales or eps, a single scale where an a + b/n fit
@@ -707,8 +719,9 @@ def test_bad_ladder_is_a_config_error(capsys, argv, field):
     unknown verify criterion, a number past the float range, an alpha
     grid value that is not >= 0 (NaN included), a negative conjugate
     RNG seed, an eps so small that the cost scale n/eps overflows at the
-    largest n, and a level ladder with a scale where floor(n t) = 0 exit
-    2 naming the field before any estimator runs."""
+    largest n, a level ladder with a scale where floor(n t) = 0, and a
+    conjugate target atom outside [0, 1] exit 2 naming the field before
+    any estimator runs."""
     code, out, err = _run(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
@@ -727,6 +740,14 @@ def test_dp_weights_past_the_float_range_are_a_config_error(capsys, argv, fields
     assert code == EXIT_CONFIG
     assert out == ""
     assert all(field in err for field in fields)
+
+
+@pytest.mark.parametrize("position", ["2.0", "-0.5"])
+def test_metric_takes_any_finite_atom_position(capsys, position):
+    """metric measures atoms outside [0, 1] too; only the conjugate,
+    whose potentials live on [0, 1], refuses them."""
+    code, out, _ = _run(capsys, "metric", "--mu", f"atoms:[[{position},1]]", "--nu", "lebesgue:4")
+    assert code == EXIT_OK and float(out) > 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

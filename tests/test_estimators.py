@@ -196,6 +196,14 @@ def test_cost_sum_overflowing_term_is_not_nan():
     assert got == -min(dists) / eps == -1.6361214536515307e308
 
 
+def _fresh_store(monkeypatch) -> OrderedDict:
+    """An empty profile store for the test, its running byte total reset with it."""
+    store = OrderedDict()
+    monkeypatch.setattr(estimators, "_profiles", store)
+    monkeypatch.setattr(estimators, "_profile_bytes", 0)
+    return store
+
+
 def _count_enumerations(monkeypatch):
     calls = []
     original = estimators.label_rows
@@ -212,7 +220,7 @@ def test_caller_budget_reaches_the_walker(monkeypatch):
     """A budget above the walker's default is the one that counts: an
     ensemble past the default but within the caller's budget is walked,
     and one past the caller's budget is refused with that budget."""
-    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    _fresh_store(monkeypatch)
     monkeypatch.setitem(estimators.label_rows.__kwdefaults__, "budget", 5)
     env = Environment(4, 2)
     q = Direction.parse("1/2,1/2")
@@ -258,8 +266,7 @@ def test_eps_estimators_read_profiles_n_outer_seed_inner_level_first(monkeypatch
          [(4, 6, 4), (4, 6, (2, 2)), (4, 5, 4), (4, 5, (2, 2)), (5, 6, 5), (5, 5, 5),
           (6, 6, 6), (6, 6, (3, 3)), (6, 5, 6), (6, 5, (3, 3))]),
     ):
-        store = OrderedDict()
-        monkeypatch.setattr(estimators, "_profiles", store)
+        store = _fresh_store(monkeypatch)
         reads.clear()
         estimate()
         assert reads == want
@@ -293,9 +300,9 @@ def test_a_profile_past_the_store_is_walked_once_per_seed_and_n(monkeypatch, est
     alphas or eps values, the level estimate's balanced cross-check
     included, and gives the bits it gives with the store."""
     nu = discretize_lebesgue(9)
-    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    _fresh_store(monkeypatch)
     want = estimate(nu)
-    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    _fresh_store(monkeypatch)
     monkeypatch.setattr(estimators, "_PROFILE_STORE_BYTES", 0)
     walks = []
     original = estimators._distances
@@ -318,7 +325,7 @@ def test_bad_eps_ladder_is_refused_before_any_walk(monkeypatch, eps_ladder, leve
     """An eps ladder that is empty, not positive (NaN included), not strictly
     decreasing, or whose cost scale n/eps overflows at the largest n raises
     ValueError before either cost-sum estimate walks a path."""
-    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    _fresh_store(monkeypatch)
     calls = _count_enumerations(monkeypatch)
     nu = discretize_lebesgue(8)
     with pytest.raises(ValueError, match="eps"):
@@ -357,7 +364,7 @@ def test_level_cross_check_needs_two_distinct_exact_scales():
 def test_empty_seeds_are_refused_before_any_walk(monkeypatch, estimate):
     """No seed means no environment to average: each entry point raises a
     ValueError naming the seeds, not nan, a grid value or a numpy error."""
-    monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+    _fresh_store(monkeypatch)
     calls = _count_enumerations(monkeypatch)
     with pytest.raises(ValueError, match="seeds"):
         estimate(discretize_lebesgue(8))
@@ -373,8 +380,7 @@ def test_alpha_below_zero_or_nan_is_refused(alpha):
 
 def test_profile_store_stays_under_byte_cap(monkeypatch):
     """The store evicts down to its cap; an oversized profile is returned, not kept."""
-    store = OrderedDict()
-    monkeypatch.setattr(estimators, "_profiles", store)
+    store = _fresh_store(monkeypatch)
     monkeypatch.setattr(estimators, "_PROFILE_STORE_BYTES", 8 * 26)
     env = Environment(9, 2)
     nu = discretize_lebesgue(16)
@@ -399,6 +405,26 @@ def test_profile_store_stays_under_byte_cap(monkeypatch):
     values = order_stat_series(env, q, nu, 4, [1, 35, 70, 71])
     assert values == (*(sorted(dists)[j - 1] for j in (1, 35, 70)), math.inf)
     assert sorted(len(p) for p in store.values()) == [2, 20]
+    assert estimators._profile_bytes == sum(p.nbytes for p in store.values())
+
+
+def test_a_store_insert_hashes_as_many_keys_however_full_the_store(monkeypatch):
+    """Storing a profile hashes the same number of keys with 0 or 11 profiles
+    already stored: the store's byte total is kept, not re-summed over its
+    values, which an OrderedDict reads by hashing every key again."""
+    store = _fresh_store(monkeypatch)
+    hashes = []
+    env_hash = Environment.__hash__
+    monkeypatch.setattr(Environment, "__hash__", lambda env: hashes.append(env) or env_hash(env))
+    nu = discretize_lebesgue(4)
+    per_insert = []
+    for seed in range(12):
+        hashes.clear()
+        estimators._profile(Environment(seed, 2), nu, 2, endpoint=(1, 1))
+        per_insert.append(len(hashes))
+    assert len(store) == 12
+    assert estimators._profile_bytes == 12 * 2 * 8
+    assert per_insert == [per_insert[0]] * 12
 
 
 def _dfs_profile(env, nu, n, endpoint=None, length=None):
@@ -427,7 +453,7 @@ def test_profile_blocks_match_dfs_oracle(monkeypatch, dimension, endpoint, lengt
         want_point = _dfs_profile(env, nu, n, endpoint=endpoint)
         want_level = _dfs_profile(env, nu, n, length=length)
         for block_paths in (None, 1, 3):
-            monkeypatch.setattr(estimators, "_profiles", OrderedDict())
+            _fresh_store(monkeypatch)
             if block_paths is not None:
                 row_bytes = 8 * (length * len(nu.atoms) + 1)
                 monkeypatch.setattr(estimators, "_PROFILE_BLOCK_BYTES", block_paths * row_bytes)

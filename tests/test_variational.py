@@ -229,6 +229,28 @@ def test_conjugate_refuses_a_bad_rng_seed_before_any_free_energy(monkeypatch):
     assert batches == [] and walks == []
 
 
+@pytest.mark.parametrize("position", [2.0, -0.5, 1.0 + 2**-52, -2**-1074])
+def test_conjugate_refuses_a_target_atom_outside_the_unit_interval(monkeypatch, position):
+    """A target atom outside [0, 1], where the step potentials are defined,
+    raises ValueError before any level is built; a potential would read it
+    in its last cell (tau(-0.5) through index -1) or its boundary cell."""
+    walks = _count_level_walks(monkeypatch)
+    nu = Measure([(0.5, 0.5), (position, 0.5)])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        conjugate_entropy((1,), Q2, nu, 1.0, n_ladder=(8, 16),
+                          tau_family=default_tau_family(2, random_count=0), restarts=1,
+                          ascent_passes=0)
+    assert walks == []
+
+
+def test_conjugate_takes_target_atoms_at_both_ends_of_the_unit_interval():
+    nu = Measure([(0.0, 0.5), (1.0, 0.5)])
+    est = conjugate_entropy((1,), Q2, nu, 1.0, n_ladder=(8, 16),
+                            tau_family=default_tau_family(2, random_count=0), restarts=1,
+                            ascent_passes=0)
+    assert math.isfinite(est.value)
+
+
 def test_conjugate_without_a_start_is_the_family_maximum():
     """restarts=0 runs no ascent: the estimate is the family's best member,
     and only the family is evaluated."""
