@@ -315,21 +315,26 @@ _FLAG_HELP: dict[str, str] = {
 }
 
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """Every subcommand, with flags only on the first one argv names: the
-    top-level parser takes no values, so that word is the one argparse runs."""
+    """The subcommands, with flags only on the first one argv names: the
+    top-level parser takes no values, so that word is the one argparse runs.
+    When argv starts with it, that subcommand is the only one built, under
+    a metavar listing all of them, so usage and errors read as with all."""
     parser = argparse.ArgumentParser(
         prog="gridentropy",
         description="Path-ensemble entropy experiments on the lattice.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
     named = next((word for word in argv if word in _COMMANDS), None)
-    for command, (keys, *_) in _COMMANDS.items():
+    alone = bool(argv) and argv[0] == named
+    subparsers = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
+    for command in [named] if alone else _COMMANDS:
         sub = subparsers.add_parser(command)
         if command != named:
             continue
         sub.add_argument("--config", default=None, metavar="FILE",
                          help="flat key=value file supplying defaults")
-        for key in keys:
+        for key in _COMMANDS[command][0]:
             sub.add_argument(*_flags(key), dest=key, default=None, metavar=key.upper(),
                              help=_FLAG_HELP.get(key))
     return parser

@@ -243,6 +243,8 @@ class TauFn:
         return cls(tuple(i / cells for i in range(cells)), tuple(values))
 
     def __call__(self, x: float) -> float:
+        if not 0.0 <= x <= 1.0:  # NaN fails this too
+            raise ValueError(f"tau is defined on [0, 1], got {x!r}")
         return self.values[bisect_right(self.breakpoints, x) - 1]
 
     def cell(self, bits: np.ndarray) -> np.ndarray:

@@ -459,10 +459,19 @@ def sample_polymer_paths(table: DpTable, rng_seeds: Sequence[int]) -> np.ndarray
     steps = np.empty((len(bases), depth), dtype=np.intp)
     for k in range(depth, 0, -1):
         pred, cum = table.steps[k - 1][0], thresholds[k - 1]
+        d = pred.shape[1]
+        # Each row of cum is nondecreasing up to its last predecessor's
+        # +inf and holds no NaN, so lifting it to nondecreasing (+inf from
+        # there on) keeps the first axis a with u < cum[a]: it is the
+        # count of axes a < D - 1 with cum[a] <= u.
+        flat = np.maximum.accumulate(cum, axis=1).ravel()
         counter += 1
         u01 = _stream_uniforms(bases, counter)
-        axes = (u01[:, None] < cum[rows]).argmax(axis=1)
+        cells = rows * d
+        axes = np.zeros(len(bases), dtype=np.intp)
+        for axis in range(d - 1):
+            axes += flat[cells + axis] <= u01
         steps[:, k - 1] = axes
-        rows = pred[rows, axes]
+        rows = pred.ravel()[cells + axes]
     return steps
 

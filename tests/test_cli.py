@@ -1,6 +1,7 @@
 """CLI tests: grammar parsing, config layering, artifact round-trips,
 byte-stable emission across runs, and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -48,7 +49,10 @@ from gridentropy.cli import (
 
 
 def _run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -317,6 +321,24 @@ def test_write_json_matches_stdlib_oracle(tmp_path, payload):
     text = path.read_bytes()
     path.unlink()  # a fresh file per example: truncating one can be slow
     assert text == json_text(payload).encode("utf-8")
+
+
+@pytest.mark.parametrize("value, want", [
+    (np.bool_(True), "True"),  # a numpy bool is its str, as the README states
+    (np.int64(3), 3),
+    (np.float32(0.5), 0.5),
+    (Fraction(1, 3), "1/3"),
+    ((1, (2,)), [1, [2]]),
+    ({1: "a"}, {"1": "a"}),
+    (np.array(2.5), 2.5),
+    (np.zeros((2, 0)), [[], []]),
+])
+def test_jsonable_coerces_literal_values(value, want):
+    """_jsonable against literal plain-JSON values, independent of the
+    oracle in json_oracle.py, which repeats its rules."""
+    got = cli._jsonable(value)
+    assert got == want
+    assert type(got) is type(want)
 
 
 # (head, sep, end) of a stdout line and of a JSON row of a top-level key.
@@ -860,6 +882,59 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = _run(capsys, "verify")
     assert code == EXIT_VERIFY
     assert "FAIL" in out
+
+
+# parser
+
+
+def _reference_parser(argv):
+    """The reference parser: every subcommand built, whatever argv names,
+    with flags on the first one it names."""
+    parser = argparse.ArgumentParser(
+        prog="gridentropy",
+        description="Path-ensemble entropy experiments on the lattice.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    named = next((word for word in argv if word in _COMMANDS), None)
+    for command, (keys, *_) in _COMMANDS.items():
+        sub = subparsers.add_parser(command)
+        if command != named:
+            continue
+        sub.add_argument("--config", default=None, metavar="FILE",
+                         help="flat key=value file supplying defaults")
+        for key in keys:
+            sub.add_argument(*_flags(key), dest=key, default=None, metavar=key.upper(),
+                             help=cli._FLAG_HELP.get(key))
+    return parser
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help", "sample"], ["bogus"], ["bogus", "--seed", "count"],
+    ["sample", "--bogus", "1"], ["sample", "-h"], ["verify", "--criteria", "99"],
+    ["sample", "--endpoint", "2,2", "--draws", "3", "extra"],
+])
+def test_the_parser_reads_like_one_with_every_subcommand(capsys, monkeypatch, argv):
+    """Help, usage errors, config errors and runs give the exit code, stdout
+    and stderr of a parser that builds all twelve subcommands."""
+    got = _run(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", _reference_parser)
+    assert got == _run(capsys, *argv)
+
+
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch):
+    """A command in argv[0] builds the top-level parser and that one
+    subparser, not all twelve."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = _run(capsys, "count", "--endpoint", "3,3")
+    assert (code, out) == (EXIT_OK, "20\n")
+    assert len(built) == 2
 
 
 # property: no argv crashes the CLI

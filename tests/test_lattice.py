@@ -252,6 +252,16 @@ def test_tau_constructors():
     assert ladder(0.0) == 0.125 and ladder(0.99) == 0.875
 
 
+@pytest.mark.parametrize("x", [-0.5, -5e-324, 1.0 + 2.0**-52, 1.5, math.nan, -math.inf, math.inf])
+def test_tau_refuses_a_point_outside_the_unit_interval(x):
+    """tau is defined on [0, 1]: a point outside it, or NaN, is a ValueError,
+    not the value of the first or last cell."""
+    tau = TauFn.from_values((1.0, 2.0))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        tau(x)
+    assert tau(0.0) == 1.0 and tau(1.0) == 2.0
+
+
 def test_enumerate_paths_basics():
     env = Environment(5, 2)
     paths = []

@@ -534,6 +534,9 @@ def _assert_step_matrix(steps, table, draws):
     (1, "point", (6,)), (1, "level", 5),
     (2, "point", (3, 3)), (2, "point", (0, 4)), (2, "level", 5), (2, "level", 0),
     (3, "point", (2, 1, 2)), (3, "level", 4), (2, "point", (0, 0)),
+    (4, "point", (2, 0, 1, 2)), (4, "level", 3),
+    # No point has a last-axis predecessor: thresholds past the +inf are lifted.
+    (3, "point", (2, 2, 0)),
 ])
 @pytest.mark.parametrize("beta", [0.0, 1.0, 100.0])
 def test_lockstep_sampler_matches_scalar_oracle(dimension, kind, target, beta):
@@ -556,6 +559,7 @@ def test_lockstep_sampler_matches_scalar_oracle(dimension, kind, target, beta):
 def test_lockstep_sampler_falls_back_like_the_scalar_oracle():
     """Probabilities that sum below 1 leave the rest to the last axis or point."""
     for table in (DpTable.point(Environment(4, 3), (2, 2, 2), 1.0, TAU16),
+                  DpTable.point(Environment(4, 3), (2, 2, 0), 1.0, TAU16),
                   DpTable.level(Environment(4, 2), 5, 1.0, TAU16)):
         # Adding k to level k (and to the terms folded from it) scales
         # every step's probabilities by 1/e; a larger total does the same
